@@ -25,32 +25,19 @@ import csv
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
 from . import __version__, experiments, genre_graph, lexstats, mnb, preprocess
-from .corpus_io import Corpus, SplitSpec, concat_by_palo, filter_top_palos, load_corpus
-from .errors import (
-    AlphaNonPositiveError,
-    CorpusIoError,
-    DegenerateFitError,
-    DuplicateIdError,
-    EmptyCorpusError,
-    EmptyDocumentError,
-    FormatError,
-    InconsistentClassesError,
-    LabelMismatchError,
-    LexpaloError,
-    ModelFormatError,
-    NormError,
-    NoThresholdError,
-    StratumTooSmallError,
-    UnknownClassError,
-    VocabularyMismatchError,
-    WindowTooLongError,
-    ZeroDistanceError,
+from .corpus_io import (
+    Corpus,
+    SplitSpec,
+    atomic_write,
+    concat_by_palo,
+    filter_top_palos,
+    load_corpus,
 )
+from .errors import CorpusIoError, EmptyDocumentError, LexpaloError, ModelFormatError
 from .seeding import derive_seed
 from .vectorize import build_vocabulary, tfidf, tfidf_row
 
@@ -58,25 +45,7 @@ THREADS_ENV_VAR = "LEXPALO_THREADS"
 
 # Stable, documented exit codes (0 = success, 2 = usage error: argparse
 # rejections and invalid parameter values).
-EXIT_CODES: dict[type, int] = {
-    CorpusIoError: 3,
-    FormatError: 4,
-    DuplicateIdError: 5,
-    EmptyCorpusError: 6,
-    StratumTooSmallError: 7,
-    EmptyDocumentError: 8,
-    WindowTooLongError: 9,
-    DegenerateFitError: 10,
-    VocabularyMismatchError: 11,
-    AlphaNonPositiveError: 12,
-    LabelMismatchError: 13,
-    UnknownClassError: 14,
-    InconsistentClassesError: 15,
-    NoThresholdError: 16,
-    NormError: 17,
-    ZeroDistanceError: 18,
-    ModelFormatError: 19,
-}
+EXIT_CODES = {cls: cls.exit_code for cls in LexpaloError.__subclasses__()}
 
 
 @dataclass(frozen=True)
@@ -96,13 +65,13 @@ class RunConfig:
     epsilon: float = experiments.DEFAULT_EPSILON
     sttr_windows: int = 50
     linkage: str = "average"
-    stopwords_path: Path | None = None
-    concat_map_path: Path | None = None
+    stopwords: Path | None = None
+    concat_map: Path | None = None
     threads: int = 1
-    model_path: Path | None = None
+    model: Path | None = None
     text: str | None = None
-    text_file: Path | None = None
-    show_scores: bool = False
+    file: Path | None = None
+    scores: bool = False
 
 
 def _threads_from_env() -> int:
@@ -125,59 +94,63 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help):
+        # Options left out stay out of the namespace, so RunConfig's defaults
+        # are the only ones declared.
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
     def corpus_opts(sp):
         sp.add_argument("--corpus", required=True, type=Path,
                         help="corpus file (JSONL or CSV)")
-        sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-        sp.add_argument("--output-dir", type=Path, default=Path("."),
+        sp.add_argument("--format", choices=("jsonl", "csv"))
+        sp.add_argument("--output-dir", type=Path,
                         help="directory for report files (created if missing)")
-        sp.add_argument("--min-lyrics", type=int, default=100,
+        sp.add_argument("--min-lyrics", type=int,
                         help="keep only palos with at least this many lyrics")
-        sp.add_argument("--gamma", type=float, default=preprocess.DEFAULT_GAMMA,
+        sp.add_argument("--gamma", type=float,
                         help="case-normalization threshold in [0, 1]")
-        sp.add_argument("--stopwords", type=Path, default=None,
+        sp.add_argument("--stopwords", type=Path,
                         help="stop-word file overriding the packaged list")
-        sp.add_argument("--concat-map", type=Path, default=None,
+        sp.add_argument("--concat-map", type=Path,
                         help="phrase-concatenation file overriding the default")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="master seed for all randomness")
+        sp.add_argument("--seed", type=int, help="master seed for all randomness")
 
     def training_opts(sp):
-        sp.add_argument("--alpha", type=float, default=0.11,
+        sp.add_argument("--alpha", type=float,
                         help="additive smoothing parameter (> 0)")
-        sp.add_argument("--train-fraction", type=float, default=0.85)
-        sp.add_argument("--runs", type=int, default=100,
+        sp.add_argument("--train-fraction", type=float)
+        sp.add_argument("--runs", type=int,
                         help="number of seeded train/validation rounds")
 
-    sp = sub.add_parser("stats", help="lexical statistics reports")
+    sp = command("stats", "lexical statistics reports")
     corpus_opts(sp)
-    sp.add_argument("--sttr-windows", type=int, default=50,
+    sp.add_argument("--sttr-windows", type=int,
                     help="number of sampled windows per palo")
 
-    sp = sub.add_parser("train", help="repeated trainings + saved model")
+    sp = command("train", "repeated trainings + saved model")
     corpus_opts(sp)
     training_opts(sp)
 
-    sp = sub.add_parser("sweep-alpha", help="accuracy across the alpha grid")
+    sp = command("sweep-alpha", "accuracy across the alpha grid")
     corpus_opts(sp)
     training_opts(sp)
-    sp.add_argument("--grid-step", type=float, default=0.005)
+    sp.add_argument("--grid-step", type=float)
 
-    sp = sub.add_parser("essential", help="per-palo essential word lists")
+    sp = command("essential", "per-palo essential word lists")
     corpus_opts(sp)
     training_opts(sp)
-    sp.add_argument("--epsilon", type=float, default=experiments.DEFAULT_EPSILON,
+    sp.add_argument("--epsilon", type=float,
                     help="relative tolerance for the smoothing floor")
 
-    sp = sub.add_parser("distances", help="inter-genre distances + dendrogram")
+    sp = command("distances", "inter-genre distances + dendrogram")
     corpus_opts(sp)
-    sp.add_argument("--linkage", choices=genre_graph.LINKAGES, default="average")
+    sp.add_argument("--linkage", choices=genre_graph.LINKAGES)
 
-    sp = sub.add_parser("mst", help="genre MST and network as DOT files")
+    sp = command("mst", "genre MST and network as DOT files")
     corpus_opts(sp)
-    sp.add_argument("--linkage", choices=genre_graph.LINKAGES, default="average")
+    sp.add_argument("--linkage", choices=genre_graph.LINKAGES)
 
-    sp = sub.add_parser("classify", help="label new text with a saved model")
+    sp = command("classify", "label new text with a saved model")
     sp.add_argument("--model", required=True, type=Path,
                     help="model file written by 'lexpalo train'")
     source = sp.add_mutually_exclusive_group(required=True)
@@ -188,51 +161,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        corpus=getattr(args, "corpus", None),
-        format=getattr(args, "format", "jsonl"),
-        output_dir=getattr(args, "output_dir", Path(".")),
-        min_lyrics=getattr(args, "min_lyrics", 100),
-        gamma=getattr(args, "gamma", preprocess.DEFAULT_GAMMA),
-        alpha=getattr(args, "alpha", 0.11),
-        train_fraction=getattr(args, "train_fraction", 0.85),
-        runs=getattr(args, "runs", 100),
-        seed=getattr(args, "seed", 0),
-        grid_step=getattr(args, "grid_step", 0.005),
-        epsilon=getattr(args, "epsilon", experiments.DEFAULT_EPSILON),
-        sttr_windows=getattr(args, "sttr_windows", 50),
-        linkage=getattr(args, "linkage", "average"),
-        stopwords_path=getattr(args, "stopwords", None),
-        concat_map_path=getattr(args, "concat_map", None),
-        threads=_threads_from_env(),
-        model_path=getattr(args, "model", None),
-        text=getattr(args, "text", None),
-        text_file=getattr(args, "file", None),
-        show_scores=getattr(args, "scores", False),
-    )
-    return config
-
-
 # ---------------------------------------------------------------------------
 # report writing
 
 def _atomic_write(path: Path, write_fn) -> None:
-    """Write a file via temp-file + rename so readers never see partials."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    """Write a report via temp-file + rename, creating its directory."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            write_fn(fh)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except FileNotFoundError:
-            pass
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CorpusIoError(f"cannot create {path.parent}: {exc}") from exc
+    atomic_write(path, write_fn)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -263,13 +201,13 @@ def _safe_filename(palo: str) -> str:
 
 def _preprocess_config(config: RunConfig) -> preprocess.PreprocessConfig:
     base = preprocess.default_config(gamma=config.gamma)
-    if config.stopwords_path is not None:
+    if config.stopwords is not None:
         base = dc_replace(
-            base, stopwords=preprocess.load_stopwords(config.stopwords_path)
+            base, stopwords=preprocess.load_stopwords(config.stopwords)
         )
-    if config.concat_map_path is not None:
+    if config.concat_map is not None:
         base = dc_replace(
-            base, concat_map=preprocess.load_concat_map(config.concat_map_path)
+            base, concat_map=preprocess.load_concat_map(config.concat_map)
         )
     return base
 
@@ -406,7 +344,6 @@ def _cmd_train(config: RunConfig) -> None:
     matrix = tfidf(full, vocab)
     model = mnb.fit(matrix, [r.palo for r in full.records], config.alpha)
     model_path = out / "model.json"
-    model_path.parent.mkdir(parents=True, exist_ok=True)
     mnb.save_model(model, model_path, _preprocess_state(pconfig, lowered))
     print(
         f"train: {config.runs} runs at alpha={config.alpha}; mean global "
@@ -513,7 +450,7 @@ def _cmd_mst(config: RunConfig) -> None:
 
 
 def _cmd_classify(config: RunConfig) -> None:
-    model, state = mnb.load_model(config.model_path)
+    model, state = mnb.load_model(config.model)
     if state is None:
         raise ModelFormatError(
             "model file lacks the stored preprocessing state; "
@@ -530,15 +467,15 @@ def _cmd_classify(config: RunConfig) -> None:
         text = config.text
     else:
         try:
-            text = config.text_file.read_text(encoding="utf-8")
+            text = config.file.read_text(encoding="utf-8")
         except OSError as exc:
-            raise CorpusIoError(f"cannot read {config.text_file}: {exc}") from exc
+            raise CorpusIoError(f"cannot read {config.file}: {exc}") from exc
     tokens = preprocess.filter_tokens(
         preprocess.apply_concat_map(text, pconfig), pconfig, lowered
     )
     result = mnb.score(model, tfidf_row(tokens, model.vocab))
     print(result.predicted)
-    if config.show_scores:
+    if config.scores:
         for palo in sorted(result.scores, key=lambda p: (-result.scores[p], p)):
             print(f"{palo}\t{result.scores[palo]!r}")
 
@@ -560,7 +497,7 @@ def run(command: str, config: RunConfig) -> int:
         _COMMANDS[command](config)
     except LexpaloError as exc:
         print(f"lexpalo {command}: error: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
+        return exc.exit_code
     except ValueError as exc:
         print(f"lexpalo {command}: error: {exc}", file=sys.stderr)
         return 2
@@ -569,12 +506,13 @@ def run(command: str, config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    options = vars(parser.parse_args(argv))
+    command = options.pop("command")
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**options, threads=_threads_from_env())
     except ValueError as exc:
         parser.error(str(exc))
-    return run(args.command, config)
+    return run(command, config)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ metadata).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 import random
+import secrets
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -199,18 +202,39 @@ def _read_csv(fh):
     return records, lines
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus as JSON Lines (the same schema load_corpus reads)."""
+def atomic_write(path, write_fn) -> None:
+    """Write a UTF-8 text file via ``write_fn(file)``, a temporary sibling and
+    a rename, so readers never see a partial file. The file gets the mode
+    ``open()`` gives under the umask; a failed write leaves the target as it
+    was and no temporary file. Raises CorpusIoError when it cannot write."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in corpus.records:
-                obj = {"id": rec.id, "palo": rec.palo, "text": rec.text}
-                for k, v in rec.metadata.items():
-                    if k not in REQUIRED_KEYS:
-                        obj[k] = v
-                fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                write_fn(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
-        raise CorpusIoError(f"cannot write corpus file {path}: {exc}") from exc
+        raise CorpusIoError(f"cannot write {path}: {exc}") from exc
+
+
+def save_corpus(corpus: Corpus, path) -> None:
+    """Write a corpus atomically as JSON Lines (the schema load_corpus reads)."""
+
+    def write(fh):
+        for rec in corpus.records:
+            obj = {"id": rec.id, "palo": rec.palo, "text": rec.text}
+            for k, v in rec.metadata.items():
+                if k not in REQUIRED_KEYS:
+                    obj[k] = v
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+    atomic_write(path, write)
 
 
 def filter_top_palos(corpus: Corpus, min_lyrics: int) -> Corpus:
@@ -227,13 +251,12 @@ def filter_top_palos(corpus: Corpus, min_lyrics: int) -> Corpus:
     return Corpus(r for r in corpus.records if r.palo in keep)
 
 
-def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
-    """Split a corpus into train and validation, stratified by palo.
+def split_positions(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Record positions of the train and validation sides, each sorted.
 
     Per palo, the train count is round-half-up(train_fraction * n) clamped to
     [1, n-1], so both sides always see every palo. Membership is decided by a
-    shuffle-then-cut with a PRNG seeded from (seed, palo name); record order
-    within each side follows the original corpus order.
+    shuffle-then-cut with a PRNG seeded from (seed, palo name).
 
     Raises StratumTooSmallError when some palo has fewer than 2 records.
     """
@@ -253,6 +276,13 @@ def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
         val_ix.extend(order[n_train:])
     train_ix.sort()
     val_ix.sort()
+    return train_ix, val_ix
+
+
+def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
+    """Split a corpus into train and validation as :func:`split_positions`
+    places its records."""
+    train_ix, val_ix = split_positions(corpus, spec)
     return (
         Corpus(corpus.records[i] for i in train_ix),
         Corpus(corpus.records[i] for i in val_ix),

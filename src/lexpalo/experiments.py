@@ -9,21 +9,32 @@ A single run: stratified 85/15-style split -> vocabulary and TF-IDF from the
 training side only -> naive-Bayes fit (documents that lost all tokens in
 preprocessing are excluded from the training side) -> every validation
 document scored, including empty ones (scored by priors alone).
+
+Each call tokenizes the corpus once, into integer counts over the sorted
+vocabulary of the whole corpus, and every run slices its documents' rows out
+of them: the columns its training rows use are the run's vocabulary in
+sorted order, so its weights and masses are those :mod:`vectorize` and
+:mod:`mnb` compute from text.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import mnb
-from .corpus_io import Corpus, SplitSpec, stratified_split
-from .errors import InconsistentClassesError, NoThresholdError
+from .corpus_io import Corpus, SplitSpec, split_positions
+from .errors import (
+    AlphaNonPositiveError,
+    EmptyCorpusError,
+    InconsistentClassesError,
+    NoThresholdError,
+)
 from .seeding import derive_seed
-from .vectorize import build_vocabulary, tfidf
 
 DEFAULT_EPSILON = 1e-9
 
@@ -31,15 +42,13 @@ DEFAULT_EPSILON = 1e-9
 @dataclass(frozen=True)
 class TrainingResult:
     """One train/validation round: the split seed, confusion matrix over
-    ``classes`` (rows true, columns predicted, raw counts), accuracies, and
-    the fitted model."""
+    ``classes`` (rows true, columns predicted, raw counts) and accuracies."""
 
     seed: int
     classes: tuple[str, ...]
     confusion: np.ndarray
     per_class_accuracy: dict[str, float]
     global_accuracy: float
-    model: mnb.MnbModel
 
 
 @dataclass(frozen=True)
@@ -90,52 +99,165 @@ class EssentialWordReport:
     n_runs: int
 
 
-def _drop_empty(corpus: Corpus) -> Corpus:
-    """Training-side filter: drop records whose text has no tokens."""
-    kept = [r for r in corpus.records if r.text.split()]
-    if len(kept) == len(corpus.records):
-        return corpus
-    return Corpus(kept)
+@dataclass(frozen=True)
+class _Encoding:
+    """A corpus as integer token counts over its sorted vocabulary."""
+
+    corpus: Corpus
+    counts: sp.csr_matrix  # documents x words
+    lengths: np.ndarray  # tokens per document
+    classes: tuple[str, ...]  # sorted palos
+    labels: np.ndarray  # position in ``classes`` per document
+    words: tuple[str, ...]
+
+
+def _encode(corpus: Corpus) -> _Encoding:
+    docs = [rec.text.split() for rec in corpus.records]
+    words = tuple(sorted(set(chain.from_iterable(docs))))
+    index = {w: j for j, w in enumerate(words)}
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    cols = np.fromiter(map(index.__getitem__, chain.from_iterable(docs)), np.int64)
+    counts = sp.csr_matrix(
+        (np.ones_like(cols), cols, np.r_[0, np.cumsum(lengths)]),
+        shape=(len(docs), len(words)),
+    )
+    counts.sum_duplicates()
+    classes = tuple(sorted(corpus.palo_index))
+    class_of = {palo: k for k, palo in enumerate(classes)}
+    labels = np.array([class_of[rec.palo] for rec in corpus.records])
+    return _Encoding(corpus, counts, lengths, classes, labels, words)
+
+
+def _tfidf(counts: sp.csr_matrix, lengths, position, idf):
+    """Count rows over a run's vocabulary (``position`` maps each encoding
+    word to its place in it, or -1) as (row, column, weight) entries:
+    (count / len) * idf, L2-normalized per row, ``len`` counting every token
+    as :func:`vectorize.tfidf` does."""
+    row = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    col = position[counts.indices]
+    keep = col >= 0
+    row, col = row[keep], col[keep]
+    weight = counts.data[keep] / lengths[row] * idf[col]
+    norms = np.sqrt(np.bincount(row, weights=weight * weight, minlength=len(lengths)))
+    return row, col, weight / norms[row]
+
+
+@dataclass(frozen=True)
+class _Fit:
+    """One run's training side, fitted up to the class masses."""
+
+    position: np.ndarray  # per encoding word, its run-vocabulary place or -1
+    idf: np.ndarray
+    classes: np.ndarray  # encoding classes that have training documents
+    mass: np.ndarray  # those classes x run vocabulary, summed TF-IDF
+    log_prior: np.ndarray
+    validation: np.ndarray  # validation document positions
+
+
+def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
+    """Split, vocabulary, TF-IDF and class masses of one run."""
+    train, validation = map(np.asarray, split_positions(enc.corpus, spec))
+    train = train[enc.lengths[train] > 0]
+    if not len(train):
+        raise EmptyCorpusError(f"no training document of seed {spec.seed} has tokens")
+    counts = enc.counts[train]
+    df = np.bincount(counts.indices, minlength=len(enc.words))
+    position = np.where(df > 0, np.cumsum(df > 0) - 1, -1)
+    idf = 1.0 + np.log(len(train) / df[df > 0])
+    row, col, weight = _tfidf(counts, enc.lengths[train], position, idf)
+    # A palo without training documents gets no class, so no -inf prior.
+    doc_counts = np.bincount(enc.labels[train], minlength=len(enc.classes))
+    classes = np.flatnonzero(doc_counts)
+    cell = np.searchsorted(classes, enc.labels[train])[row] * len(idf) + col
+    mass = np.bincount(cell, weights=weight, minlength=len(classes) * len(idf))
+    mass = mass.reshape(len(classes), len(idf))
+    log_prior = np.log(doc_counts[classes] / len(train))
+    return _Fit(position, idf, classes, mass, log_prior, validation)
+
+
+def _predictor(enc: _Encoding, fit: _Fit):
+    """The validation documents' classes, and ``predict(alpha)``: the class
+    of each document under smoothing alpha, the argmax of ln P(C) +
+    sum_w tfidf(w, d) ln P(w|C) (see :mod:`mnb`) over the words it uses."""
+    docs = fit.validation
+    row, col, weight = _tfidf(
+        enc.counts[docs], enc.lengths[docs], fit.position, fit.idf
+    )
+    used, col = np.unique(col, return_inverse=True)
+    indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=len(docs)))]
+    rows = sp.csr_matrix((weight, col, indptr), shape=(len(docs), len(used)))
+    mass, mass_total = fit.mass[:, used], fit.mass.sum(axis=1)
+
+    def predict(alpha: float) -> np.ndarray:
+        if alpha <= 0:
+            raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
+        log_denom = np.log(alpha * len(fit.idf) + mass_total)
+        scores = rows @ (np.log(alpha + mass) - log_denom[:, None]).T
+        return fit.classes[np.argmax(scores + fit.log_prior, axis=1)]
+
+    return enc.labels[docs], predict
+
+
+def _training_run(enc: _Encoding, job) -> TrainingResult:
+    alpha, spec = job
+    truth, predict = _predictor(enc, _fit_split(enc, spec))
+    k = len(enc.classes)
+    confusion = np.bincount(truth * k + predict(alpha), minlength=k * k)
+    confusion = confusion.reshape(k, k)
+    accuracy = confusion.diagonal() / confusion.sum(axis=1)
+    return TrainingResult(
+        seed=spec.seed,
+        classes=enc.classes,
+        confusion=confusion,
+        per_class_accuracy=dict(zip(enc.classes, map(float, accuracy))),
+        global_accuracy=float(confusion.trace() / confusion.sum()),
+    )
+
+
+def _sweep_run(enc: _Encoding, job) -> np.ndarray:
+    grid, spec = job
+    truth, predict = _predictor(enc, _fit_split(enc, spec))
+    hits = [np.count_nonzero(predict(alpha) == truth) for alpha in grid]
+    return np.array(hits) / len(truth)
+
+
+_worker_encoding: _Encoding | None = None  # set in pool workers by _init_worker
+
+
+def _init_worker(enc: _Encoding) -> None:
+    global _worker_encoding
+    _worker_encoding = enc
+
+
+def _in_worker(task):
+    run, job = task
+    return run(_worker_encoding, job)
+
+
+def _map_runs(corpus: Corpus, run, jobs, threads: int) -> list:
+    """``run(encoding, job)`` per job, in order, over one encoding of the
+    corpus; worker processes (threads > 1) receive it once, at start-up."""
+    enc = _encode(corpus)
+    if threads <= 1:
+        return [run(enc, job) for job in jobs]
+    with ProcessPoolExecutor(
+        threads, initializer=_init_worker, initargs=(enc,)
+    ) as pool:
+        return list(pool.map(_in_worker, [(run, job) for job in jobs]))
+
+
+def _run_specs(split: SplitSpec, n_runs: int) -> list[SplitSpec]:
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    return [
+        SplitSpec(split.train_fraction, derive_seed(split.seed, "run", i))
+        for i in range(n_runs)
+    ]
 
 
 def run_training(corpus: Corpus, alpha: float, split: SplitSpec) -> TrainingResult:
     """Run one seeded split + fit + validation round."""
-    train, validation = stratified_split(corpus, split)
-    train = _drop_empty(train)
-    vocab = build_vocabulary(train)
-    train_matrix = tfidf(train, vocab)
-    model = mnb.fit(train_matrix, [r.palo for r in train.records], alpha)
-
-    classes = tuple(sorted(corpus.palo_index))
-    class_pos = {c: k for k, c in enumerate(classes)}
-    confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    val_matrix = tfidf(validation, vocab)
-    predictions = mnb.predict_rows(model, val_matrix.matrix)
-    for rec, predicted in zip(validation.records, predictions):
-        confusion[class_pos[rec.palo], class_pos[predicted]] += 1
-
-    row_totals = confusion.sum(axis=1)
-    per_class = {
-        c: float(confusion[k, k] / row_totals[k]) for k, c in enumerate(classes)
-    }
-    global_accuracy = float(confusion.trace() / confusion.sum())
-    return TrainingResult(
-        seed=split.seed,
-        classes=classes,
-        confusion=confusion,
-        per_class_accuracy=per_class,
-        global_accuracy=global_accuracy,
-        model=model,
-    )
-
-
-def _run_seeds(master_seed: int, n_runs: int) -> list[int]:
-    return [derive_seed(master_seed, "run", i) for i in range(n_runs)]
-
-
-def _run_training_task(args) -> TrainingResult:
-    corpus, alpha, spec = args
-    return run_training(corpus, alpha, spec)
+    return _map_runs(corpus, _training_run, [(alpha, split)], threads=1)[0]
 
 
 def run_trainings(
@@ -150,17 +272,8 @@ def run_trainings(
     With threads > 1 the rounds execute in worker processes; results are
     identical to the sequential order either way.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    specs = [
-        SplitSpec(train_fraction=split.train_fraction, seed=s)
-        for s in _run_seeds(split.seed, n_runs)
-    ]
-    tasks = [(corpus, alpha, spec) for spec in specs]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_run_training_task, tasks))
-    return [_run_training_task(t) for t in tasks]
+    jobs = [(alpha, spec) for spec in _run_specs(split, n_runs)]
+    return _map_runs(corpus, _training_run, jobs, threads)
 
 
 def aggregate(runs: Sequence[TrainingResult]) -> AggregateReport:
@@ -212,25 +325,6 @@ def alpha_grid(grid_step: float) -> tuple[float, ...]:
     return tuple(round(i * grid_step, 12) for i in range(1, n_steps + 1))
 
 
-def _sweep_one_task(args) -> np.ndarray:
-    corpus, grid, spec = args
-    train, validation = stratified_split(corpus, spec)
-    train = _drop_empty(train)
-    vocab = build_vocabulary(train)
-    train_matrix = tfidf(train, vocab)
-    classes, mass, counts = mnb.class_masses(
-        train_matrix, [r.palo for r in train.records]
-    )
-    val_matrix = tfidf(validation, vocab)
-    truth = [r.palo for r in validation.records]
-    accuracies = np.empty(len(grid))
-    for g, alpha in enumerate(grid):
-        model = mnb.fit_from_masses(vocab, classes, mass, counts, alpha)
-        predictions = mnb.predict_rows(model, val_matrix.matrix)
-        accuracies[g] = float(np.mean([p == t for p, t in zip(predictions, truth)]))
-    return accuracies
-
-
 def alpha_sweep(
     corpus: Corpus,
     grid_step: float,
@@ -244,19 +338,10 @@ def alpha_sweep(
     TF-IDF and class masses are computed once per split and re-smoothed per
     alpha), so curves across alphas are comparable run by run.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    specs = _run_specs(split, n_runs)
     grid = alpha_grid(grid_step)
-    specs = [
-        SplitSpec(train_fraction=split.train_fraction, seed=s)
-        for s in _run_seeds(split.seed, n_runs)
-    ]
-    tasks = [(corpus, grid, spec) for spec in specs]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_run = list(pool.map(_sweep_one_task, tasks))
-    else:
-        per_run = [_sweep_one_task(t) for t in tasks]
+    jobs = [(grid, spec) for spec in specs]
+    per_run = _map_runs(corpus, _sweep_run, jobs, threads)
     mean_accuracy = np.mean(per_run, axis=0)
     best_alpha = grid[int(np.argmax(mean_accuracy))]
     return AlphaSweepResult(
@@ -288,77 +373,50 @@ def essential_words(
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    classes = tuple(sorted(corpus.palo_index))
-    class_pos = {c: k for k, c in enumerate(classes)}
+    enc = _encode(corpus)
+    n_classes, n_words = len(enc.classes), len(enc.words)
+    deltas = np.zeros((n_classes, n_words))  # sum of (P - run floor), present runs
+    total_floor = np.zeros(n_classes)  # sum of run floors, all runs
+    flagged = np.zeros((n_classes, n_words), dtype=bool)
+    seen = np.zeros(n_words, dtype=bool)
 
-    union_index: dict[str, int] = {}
-    capacity = 0
-    deltas = np.zeros((len(classes), 0))  # sum of (P - run floor), present runs
-    total_floor = np.zeros(len(classes))  # sum of run floors, all runs
-    flagged: list[set[int]] = [set() for _ in classes]
-
-    for spec_seed in _run_seeds(split.seed, n_runs):
-        spec = SplitSpec(train_fraction=split.train_fraction, seed=spec_seed)
-        train, _ = stratified_split(corpus, spec)
-        train = _drop_empty(train)
-        vocab = build_vocabulary(train)
-        matrix = tfidf(train, vocab)
-        run_classes, run_mass, _ = mnb.class_masses(
-            matrix, [r.palo for r in train.records]
-        )
-        n_words = len(vocab.words)
-        mass = np.zeros((len(classes), n_words))
-        for k_run, cls in enumerate(run_classes):
-            mass[class_pos[cls]] = run_mass[k_run]
-
-        # map this run's vocabulary into the growing union vocabulary
-        positions = np.empty(n_words, dtype=np.int64)
-        for j, word in enumerate(vocab.words):
-            positions[j] = union_index.setdefault(word, len(union_index))
-        if len(union_index) > capacity:
-            grown = np.zeros((len(classes), len(union_index)))
-            grown[:, :capacity] = deltas
-            deltas = grown
-            capacity = len(union_index)
-
-        denom = alpha * n_words + mass.sum(axis=1)
+    for spec in _run_specs(split, n_runs):
+        fit = _fit_split(enc, spec)
+        cols = np.flatnonzero(fit.position >= 0)
+        mass = np.zeros((n_classes, len(cols)))
+        mass[fit.classes] = fit.mass
+        denom = alpha * len(cols) + mass.sum(axis=1)
         floor = alpha / denom
         probs = (alpha + mass) / denom[:, None]
         total_floor += floor
-        deltas[:, positions] += probs - floor[:, None]
-        for k in range(len(classes)):
-            at_floor = probs[k] <= probs[k].min() * (1.0 + epsilon)
-            flagged[k].update(positions[at_floor].tolist())
+        deltas[:, cols] += probs - floor[:, None]
+        flagged[:, cols] |= probs <= probs.min(axis=1, keepdims=True) * (1 + epsilon)
+        seen[cols] = True
 
-    words = sorted(union_index, key=union_index.get)
-    means = (deltas + total_floor[:, None]) / n_runs
+    # words ranked by descending mean P(w|palo), ties in word order
+    present = np.flatnonzero(seen)
+    means = (deltas[:, present] + total_floor[:, None]) / n_runs
+    n_types = [
+        int(np.count_nonzero(enc.counts[enc.labels == k].getnnz(axis=0)))
+        for k in range(n_classes)
+    ]
 
-    palo_types: dict[str, set[str]] = {p: set() for p in classes}
-    for rec in corpus.records:
-        palo_types[rec.palo].update(rec.text.split())
-
-    per_palo: dict[str, tuple[str, ...]] = {}
-    counts: dict[str, int] = {}
-    normalized: dict[str, float] = {}
-    thresholds: dict[str, int] = {}
-    for k, cls in enumerate(classes):
-        if not flagged[k]:
+    per_palo, counts, normalized = {}, {}, {}
+    for k, cls in enumerate(enc.classes):
+        order = present[np.lexsort((present, -means[k]))]
+        flagged_ranks = np.flatnonzero(flagged[k, order])
+        if not len(flagged_ranks):
             raise NoThresholdError(
                 f"no word was ever flagged at the floor for palo {cls!r}"
             )
-        order = sorted(range(len(words)), key=lambda u: (-means[k, u], words[u]))
-        rank_of = {u: rank for rank, u in enumerate(order)}
-        threshold = min(rank_of[u] for u in flagged[k])
-        essential = tuple(words[order[r]] for r in range(threshold))
-        per_palo[cls] = essential
+        threshold = int(flagged_ranks[0])
+        per_palo[cls] = tuple(enc.words[j] for j in order[:threshold])
         counts[cls] = threshold
-        n_types = len(palo_types[cls])
-        normalized[cls] = threshold / n_types if n_types else 0.0
-        thresholds[cls] = threshold
+        normalized[cls] = threshold / n_types[k] if n_types[k] else 0.0
     return EssentialWordReport(
         per_palo=per_palo,
         counts=counts,
         normalized=normalized,
-        threshold_rank=thresholds,
+        threshold_rank=dict(counts),
         n_runs=n_runs,
     )

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .corpus_io import atomic_write
 from .errors import (
     AlphaNonPositiveError,
     CorpusIoError,
@@ -61,15 +60,14 @@ class ClassScores:
     predicted: str
 
 
-def class_masses(
-    matrix: TfIdfMatrix, labels
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Sum TF-IDF rows per class.
+def fit(matrix: TfIdfMatrix, labels, alpha: float) -> MnbModel:
+    """Fit the classifier on a TF-IDF matrix and aligned labels.
 
-    Returns (sorted classes, mass matrix of shape n_classes x |V|, per-class
-    document counts). Raises LabelMismatchError when labels do not align with
-    the matrix rows.
+    Raises AlphaNonPositiveError unless alpha > 0, and LabelMismatchError
+    when labels do not align with the matrix rows.
     """
+    if alpha <= 0:
+        raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
     labels = list(labels)
     if len(labels) != matrix.matrix.shape[0]:
         raise LabelMismatchError(
@@ -77,49 +75,19 @@ def class_masses(
         )
     classes = tuple(sorted(set(labels)))
     label_arr = np.asarray(labels, dtype=object)
-    mass = np.zeros((len(classes), matrix.matrix.shape[1]))
-    counts = np.zeros(len(classes))
+    smoothed = np.empty((len(classes), matrix.matrix.shape[1]))
+    counts = np.empty(len(classes))
     for k, cls in enumerate(classes):
         row_ix = np.flatnonzero(label_arr == cls)
         counts[k] = len(row_ix)
-        mass[k] = np.asarray(matrix.matrix[row_ix].sum(axis=0)).ravel()
-    return classes, mass, counts
-
-
-def fit_from_masses(
-    vocab: Vocabulary,
-    classes: tuple[str, ...],
-    mass: np.ndarray,
-    counts: np.ndarray,
-    alpha: float,
-) -> MnbModel:
-    """Build a model from precomputed class masses (see :func:`class_masses`).
-
-    Split out from :func:`fit` so smoothing sweeps can re-smooth the same
-    masses without re-aggregating the matrix.
-    """
-    if alpha <= 0:
-        raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
-    smoothed = alpha + mass
-    log_denoms = np.log(smoothed.sum(axis=1))
-    word_logprob = np.log(smoothed) - log_denoms[:, None]
-    total = counts.sum()
-    priors = {cls: float(counts[k] / total) for k, cls in enumerate(classes)}
+        smoothed[k] = alpha + np.asarray(matrix.matrix[row_ix].sum(axis=0)).ravel()
     return MnbModel(
         classes=classes,
-        priors=priors,
-        word_logprob=word_logprob,
+        priors={c: float(counts[k] / counts.sum()) for k, c in enumerate(classes)},
+        word_logprob=np.log(smoothed) - np.log(smoothed.sum(axis=1))[:, None],
         alpha=alpha,
-        vocab=vocab,
+        vocab=matrix.vocab,
     )
-
-
-def fit(matrix: TfIdfMatrix, labels, alpha: float) -> MnbModel:
-    """Fit the classifier on a TF-IDF matrix and aligned labels."""
-    if alpha <= 0:
-        raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
-    classes, mass, counts = class_masses(matrix, labels)
-    return fit_from_masses(matrix.vocab, classes, mass, counts, alpha)
 
 
 def _score_matrix(model: MnbModel, rows) -> np.ndarray:
@@ -172,7 +140,7 @@ def word_logprob_table(model: MnbModel, palo: str) -> list[tuple[str, float]]:
 
 
 def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> None:
-    """Persist a model as JSON (format version "mnb-v1").
+    """Persist a model as JSON (format version "mnb-v1"), atomically.
 
     ``preprocess_state`` — the frozen text-filtering state captured at
     training time — is stored alongside the model so saved classifiers can
@@ -192,24 +160,12 @@ def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> N
     }
     if preprocess_state is not None:
         payload["preprocess"] = preprocess_state
-    path = os.fspath(path)
-    try:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=os.path.dirname(path) or ".", prefix=".model.", suffix=".tmp"
-        )
-    except OSError as exc:
-        raise CorpusIoError(f"cannot write model file {path}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
-            fh.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except FileNotFoundError:
-            pass
-        raise
+
+    def write(fh):
+        json.dump(payload, fh, ensure_ascii=False)
+        fh.write("\n")
+
+    atomic_write(path, write)
 
 
 def load_model(path) -> tuple[MnbModel, dict | None]:

@@ -63,10 +63,6 @@ def build_vocabulary(train: Corpus) -> Vocabulary:
     )
 
 
-def _idf(vocab: Vocabulary) -> np.ndarray:
-    return 1.0 + np.log(vocab.n_docs / np.asarray(vocab.df, dtype=float))
-
-
 def tfidf_row(tokens: list[str], vocab: Vocabulary) -> sp.csr_matrix:
     """Vectorize one token list as a 1 x |V| L2-normalized sparse row.
 
@@ -78,7 +74,7 @@ def tfidf_row(tokens: list[str], vocab: Vocabulary) -> sp.csr_matrix:
 
 
 def _rows_from_token_lists(token_lists, vocab: Vocabulary):
-    idf = _idf(vocab)
+    idf = 1.0 + np.log(vocab.n_docs / np.asarray(vocab.df, dtype=float))
     rows = []
     for tokens in token_lists:
         counts = Counter(t for t in tokens if t in vocab.index)

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import os
 import random
 
 import pytest
 
-from lexpalo import cli, mnb
+from lexpalo import cli, load_corpus, mnb, save_corpus
 from lexpalo.errors import ModelFormatError
 
 
@@ -55,6 +56,24 @@ def base_args(corpus_file, out_dir):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+def test_written_files_get_the_umask_mode(corpus_file, tmp_path, umask, capsys):
+    out = tmp_path / "reports"
+    previous = os.umask(umask)
+    try:
+        assert cli.main(["train", *base_args(corpus_file, out), "--runs", "2"]) == 0
+        save_corpus(load_corpus(corpus_file), out / "corpus_copy.jsonl")
+    finally:
+        os.umask(previous)
+    written = sorted(p.name for p in out.iterdir())
+    assert written == [
+        "accuracy.csv", "confusion_mean.csv", "confusion_only.csv",
+        "corpus_copy.jsonl", "model.json",
+    ]
+    for name in written:
+        assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +325,16 @@ def test_exit_code_missing_corpus(tmp_path, capsys):
     code = cli.main(["stats", *base_args(tmp_path / "absent.jsonl", tmp_path)])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_exit_code_unwritable_output_dir(corpus_file, tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    for out in (blocker, blocker / "reports"):
+        code = cli.main(["train", *base_args(corpus_file, out), "--runs", "2"])
+        assert code == 3
+        assert "cannot" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file", "corpus.jsonl"]
 
 
 def test_exit_code_malformed_jsonl(tmp_path, capsys):

@@ -12,6 +12,7 @@ from lexpalo.corpus_io import (
     concat_by_palo,
     filter_top_palos,
     load_corpus,
+    atomic_write,
     save_corpus,
     stratified_split,
 )
@@ -190,6 +191,29 @@ def test_save_to_unwritable_path_raises(tmp_path):
     c = corpus(("a", "uno", "p"))
     with pytest.raises(CorpusIoError):
         save_corpus(c, tmp_path / "missing_dir" / "out.jsonl")
+
+
+def test_failed_atomic_write_keeps_the_target_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("before\n", encoding="utf-8")
+
+    def write_then_fail(fh):
+        fh.write("partial")
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        atomic_write(path, write_then_fail)
+    assert path.read_text(encoding="utf-8") == "before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def fail_with_os_error(fh):
+        fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(CorpusIoError, match="disk full"):
+        atomic_write(path, fail_with_os_error)
+    assert path.read_text(encoding="utf-8") == "before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Repeated trainings, aggregation, smoothing sweeps, essential words."""
 
 import random
+import warnings
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
 from lexpalo import experiments
-from lexpalo.corpus_io import SplitSpec, stratified_split
+from lexpalo.corpus_io import Corpus, SplitSpec, stratified_split
 from lexpalo.errors import InconsistentClassesError
 from lexpalo.seeding import derive_seed
 
@@ -30,6 +32,30 @@ def mixed_corpus(seed=303):
     return random_labeled_corpus(
         rng, n_palos=3, docs_per_palo=(4, 6), pool_size=10, doc_len=(3, 8)
     )
+
+
+def with_empty_records(corpus, seed, share=0.3):
+    """The same corpus with about ``share`` of its texts emptied, as
+    preprocessing leaves songs that held only stop words."""
+    rng = random.Random(seed)
+    return Corpus(
+        dc_replace(r, text="") if rng.random() < share else r
+        for r in corpus.records
+    )
+
+
+# Palo C keeps no tokens on the training side under EMPTY_PALO_SPLIT and
+# under every run derived from EMPTY_PALO_RUNS (each puts "sol noche" on the
+# validation side), so those runs fit two classes and never predict C.
+EMPTY_PALO = labeled_corpus(
+    {
+        "A": ["mar sol arena", "mar mar sol", "sol arena playa", "mar playa"],
+        "B": ["pena noche sombra", "noche pena", "sombra noche mar", "pena sombra"],
+        "C": ["", "", "", "sol noche"],
+    }
+)
+EMPTY_PALO_SPLIT = SplitSpec(train_fraction=0.5, seed=0)
+EMPTY_PALO_RUNS = SplitSpec(train_fraction=0.5, seed=29)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +427,89 @@ def test_essential_matches_bruteforce_recomputation(seed):
     corpus = random_labeled_corpus(
         rng, n_palos=3, docs_per_palo=(4, 7), pool_size=12, doc_len=(3, 8)
     )
+    split = SplitSpec(train_fraction=0.7, seed=seed)
+    report = experiments.essential_words(corpus, 0.5, 4, split, epsilon=1e-9)
+    per_palo, counts, normalized, thresholds = oracle_essential_report(
+        corpus, 0.5, 4, split, epsilon=1e-9
+    )
+    assert report.per_palo == per_palo
+    assert report.counts == counts
+    assert report.normalized == normalized
+    assert report.threshold_rank == thresholds
+
+
+# ---------------------------------------------------------------------------
+# empty records and a palo that loses every training-side token
+
+
+def oracle_confusion(corpus, alpha, split):
+    """One round's confusion counts from the brute-force TF-IDF and naive
+    Bayes, over the library's stratified split (the seeding contract)."""
+    classes = sorted({r.palo for r in corpus.records})
+    train, validation = stratified_split(corpus, split)
+    docs, labels = [], []
+    for rec in train.records:
+        if rec.text.split():
+            docs.append(rec.text.split())
+            labels.append(rec.palo)
+    rows, words, df = oracles.tfidf_rows(docs)
+    model = oracles.mnb_fit(rows, labels, alpha)
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    for rec in validation.records:
+        row = oracles.tfidf_row(rec.text.split(), words, df, len(docs))
+        _, predicted = oracles.mnb_score(model, row)
+        confusion[classes.index(rec.palo), classes.index(predicted)] += 1
+    return confusion
+
+
+def test_training_side_without_a_palo_pins_the_fitted_classes():
+    train, _ = stratified_split(EMPTY_PALO, EMPTY_PALO_SPLIT)
+    assert not any(r.text for r in train.records if r.palo == "C")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = experiments.run_training(EMPTY_PALO, 0.5, EMPTY_PALO_SPLIT)
+    assert result.classes == ("A", "B", "C")
+    assert result.confusion.tolist() == [[2, 0, 0], [0, 2, 0], [1, 1, 0]]
+    assert result.per_class_accuracy == {"A": 1.0, "B": 1.0, "C": 0.0}
+    assert result.global_accuracy == 4 / 6
+
+
+def test_sweep_and_essential_without_a_palo_on_the_training_side():
+    for i in range(3):
+        spec = SplitSpec(
+            train_fraction=EMPTY_PALO_RUNS.train_fraction,
+            seed=derive_seed(EMPTY_PALO_RUNS.seed, "run", i),
+        )
+        train, _ = stratified_split(EMPTY_PALO, spec)
+        assert not any(r.text for r in train.records if r.palo == "C")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sweep = experiments.alpha_sweep(EMPTY_PALO, 0.25, 3, EMPTY_PALO_RUNS)
+        report = experiments.essential_words(EMPTY_PALO, 0.5, 3, EMPTY_PALO_RUNS)
+    assert sweep.mean_accuracy == (4 / 6,) * 4
+    assert sweep.best_alpha == 0.25
+    assert report.per_palo == {
+        "A": ("mar", "playa", "sol", "arena"),
+        "B": ("pena", "sombra", "noche"),
+        "C": (),
+    }
+    assert report.counts == report.threshold_rank == {"A": 4, "B": 3, "C": 0}
+    assert report.normalized == {"A": 1.0, "B": 0.75, "C": 0.0}
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_pooled_trainings_with_empty_records_match_bruteforce(seed):
+    corpus = with_empty_records(mixed_corpus(seed), seed)
+    split = SplitSpec(train_fraction=0.6, seed=seed)
+    runs = experiments.run_trainings(corpus, 0.5, 4, split, threads=2)
+    for run in runs:
+        spec = SplitSpec(train_fraction=split.train_fraction, seed=run.seed)
+        assert np.array_equal(run.confusion, oracle_confusion(corpus, 0.5, spec))
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_essential_with_empty_records_matches_bruteforce(seed):
+    corpus = with_empty_records(mixed_corpus(seed), seed)
     split = SplitSpec(train_fraction=0.7, seed=seed)
     report = experiments.essential_words(corpus, 0.5, 4, split, epsilon=1e-9)
     per_palo, counts, normalized, thresholds = oracle_essential_report(
