@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace as dc_replace
+from itertools import chain
 from pathlib import Path
 
 from . import __version__, experiments, genre_graph, lexstats, mnb, preprocess
@@ -248,7 +249,7 @@ def _cmd_stats(config: RunConfig) -> None:
 
     # Power laws describe the corpus as loaded (unfiltered, raw text).
     ranked = lexstats.ranked_frequencies(raw)
-    zipf = lexstats.zipf_fit(raw)
+    zipf = lexstats._zipf_from_ranked(ranked)
     heaps_points, heaps_fit = lexstats.heaps_curve(
         raw, seed=derive_seed(config.seed, "heaps")
     )
@@ -449,20 +450,62 @@ def _cmd_mst(config: RunConfig) -> None:
     )
 
 
-def _cmd_classify(config: RunConfig) -> None:
-    model, state = mnb.load_model(config.model)
+def _str_list(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {str}
+
+
+def _str_pairs(value) -> bool:
+    return (
+        isinstance(value, list)
+        and set(map(type, value)) <= {list}
+        and set(map(len, value)) <= {2}
+        and _str_list(list(chain.from_iterable(value)))
+    )
+
+
+# what each entry of the preprocessing state stored in a model must hold
+_STATE_CHECKS = {
+    "gamma": lambda v: type(v) in (int, float),
+    "punctuation": lambda v: isinstance(v, str),
+    "stopwords": _str_list,
+    "concat_map": _str_pairs,
+    "lowered_words": _str_list,
+}
+
+
+def _stored_pipeline(
+    state, path: Path
+) -> tuple[preprocess.PreprocessConfig, frozenset[str]]:
+    """The preprocessing configuration and lowered words a model was trained
+    with, from the state stored in its file."""
     if state is None:
         raise ModelFormatError(
             "model file lacks the stored preprocessing state; "
             "re-train with 'lexpalo train'"
         )
-    pconfig = preprocess.PreprocessConfig(
-        gamma=state["gamma"],
-        concat_map=tuple((p, j) for p, j in state["concat_map"]),
-        stopwords=frozenset(state["stopwords"]),
-        punctuation=frozenset(state["punctuation"]),
-    )
-    lowered = frozenset(state["lowered_words"])
+    if not isinstance(state, dict):
+        raise ModelFormatError(f"model file {path} has a malformed preprocess")
+    bad = [k for k, ok in _STATE_CHECKS.items() if k not in state or not ok(state[k])]
+    if bad:
+        raise ModelFormatError(
+            f"model file {path} has a missing or malformed preprocess "
+            f"{', '.join(bad)}"
+        )
+    try:
+        pconfig = preprocess.PreprocessConfig(
+            gamma=state["gamma"],
+            concat_map=tuple((p, j) for p, j in state["concat_map"]),
+            stopwords=frozenset(state["stopwords"]),
+            punctuation=frozenset(state["punctuation"]),
+        )
+    except ValueError as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from exc
+    return pconfig, frozenset(state["lowered_words"])
+
+
+def _cmd_classify(config: RunConfig) -> None:
+    model, state = mnb.load_model(config.model)
+    pconfig, lowered = _stored_pipeline(state, config.model)
     if config.text is not None:
         text = config.text
     else:

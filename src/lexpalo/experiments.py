@@ -111,15 +111,31 @@ class _Encoding:
     words: tuple[str, ...]
 
 
+class _FirstSeenIds(dict):
+    """Word -> id in order of first occurrence, assigned on lookup."""
+
+    def __missing__(self, word):
+        self[word] = len(self)
+        return len(self) - 1
+
+
 def _encode(corpus: Corpus) -> _Encoding:
-    docs = [rec.text.split() for rec in corpus.records]
-    words = tuple(sorted(set(chain.from_iterable(docs))))
-    index = {w: j for j, w in enumerate(words)}
-    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
-    cols = np.fromiter(map(index.__getitem__, chain.from_iterable(docs)), np.int64)
+    lengths = np.empty(len(corpus.records), dtype=np.int64)
+
+    def tokens():
+        for i, rec in enumerate(corpus.records):
+            doc = rec.text.split()
+            lengths[i] = len(doc)
+            yield doc
+
+    ids = _FirstSeenIds()
+    seen = np.fromiter(map(ids.__getitem__, chain.from_iterable(tokens())), np.int64)
+    words = tuple(sorted(ids))
+    position = {w: j for j, w in enumerate(words)}
+    cols = np.fromiter(map(position.__getitem__, ids), np.int64, len(ids))[seen]
     counts = sp.csr_matrix(
         (np.ones_like(cols), cols, np.r_[0, np.cumsum(lengths)]),
-        shape=(len(docs), len(words)),
+        shape=(len(lengths), len(words)),
     )
     counts.sum_duplicates()
     classes = tuple(sorted(corpus.palo_index))

@@ -198,7 +198,13 @@ def zipf_fit(
     DegenerateFitError when the frequencies in range carry no slope
     information (all equal) or there are fewer than 2 types.
     """
-    ranked = ranked_frequencies(corpus)
+    return _zipf_from_ranked(ranked_frequencies(corpus), fit_range)
+
+
+def _zipf_from_ranked(
+    ranked: Sequence[tuple[str, int]], fit_range: tuple[int, int] | None = None
+) -> PowerLawFit:
+    """:func:`zipf_fit` of an already ranked type-frequency list."""
     n_types = len(ranked)
     if n_types < 2:
         raise DegenerateFitError(

@@ -173,7 +173,10 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
 
     Returns the model and the stored preprocessing state (None when absent).
     Raises CorpusIoError for unreadable files and ModelFormatError for
-    unknown versions or malformed content.
+    unknown versions or malformed content: missing fields, document
+    frequencies that do not fit the words or the document count, priors that
+    do not name exactly the classes or are not positive, log-probs of the
+    wrong shape or not finite.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -206,6 +209,20 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
             alpha=payload["alpha"],
             vocab=vocab,
         )
+        # comparisons with anything but numbers raise TypeError
+        if len(vocab.df) != len(words):
+            raise ValueError(
+                f"{len(vocab.df)} document frequencies for {len(words)} words"
+            )
+        if words and not 1 <= min(vocab.df) <= max(vocab.df) <= vocab.n_docs:
+            raise ValueError(f"document frequencies must lie in [1, {vocab.n_docs}]")
+        if not model.classes or set(model.priors) != set(model.classes):
+            raise ValueError(
+                f"priors name {list(model.priors)}, classes are "
+                f"{list(model.classes)}"
+            )
+        if not all(0 < p < math.inf for p in model.priors.values()):
+            raise ValueError("priors must be positive and finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file {path} is malformed: {exc}") from exc
     if model.word_logprob.shape != (len(model.classes), len(words)):
@@ -214,4 +231,6 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
             f"{model.word_logprob.shape}, expected "
             f"({len(model.classes)}, {len(words)})"
         )
+    if not np.isfinite(model.word_logprob).all():
+        raise ModelFormatError(f"model file {path} has non-finite log-probs")
     return model, payload.get("preprocess")

@@ -22,9 +22,11 @@ from __future__ import annotations
 import logging
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources as importlib_resources
+from itertools import chain, filterfalse
 
 from .corpus_io import Corpus
 from .errors import CorpusIoError, FormatError
@@ -166,6 +168,34 @@ def _punct_table(punctuation: frozenset[str]):
     return {ord(c): None for c in punctuation}
 
 
+def _raw_token_counts(corpus: Corpus) -> Counter[str]:
+    """Occurrences of each whitespace token over all records."""
+    return Counter(chain.from_iterable(rec.text.split() for rec in corpus.records))
+
+
+def _case_decisions(
+    counts: Counter[str], config: PreprocessConfig
+) -> list[CaseDecision]:
+    table = _punct_table(config.punctuation)
+    lower: Counter[str] = Counter()
+    upper: Counter[str] = Counter()
+    for token, n in counts.items():
+        word = token.translate(table)
+        if not word:
+            continue
+        tally = upper if word[0].isupper() else lower
+        tally[word.lower()] += n
+    decisions = []
+    for key in sorted(upper):
+        n_upper = upper[key]
+        n_lower = lower[key]
+        lowered = n_upper < config.gamma * (n_lower + n_upper)
+        decisions.append(
+            CaseDecision(word=key, n_lower=n_lower, n_upper=n_upper, lowered=lowered)
+        )
+    return decisions
+
+
 def compute_case_decisions(
     corpus: Corpus, config: PreprocessConfig
 ) -> list[CaseDecision]:
@@ -176,28 +206,7 @@ def compute_case_decisions(
     tokens with the configured punctuation removed; keys are accent-preserving
     lowercase forms. Decisions are returned sorted by word.
     """
-    table = _punct_table(config.punctuation)
-    lower: dict[str, int] = {}
-    upper: dict[str, int] = {}
-    for rec in corpus.records:
-        for token in rec.text.split():
-            word = token.translate(table)
-            if not word:
-                continue
-            key = word.lower()
-            if word[0].isupper():
-                upper[key] = upper.get(key, 0) + 1
-            else:
-                lower[key] = lower.get(key, 0) + 1
-    decisions = []
-    for key in sorted(upper):
-        n_upper = upper[key]
-        n_lower = lower.get(key, 0)
-        lowered = n_upper < config.gamma * (n_lower + n_upper)
-        decisions.append(
-            CaseDecision(word=key, n_lower=n_lower, n_upper=n_upper, lowered=lowered)
-        )
-    return decisions
+    return _case_decisions(_raw_token_counts(corpus), config)
 
 
 def strip_accents_and_punct(text: str, config: PreprocessConfig) -> str:
@@ -207,7 +216,12 @@ def strip_accents_and_punct(text: str, config: PreprocessConfig) -> str:
     keeping the tilde that forms n-with-tilde (so "niña" survives intact
     while "corazón" -> "corazon" and "vergüenza" -> "verguenza").
     """
-    text = text.translate(_punct_table(config.punctuation))
+    return _strip_accents(text.translate(_punct_table(config.punctuation)))
+
+
+def _strip_accents(text: str) -> str:
+    if text.isascii():  # nothing to decompose
+        return text
     kept: list[str] = []
     for ch in unicodedata.normalize("NFD", text):
         if unicodedata.combining(ch):
@@ -228,6 +242,18 @@ def remove_stopwords(tokens: list[str], config: PreprocessConfig) -> list[str]:
     return [t for t in tokens if t not in config.stopwords]
 
 
+def _filter_token(
+    raw: str, config: PreprocessConfig, lowered_words: frozenset[str]
+) -> tuple[str, ...]:
+    """Stages 2-5 for one whitespace token: the tokens it contributes."""
+    table = _punct_table(config.punctuation)
+    word = raw.translate(table)
+    if word and word.lower() in lowered_words:
+        word = raw.lower().translate(table)
+    stripped = _strip_accents(word)
+    return tuple(filterfalse(config.stopwords.__contains__, stripped.split()))
+
+
 def filter_tokens(
     text: str, config: PreprocessConfig, lowered_words: frozenset[str]
 ) -> list[str]:
@@ -236,16 +262,9 @@ def filter_tokens(
     ``lowered_words`` holds the (pre-accent-strip) lowercase keys of words
     whose case decisions came out ``lowered=True``.
     """
-    table = _punct_table(config.punctuation)
     out: list[str] = []
     for raw in text.split():
-        word = raw.translate(table)
-        if word and word.lower() in lowered_words:
-            raw = raw.lower()
-        stripped = strip_accents_and_punct(raw, config)
-        for token in tokenize(stripped):
-            if token not in config.stopwords:
-                out.append(token)
+        out.extend(_filter_token(raw, config, lowered_words))
     return out
 
 
@@ -258,17 +277,23 @@ def preprocess_with_decisions(
     The returned corpus has identical record ids/palos/metadata and filtered
     texts (tokens joined by single spaces). Records left without tokens are
     retained with empty text; their count is logged as a warning.
+
+    Stages 2-5 act on each whitespace token alone, so they run once per
+    distinct raw token, and the case tally weighs each by its count.
     """
     mapped = concat_corpus(corpus, config)
-    decisions = compute_case_decisions(mapped, config)
+    counts = _raw_token_counts(mapped)
+    decisions = _case_decisions(counts, config)
     lowered = frozenset(d.word for d in decisions if d.lowered)
+    filtered = {raw: _filter_token(raw, config, lowered) for raw in counts}
     out = []
     n_empty = 0
     for rec in mapped.records:
-        tokens = filter_tokens(rec.text, config, lowered)
-        if not tokens:
+        tokens = chain.from_iterable(map(filtered.__getitem__, rec.text.split()))
+        text = " ".join(tokens)
+        if not text:
             n_empty += 1
-        out.append(replace(rec, text=" ".join(tokens)))
+        out.append(replace(rec, text=text))
     if n_empty:
         logger.warning(
             "preprocessing left %d record(s) with no tokens", n_empty

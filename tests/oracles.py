@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import unicodedata
 from itertools import product
 
 # ---------------------------------------------------------------------------
@@ -167,3 +168,88 @@ def min_spanning_weight(weights, trees):
         if total < best:
             best = total
     return best
+
+
+# ---------------------------------------------------------------------------
+# five-stage text filtering, one token occurrence at a time
+
+
+def _is_word_char(text, i):
+    """Whether text[i] is a regex word character (False off either end)."""
+    return 0 <= i < len(text) and (text[i].isalnum() or text[i] == "_")
+
+
+def _join_phrases(text, concat_map):
+    """Stage 1: scan left to right; at each word start try the phrases
+    longest first and replace a case-insensitive whole-word match."""
+    phrases = sorted(concat_map, key=lambda pair: (-len(pair[0]), pair[0]))
+    out = []
+    i = 0
+    while i < len(text):
+        for phrase, joined in phrases:
+            end = i + len(phrase)
+            if (
+                text[i:end].lower() == phrase.lower()
+                and not _is_word_char(text, i - 1)
+                and not _is_word_char(text, end)
+            ):
+                out.append(joined)
+                i = end
+                break
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+def _strip_token(token, punctuation):
+    """Stage 3: drop punctuation, then every combining mark except a tilde
+    directly after a kept n or N; recompose."""
+    kept = []
+    for ch in unicodedata.normalize("NFD", "".join(
+        c for c in token if c not in punctuation
+    )):
+        if unicodedata.combining(ch) == 0:
+            kept.append(ch)
+        elif ch == "\u0303" and kept and kept[-1] in ("n", "N"):
+            kept.append(ch)
+    return unicodedata.normalize("NFC", "".join(kept))
+
+
+def preprocess(texts, gamma, concat_map, stopwords, punctuation):
+    """Filtered texts and case decisions for a list of record texts.
+
+    Stage 2 counts, for every whitespace token with its punctuation removed,
+    whether it starts uppercase, keyed by its lowercase form; a form seen
+    uppercase N_upper times and lowercase N_lower times is lowered everywhere
+    iff N_upper < gamma * (N_lower + N_upper). Decisions are (word, n_lower,
+    n_upper, lowered) tuples for the forms seen uppercase, sorted by word.
+    Stages 2-5 then run on every token occurrence in turn.
+    """
+    joined = [_join_phrases(text, concat_map) for text in texts]
+    n_lower, n_upper = {}, {}
+    for text in joined:
+        for token in text.split():
+            word = "".join(c for c in token if c not in punctuation)
+            if word:
+                tally = n_upper if word[0].isupper() else n_lower
+                tally[word.lower()] = tally.get(word.lower(), 0) + 1
+    decisions = []
+    lowered = set()
+    for word in sorted(n_upper):
+        low, up = n_lower.get(word, 0), n_upper[word]
+        decisions.append((word, low, up, up < gamma * (low + up)))
+        if up < gamma * (low + up):
+            lowered.add(word)
+    filtered = []
+    for text in joined:
+        tokens = []
+        for token in text.split():
+            word = "".join(c for c in token if c not in punctuation)
+            if word and word.lower() in lowered:
+                token = token.lower()
+            for piece in _strip_token(token, punctuation).split():
+                if piece not in stopwords:
+                    tokens.append(piece)
+        filtered.append(" ".join(tokens))
+    return filtered, decisions

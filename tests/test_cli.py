@@ -317,6 +317,74 @@ def test_classify_rejects_model_without_preprocessing_state(
     assert "preprocessing state" in capsys.readouterr().err
 
 
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        payload[keys[-1]] = value
+
+    return edit
+
+
+def _delete(*keys):
+    def edit(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        del payload[keys[-1]]
+
+    return edit
+
+
+def _rename_first_prior(payload):
+    first = next(iter(payload["priors"]))
+    payload["priors"]["not-a-class"] = payload["priors"].pop(first)
+
+
+def _drop_last_df(payload):
+    payload["vocab"]["df"].pop()
+
+
+MODEL_CORRUPTIONS = {
+    "no-gamma": _delete("preprocess", "gamma"),
+    "no-punctuation": _delete("preprocess", "punctuation"),
+    "no-stopwords": _delete("preprocess", "stopwords"),
+    "no-concat-map": _delete("preprocess", "concat_map"),
+    "no-lowered-words": _delete("preprocess", "lowered_words"),
+    "gamma-string": _set("preprocess", "gamma", "0.2"),
+    "gamma-out-of-range": _set("preprocess", "gamma", 5),
+    "punctuation-number": _set("preprocess", "punctuation", 7),
+    "stopwords-number": _set("preprocess", "stopwords", 3),
+    "stopwords-non-strings": _set("preprocess", "stopwords", ["de", 1]),
+    "stopword-with-space": _set("preprocess", "stopwords", ["de la"]),
+    "concat-map-flat": _set("preprocess", "concat_map", ["Santa Ana"]),
+    "concat-map-triples": _set("preprocess", "concat_map", [["a b", "ab", "c"]]),
+    "lowered-words-nested": _set("preprocess", "lowered_words", [["mar"]]),
+    "preprocess-list": _set("preprocess", []),
+    "empty-priors": _set("priors", {}),
+    "priors-keys-differ": _rename_first_prior,
+    "prior-string": _set("priors", "sole", "0.3"),
+    "df-length-differs": _drop_last_df,
+    "n-docs-string": _set("vocab", "n_docs", "18"),
+    "n-docs-zero": _set("vocab", "n_docs", 0),
+    "df-zero": _set("vocab", "df", 0, 0),
+    "log-prob-nan": _set("word_logprob", 0, 0, float("nan")),
+}
+
+
+@pytest.mark.parametrize("corrupt", MODEL_CORRUPTIONS.values(),
+                         ids=MODEL_CORRUPTIONS.keys())
+def test_classify_rejects_corrupted_model(trained_model, tmp_path, capsys, corrupt):
+    payload = json.loads(trained_model.read_text(encoding="utf-8"))
+    corrupt(payload)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload), encoding="utf-8")
+    code = cli.main(["classify", "--model", str(broken), "--text", "mar sol"])
+    assert code == cli.EXIT_CODES[ModelFormatError]
+    assert str(broken) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # error paths and exit codes
 

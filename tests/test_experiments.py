@@ -519,3 +519,33 @@ def test_essential_with_empty_records_matches_bruteforce(seed):
     assert report.counts == counts
     assert report.normalized == normalized
     assert report.threshold_rank == thresholds
+
+
+def sorted_vocabulary_encoding(corpus):
+    """Words, CSR indptr/indices/data of token counts and token counts per
+    record, the plain way: sort the vocabulary, then count each record."""
+    docs = [rec.text.split() for rec in corpus.records]
+    words = sorted({word for doc in docs for word in doc})
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        counts = {}
+        for word in doc:
+            counts[words.index(word)] = counts.get(words.index(word), 0) + 1
+        for column in sorted(counts):
+            indices.append(column)
+            data.append(counts[column])
+        indptr.append(len(indices))
+    return tuple(words), indptr, indices, data, [len(doc) for doc in docs]
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_encoding_matches_a_sorted_vocabulary_encoding(seed):
+    corpus = with_empty_records(mixed_corpus(seed), seed)
+    assert any(not rec.text for rec in corpus.records)
+    encoding = experiments._encode(corpus)
+    words, indptr, indices, data, lengths = sorted_vocabulary_encoding(corpus)
+    assert encoding.words == words
+    assert encoding.counts.indptr.tolist() == indptr
+    assert encoding.counts.indices.tolist() == indices
+    assert encoding.counts.data.tolist() == data
+    assert encoding.lengths.tolist() == lengths

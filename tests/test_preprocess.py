@@ -5,6 +5,7 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexpalo.corpus_io import Corpus
 from lexpalo.errors import CorpusIoError, FormatError
@@ -14,6 +15,7 @@ from lexpalo.preprocess import (
     PreprocessConfig,
     apply_concat_map,
     compute_case_decisions,
+    concat_corpus,
     default_config,
     filter_tokens,
     load_concat_map,
@@ -25,6 +27,7 @@ from lexpalo.preprocess import (
     tokenize,
 )
 
+import oracles
 from helpers import corpus, corpus_from_texts, random_spanish_corpus
 
 
@@ -433,3 +436,69 @@ def test_pipeline_accent_collision_documents_idempotence_boundary():
     twice = preprocess_corpus(once, BARE)
     assert twice != once
     assert [r.text for r in twice.records][0] == "cadiz"
+
+
+# ---------------------------------------------------------------------------
+# the whole pipeline against the per-occurrence oracle
+
+DEFAULTS = default_config()
+# accented words beside their decomposed spellings, n-tilde and u-diaeresis
+# in both cases, tildes on other letters, stop words, and the packaged
+# multiword names
+WORDS = (
+    "corazón", "corazo\u0301n", "niña", "nin\u0303a", "Ñandú", "ÑU", "ñu",
+    "São", "nu\u0303", "n\u0301\u0303o",
+    "vergüenza", "vergu\u0308enza", "pingüino", "cádiz", "ca\u0301diz",
+    "alegría", "mar", "sol", "pena", "sevilla", "él", "que", "de", "la",
+    "el", "ay", "y", "a", "Santa", "ana", "real",
+) + tuple(phrase for phrase, _ in DEFAULTS.concat_map)
+SPACES = (" ", "  ", "\t", "\n", " \n ", "\n\n", "\u00a0")
+MARKS = ("",) + tuple(sorted(DEFAULT_PUNCTUATION))
+
+
+@st.composite
+def lyrics(draw):
+    """Lines of words wrapped in punctuation, capitalized at line starts
+    and at random, separated by runs of whitespace."""
+    parts = [draw(st.sampled_from(("", " ", "\n")))]
+    line_start = True
+    for word, case, before, after, space in draw(st.lists(st.tuples(
+        st.sampled_from(WORDS),
+        st.sampled_from(("as is", "capital", "upper")),
+        st.sampled_from(MARKS),
+        st.sampled_from(MARKS),
+        st.sampled_from(SPACES),
+    ), max_size=30)):
+        if case == "upper":
+            word = word.upper()
+        elif line_start or case == "capital":
+            word = word[:1].upper() + word[1:]
+        parts.append(before + word + after + space)
+        line_start = "\n" in space
+    return "".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(lyrics(), min_size=1, max_size=6),
+    gamma=st.sampled_from((0.0, 0.2, 1.0)),
+)
+def test_pipeline_matches_per_occurrence_oracle(texts, gamma):
+    config = PreprocessConfig(
+        gamma=gamma, concat_map=DEFAULTS.concat_map, stopwords=DEFAULTS.stopwords
+    )
+    c = corpus_from_texts(texts)
+    processed, decisions = preprocess_with_decisions(c, config)
+    expected_texts, expected_decisions = oracles.preprocess(
+        texts, gamma, config.concat_map, config.stopwords, config.punctuation
+    )
+    assert [r.text for r in processed.records] == expected_texts
+    assert [
+        (d.word, d.n_lower, d.n_upper, d.lowered) for d in decisions
+    ] == expected_decisions
+    lowered = frozenset(d.word for d in decisions if d.lowered)
+    for rec in concat_corpus(c, config).records:
+        per_token = [
+            t for raw in rec.text.split() for t in filter_tokens(raw, config, lowered)
+        ]
+        assert filter_tokens(rec.text, config, lowered) == per_token
