@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +51,12 @@ class MnbModel:
     word_logprob: np.ndarray
     alpha: float
     vocab: Vocabulary
+
+    @cached_property
+    def _logprob_by_word(self) -> np.ndarray:
+        # the |V| x n_classes table sparse scoring reads: C-contiguous, so
+        # SciPy's kernel does not copy the whole table for every document
+        return np.ascontiguousarray(self.word_logprob.T)
 
 
 @dataclass(frozen=True)
@@ -98,9 +105,10 @@ def _score_matrix(model: MnbModel, rows) -> np.ndarray:
             f"has {len(model.vocab.words)}"
         )
     log_priors = np.array([math.log(model.priors[c]) for c in model.classes])
-    contrib = rows.dot(model.word_logprob.T)
-    if sp.issparse(contrib):
-        contrib = contrib.toarray()
+    if sp.issparse(rows):
+        contrib = rows.dot(model._logprob_by_word)
+    else:
+        contrib = rows.dot(model.word_logprob.T)
     return np.asarray(contrib) + log_priors
 
 

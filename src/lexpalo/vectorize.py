@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +33,13 @@ class Vocabulary:
     index: dict[str, int]
     df: tuple[int, ...]
     n_docs: int
+
+    @cached_property
+    def idf(self) -> np.ndarray:
+        """``1 + ln(n_docs / df)`` per word, computed once per vocabulary."""
+        idf = 1.0 + np.log(self.n_docs / np.asarray(self.df, dtype=float))
+        idf.flags.writeable = False
+        return idf
 
 
 @dataclass(frozen=True)
@@ -68,31 +76,32 @@ def tfidf_row(tokens: list[str], vocab: Vocabulary) -> sp.csr_matrix:
 
     A document without in-vocabulary tokens yields an all-zero row.
     """
+    return _csr_rows([tokens], vocab)
+
+
+def _csr_rows(token_lists, vocab: Vocabulary) -> sp.csr_matrix:
+    """One CSR matrix, one row per token list, column indices sorted."""
     if not vocab.words:
         raise VocabularyMismatchError("vocabulary is empty")
-    return _rows_from_token_lists([tokens], vocab)[0]
-
-
-def _rows_from_token_lists(token_lists, vocab: Vocabulary):
-    idf = 1.0 + np.log(vocab.n_docs / np.asarray(vocab.df, dtype=float))
-    rows = []
+    data, indices, indptr = [np.empty(0)], [np.empty(0, dtype=np.int64)], [0]
     for tokens in token_lists:
         counts = Counter(t for t in tokens if t in vocab.index)
-        if not counts:
-            rows.append(sp.csr_matrix((1, len(vocab.words))))
-            continue
-        length = len(tokens)
-        cols = np.array([vocab.index[w] for w in counts], dtype=np.int64)
-        vals = np.array(
-            [counts[w] / length for w in counts], dtype=float
-        ) * idf[cols]
-        vals /= np.linalg.norm(vals)
-        rows.append(
-            sp.csr_matrix(
-                (vals, (np.zeros_like(cols), cols)), shape=(1, len(vocab.words))
-            )
-        )
-    return rows
+        if counts:
+            length = len(tokens)
+            cols = np.array([vocab.index[w] for w in counts], dtype=np.int64)
+            vals = np.array(
+                [counts[w] / length for w in counts], dtype=float
+            ) * vocab.idf[cols]
+            # normalised in first-occurrence order, then sorted by column
+            vals /= np.linalg.norm(vals)
+            order = np.argsort(cols)
+            data.append(vals[order])
+            indices.append(cols[order])
+        indptr.append(indptr[-1] + len(counts))
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
+        shape=(len(token_lists), len(vocab.words)),
+    )
 
 
 def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
@@ -100,19 +109,12 @@ def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
 
     Row order follows the corpus; each non-empty row has unit L2 norm.
     """
-    if not vocab.words:
-        raise VocabularyMismatchError("vocabulary is empty")
-    token_lists = [rec.text.split() for rec in docs.records]
-    rows = _rows_from_token_lists(token_lists, vocab)
-    matrix = sp.vstack(rows, format="csr") if rows else sp.csr_matrix(
-        (0, len(vocab.words))
-    )
-    empty = tuple(
-        rec.id for rec, row in zip(docs.records, rows) if row.nnz == 0
-    )
+    matrix = _csr_rows([rec.text.split() for rec in docs.records], vocab)
+    doc_ids = tuple(rec.id for rec in docs.records)
+    empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
     return TfIdfMatrix(
         matrix=matrix,
-        doc_ids=tuple(rec.id for rec in docs.records),
+        doc_ids=doc_ids,
         vocab=vocab,
-        empty_doc_ids=empty,
+        empty_doc_ids=tuple(doc_ids[i] for i in empty),
     )

@@ -4,6 +4,10 @@ Everything here is deliberately written with plain dicts, lists, and
 ``math`` arithmetic — no numpy, no scipy, and nothing imported from the
 package under test — so a library bug cannot hide inside a shared
 dependency. The implementations favor obviousness over speed.
+
+The one exception is :func:`tfidf_per_document`, the earlier one-row-at-a-
+time construction of ``vectorize``: it uses numpy and scipy because the
+vectorizer must equal it bit for bit, not within a tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +15,11 @@ from __future__ import annotations
 import heapq
 import math
 import unicodedata
+from collections import Counter
 from itertools import product
+
+import numpy as np
+import scipy.sparse as sp
 
 # ---------------------------------------------------------------------------
 # tf-idf
@@ -60,6 +68,34 @@ def tfidf_rows(docs):
     words, df = vocabulary(docs)
     rows = [tfidf_row(tokens, words, df, len(docs)) for tokens in docs]
     return rows, words, df
+
+
+def tfidf_per_document(token_lists, vocab):
+    """The CSR matrix ``vectorize`` builds, made the earlier way: idf
+    recomputed from ``vocab.df``, one 1-row matrix per document through the
+    COO constructor, then ``sp.vstack``. Returns (matrix, empty_rows)."""
+    idf = 1.0 + np.log(vocab.n_docs / np.asarray(vocab.df, dtype=float))
+    rows = []
+    for tokens in token_lists:
+        counts = Counter(t for t in tokens if t in vocab.index)
+        if not counts:
+            rows.append(sp.csr_matrix((1, len(vocab.words))))
+            continue
+        length = len(tokens)
+        cols = np.array([vocab.index[w] for w in counts], dtype=np.int64)
+        vals = np.array(
+            [counts[w] / length for w in counts], dtype=float
+        ) * idf[cols]
+        vals /= np.linalg.norm(vals)
+        rows.append(
+            sp.csr_matrix(
+                (vals, (np.zeros_like(cols), cols)), shape=(1, len(vocab.words))
+            )
+        )
+    matrix = sp.vstack(rows, format="csr") if rows else sp.csr_matrix(
+        (0, len(vocab.words))
+    )
+    return matrix, [i for i, row in enumerate(rows) if row.nnz == 0]
 
 
 # ---------------------------------------------------------------------------

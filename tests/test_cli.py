@@ -522,7 +522,10 @@ def test_argparse_rejections_exit_two(corpus_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_env_is_validated(corpus_file, tmp_path, monkeypatch, capsys):
+def test_threads_env_is_validated(
+    corpus_file, trained_model, tmp_path, monkeypatch, capsys
+):
+    # every command validates the variable, also those that start no workers
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "zero")
     with pytest.raises(SystemExit) as exc:
         cli.main(["stats", *base_args(corpus_file, tmp_path)])
@@ -531,7 +534,10 @@ def test_threads_env_is_validated(corpus_file, tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["stats", *base_args(corpus_file, tmp_path)])
     assert exc.value.code == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--model", str(trained_model), "--text", "mar"])
+    assert exc.value.code == 2
+    assert cli.THREADS_ENV_VAR in capsys.readouterr().err
 
 
 def test_output_dir_is_created_when_missing(corpus_file, tmp_path):

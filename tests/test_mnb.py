@@ -21,7 +21,7 @@ from lexpalo.errors import (
 from lexpalo.vectorize import Vocabulary, build_vocabulary, tfidf, tfidf_row
 
 import oracles
-from helpers import corpus_from_texts, labeled_corpus
+from helpers import corpus_from_texts, labeled_corpus, random_labeled_corpus
 
 
 def fitted(texts_by_palo, alpha=0.5):
@@ -215,6 +215,51 @@ def test_fit_and_score_match_bruteforce_on_random_corpora():
             assert got.predicted == want_label
             for cls in model.classes:
                 assert abs(got.scores[cls] - want_scores[cls]) < 1e-12
+
+
+def old_way_scores(model, rows):
+    """rows.dot(word_logprob.T) + log priors, as scoring computed it before
+    the word-major table was cached on the model."""
+    log_priors = np.array([math.log(model.priors[c]) for c in model.classes])
+    return np.asarray(rows.dot(model.word_logprob.T)) + log_priors
+
+
+def assert_scores_bit_identical(model, rows):
+    expected = old_way_scores(model, rows)
+    for i in range(rows.shape[0]):
+        got = mnb.score(model, rows[i])
+        assert [got.scores[c] for c in model.classes] == list(expected[i])
+        dense = mnb.score(model, rows[i].toarray().ravel())
+        dense_expected = old_way_scores(model, rows[i].toarray())[0]
+        assert [dense.scores[c] for c in model.classes] == list(dense_expected)
+    assert mnb.predict_rows(model, rows) == [
+        model.classes[k] for k in np.argmax(expected, axis=1)
+    ]
+
+
+def test_scores_are_bit_identical_to_the_direct_product(tmp_path):
+    rng = random.Random(27)
+    c = random_labeled_corpus(rng, n_palos=4, pool_size=60, doc_len=(0, 40))
+    vocab = build_vocabulary(c)
+    model = mnb.fit(tfidf(c, vocab), [r.palo for r in c.records], 0.11)
+    probes = tfidf(
+        corpus_from_texts([r.text + " zzz" for r in c.records] + ["", "zzz"]),
+        vocab,
+    ).matrix
+    assert_scores_bit_identical(model, probes)
+
+    _, (loaded, _) = roundtrip(tmp_path, model)
+    assert_scores_bit_identical(loaded, probes)
+
+    by_hand = mnb.MnbModel(
+        classes=model.classes,
+        priors=dict(model.priors),
+        word_logprob=np.ascontiguousarray(model.word_logprob),
+        alpha=model.alpha,
+        vocab=vocab,
+    )
+    assert by_hand.word_logprob.flags.c_contiguous
+    assert_scores_bit_identical(by_hand, probes)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ def test_tfidf_requires_a_vocabulary():
         tfidf(docs, empty)
     with pytest.raises(VocabularyMismatchError):
         tfidf_row(["a"], empty)
+    with pytest.raises(VocabularyMismatchError):
+        tfidf_row([], empty)
 
 
 def test_tfidf_more_occurrences_shift_weight_toward_the_word():
@@ -193,3 +195,63 @@ def test_tfidf_row_against_fixed_vocab_matches_bruteforce():
         assert np.allclose(got, expected, atol=1e-12, rtol=0.0)
         norm = math.sqrt(float(got @ got))
         assert norm == 0.0 or abs(norm - 1.0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the one-row-at-a-time construction
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    assert got.data.dtype == expected.data.dtype
+    assert got.indices.dtype == expected.indices.dtype
+    assert got.indptr.dtype == expected.indptr.dtype
+    assert np.array_equal(got.data, expected.data)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert got.has_sorted_indices == expected.has_sorted_indices
+
+
+@pytest.mark.parametrize(
+    "train, docs",
+    [
+        (["a b c", "c d"], ["a a a b", "c d c d c", "b a b a"]),  # repeats
+        (["a b", "b c"], ["zzz", "zzz yyy zzz", "a"]),  # only out-of-vocabulary
+        (["a b", "b c"], ["", "a b", ""]),  # empty documents
+        (["mar", "mar mar"], ["mar", "mar sal", "sal", ""]),  # one-word vocabulary
+        (["c b a", "d a"], ["d c b a d", "a d c b"]),  # columns out of order
+    ],
+)
+def test_tfidf_equals_per_document_reference(train, docs):
+    vocab = vocab_of(*train)
+    token_lists = [d.split() for d in docs]
+    expected, empty = oracles.tfidf_per_document(token_lists, vocab)
+    result = tfidf(corpus_from_texts(docs, prefix="v"), vocab)
+    assert_same_csr(result.matrix, expected)
+    assert result.doc_ids == tuple(f"v{i}" for i in range(len(docs)))
+    assert result.empty_doc_ids == tuple(f"v{i}" for i in empty)
+    for i, tokens in enumerate(token_lists):
+        row, _ = oracles.tfidf_per_document([tokens], vocab)
+        assert_same_csr(tfidf_row(tokens, vocab), row)
+
+
+def test_tfidf_equals_per_document_reference_on_random_corpora():
+    rng = random.Random(17)
+    for _ in range(25):
+        c = random_labeled_corpus(rng, n_palos=3, pool_size=40, doc_len=(0, 30))
+        vocab = build_vocabulary(c)
+        expected, empty = oracles.tfidf_per_document(
+            [r.text.split() for r in c.records], vocab
+        )
+        result = tfidf(c, vocab)
+        assert_same_csr(result.matrix, expected)
+        assert result.empty_doc_ids == tuple(c.records[i].id for i in empty)
+
+
+def test_idf_is_computed_once_per_vocabulary():
+    vocab = vocab_of("a b", "b c", "b")
+    expected = 1.0 + np.log(vocab.n_docs / np.asarray(vocab.df, dtype=float))
+    assert np.array_equal(vocab.idf, expected)
+    assert vocab.idf is vocab.idf
+    with pytest.raises(ValueError):
+        vocab.idf[0] = 0.0
