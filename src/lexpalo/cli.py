@@ -37,6 +37,7 @@ from .corpus_io import (
     concat_by_palo,
     filter_top_palos,
     load_corpus,
+    read_text,
 )
 from .errors import CorpusIoError, EmptyDocumentError, LexpaloError, ModelFormatError
 from .seeding import derive_seed
@@ -509,10 +510,7 @@ def _cmd_classify(config: RunConfig) -> None:
     if config.text is not None:
         text = config.text
     else:
-        try:
-            text = config.file.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CorpusIoError(f"cannot read {config.file}: {exc}") from exc
+        text = read_text(config.file, "text file")
     tokens = preprocess.filter_tokens(
         preprocess.apply_concat_map(text, pconfig), pconfig, lowered
     )

@@ -142,6 +142,8 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
                 records, lines = _read_csv(fh)
     except OSError as exc:
         raise CorpusIoError(f"cannot read corpus file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusIoError(f"corpus file {path} is not UTF-8 text: {exc}") from exc
 
     seen: dict[str, int] = {}
     for rec, line in zip(records, lines):
@@ -200,6 +202,18 @@ def _read_csv(fh):
         records.append(LyricRecord(id=rec_id, text=text, palo=palo, metadata=metadata))
         lines.append(line_no)
     return records, lines
+
+
+def read_text(path, what: str) -> str:
+    """The contents of a UTF-8 text file. Raises CorpusIoError, calling the
+    file ``what``, when it cannot be read or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CorpusIoError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusIoError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
 def atomic_write(path, write_fn) -> None:

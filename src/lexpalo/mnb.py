@@ -190,9 +190,9 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ModelFormatError(
-                    f"model file {path} is not valid JSON"
+                    f"model file {path} is not valid UTF-8 JSON: {exc}"
                 ) from exc
     except OSError as exc:
         raise CorpusIoError(f"cannot read model file {path}: {exc}") from exc

@@ -28,8 +28,8 @@ from functools import lru_cache
 from importlib import resources as importlib_resources
 from itertools import chain, filterfalse
 
-from .corpus_io import Corpus
-from .errors import CorpusIoError, FormatError
+from .corpus_io import Corpus, read_text
+from .errors import FormatError
 
 logger = logging.getLogger(__name__)
 
@@ -87,11 +87,7 @@ class CaseDecision:
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stop-word file: one token per line, '#' comments, blanks ignored."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise CorpusIoError(f"cannot read stop-word file {path}: {exc}") from exc
+    lines = read_text(path, "stop-word file").split("\n")
     words = []
     for ln, raw in enumerate(lines, start=1):
         entry = raw.strip()
@@ -105,14 +101,9 @@ def load_stopwords(path) -> frozenset[str]:
 
 def load_concat_map(path) -> tuple[tuple[str, str], ...]:
     """Read a concat-map file: tab-separated ``phrase<TAB>replacement`` lines."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise CorpusIoError(f"cannot read concat-map file {path}: {exc}") from exc
+    lines = read_text(path, "concat-map file").split("\n")
     pairs = []
-    for ln, raw in enumerate(lines, start=1):
-        entry = raw.rstrip("\n")
+    for ln, entry in enumerate(lines, start=1):
         if not entry.strip() or entry.startswith("#"):
             continue
         parts = entry.split("\t")
@@ -254,18 +245,44 @@ def _filter_token(
     return tuple(filterfalse(config.stopwords.__contains__, stripped.split()))
 
 
+# Entries the shared table of one pipeline holds before it empties itself:
+# about 200 bytes each, so at most about 6 MB a table, and the tables of the
+# last four pipelines are kept. Zipfian lyrics repeat most raw tokens: 2,000
+# reference-shape lyrics hold about 19k distinct ones.
+_TABLE_CAP = 1 << 15
+
+
+class _TokenTable(dict):
+    """Raw token -> the tokens stages 2-5 of one pipeline make of it, mapped
+    on first lookup; the table empties itself when it reaches _TABLE_CAP."""
+
+    def __init__(self, config, lowered_words):
+        super().__init__()
+        self._pipeline = config, lowered_words
+
+    def __missing__(self, raw):
+        if len(self) >= _TABLE_CAP:
+            self.clear()
+        tokens = self[raw] = _filter_token(raw, *self._pipeline)
+        return tokens
+
+
+@lru_cache(maxsize=4)
+def _shared_table(config: PreprocessConfig, lowered_words: frozenset[str]):
+    return _TokenTable(config, lowered_words)
+
+
 def filter_tokens(
     text: str, config: PreprocessConfig, lowered_words: frozenset[str]
 ) -> list[str]:
     """Run stages 2-5 on one text, given the corpus-level lowered-word set.
 
     ``lowered_words`` holds the (pre-accent-strip) lowercase keys of words
-    whose case decisions came out ``lowered=True``.
+    whose case decisions came out ``lowered=True``. Each distinct raw token
+    is filtered once per pipeline, in a table shared by equal pipelines.
     """
-    out: list[str] = []
-    for raw in text.split():
-        out.extend(_filter_token(raw, config, lowered_words))
-    return out
+    table = _shared_table(config, lowered_words)
+    return list(chain.from_iterable(map(table.__getitem__, text.split())))
 
 
 def preprocess_with_decisions(

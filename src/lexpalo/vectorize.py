@@ -24,6 +24,8 @@ import scipy.sparse as sp
 from .corpus_io import Corpus
 from .errors import VocabularyMismatchError
 
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -83,14 +85,15 @@ def _csr_rows(token_lists, vocab: Vocabulary) -> sp.csr_matrix:
     """One CSR matrix, one row per token list, column indices sorted."""
     if not vocab.words:
         raise VocabularyMismatchError("vocabulary is empty")
+    index = vocab.index
     data, indices, indptr = [np.empty(0)], [np.empty(0, dtype=np.int64)], [0]
     for tokens in token_lists:
-        counts = Counter(t for t in tokens if t in vocab.index)
+        counts = Counter(filter(index.__contains__, tokens))
         if counts:
             length = len(tokens)
-            cols = np.array([vocab.index[w] for w in counts], dtype=np.int64)
+            cols = np.fromiter(map(index.__getitem__, counts), np.int64, len(counts))
             vals = np.array(
-                [counts[w] / length for w in counts], dtype=float
+                [n / length for n in counts.values()], dtype=float
             ) * vocab.idf[cols]
             # normalised in first-occurrence order, then sorted by column
             vals /= np.linalg.norm(vals)
@@ -98,9 +101,17 @@ def _csr_rows(token_lists, vocab: Vocabulary) -> sp.csr_matrix:
             data.append(vals[order])
             indices.append(cols[order])
         indptr.append(indptr[-1] + len(counts))
+    shape = (len(token_lists), len(vocab.words))
+    # the index dtype SciPy would pick, so its constructor neither scans
+    # nor converts the index arrays
+    idx_dtype = np.int32 if max(*shape, indptr[-1]) <= _INT32_MAX else np.int64
     return sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-        shape=(len(token_lists), len(vocab.words)),
+        (
+            np.concatenate(data),
+            np.concatenate(indices, dtype=idx_dtype),
+            np.array(indptr, dtype=idx_dtype),
+        ),
+        shape=shape,
     )
 
 

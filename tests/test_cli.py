@@ -8,7 +8,7 @@ import random
 import pytest
 
 from lexpalo import cli, load_corpus, mnb, save_corpus
-from lexpalo.errors import ModelFormatError
+from lexpalo.errors import CorpusIoError, ModelFormatError
 
 
 def write_jsonl(path, records):
@@ -304,6 +304,40 @@ def test_classify_reads_text_from_file(trained_model, tmp_path, capsys):
     lyric.write_text("pena noche", encoding="utf-8")
     via_file = classify_output(capsys, trained_model, "--file", str(lyric))
     assert via_file == via_text
+
+
+@pytest.mark.parametrize(
+    "reader, error",
+    [
+        ("corpus", CorpusIoError),
+        ("stopwords", CorpusIoError),
+        ("concat-map", CorpusIoError),
+        ("classify-file", CorpusIoError),
+        ("model", ModelFormatError),
+    ],
+)
+def test_non_utf8_input_file_exits_with_its_documented_code(
+    reader, error, corpus_file, trained_model, tmp_path, capsys
+):
+    """Each input file the CLI reads, saved in Latin-1 with an accent in it."""
+    bad = tmp_path / "latin1"
+    stats = ["stats", *base_args(corpus_file, tmp_path / "out")]
+    text, argv = {
+        "corpus": (corpus_file.read_text(encoding="utf-8"),
+                   ["stats", *base_args(bad, tmp_path / "out")]),
+        "stopwords": ("él\n", [*stats, "--stopwords", str(bad)]),
+        "concat-map": ("José María\tJoséMaría\n", [*stats, "--concat-map", str(bad)]),
+        "classify-file": ("corazón", ["classify", "--model", str(trained_model),
+                                      "--file", str(bad)]),
+        "model": (trained_model.read_text(encoding="utf-8"),
+                  ["classify", "--model", str(bad), "--text", "mar"]),
+    }[reader]
+    bad.write_bytes(text.encode("latin-1"))
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CODES[error]
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "UTF-8" in err
 
 
 def test_classify_rejects_model_without_preprocessing_state(

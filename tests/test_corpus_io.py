@@ -1,9 +1,13 @@
 """Corpus loading, validation, filtering, splitting, and aggregation."""
 
+import csv
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexpalo.corpus_io import (
     Corpus,
@@ -383,3 +387,79 @@ def test_concat_by_palo_token_count_is_additive():
 def test_concat_by_palo_joins_in_corpus_order():
     c = corpus(("1", "uno", "A"), ("2", "dos", "B"), ("3", "tres", "A"))
     assert concat_by_palo(c)["A"].text == "uno\ntres"
+
+
+# ---------------------------------------------------------------------------
+# properties of the readers and the writer
+
+# any text but surrogates (not encodable as UTF-8), with line breaks, quotes,
+# commas, tabs and accents; required fields are not blank
+FIELD_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=40
+).filter(str.strip)
+METADATA_KEYS = ("source", "year", "cantaor", "notas, varias", 'comillas "')
+
+
+@st.composite
+def records_sharing_metadata_keys(draw):
+    """Records with unique ids, every one carrying the same metadata keys."""
+    keys = draw(st.lists(st.sampled_from(METADATA_KEYS), unique=True, max_size=3))
+    ids = draw(st.lists(FIELD_TEXT, min_size=1, max_size=8, unique=True))
+    return [
+        LyricRecord(
+            id=rec_id,
+            palo=draw(FIELD_TEXT),
+            text=draw(FIELD_TEXT),
+            metadata={k: draw(st.text(max_size=10)) for k in keys},
+        )
+        for rec_id in ids
+    ], keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=records_sharing_metadata_keys())
+def test_jsonl_and_csv_readers_agree_on_the_same_records(drawn):
+    records, keys = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonl, table = Path(tmp, "c.jsonl"), Path(tmp, "c.csv")
+        save_corpus(Corpus(records), jsonl)
+        with open(table, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "palo", "text", *keys])
+            for rec in records:
+                writer.writerow([rec.id, rec.palo, rec.text,
+                                 *(rec.metadata[k] for k in keys)])
+        from_jsonl = load_corpus(jsonl)
+        assert load_corpus(table, "csv") == from_jsonl
+        assert from_jsonl == Corpus(records)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ids=st.lists(FIELD_TEXT, min_size=1, max_size=6, unique=True),
+    data=st.data(),
+)
+def test_load_save_load_round_trips_and_saves_identical_bytes(ids, data):
+    rows = [
+        {"id": rec_id, "palo": data.draw(FIELD_TEXT), "text": data.draw(FIELD_TEXT),
+         **data.draw(st.dictionaries(st.sampled_from(METADATA_KEYS), JSON_VALUES,
+                                     max_size=3))}
+        for rec_id in ids
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.jsonl"), Path(tmp, "second.jsonl")
+        loaded = load_corpus(write_jsonl(Path(tmp, "given.jsonl"), rows))
+        save_corpus(loaded, first)
+        reloaded = load_corpus(first)
+        assert reloaded == loaded
+        save_corpus(reloaded, second)
+        assert second.read_bytes() == first.read_bytes()

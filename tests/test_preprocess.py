@@ -3,12 +3,14 @@
 import logging
 import random
 import unicodedata
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexpalo.corpus_io import Corpus
 from lexpalo.errors import CorpusIoError, FormatError
+from lexpalo import preprocess
 from lexpalo.preprocess import (
     DEFAULT_PUNCTUATION,
     CaseDecision,
@@ -366,6 +368,91 @@ def test_filter_tokens_matches_pipeline_output():
         assert filter_tokens(mapped, config, lowered) == out.text.split()
 
 
+def per_token_rule(text, config, lowered):
+    """Stages 2-5 token by token, without the shared table."""
+    return [
+        t for raw in text.split()
+        for t in preprocess._filter_token(raw, config, lowered)
+    ]
+
+
+TABLE_TEXTS = (
+    "Que viva Cádiz, ¡olé! la Niña de los Peines",
+    "que VIVA cádiz; la niña, de Jerez. QUE",
+    "Pena, pena, PENA ¿por qué? corazón y vergüenza",
+)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        {"lowered": frozenset({"niña", "jerez"})},
+        {"stopwords": frozenset({"la", "Que", "pena"})},
+        {"punctuation": frozenset(",;")},
+    ],
+    ids=["lowered-words", "stopwords", "punctuation"],
+)
+def test_filter_tokens_keeps_pipelines_apart(other):
+    base = PreprocessConfig(stopwords=frozenset({"de", "la", "y"}))
+    lowered = frozenset({"que", "pena"})
+    pipelines = [
+        (base, lowered),
+        (
+            replace(base, **{k: v for k, v in other.items() if k != "lowered"}),
+            other.get("lowered", lowered),
+        ),
+    ]
+    outputs = {0: set(), 1: set()}
+    for _ in range(2):  # the second round reads filled tables
+        for text in TABLE_TEXTS:
+            for which, (config, words) in enumerate(pipelines):
+                got = filter_tokens(text, config, words)
+                assert got == per_token_rule(text, config, words)
+                outputs[which].add(tuple(got))
+    assert outputs[0] != outputs[1]
+
+
+def test_equal_pipelines_share_one_token_table():
+    config = default_config()
+    twin = PreprocessConfig(
+        gamma=config.gamma,
+        concat_map=tuple(tuple(pair) for pair in list(config.concat_map)),
+        stopwords=frozenset(list(config.stopwords)),
+        punctuation=frozenset(list(config.punctuation)),
+    )
+    lowered = frozenset({"que"})
+    lowered_twin = frozenset(list(lowered))
+    assert twin == config and twin is not config
+    preprocess._shared_table.cache_clear()
+    table = preprocess._shared_table(config, lowered)
+    assert preprocess._shared_table(twin, lowered_twin) is table
+    filter_tokens(TABLE_TEXTS[0], config, lowered)
+    filled = len(table)
+    assert filled == len(set(TABLE_TEXTS[0].split()))
+    assert filter_tokens(TABLE_TEXTS[0], twin, lowered_twin) == per_token_rule(
+        TABLE_TEXTS[0], config, lowered
+    )
+    assert len(table) == filled
+
+
+def test_token_table_stays_within_its_cap():
+    config = PreprocessConfig(stopwords=frozenset({"w7", "W8"}))
+    lowered = frozenset({"w9"})
+    preprocess._shared_table.cache_clear()
+    table = preprocess._shared_table(config, lowered)
+    cap = preprocess._TABLE_CAP
+    words = [f"W{i}," if i % 3 else f"w{i}" for i in range(cap + 100)]
+    # texts of 1,000 distinct tokens up to the cap, then one token a text
+    texts = [" ".join(words[i:min(i + 1000, cap)]) for i in range(0, cap, 1000)]
+    texts += words[cap:]
+    for text in texts:
+        assert filter_tokens(text, config, lowered) == per_token_rule(
+            text, config, lowered
+        )
+        assert len(table) <= cap
+    assert len(table) == 100
+
+
 # ---------------------------------------------------------------------------
 # pipeline properties
 
@@ -497,6 +584,12 @@ def test_pipeline_matches_per_occurrence_oracle(texts, gamma):
         (d.word, d.n_lower, d.n_upper, d.lowered) for d in decisions
     ] == expected_decisions
     lowered = frozenset(d.word for d in decisions if d.lowered)
+    mapped = [rec.text for rec in concat_corpus(c, config).records]
+    preprocess._shared_table.cache_clear()
+    for _ in ("cold table", "warm table"):
+        assert [filter_tokens(text, config, lowered) for text in mapped] == [
+            text.split() for text in expected_texts
+        ]
     for rec in concat_corpus(c, config).records:
         per_token = [
             t for raw in rec.text.split() for t in filter_tokens(raw, config, lowered)
