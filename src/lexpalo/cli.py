@@ -127,7 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("stats", "lexical statistics reports")
     corpus_opts(sp)
     sp.add_argument("--sttr-windows", type=int,
-                    help="number of sampled windows per palo")
+                    help="number of sampled windows per palo "
+                    f"(1 to {lexstats.STTR_MAX_WINDOWS})")
 
     sp = command("train", "repeated trainings + saved model")
     corpus_opts(sp)

@@ -67,7 +67,8 @@ class VocabularyMismatchError(LexpaloError):
 
 
 class AlphaNonPositiveError(LexpaloError):
-    """The smoothing parameter must be strictly positive."""
+    """The smoothing parameter is not finite and strictly positive, or the
+    smoothing mass alpha * |V| it adds overflows."""
     exit_code = 12
 
 

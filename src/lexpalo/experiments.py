@@ -10,11 +10,12 @@ training side only -> naive-Bayes fit (documents that lost all tokens in
 preprocessing are excluded from the training side) -> every validation
 document scored, including empty ones (scored by priors alone).
 
-Each call tokenizes the corpus once, into integer counts over the sorted
-vocabulary of the whole corpus, and every run slices its documents' rows out
-of them: the columns its training rows use are the run's vocabulary in
-sorted order, so its weights and masses are those :mod:`vectorize` and
-:mod:`mnb` compute from text.
+Each corpus object is tokenized once, into integer counts and term
+frequencies (count / document length) over the sorted vocabulary of the
+whole corpus, and kept for later calls on the same object. Every run slices
+its documents' rows out of them: the columns its training rows use are the
+run's vocabulary in sorted order, so its weights and masses are those
+:mod:`vectorize` and :mod:`mnb` compute from text.
 """
 
 from __future__ import annotations
@@ -28,12 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus_io import Corpus, SplitSpec, split_positions
-from .errors import (
-    AlphaNonPositiveError,
-    EmptyCorpusError,
-    InconsistentClassesError,
-    NoThresholdError,
-)
+from .errors import EmptyCorpusError, InconsistentClassesError, NoThresholdError
+from .mnb import check_alpha
 from .seeding import derive_seed
 
 DEFAULT_EPSILON = 1e-9
@@ -105,6 +102,7 @@ class _Encoding:
 
     corpus: Corpus
     counts: sp.csr_matrix  # documents x words
+    tf: sp.csr_matrix  # counts / lengths, with the structure of ``counts``
     lengths: np.ndarray  # tokens per document
     classes: tuple[str, ...]  # sorted palos
     labels: np.ndarray  # position in ``classes`` per document
@@ -138,24 +136,43 @@ def _encode(corpus: Corpus) -> _Encoding:
         shape=(len(lengths), len(words)),
     )
     counts.sum_duplicates()
+    # ``len`` counts every token, as :func:`vectorize.tfidf` does
+    tf = sp.csr_matrix(
+        (counts.data / np.repeat(lengths, np.diff(counts.indptr)),
+         counts.indices, counts.indptr),
+        shape=counts.shape,
+    )
     classes = tuple(sorted(corpus.palo_index))
     class_of = {palo: k for k, palo in enumerate(classes)}
     labels = np.array([class_of[rec.palo] for rec in corpus.records])
-    return _Encoding(corpus, counts, lengths, classes, labels, words)
+    return _Encoding(corpus, counts, tf, lengths, classes, labels, words)
 
 
-def _tfidf(counts: sp.csr_matrix, lengths, position, idf):
-    """Count rows over a run's vocabulary (``position`` maps each encoding
-    word to its place in it, or -1) as (row, column, weight) entries:
-    (count / len) * idf, L2-normalized per row, ``len`` counting every token
-    as :func:`vectorize.tfidf` does."""
-    row = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-    col = position[counts.indices]
-    keep = col >= 0
-    row, col = row[keep], col[keep]
-    weight = counts.data[keep] / lengths[row] * idf[col]
-    norms = np.sqrt(np.bincount(row, weights=weight * weight, minlength=len(lengths)))
-    return row, col, weight / norms[row]
+# The encoding of the corpus object most recently passed to an experiment.
+# A Corpus is immutable and the slot holds a reference to it, so an identity
+# match means the same records.
+_last_encoding: _Encoding | None = None
+
+
+def _encoding(corpus: Corpus) -> _Encoding:
+    global _last_encoding
+    enc = _last_encoding  # read once: a concurrent call may replace the slot
+    if enc is None or enc.corpus is not corpus:
+        enc = _last_encoding = _encode(corpus)
+    return enc
+
+
+def _rows(tf: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry."""
+    return np.repeat(np.arange(tf.shape[0]), np.diff(tf.indptr))
+
+
+def _tfidf(row, col, tf, idf):
+    """TF-IDF weights of (row, run-vocabulary column, tf) entries:
+    tf * idf, L2-normalized per row."""
+    weight = tf * idf[col]
+    norms = np.sqrt(np.bincount(row, weights=weight * weight))
+    return weight / norms[row]
 
 
 @dataclass(frozen=True)
@@ -176,11 +193,13 @@ def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
     train = train[enc.lengths[train] > 0]
     if not len(train):
         raise EmptyCorpusError(f"no training document of seed {spec.seed} has tokens")
-    counts = enc.counts[train]
-    df = np.bincount(counts.indices, minlength=len(enc.words))
+    tf = enc.tf[train]
+    df = np.bincount(tf.indices, minlength=len(enc.words))
     position = np.where(df > 0, np.cumsum(df > 0) - 1, -1)
     idf = 1.0 + np.log(len(train) / df[df > 0])
-    row, col, weight = _tfidf(counts, enc.lengths[train], position, idf)
+    # every column a training row uses has df > 0, so none is dropped
+    row, col = _rows(tf), position[tf.indices]
+    weight = _tfidf(row, col, tf.data, idf)
     # A palo without training documents gets no class, so no -inf prior.
     doc_counts = np.bincount(enc.labels[train], minlength=len(enc.classes))
     classes = np.flatnonzero(doc_counts)
@@ -196,17 +215,18 @@ def _predictor(enc: _Encoding, fit: _Fit):
     of each document under smoothing alpha, the argmax of ln P(C) +
     sum_w tfidf(w, d) ln P(w|C) (see :mod:`mnb`) over the words it uses."""
     docs = fit.validation
-    row, col, weight = _tfidf(
-        enc.counts[docs], enc.lengths[docs], fit.position, fit.idf
-    )
+    tf = enc.tf[docs]
+    row, col = _rows(tf), fit.position[tf.indices]
+    # validation rows may use words outside the run's vocabulary
+    keep = col >= 0
+    row, col = row[keep], col[keep]
+    weight = _tfidf(row, col, tf.data[keep], fit.idf)
     used, col = np.unique(col, return_inverse=True)
     indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=len(docs)))]
     rows = sp.csr_matrix((weight, col, indptr), shape=(len(docs), len(used)))
     mass, mass_total = fit.mass[:, used], fit.mass.sum(axis=1)
 
     def predict(alpha: float) -> np.ndarray:
-        if alpha <= 0:
-            raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
         log_denom = np.log(alpha * len(fit.idf) + mass_total)
         scores = rows @ (np.log(alpha + mass) - log_denom[:, None]).T
         return fit.classes[np.argmax(scores + fit.log_prior, axis=1)]
@@ -250,10 +270,9 @@ def _in_worker(task):
     return run(_worker_encoding, job)
 
 
-def _map_runs(corpus: Corpus, run, jobs, threads: int) -> list:
-    """``run(encoding, job)`` per job, in order, over one encoding of the
-    corpus; worker processes (threads > 1) receive it once, at start-up."""
-    enc = _encode(corpus)
+def _map_runs(enc: _Encoding, run, jobs, threads: int) -> list:
+    """``run(enc, job)`` per job, in order; worker processes (threads > 1)
+    receive the encoding once, at start-up."""
     if threads <= 1:
         return [run(enc, job) for job in jobs]
     with ProcessPoolExecutor(
@@ -273,7 +292,7 @@ def _run_specs(split: SplitSpec, n_runs: int) -> list[SplitSpec]:
 
 def run_training(corpus: Corpus, alpha: float, split: SplitSpec) -> TrainingResult:
     """Run one seeded split + fit + validation round."""
-    return _map_runs(corpus, _training_run, [(alpha, split)], threads=1)[0]
+    return _trainings(corpus, alpha, [split], threads=1)[0]
 
 
 def run_trainings(
@@ -288,8 +307,14 @@ def run_trainings(
     With threads > 1 the rounds execute in worker processes; results are
     identical to the sequential order either way.
     """
-    jobs = [(alpha, spec) for spec in _run_specs(split, n_runs)]
-    return _map_runs(corpus, _training_run, jobs, threads)
+    return _trainings(corpus, alpha, _run_specs(split, n_runs), threads)
+
+
+def _trainings(corpus: Corpus, alpha: float, specs, threads: int) -> list:
+    enc = _encoding(corpus)
+    check_alpha(alpha, len(enc.words))
+    jobs = [(alpha, spec) for spec in specs]
+    return _map_runs(enc, _training_run, jobs, threads)
 
 
 def aggregate(runs: Sequence[TrainingResult]) -> AggregateReport:
@@ -357,7 +382,7 @@ def alpha_sweep(
     specs = _run_specs(split, n_runs)
     grid = alpha_grid(grid_step)
     jobs = [(grid, spec) for spec in specs]
-    per_run = _map_runs(corpus, _sweep_run, jobs, threads)
+    per_run = _map_runs(_encoding(corpus), _sweep_run, jobs, threads)
     mean_accuracy = np.mean(per_run, axis=0)
     best_alpha = grid[int(np.argmax(mean_accuracy))]
     return AlphaSweepResult(
@@ -389,7 +414,8 @@ def essential_words(
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    enc = _encode(corpus)
+    enc = _encoding(corpus)
+    check_alpha(alpha, len(enc.words))
     n_classes, n_words = len(enc.classes), len(enc.words)
     deltas = np.zeros((n_classes, n_words))  # sum of (P - run floor), present runs
     total_floor = np.zeros(n_classes)  # sum of run floors, all runs

@@ -24,6 +24,11 @@ from .errors import (
 
 ZIPF_DEFAULT_MIN_RANK = 10
 
+# Most windows one sTTR call samples. Each window holds a start offset and a
+# ratio (16 bytes as arrays, more while the ratios are collected), so the cap
+# keeps one call within tens of MB; the paper samples far fewer.
+STTR_MAX_WINDOWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class LexicalProfile:
@@ -96,8 +101,10 @@ def sttr(
         raise EmptyDocumentError("cannot sample windows from an empty document")
     if window_length < 1:
         raise ValueError(f"window_length must be >= 1, got {window_length}")
-    if n_windows < 1:
-        raise ValueError(f"n_windows must be >= 1, got {n_windows}")
+    if not 1 <= n_windows <= STTR_MAX_WINDOWS:
+        raise ValueError(
+            f"n_windows must lie in [1, {STTR_MAX_WINDOWS}], got {n_windows}"
+        )
     if window_length > length:
         raise WindowTooLongError(
             f"window of {window_length} tokens exceeds document length {length}"

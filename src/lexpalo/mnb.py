@@ -67,14 +67,24 @@ class ClassScores:
     predicted: str
 
 
+def check_alpha(alpha: float, n_words: int) -> None:
+    """Raise AlphaNonPositiveError unless alpha is finite and > 0 and the
+    smoothing mass alpha * |V| it adds over ``n_words`` words is finite."""
+    if not (0 < alpha < math.inf and math.isfinite(alpha * n_words)):
+        raise AlphaNonPositiveError(
+            f"alpha must be finite and > 0 with alpha * |V| finite, got "
+            f"{alpha} for |V| = {n_words}"
+        )
+
+
 def fit(matrix: TfIdfMatrix, labels, alpha: float) -> MnbModel:
     """Fit the classifier on a TF-IDF matrix and aligned labels.
 
-    Raises AlphaNonPositiveError unless alpha > 0, and LabelMismatchError
-    when labels do not align with the matrix rows.
+    Raises AlphaNonPositiveError unless :func:`check_alpha` accepts alpha
+    over the matrix's vocabulary, and LabelMismatchError when labels do not
+    align with the matrix rows.
     """
-    if alpha <= 0:
-        raise AlphaNonPositiveError(f"alpha must be > 0, got {alpha}")
+    check_alpha(alpha, matrix.matrix.shape[1])
     labels = list(labels)
     if len(labels) != matrix.matrix.shape[0]:
         raise LabelMismatchError(
@@ -170,7 +180,7 @@ def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> N
         payload["preprocess"] = preprocess_state
 
     def write(fh):
-        json.dump(payload, fh, ensure_ascii=False)
+        json.dump(payload, fh, ensure_ascii=False, allow_nan=False)
         fh.write("\n")
 
     atomic_write(path, write)

@@ -5,9 +5,11 @@ Everything here is deliberately written with plain dicts, lists, and
 package under test — so a library bug cannot hide inside a shared
 dependency. The implementations favor obviousness over speed.
 
-The one exception is :func:`tfidf_per_document`, the earlier one-row-at-a-
-time construction of ``vectorize``: it uses numpy and scipy because the
-vectorizer must equal it bit for bit, not within a tolerance.
+Two exceptions use numpy and scipy, because the library must equal them
+bit for bit, not within a tolerance: :func:`tfidf_per_document`, the earlier
+one-row-at-a-time construction of ``vectorize``, and :func:`fit_from_counts`
+with :func:`predict_from_counts`, the earlier construction of an experiment
+round from integer counts.
 """
 
 from __future__ import annotations
@@ -96,6 +98,56 @@ def tfidf_per_document(token_lists, vocab):
         (0, len(vocab.words))
     )
     return matrix, [i for i, row in enumerate(rows) if row.nnz == 0]
+
+
+# ---------------------------------------------------------------------------
+# experiment rounds from a count matrix
+
+
+def _weights_from_counts(counts, lengths, position, idf):
+    """(row, column, weight) entries of count rows over a run's vocabulary:
+    (count / len) * idf per entry, entries outside it masked out, then
+    L2-normalized per row."""
+    row = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    col = position[counts.indices]
+    keep = col >= 0
+    row, col = row[keep], col[keep]
+    weight = counts.data[keep] / lengths[row] * idf[col]
+    norms = np.sqrt(np.bincount(row, weights=weight * weight, minlength=len(lengths)))
+    return row, col, weight / norms[row]
+
+
+def fit_from_counts(counts, lengths, labels, n_classes, train):
+    """One round's training side from the integer count matrix, for the
+    training positions ``train`` (those with tokens): (position, idf,
+    classes, mass, log_prior) as an experiment round fits them."""
+    sub = counts[train]
+    df = np.bincount(sub.indices, minlength=counts.shape[1])
+    position = np.where(df > 0, np.cumsum(df > 0) - 1, -1)
+    idf = 1.0 + np.log(len(train) / df[df > 0])
+    row, col, weight = _weights_from_counts(sub, lengths[train], position, idf)
+    doc_counts = np.bincount(labels[train], minlength=n_classes)
+    classes = np.flatnonzero(doc_counts)
+    cell = np.searchsorted(classes, labels[train])[row] * len(idf) + col
+    mass = np.bincount(cell, weights=weight, minlength=len(classes) * len(idf))
+    mass = mass.reshape(len(classes), len(idf))
+    log_prior = np.log(doc_counts[classes] / len(train))
+    return position, idf, classes, mass, log_prior
+
+
+def predict_from_counts(counts, lengths, docs, fit, alpha):
+    """The class each document at positions ``docs`` gets under smoothing
+    alpha, from a :func:`fit_from_counts` result."""
+    position, idf, classes, mass, log_prior = fit
+    row, col, weight = _weights_from_counts(
+        counts[docs], lengths[docs], position, idf
+    )
+    used, col = np.unique(col, return_inverse=True)
+    indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=len(docs)))]
+    rows = sp.csr_matrix((weight, col, indptr), shape=(len(docs), len(used)))
+    log_denom = np.log(alpha * len(idf) + mass.sum(axis=1))
+    scores = rows @ (np.log(alpha + mass[:, used]) - log_denom[:, None]).T
+    return classes[np.argmax(scores + log_prior, axis=1)]
 
 
 # ---------------------------------------------------------------------------

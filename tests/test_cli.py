@@ -5,6 +5,7 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from lexpalo import cli, load_corpus, mnb, save_corpus
@@ -522,6 +523,39 @@ def test_exit_code_nonpositive_alpha(corpus_file, tmp_path, capsys):
     ])
     assert code == 12
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["train", "essential"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
+def test_alphas_outside_the_domain_exit_twelve(
+    corpus_file, tmp_path, capsys, command, alpha
+):
+    out = tmp_path / "out"
+    code = cli.main([
+        command, *base_args(corpus_file, out), "--runs", "2", "--alpha", alpha,
+    ])
+    assert code == 12
+    err = capsys.readouterr().err
+    assert err.startswith(f"lexpalo {command}: error: alpha must be finite")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sttr_windows_beyond_the_cap_exit_two(
+    corpus_file, tmp_path, capsys, monkeypatch
+):
+    def no_draws(*args):
+        raise AssertionError("windows drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    code = cli.main([
+        "stats", *base_args(corpus_file, tmp_path), "--sttr-windows", "100000000000",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n_windows must lie in [1, 1000000]" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sttr.csv").exists()
 
 
 def test_usage_errors_return_two(corpus_file, tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Repeated trainings, aggregation, smoothing sweeps, essential words."""
 
+import math
 import random
+import sys
+import threading
 import warnings
 from dataclasses import replace as dc_replace
 
@@ -8,8 +11,8 @@ import numpy as np
 import pytest
 
 from lexpalo import experiments
-from lexpalo.corpus_io import Corpus, SplitSpec, stratified_split
-from lexpalo.errors import InconsistentClassesError
+from lexpalo.corpus_io import Corpus, SplitSpec, split_positions, stratified_split
+from lexpalo.errors import AlphaNonPositiveError, InconsistentClassesError
 from lexpalo.seeding import derive_seed
 
 import oracles
@@ -549,3 +552,156 @@ def test_encoding_matches_a_sorted_vocabulary_encoding(seed):
     assert encoding.counts.indices.tolist() == indices
     assert encoding.counts.data.tolist() == data
     assert encoding.lengths.tolist() == lengths
+    assert encoding.tf.indptr.tolist() == indptr
+    assert encoding.tf.indices.tolist() == indices
+    rows = np.repeat(np.arange(len(lengths)), np.diff(indptr))
+    assert encoding.tf.data.tolist() == [
+        count / lengths[r] for count, r in zip(data, rows)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# one encoding per corpus object, and its term frequencies
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [81, 82, 83])
+def test_rounds_equal_the_from_counts_construction(seed):
+    rng = random.Random(seed)
+    for corpus in (
+        with_empty_records(mixed_corpus(seed), seed),
+        with_empty_records(
+            random_labeled_corpus(
+                rng, n_palos=4, docs_per_palo=(5, 12), pool_size=60, doc_len=(1, 40)
+            ),
+            seed,
+            share=0.2,
+        ),
+    ):
+        enc = experiments._encode(corpus)
+        assert not all(enc.lengths)
+        for spec in experiments._run_specs(SplitSpec(0.6, seed), 10):
+            fit = experiments._fit_split(enc, spec)
+            train, validation = map(np.asarray, split_positions(corpus, spec))
+            train = train[enc.lengths[train] > 0]
+            reference = oracles.fit_from_counts(
+                enc.counts, enc.lengths, enc.labels, len(enc.classes), train
+            )
+            fields = (fit.position, fit.idf, fit.classes, fit.mass, fit.log_prior)
+            for got, want in zip(fields, reference):
+                assert same_bits(got, want)
+            assert same_bits(fit.validation, validation)
+            truth, predict = experiments._predictor(enc, fit)
+            assert same_bits(truth, enc.labels[validation])
+            for alpha in (1e-6, 0.11, 0.5, 1.0, 7.0):
+                assert same_bits(
+                    predict(alpha),
+                    oracles.predict_from_counts(
+                        enc.counts, enc.lengths, validation, reference, alpha
+                    ),
+                )
+
+
+@pytest.fixture
+def counted_encodings(monkeypatch):
+    """A cold encoding slot, and the corpora ``_encode`` is called with."""
+    monkeypatch.setattr(experiments, "_last_encoding", None)
+    encoded = []
+
+    def encode(corpus):
+        encoded.append(corpus)
+        return real_encode(corpus)
+
+    real_encode = experiments._encode
+    monkeypatch.setattr(experiments, "_encode", encode)
+    return encoded
+
+
+EXPERIMENTS = {
+    "trainings": lambda corpus, threads: [
+        (r.seed, r.confusion.tolist(), r.per_class_accuracy, r.global_accuracy)
+        for r in experiments.run_trainings(corpus, 0.5, 4, HALF, threads=threads)
+    ],
+    "sweep": lambda corpus, threads: experiments.alpha_sweep(
+        corpus, 0.25, 4, HALF, threads=threads
+    ),
+    "essential": lambda corpus, threads: experiments.essential_words(
+        corpus, 0.5, 4, HALF
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_a_corpus_object_is_encoded_once(counted_encodings, experiment, threads):
+    run = EXPERIMENTS[experiment]
+    corpus = with_empty_records(mixed_corpus(91), 91)
+    cold = run(corpus, threads)
+    assert counted_encodings == [corpus]
+    warm = run(corpus, threads)
+    assert counted_encodings == [corpus]
+    assert warm == cold
+    # an equal but distinct corpus is encoded anew and gives equal results
+    twin = Corpus(corpus.records)
+    assert twin == corpus and twin is not corpus
+    assert run(twin, threads) == cold
+    assert len(counted_encodings) == 2 and counted_encodings[1] is twin
+
+
+def test_experiments_share_the_encoding_of_one_corpus(counted_encodings):
+    corpus = mixed_corpus(92)
+    experiments.run_training(corpus, 0.5, HALF)
+    experiments.run_trainings(corpus, 0.5, 2, HALF)
+    experiments.alpha_sweep(corpus, 0.5, 2, HALF)
+    experiments.essential_words(corpus, 0.5, 2, HALF)
+    assert counted_encodings == [corpus]
+    other = mixed_corpus(93)
+    experiments.run_training(other, 0.5, HALF)
+    experiments.run_training(corpus, 0.5, HALF)
+    assert counted_encodings == [corpus, other, corpus]
+
+
+def test_concurrent_calls_each_get_their_own_corpus_encoding(monkeypatch):
+    monkeypatch.setattr(experiments, "_last_encoding", None)
+    corpora = [mixed_corpus(seed) for seed in range(94, 98)]
+    wrong = []
+
+    def work(corpus):
+        for _ in range(200):
+            if experiments._encoding(corpus).corpus is not corpus:
+                wrong.append(corpus)
+
+    workers = [threading.Thread(target=work, args=(c,)) for c in corpora]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# alpha domain
+
+
+BAD_ALPHAS = [0.0, -0.5, math.nan, math.inf, -math.inf, 1e308]
+
+
+@pytest.mark.parametrize("alpha", BAD_ALPHAS)
+def test_experiments_reject_alphas_outside_the_domain(alpha):
+    corpus = mixed_corpus()
+    with pytest.raises(AlphaNonPositiveError, match="finite and > 0"):
+        experiments.run_training(corpus, alpha, HALF)
+    with pytest.raises(AlphaNonPositiveError):
+        experiments.run_trainings(corpus, alpha, 2, HALF, threads=2)
+    with pytest.raises(AlphaNonPositiveError):
+        experiments.essential_words(corpus, alpha, 2, HALF)

@@ -13,6 +13,7 @@ from lexpalo.errors import (
     WindowTooLongError,
 )
 from lexpalo.lexstats import (
+    STTR_MAX_WINDOWS,
     hapax_report,
     heaps_curve,
     profile,
@@ -118,6 +119,16 @@ def test_sttr_mean_lies_within_window_extremes_on_random_docs():
 def test_sttr_rejects_oversized_window():
     with pytest.raises(WindowTooLongError):
         sttr(["a", "b"], window_length=3, n_windows=2, seed=0)
+
+
+def test_sttr_rejects_window_counts_beyond_the_cap(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("windows drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for n_windows in (STTR_MAX_WINDOWS + 1, 100_000_000_000):
+        with pytest.raises(ValueError, match="n_windows"):
+            sttr(["a", "b", "c"], 2, n_windows, seed=0)
 
 
 def test_sttr_rejects_bad_parameters():

@@ -72,9 +72,11 @@ def test_fit_class_distributions_sum_to_one():
 def test_fit_rejects_nonpositive_alpha():
     c = corpus_from_texts(["a", "b"])
     matrix = tfidf(c, build_vocabulary(c))
-    for alpha in (0.0, -0.5):
-        with pytest.raises(AlphaNonPositiveError):
+    for alpha in (0.0, -0.5, math.nan, math.inf, -math.inf, 1e308):
+        with pytest.raises(AlphaNonPositiveError, match="finite and > 0"):
             mnb.fit(matrix, ["X", "Y"], alpha)
+    # 1e308 fails above only because alpha * |V| = 2e308 overflows
+    mnb.check_alpha(1e308, 1)
 
 
 def test_fit_rejects_misaligned_labels():
@@ -373,6 +375,16 @@ def test_load_rejects_inconsistent_shape(tmp_path):
 def test_load_missing_file_raises_io_error(tmp_path):
     with pytest.raises(CorpusIoError):
         mnb.load_model(tmp_path / "nope.json")
+
+
+def test_save_refuses_non_finite_values(tmp_path):
+    model, _, _ = fitted({"X": ["a"], "Y": ["b"]})
+    broken = dataclasses.replace(
+        model, word_logprob=np.full_like(model.word_logprob, np.nan)
+    )
+    with pytest.raises(ValueError, match="JSON compliant"):
+        mnb.save_model(broken, tmp_path / "model.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_into_missing_directory_raises_io_error(tmp_path):
