@@ -246,6 +246,12 @@ def _preprocess_state(
 # commands
 
 def _cmd_stats(config: RunConfig) -> None:
+    # checked before any report is written, not when the windows are drawn
+    if not 1 <= config.sttr_windows <= lexstats.STTR_MAX_WINDOWS:
+        raise ValueError(
+            f"--sttr-windows must lie in [1, {lexstats.STTR_MAX_WINDOWS}], "
+            f"got {config.sttr_windows}"
+        )
     raw, processed, _, _ = _prepare(config)
     out = config.output_dir
 

@@ -10,12 +10,12 @@ training side only -> naive-Bayes fit (documents that lost all tokens in
 preprocessing are excluded from the training side) -> every validation
 document scored, including empty ones (scored by priors alone).
 
-Each corpus object is tokenized once, into integer counts and term
+Each call tokenizes the corpus once, into integer counts and term
 frequencies (count / document length) over the sorted vocabulary of the
-whole corpus, and kept for later calls on the same object. Every run slices
-its documents' rows out of them: the columns its training rows use are the
-run's vocabulary in sorted order, so its weights and masses are those
-:mod:`vectorize` and :mod:`mnb` compute from text.
+whole corpus, and every run slices its documents' rows out of them: the
+columns its training rows use are the run's vocabulary in sorted order, so
+its weights and masses are those :mod:`vectorize` and :mod:`mnb` compute
+from text.
 """
 
 from __future__ import annotations
@@ -130,36 +130,29 @@ def _encode(corpus: Corpus) -> _Encoding:
     seen = np.fromiter(map(ids.__getitem__, chain.from_iterable(tokens())), np.int64)
     words = tuple(sorted(ids))
     position = {w: j for j, w in enumerate(words)}
-    cols = np.fromiter(map(position.__getitem__, ids), np.int64, len(ids))[seen]
+    n_docs, n_words = len(lengths), len(words)
+    # one (document, word) key per token; sorted, each run of equal keys is
+    # one entry of the count matrix, in row-major order
+    key = np.repeat(np.arange(n_docs) * n_words, lengths)
+    key += np.fromiter(map(position.__getitem__, ids), np.int64, len(ids))[seen]
+    key.sort()
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    entries = key[first]
+    indptr = np.searchsorted(entries, np.arange(n_docs + 1) * n_words)
+    row = np.repeat(np.arange(n_docs), np.diff(indptr))
     counts = sp.csr_matrix(
-        (np.ones_like(cols), cols, np.r_[0, np.cumsum(lengths)]),
-        shape=(len(lengths), len(words)),
+        (np.diff(first, append=len(key)), entries - row * n_words, indptr),
+        shape=(n_docs, n_words),
     )
-    counts.sum_duplicates()
     # ``len`` counts every token, as :func:`vectorize.tfidf` does
     tf = sp.csr_matrix(
-        (counts.data / np.repeat(lengths, np.diff(counts.indptr)),
-         counts.indices, counts.indptr),
+        (counts.data / lengths[row], counts.indices, counts.indptr),
         shape=counts.shape,
     )
     classes = tuple(sorted(corpus.palo_index))
     class_of = {palo: k for k, palo in enumerate(classes)}
     labels = np.array([class_of[rec.palo] for rec in corpus.records])
     return _Encoding(corpus, counts, tf, lengths, classes, labels, words)
-
-
-# The encoding of the corpus object most recently passed to an experiment.
-# A Corpus is immutable and the slot holds a reference to it, so an identity
-# match means the same records.
-_last_encoding: _Encoding | None = None
-
-
-def _encoding(corpus: Corpus) -> _Encoding:
-    global _last_encoding
-    enc = _last_encoding  # read once: a concurrent call may replace the slot
-    if enc is None or enc.corpus is not corpus:
-        enc = _last_encoding = _encode(corpus)
-    return enc
 
 
 def _rows(tf: sp.csr_matrix) -> np.ndarray:
@@ -170,9 +163,11 @@ def _rows(tf: sp.csr_matrix) -> np.ndarray:
 def _tfidf(row, col, tf, idf):
     """TF-IDF weights of (row, run-vocabulary column, tf) entries:
     tf * idf, L2-normalized per row."""
-    weight = tf * idf[col]
+    weight = idf[col]
+    weight *= tf
     norms = np.sqrt(np.bincount(row, weights=weight * weight))
-    return weight / norms[row]
+    weight /= norms[row]
+    return weight
 
 
 @dataclass(frozen=True)
@@ -195,15 +190,18 @@ def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
         raise EmptyCorpusError(f"no training document of seed {spec.seed} has tokens")
     tf = enc.tf[train]
     df = np.bincount(tf.indices, minlength=len(enc.words))
-    position = np.where(df > 0, np.cumsum(df > 0) - 1, -1)
-    idf = 1.0 + np.log(len(train) / df[df > 0])
+    in_vocabulary = df > 0
+    position = np.where(in_vocabulary, np.cumsum(in_vocabulary) - 1, -1)
+    idf = 1.0 + np.log(len(train) / df[in_vocabulary])
     # every column a training row uses has df > 0, so none is dropped
     row, col = _rows(tf), position[tf.indices]
     weight = _tfidf(row, col, tf.data, idf)
     # A palo without training documents gets no class, so no -inf prior.
-    doc_counts = np.bincount(enc.labels[train], minlength=len(enc.classes))
+    labels = enc.labels[train]
+    doc_counts = np.bincount(labels, minlength=len(enc.classes))
     classes = np.flatnonzero(doc_counts)
-    cell = np.searchsorted(classes, enc.labels[train])[row] * len(idf) + col
+    cell = (np.searchsorted(classes, labels) * len(idf))[row]
+    cell += col
     mass = np.bincount(cell, weights=weight, minlength=len(classes) * len(idf))
     mass = mass.reshape(len(classes), len(idf))
     log_prior = np.log(doc_counts[classes] / len(train))
@@ -221,15 +219,25 @@ def _predictor(enc: _Encoding, fit: _Fit):
     keep = col >= 0
     row, col = row[keep], col[keep]
     weight = _tfidf(row, col, tf.data[keep], fit.idf)
-    used, col = np.unique(col, return_inverse=True)
+    # the run-vocabulary words the documents use, in order, and each
+    # entry's place among them
+    used = np.zeros(len(fit.idf), dtype=bool)
+    used[col] = True
+    col = (np.cumsum(used) - 1)[col]
+    used = np.flatnonzero(used)
     indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=len(docs)))]
     rows = sp.csr_matrix((weight, col, indptr), shape=(len(docs), len(used)))
-    mass, mass_total = fit.mass[:, used], fit.mass.sum(axis=1)
+    # used words x classes, the layout ``rows @`` multiplies without a copy
+    mass = np.ascontiguousarray(fit.mass.T[used])
+    mass_total = fit.mass.sum(axis=1)
 
     def predict(alpha: float) -> np.ndarray:
-        log_denom = np.log(alpha * len(fit.idf) + mass_total)
-        scores = rows @ (np.log(alpha + mass) - log_denom[:, None]).T
-        return fit.classes[np.argmax(scores + fit.log_prior, axis=1)]
+        log_table = alpha + mass
+        np.log(log_table, out=log_table)
+        log_table -= np.log(alpha * len(fit.idf) + mass_total)
+        scores = rows @ log_table
+        scores += fit.log_prior
+        return fit.classes[np.argmax(scores, axis=1)]
 
     return enc.labels[docs], predict
 
@@ -311,7 +319,7 @@ def run_trainings(
 
 
 def _trainings(corpus: Corpus, alpha: float, specs, threads: int) -> list:
-    enc = _encoding(corpus)
+    enc = _encode(corpus)
     check_alpha(alpha, len(enc.words))
     jobs = [(alpha, spec) for spec in specs]
     return _map_runs(enc, _training_run, jobs, threads)
@@ -382,7 +390,7 @@ def alpha_sweep(
     specs = _run_specs(split, n_runs)
     grid = alpha_grid(grid_step)
     jobs = [(grid, spec) for spec in specs]
-    per_run = _map_runs(_encoding(corpus), _sweep_run, jobs, threads)
+    per_run = _map_runs(_encode(corpus), _sweep_run, jobs, threads)
     mean_accuracy = np.mean(per_run, axis=0)
     best_alpha = grid[int(np.argmax(mean_accuracy))]
     return AlphaSweepResult(
@@ -414,12 +422,13 @@ def essential_words(
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    enc = _encoding(corpus)
+    enc = _encode(corpus)
     check_alpha(alpha, len(enc.words))
     n_classes, n_words = len(enc.classes), len(enc.words)
-    deltas = np.zeros((n_classes, n_words))  # sum of (P - run floor), present runs
+    # words x palos, so that a run adds to the rows of its vocabulary
+    deltas = np.zeros((n_words, n_classes))  # sum of (P - run floor), present runs
     total_floor = np.zeros(n_classes)  # sum of run floors, all runs
-    flagged = np.zeros((n_classes, n_words), dtype=bool)
+    flagged = np.zeros((n_words, n_classes), dtype=bool)
     seen = np.zeros(n_words, dtype=bool)
 
     for spec in _run_specs(split, n_runs):
@@ -431,13 +440,13 @@ def essential_words(
         floor = alpha / denom
         probs = (alpha + mass) / denom[:, None]
         total_floor += floor
-        deltas[:, cols] += probs - floor[:, None]
-        flagged[:, cols] |= probs <= probs.min(axis=1, keepdims=True) * (1 + epsilon)
+        deltas[cols] += probs.T - floor
+        flagged[cols] |= (probs <= probs.min(axis=1, keepdims=True) * (1 + epsilon)).T
         seen[cols] = True
 
     # words ranked by descending mean P(w|palo), ties in word order
     present = np.flatnonzero(seen)
-    means = (deltas[:, present] + total_floor[:, None]) / n_runs
+    means = (deltas[present].T + total_floor[:, None]) / n_runs
     n_types = [
         int(np.count_nonzero(enc.counts[enc.labels == k].getnnz(axis=0)))
         for k in range(n_classes)
@@ -446,7 +455,7 @@ def essential_words(
     per_palo, counts, normalized = {}, {}, {}
     for k, cls in enumerate(enc.classes):
         order = present[np.lexsort((present, -means[k]))]
-        flagged_ranks = np.flatnonzero(flagged[k, order])
+        flagged_ranks = np.flatnonzero(flagged[order, k])
         if not len(flagged_ranks):
             raise NoThresholdError(
                 f"no word was ever flagged at the floor for palo {cls!r}"

@@ -541,21 +541,23 @@ def test_alphas_outside_the_domain_exit_twelve(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("windows", ["100000000000", "0"])
 def test_sttr_windows_beyond_the_cap_exit_two(
-    corpus_file, tmp_path, capsys, monkeypatch
+    corpus_file, tmp_path, capsys, monkeypatch, windows
 ):
     def no_draws(*args):
         raise AssertionError("windows drawn")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
+    out = tmp_path / "out"
     code = cli.main([
-        "stats", *base_args(corpus_file, tmp_path), "--sttr-windows", "100000000000",
+        "stats", *base_args(corpus_file, out), "--sttr-windows", windows,
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert "n_windows must lie in [1, 1000000]" in err
+    assert f"--sttr-windows must lie in [1, 1000000], got {windows}" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "sttr.csv").exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_usage_errors_return_two(corpus_file, tmp_path, capsys):
