@@ -98,7 +98,8 @@ class EssentialWordReport:
 
 @dataclass(frozen=True)
 class _Encoding:
-    """A corpus as integer token counts over its sorted vocabulary."""
+    """A corpus as integer token counts and term frequencies over its sorted
+    vocabulary."""
 
     corpus: Corpus
     counts: sp.csr_matrix  # documents x words
