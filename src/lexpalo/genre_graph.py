@@ -88,8 +88,11 @@ def distance_matrix(palo_vectors: dict[str, object]) -> DistanceMatrix:
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            # clamp floating noise; dot of unit vectors is within [-1, 1]
-            d = min(1.0, max(0.0, 1.0 - float(dense[i] @ dense[j])))
+            # summed without BLAS, whose threaded dot changes the last bits
+            # with the thread count; clamp floating noise, since the dot of
+            # unit vectors is within [-1, 1]
+            dot = float(np.sum(dense[i] * dense[j]))
+            d = min(1.0, max(0.0, 1.0 - dot))
             values[i, j] = values[j, i] = d
     return DistanceMatrix(labels=labels, values=values)
 

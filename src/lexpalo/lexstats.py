@@ -84,6 +84,16 @@ def profile(document: Sequence[str]) -> LexicalProfile:
     return LexicalProfile(tokens=n_tokens, types=n_types, ttr=n_types / n_tokens)
 
 
+def _previous_occurrences(document: Sequence[str]) -> np.ndarray:
+    """Each position -> the last earlier position of its word, or -1."""
+    last: dict[str, int] = {}
+    prev = []
+    for i, word in enumerate(document):
+        prev.append(last.get(word, -1))
+        last[word] = i
+    return np.array(prev, dtype=np.int64)
+
+
 def sttr(
     document: Sequence[str],
     window_length: int,
@@ -116,9 +126,12 @@ def sttr(
         )
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, length - window_length + 1, size=n_windows)
+    # A window starting at s holds one type per position in it whose word
+    # last occurred before s.
+    prev = _previous_occurrences(document)
     ttrs = np.array(
         [
-            len(set(document[s : s + window_length])) / window_length
+            np.count_nonzero(prev[s : s + window_length] < s) / window_length
             for s in starts
         ]
     )

@@ -179,11 +179,10 @@ def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> N
     if preprocess_state is not None:
         payload["preprocess"] = preprocess_state
 
-    def write(fh):
-        json.dump(payload, fh, ensure_ascii=False, allow_nan=False)
-        fh.write("\n")
-
-    atomic_write(path, write)
+    # json.dumps encodes in one C call; json.dump streams the same text
+    # through the pure-Python encoder
+    text = json.dumps(payload, ensure_ascii=False, allow_nan=False) + "\n"
+    atomic_write(path, lambda fh: fh.write(text))
 
 
 def load_model(path) -> tuple[MnbModel, dict | None]:

@@ -23,12 +23,12 @@ import logging
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources as importlib_resources
 from itertools import chain, filterfalse
 
-from .corpus_io import Corpus, read_text
+from .corpus_io import Corpus, LyricRecord, read_text
 from .errors import FormatError
 
 logger = logging.getLogger(__name__)
@@ -125,16 +125,42 @@ def default_config(gamma: float = DEFAULT_GAMMA) -> PreprocessConfig:
     return PreprocessConfig(gamma=gamma, concat_map=concat_map, stopwords=stopwords)
 
 
+# Dotted capital I and dotless small i: re.IGNORECASE matches them to i and
+# I, whose casefolds differ from theirs. Any other two characters it matches
+# have equal casefolds.
+_DOTTED_I = ("\u0130", "\u0131")
+
+
 @lru_cache(maxsize=16)
 def _concat_pattern(pairs: tuple[tuple[str, str], ...]):
+    """The phrase regex with one group per phrase, the replacement of each
+    group, and the casefolded phrases a match implies (None when a phrase
+    holds a letter of _DOTTED_I, so that every text is matched)."""
     # Longest phrase first so overlapping phrases resolve deterministically.
     ordered = sorted(pairs, key=lambda kv: (-len(kv[0]), kv[0]))
     pattern = re.compile(
-        r"\b(?:" + "|".join(re.escape(p) for p, _ in ordered) + r")\b",
+        r"\b(?:" + "|".join(f"({re.escape(p)})" for p, _ in ordered) + r")\b",
         re.IGNORECASE,
     )
-    replacements = {p.lower(): joined for p, joined in ordered}
-    return pattern, replacements
+    # Phrases equal but for case share the replacement of the last of them
+    # in this order.
+    by_lower = {p.lower(): joined for p, joined in ordered}
+    replacements = (None, *(by_lower[p.lower()] for p, _ in ordered))
+    folded = frozenset(p.casefold() for p, _ in ordered)
+    if any(c in p for p, _ in ordered for c in _DOTTED_I):
+        folded = None
+    return pattern, replacements, folded
+
+
+def _concat(text: str, pattern, replacements, folded) -> str:
+    # Outside _DOTTED_I, characters re.IGNORECASE matches have equal
+    # casefolds, and casefold maps each character on its own, so a phrase
+    # can match only where its casefold occurs in the text's casefold.
+    if folded is not None and not any(c in text for c in _DOTTED_I):
+        folded_text = text.casefold()
+        if not any(p in folded_text for p in folded):
+            return text
+    return pattern.sub(lambda m: replacements[m.lastindex], text)
 
 
 def apply_concat_map(text: str, config: PreprocessConfig) -> str:
@@ -142,16 +168,7 @@ def apply_concat_map(text: str, config: PreprocessConfig) -> str:
     with their single-token forms."""
     if not config.concat_map:
         return text
-    pattern, replacements = _concat_pattern(config.concat_map)
-    return pattern.sub(lambda m: replacements[m.group(0).lower()], text)
-
-
-def concat_corpus(corpus: Corpus, config: PreprocessConfig) -> Corpus:
-    """Apply the concat map to every record of a corpus."""
-    return Corpus(
-        replace(rec, text=apply_concat_map(rec.text, config))
-        for rec in corpus.records
-    )
+    return _concat(text, *_concat_pattern(config.concat_map))
 
 
 @lru_cache(maxsize=16)
@@ -159,28 +176,35 @@ def _punct_table(punctuation: frozenset[str]):
     return {ord(c): None for c in punctuation}
 
 
-def _raw_token_counts(corpus: Corpus) -> Counter[str]:
-    """Occurrences of each whitespace token over all records."""
-    return Counter(chain.from_iterable(rec.text.split() for rec in corpus.records))
+def _raw_token_counts(texts) -> Counter[str]:
+    """Occurrences of each whitespace token over all texts."""
+    return Counter(chain.from_iterable(text.split() for text in texts))
+
+
+def _words(tokens, config: PreprocessConfig) -> dict[str, str]:
+    """Each raw token -> the token with the configured punctuation removed."""
+    table = _punct_table(config.punctuation)
+    return {raw: raw.translate(table) for raw in tokens}
 
 
 def _case_decisions(
-    counts: Counter[str], config: PreprocessConfig
+    counts: Counter[str], words: dict[str, str], gamma: float
 ) -> list[CaseDecision]:
-    table = _punct_table(config.punctuation)
-    lower: Counter[str] = Counter()
-    upper: Counter[str] = Counter()
-    for token, n in counts.items():
-        word = token.translate(table)
+    """Tally capitalization of each raw token's word, weighed by its count."""
+    lower: dict[str, int] = {}
+    upper: dict[str, int] = {}
+    for raw, n in counts.items():
+        word = words[raw]
         if not word:
             continue
         tally = upper if word[0].isupper() else lower
-        tally[word.lower()] += n
+        key = word.lower()
+        tally[key] = tally.get(key, 0) + n
     decisions = []
     for key in sorted(upper):
         n_upper = upper[key]
-        n_lower = lower[key]
-        lowered = n_upper < config.gamma * (n_lower + n_upper)
+        n_lower = lower.get(key, 0)
+        lowered = n_upper < gamma * (n_lower + n_upper)
         decisions.append(
             CaseDecision(word=key, n_lower=n_lower, n_upper=n_upper, lowered=lowered)
         )
@@ -197,7 +221,8 @@ def compute_case_decisions(
     tokens with the configured punctuation removed; keys are accent-preserving
     lowercase forms. Decisions are returned sorted by word.
     """
-    return _case_decisions(_raw_token_counts(corpus), config)
+    counts = _raw_token_counts(rec.text for rec in corpus.records)
+    return _case_decisions(counts, _words(counts, config), config.gamma)
 
 
 def strip_accents_and_punct(text: str, config: PreprocessConfig) -> str:
@@ -210,9 +235,28 @@ def strip_accents_and_punct(text: str, config: PreprocessConfig) -> str:
     return _strip_accents(text.translate(_punct_table(config.punctuation)))
 
 
+def _latin1_table() -> dict[int, str]:
+    """Each Latin-1 letter that decomposes into an ASCII base and combining
+    marks -> its base, n-with-tilde aside. Latin-1 holds no combining mark
+    and every Latin-1 text is in NFC, so on such text the table does what
+    decomposing, dropping marks and recomposing does."""
+    table = {}
+    for code in range(0x80, 0x100):
+        base, *marks = unicodedata.normalize("NFD", chr(code))
+        if (marks and base.isascii() and base not in "nN"
+                and all(map(unicodedata.combining, marks))):
+            table[code] = base
+    return table
+
+
+_LATIN1_TABLE = _latin1_table()
+
+
 def _strip_accents(text: str) -> str:
     if text.isascii():  # nothing to decompose
         return text
+    if max(text) <= "\xff":
+        return text.translate(_LATIN1_TABLE)
     kept: list[str] = []
     for ch in unicodedata.normalize("NFD", text):
         if unicodedata.combining(ch):
@@ -233,16 +277,23 @@ def remove_stopwords(tokens: list[str], config: PreprocessConfig) -> list[str]:
     return [t for t in tokens if t not in config.stopwords]
 
 
+def _filter_word(
+    raw: str, word: str, config: PreprocessConfig, lowered_words: frozenset[str]
+) -> tuple[str, ...]:
+    """Stages 2-5 for one whitespace token whose punctuation-free form is
+    ``word``: the tokens it contributes."""
+    if word and word.lower() in lowered_words:
+        word = raw.lower().translate(_punct_table(config.punctuation))
+    stripped = _strip_accents(word)
+    return tuple(filterfalse(config.stopwords.__contains__, stripped.split()))
+
+
 def _filter_token(
     raw: str, config: PreprocessConfig, lowered_words: frozenset[str]
 ) -> tuple[str, ...]:
     """Stages 2-5 for one whitespace token: the tokens it contributes."""
-    table = _punct_table(config.punctuation)
-    word = raw.translate(table)
-    if word and word.lower() in lowered_words:
-        word = raw.lower().translate(table)
-    stripped = _strip_accents(word)
-    return tuple(filterfalse(config.stopwords.__contains__, stripped.split()))
+    word = raw.translate(_punct_table(config.punctuation))
+    return _filter_word(raw, word, config, lowered_words)
 
 
 # Entries the shared table of one pipeline holds before it empties itself:
@@ -298,19 +349,27 @@ def preprocess_with_decisions(
     Stages 2-5 act on each whitespace token alone, so they run once per
     distinct raw token, and the case tally weighs each by its count.
     """
-    mapped = concat_corpus(corpus, config)
-    counts = _raw_token_counts(mapped)
-    decisions = _case_decisions(counts, config)
+    texts = [rec.text for rec in corpus.records]
+    if config.concat_map:
+        phrases = _concat_pattern(config.concat_map)
+        texts = [_concat(text, *phrases) for text in texts]
+    counts = _raw_token_counts(texts)
+    words = _words(counts, config)
+    decisions = _case_decisions(counts, words, config.gamma)
     lowered = frozenset(d.word for d in decisions if d.lowered)
-    filtered = {raw: _filter_token(raw, config, lowered) for raw in counts}
+    joined = {
+        raw: " ".join(_filter_word(raw, word, config, lowered))
+        for raw, word in words.items()
+    }
     out = []
     n_empty = 0
-    for rec in mapped.records:
-        tokens = chain.from_iterable(map(filtered.__getitem__, rec.text.split()))
-        text = " ".join(tokens)
+    for rec, text in zip(corpus.records, texts):
+        text = " ".join(filter(None, map(joined.__getitem__, text.split())))
         if not text:
             n_empty += 1
-        out.append(replace(rec, text=text))
+        out.append(
+            LyricRecord(id=rec.id, text=text, palo=rec.palo, metadata=rec.metadata)
+        )
     if n_empty:
         logger.warning(
             "preprocessing left %d record(s) with no tokens", n_empty

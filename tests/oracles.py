@@ -5,11 +5,12 @@ Everything here is deliberately written with plain dicts, lists, and
 package under test — so a library bug cannot hide inside a shared
 dependency. The implementations favor obviousness over speed.
 
-Two exceptions use numpy and scipy, because the library must equal them
+Three exceptions use numpy and scipy, because the library must equal them
 bit for bit, not within a tolerance: :func:`tfidf_per_document`, the earlier
-one-row-at-a-time construction of ``vectorize``, and :func:`fit_from_counts`
+one-row-at-a-time construction of ``vectorize``, :func:`fit_from_counts`
 with :func:`predict_from_counts`, the earlier construction of an experiment
-round from integer counts.
+round from integer counts, and :func:`sttr`, the earlier set-per-window
+construction of ``lexstats.sttr``.
 """
 
 from __future__ import annotations
@@ -256,6 +257,27 @@ def min_spanning_weight(weights, trees):
         if total < best:
             best = total
     return best
+
+
+# ---------------------------------------------------------------------------
+# windowed type-token ratio
+
+
+def sttr(document, window_length, n_windows, seed):
+    """(mean, stderr) of the TTR over seeded random windows, each window's
+    types counted with a set; a window covering the document is taken once."""
+    if window_length == len(document):
+        return len(set(document)) / len(document), 0.0
+    starts = np.random.default_rng(seed).integers(
+        0, len(document) - window_length + 1, size=n_windows
+    )
+    ttrs = np.array(
+        [len(set(document[s : s + window_length])) / window_length for s in starts]
+    )
+    stderr = (
+        float(np.std(ttrs, ddof=1) / math.sqrt(n_windows)) if n_windows > 1 else 0.0
+    )
+    return float(ttrs.mean()), stderr
 
 
 # ---------------------------------------------------------------------------

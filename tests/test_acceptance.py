@@ -332,14 +332,14 @@ def test_sttr_full_window_reproduces_ttr_and_mean_stays_within_extremes():
 # byte-identical CLI outputs across executions and thread settings
 
 
-def acceptance_cli_corpus(path):
+def acceptance_cli_corpus(path, extra_shared=()):
     rng = random.Random(12)
     pools = {
         "sole": ["pena", "llorar", "noche", "sombra", "camino", "qué"],
         "alegria": ["mar", "sol", "arena", "Cádiz", "puerto", "brisa"],
         "tango": ["baile", "fiesta", "jaleo", "calle", "señora", "tambor"],
     }
-    shared = ["agua", "luna", "viento", "corazón", "¡ay!"]
+    shared = ["agua", "luna", "viento", "corazón", "¡ay!", *extra_shared]
     with open(path, "w", encoding="utf-8") as fh:
         for palo, pool in pools.items():
             for i in range(6):
@@ -361,10 +361,10 @@ def acceptance_cli_corpus(path):
     return path
 
 
-def run_every_command(corpus_path, out_dir):
+def run_every_command(corpus_path, out_dir, extra_args=()):
     base = [
         "--corpus", str(corpus_path), "--output-dir", str(out_dir),
-        "--min-lyrics", "2", "--seed", "13",
+        "--min-lyrics", "2", "--seed", "13", *extra_args,
     ]
     fit_opts = ["--runs", "2", "--train-fraction", "0.5"]
     assert cli.main(["stats", *base]) == 0
@@ -377,18 +377,17 @@ def run_every_command(corpus_path, out_dir):
     assert cli.main(["mst", *base]) == 0
 
 
-def test_cli_outputs_byte_identical_across_executions_and_threads(
-    tmp_path, monkeypatch, capsys
-):
-    corpus_path = acceptance_cli_corpus(tmp_path / "corpus.jsonl")
+def assert_byte_identical_runs(tmp_path, monkeypatch, corpus_path, extra_args=()):
+    """Every command twice and once more with three threads; returns the
+    first run's directory."""
     first, second, threaded = (
         tmp_path / "first", tmp_path / "second", tmp_path / "threaded"
     )
-    run_every_command(corpus_path, first)
-    run_every_command(corpus_path, second)
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
-    run_every_command(corpus_path, threaded)
-    capsys.readouterr()
+    run_every_command(corpus_path, first, extra_args)
+    run_every_command(corpus_path, second, extra_args)
+    with monkeypatch.context() as patch:
+        patch.setenv(cli.THREADS_ENV_VAR, "3")
+        run_every_command(corpus_path, threaded, extra_args)
 
     names = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
     assert len(names) >= 15  # every command produced its reports
@@ -398,6 +397,37 @@ def test_cli_outputs_byte_identical_across_executions_and_threads(
         ) == names
         for rel in names:
             assert (other / rel).read_bytes() == (first / rel).read_bytes(), rel
+    return first
+
+
+def test_cli_outputs_byte_identical_across_executions_and_threads(
+    tmp_path, monkeypatch, capsys
+):
+    corpus_path = acceptance_cli_corpus(tmp_path / "corpus.jsonl")
+    assert_byte_identical_runs(tmp_path, monkeypatch, corpus_path)
+    capsys.readouterr()
+
+
+def test_cli_outputs_byte_identical_with_phrases_equal_but_for_case(
+    tmp_path, monkeypatch, capsys
+):
+    corpus_path = acceptance_cli_corpus(
+        tmp_path / "corpus.jsonl",
+        ("Santa Ana", "santa ana", "SANTA ANA", "ſanta ana", "Puerto Real"),
+    )
+    concat_map = tmp_path / "concat.tsv"
+    concat_map.write_text(
+        "Santa Ana\tSantaUno\nsanta ana\tSantaDos\nPuerto Real\tPuertoReal\n",
+        encoding="utf-8",
+    )
+    first = assert_byte_identical_runs(
+        tmp_path, monkeypatch, corpus_path, ("--concat-map", str(concat_map))
+    )
+    capsys.readouterr()
+    words = set(json.loads((first / "model.json").read_text("utf-8"))["vocab"]["words"])
+    # phrases equal but for case share the replacement sorted last of them
+    assert {"SantaDos", "PuertoReal"} <= words
+    assert not {"SantaUno", "Santa", "santa", "ana"} & words
 
 
 # ---------------------------------------------------------------------------

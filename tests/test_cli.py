@@ -257,6 +257,47 @@ def test_mst_writes_dot_files(corpus_file, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# a long s in a multiword name: re.IGNORECASE matches it to s
+
+
+def long_s_records(spelling):
+    records = sample_records()
+    for rec in records[:3]:  # three "sole" songs name the saint
+        rec["text"] += f" {spelling} pena"
+    return records
+
+
+STATS_OF_PROCESSED_TEXT = ("profile.csv", "sttr.csv", "hapax.csv", "hapax_unique.csv")
+
+
+def test_stats_joins_a_long_s_name(tmp_path, capsys):
+    outputs = {}
+    for spelling in ("ſanta ana", "SantaAna"):
+        path = write_jsonl(tmp_path / f"{spelling}.jsonl", long_s_records(spelling))
+        out = tmp_path / spelling
+        assert cli.main(["stats", *base_args(path, out)]) == 0
+        outputs[spelling] = {
+            name: (out / name).read_bytes() for name in STATS_OF_PROCESSED_TEXT
+        }
+    assert outputs["ſanta ana"] == outputs["SantaAna"]
+
+
+def test_classify_joins_a_long_s_name(tmp_path, capsys):
+    path = write_jsonl(tmp_path / "corpus.jsonl", long_s_records("ſanta ana"))
+    out = tmp_path / "model-dir"
+    assert cli.main(train_args(path, out)) == 0
+    model = out / "model.json"
+    assert "SantaAna" in mnb.load_model(model)[0].vocab.words
+    capsys.readouterr()
+    long_s = classify_output(capsys, model, "--text", "ſanta ana", "--scores")
+    joined = classify_output(capsys, model, "--text", "SantaAna", "--scores")
+    unknown = classify_output(capsys, model, "--text", "ſanta", "--scores")
+    assert long_s == joined
+    assert long_s[0] == "sole"
+    assert long_s != unknown
+
+
+# ---------------------------------------------------------------------------
 # classify
 
 

@@ -1,11 +1,16 @@
 """Distance matrices, dendrograms, MSTs, centrality, and DOT export."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lexpalo import genre_graph
 from lexpalo.errors import NormError, ZeroDistanceError
 from lexpalo.genre_graph import (
     DistanceMatrix,
@@ -126,6 +131,33 @@ def test_distances_negative_dot_clamps_to_one():
     third = unit(-1, 0)
     m2 = distance_matrix({"x": unit(1, 0), "y": third})
     assert m2.get("x", "y") == 1.0  # dot = -1 clamps at the cap
+
+
+BLAS_THREADS_SCRIPT = """
+import numpy as np
+from lexpalo.genre_graph import distance_matrix
+rng = np.random.default_rng(5)
+vectors = {}
+for label in "abcdefgh":
+    vec = rng.random(60_000) * (rng.random(60_000) < 0.3)
+    vectors[label] = vec / np.sqrt(np.sum(vec * vec))  # np.linalg.norm uses BLAS
+print(distance_matrix(vectors).values.tobytes().hex())
+"""
+
+
+def test_distances_do_not_depend_on_the_blas_thread_count():
+    # vectors long enough for OpenBLAS to split a dot product across threads
+    src = str(Path(genre_graph.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_distances_random_unit_vectors_satisfy_matrix_invariants():

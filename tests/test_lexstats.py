@@ -22,6 +22,7 @@ from lexpalo.lexstats import (
     zipf_fit,
 )
 
+import oracles
 from helpers import corpus, corpus_from_texts, labeled_corpus, record
 
 
@@ -114,6 +115,21 @@ def test_sttr_mean_lies_within_window_extremes_on_random_docs():
         result = sttr(doc, window, rng.randint(2, 30), seed=trial)
         assert 1 / window <= result.mean <= 1.0
         assert result.stderr >= 0.0
+
+
+def test_sttr_equals_the_set_per_window_oracle():
+    rng = random.Random(2718)
+    cases = [(["solo"], 1), (["solo"] * 9, 4), (["a", "b"], 2), (["a", "b"], 1)]
+    for _ in range(60):
+        length = rng.randint(1, 300)
+        doc = [f"w{rng.randint(0, rng.randint(0, 40))}" for _ in range(length)]
+        cases.append((doc, rng.choice((1, length, rng.randint(1, length)))))
+    for trial, (doc, window) in enumerate(cases):
+        for n_windows in (1, 2, 37):
+            result = sttr(doc, window, n_windows, seed=trial)
+            assert (result.mean, result.stderr) == oracles.sttr(
+                doc, window, n_windows, seed=trial
+            ), (doc, window, n_windows)
 
 
 def test_sttr_rejects_oversized_window():

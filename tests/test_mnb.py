@@ -335,6 +335,22 @@ def test_saved_model_is_versioned_json(tmp_path):
     assert payload["version"] == "mnb-v1"
 
 
+def test_saved_bytes_equal_streamed_json_dump(tmp_path):
+    rng = random.Random(41)
+    model, _, _ = fitted({
+        "X": ["a b ñaña", "a corazón"],
+        "Y": [" ".join(f"w{rng.randint(0, 300)}" for _ in range(400)), "c b"],
+    }, alpha=0.11)
+    state = {"gamma": 0.2, "stopwords": ["de", "la"], "lowered_words": ["él"]}
+    path, _ = roundtrip(tmp_path, model, state)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    streamed = tmp_path / "streamed.json"
+    with open(streamed, "w", encoding="utf-8", newline="") as fh:
+        json.dump(payload, fh, ensure_ascii=False, allow_nan=False)
+        fh.write("\n")
+    assert path.read_bytes() == streamed.read_bytes()
+
+
 def test_load_rejects_unknown_version(tmp_path):
     model, _, _ = fitted({"X": ["a"], "Y": ["b"]})
     path, _ = roundtrip(tmp_path, model)

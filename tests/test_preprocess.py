@@ -2,6 +2,9 @@
 
 import logging
 import random
+import re
+import string
+import sys
 import unicodedata
 from dataclasses import replace
 
@@ -17,7 +20,6 @@ from lexpalo.preprocess import (
     PreprocessConfig,
     apply_concat_map,
     compute_case_decisions,
-    concat_corpus,
     default_config,
     filter_tokens,
     load_concat_map,
@@ -88,6 +90,91 @@ def test_concat_map_replaces_every_occurrence():
     config = PreprocessConfig(concat_map=(("Muralla Real", "MurallaReal"),))
     out = apply_concat_map("Muralla Real y muralla real", config)
     assert out == "MurallaReal y MurallaReal"
+
+
+def test_concat_map_phrases_equal_but_for_case_share_one_replacement():
+    # the replacement listed last of them in the longest-first sort wins
+    config = PreprocessConfig(concat_map=(
+        ("Santa Ana", "SA1"), ("santa ana", "SA2"), ("SANTA ANA", "SA3"),
+    ))
+    for text in ("Santa Ana", "santa ana", "SANTA ANA", "sAnTa aNa"):
+        assert apply_concat_map(text, config) == "SA2"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # long s: re.IGNORECASE matches it to s, and its casefold is s
+        ("en ſanta ana", "en SantaAna"),
+        ("ſANTA ANA", "SantaAna"),
+        ("Σanta ana", "Σanta ana"),
+        # dotted capital I and dotless i match i and I, but their
+        # casefolds differ from i's
+        ("Mİ VİDA santa ana", "MiVida SantaAna"),
+        ("mı vıda", "MiVida"),
+        ("MI VIDA", "MiVida"),
+        ("ΣΟΦΊΑ ΜΟΥ σοφία μου σοφίας μου", "Sofia Sofia σοφίας μου"),
+        ("ΣΟΦΊΑ ΜΟΥ", "Sofia"),
+    ],
+)
+def test_concat_map_on_letters_whose_case_pairs_are_not_plain(text, expected):
+    config = PreprocessConfig(concat_map=(
+        ("Santa Ana", "SantaAna"), ("mi vida", "MiVida"), ("σοφία μου", "Sofia"),
+    ))
+    assert apply_concat_map(text, config) == expected
+
+
+@pytest.mark.parametrize("phrase", ["İzmir limanı", "İzmir limani", "izmir lımani"])
+def test_concat_map_phrase_with_dotted_letters_always_runs_the_regex(phrase):
+    config = PreprocessConfig(concat_map=((phrase, "Izmir"),))
+    pattern, replacements, folded = preprocess._concat_pattern(config.concat_map)
+    assert folded is None
+    for text in ("izmir limani", "IZMIR LIMANI", "İZMİR LİMANI", "ızmır lımanı"):
+        expected = pattern.sub(lambda m: replacements[m.lastindex], text)
+        assert apply_concat_map(text, config) == expected
+    assert apply_concat_map("izmir limani", config) == "Izmir"
+
+
+def _cased_code_points():
+    chars = (chr(code) for code in range(sys.maxunicode + 1))
+    return [c for c in chars if c.lower() != c or c.upper() != c]
+
+
+def test_ignorecase_matches_imply_equal_casefolds():
+    """The premise of the concat map's skip: wherever re.IGNORECASE matches
+    a phrase character to a text character, their casefolds are equal,
+    except among I, i, dotted capital I and dotless i."""
+    phrase_chars = set(string.ascii_letters)
+    for phrase, _ in default_config().concat_map:
+        phrase_chars.update(phrase)
+    cased = _cased_code_points()
+    dotted = set("Ii\u0130\u0131")
+    checked = 0
+    for p in sorted(phrase_chars):
+        pattern = re.compile(re.escape(p), re.IGNORECASE)
+        for c in cased:
+            if pattern.fullmatch(c) and not {p, c} <= dotted:
+                assert c.casefold() == p.casefold(), (p, c)
+                checked += 1
+    assert checked > len(phrase_chars)  # each letter matched its own cases
+
+
+def test_concat_map_skip_agrees_with_the_regex_on_random_texts():
+    config = PreprocessConfig(concat_map=default_config().concat_map + (
+        ("mi vida", "MiVida"), ("σοφία μου", "Sofia"),
+    ))
+    pattern, replacements, _ = preprocess._concat_pattern(config.concat_map)
+    pieces = (
+        "santa", "SANTA", "ſanta", "ana", "Ana", "ANA", "mi", "Mİ", "mı",
+        "vida", "VİDA", "vıda", "σοφία", "ΣΟΦΊΑ", "μου", "ΜΟΥ", "san",
+        "fernando", "de", "la", "Jerez", "frontera", "María", "MARÍA",
+        "muralla", "real", "K", "\u212a", " ", "  ", "\n", ",", "x",
+    )
+    rng = random.Random(8)
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        expected = pattern.sub(lambda m: replacements[m.lastindex], text)
+        assert apply_concat_map(text, config) == expected, text
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +275,21 @@ def test_strip_handles_decomposed_input():
 def test_strip_respects_custom_punctuation_set():
     config = PreprocessConfig(punctuation=frozenset("-"))
     assert strip_accents_and_punct("re-mate, sí", config) == "remate, si"
+
+
+LATIN1 = "".join(map(chr, range(256)))
+
+
+def test_strip_accents_matches_decomposition_on_every_latin1_character():
+    for ch in LATIN1:
+        assert preprocess._strip_accents(ch) == oracles._strip_token(ch, ""), ch
+
+
+def test_strip_accents_matches_decomposition_on_random_latin1_strings():
+    rng = random.Random(256)
+    for _ in range(2000):
+        text = "".join(rng.choice(LATIN1) for _ in range(rng.randint(1, 12)))
+        assert preprocess._strip_accents(text) == oracles._strip_token(text, "")
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +632,12 @@ def test_pipeline_accent_collision_documents_idempotence_boundary():
 
 DEFAULTS = default_config()
 # accented words beside their decomposed spellings, n-tilde and u-diaeresis
-# in both cases, tildes on other letters, stop words, and the packaged
-# multiword names
+# in both cases, tildes on other letters, letters whose case pairs are not
+# plain (long s, dotted capital I, dotless i, sigma; the phrases meeting
+# them are pinned above), stop words, and the packaged multiword names
 WORDS = (
     "corazón", "corazo\u0301n", "niña", "nin\u0303a", "Ñandú", "ÑU", "ñu",
-    "São", "nu\u0303", "n\u0301\u0303o",
+    "São", "nu\u0303", "n\u0301\u0303o", "ſol", "İzmir", "ılık", "ΣΟΦΊΑ",
     "vergüenza", "vergu\u0308enza", "pingüino", "cádiz", "ca\u0301diz",
     "alegría", "mar", "sol", "pena", "sevilla", "él", "que", "de", "la",
     "el", "ay", "y", "a", "Santa", "ana", "real",
@@ -584,14 +687,14 @@ def test_pipeline_matches_per_occurrence_oracle(texts, gamma):
         (d.word, d.n_lower, d.n_upper, d.lowered) for d in decisions
     ] == expected_decisions
     lowered = frozenset(d.word for d in decisions if d.lowered)
-    mapped = [rec.text for rec in concat_corpus(c, config).records]
+    mapped = [apply_concat_map(text, config) for text in texts]
     preprocess._shared_table.cache_clear()
     for _ in ("cold table", "warm table"):
         assert [filter_tokens(text, config, lowered) for text in mapped] == [
             text.split() for text in expected_texts
         ]
-    for rec in concat_corpus(c, config).records:
+    for text in mapped:
         per_token = [
-            t for raw in rec.text.split() for t in filter_tokens(raw, config, lowered)
+            t for raw in text.split() for t in filter_tokens(raw, config, lowered)
         ]
-        assert filter_tokens(rec.text, config, lowered) == per_token
+        assert filter_tokens(text, config, lowered) == per_token
