@@ -25,16 +25,26 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 from itertools import chain
 from pathlib import Path
 
-from . import __version__, experiments, genre_graph, lexstats, mnb, preprocess
+import numpy as np
+
+from . import (
+    __version__,
+    experiments,
+    genre_graph,
+    lexstats,
+    mnb,
+    preprocess,
+    vectorize,
+)
 from .corpus_io import (
     Corpus,
     SplitSpec,
     atomic_write,
-    concat_by_palo,
     filter_top_palos,
     load_corpus,
     read_text,
@@ -245,6 +255,50 @@ def _preprocess_state(
 # ---------------------------------------------------------------------------
 # commands
 
+def _tokens(corpus: Corpus, palos):
+    """The tokens of these palos' records, palo by palo, each palo's in
+    corpus order."""
+    records = corpus.records
+    return chain.from_iterable(
+        records[i].text.split() for p in palos for i in corpus.palo_index[p]
+    )
+
+
+def _profile_and_sttr_rows(processed: Corpus, n_windows: int, seed: int):
+    """Rows of profile.csv and sttr.csv: one per palo, sorted, then the
+    whole corpus with its palos in order of first appearance. Each document
+    is held as its previous-occurrence positions, 8 bytes a token."""
+    prevs = {
+        palo: lexstats._previous_occurrences(_tokens(processed, [palo]))
+        for palo in sorted(processed.palos)
+    }
+    for palo, prev in prevs.items():
+        if not len(prev):
+            raise EmptyDocumentError(
+                f"palo {palo!r} has no tokens after preprocessing"
+            )
+    window = min(map(len, prevs.values()))
+
+    def rows(label, prev):
+        res = lexstats._sttr_of(
+            prev, window, n_windows, seed=derive_seed(seed, "sttr", label)
+        )
+        types = np.count_nonzero(prev < 0)
+        return (
+            [label, len(prev), types, types / len(prev)],
+            [label, res.mean, res.stderr, res.window_length, res.n_windows],
+        )
+
+    palo_rows = [rows(palo, prev) for palo, prev in prevs.items()]
+    del prevs  # released before the corpus document is built
+    corpus_rows = rows(
+        "__corpus__",
+        lexstats._previous_occurrences(_tokens(processed, processed.palos)),
+    )
+    profile_rows, sttr_rows = zip(*palo_rows, corpus_rows)
+    return list(profile_rows), list(sttr_rows)
+
+
 def _cmd_stats(config: RunConfig) -> None:
     # checked before any report is written, not when the windows are drawn
     if not 1 <= config.sttr_windows <= lexstats.STTR_MAX_WINDOWS:
@@ -262,39 +316,10 @@ def _cmd_stats(config: RunConfig) -> None:
         raw, seed=derive_seed(config.seed, "heaps")
     )
 
-    aggregates = concat_by_palo(processed)
-    palos = sorted(aggregates)
-    palo_tokens = {p: aggregates[p].text.split() for p in palos}
-    for palo, tokens in palo_tokens.items():
-        if not tokens:
-            raise EmptyDocumentError(
-                f"palo {palo!r} has no tokens after preprocessing"
-            )
-    corpus_tokens = [t for p in processed.palos for t in palo_tokens.get(p, [])]
-
-    profile_rows = []
-    for palo in palos:
-        prof = lexstats.profile(palo_tokens[palo])
-        profile_rows.append([palo, prof.tokens, prof.types, prof.ttr])
-    total = lexstats.profile(corpus_tokens)
-    profile_rows.append(["__corpus__", total.tokens, total.types, total.ttr])
-    _write_csv(out / "profile.csv", ["palo", "L", "V", "TTR"], profile_rows)
-
-    window = min(len(tokens) for tokens in palo_tokens.values())
-    sttr_rows = []
-    for palo in palos:
-        res = lexstats.sttr(
-            palo_tokens[palo], window, config.sttr_windows,
-            seed=derive_seed(config.seed, "sttr", palo),
-        )
-        sttr_rows.append([palo, res.mean, res.stderr, res.window_length,
-                          res.n_windows])
-    null = lexstats.sttr(
-        corpus_tokens, window, config.sttr_windows,
-        seed=derive_seed(config.seed, "sttr", "__corpus__"),
+    profile_rows, sttr_rows = _profile_and_sttr_rows(
+        processed, config.sttr_windows, config.seed
     )
-    sttr_rows.append(["__corpus__", null.mean, null.stderr, null.window_length,
-                      null.n_windows])
+    _write_csv(out / "profile.csv", ["palo", "L", "V", "TTR"], profile_rows)
     _write_csv(out / "sttr.csv",
                ["palo", "mean", "stderr", "window_length", "n_windows"],
                sttr_rows)
@@ -304,7 +329,8 @@ def _cmd_stats(config: RunConfig) -> None:
     _write_csv(out / "hapax.csv", ["song_id", "palo", "r_h"],
                [[sid, palo_of[sid], ratio] for sid, ratio in hapax.per_song])
     _write_csv(out / "hapax_unique.csv", ["palo", "unique_types"],
-               [[p, len(hapax.per_palo_unique[p])] for p in palos])
+               [[p, len(hapax.per_palo_unique[p])]
+                for p in sorted(hapax.per_palo_unique)])
 
     _write_csv(out / "zipf.csv", ["rank", "freq"],
                [[rank, freq] for rank, (_, freq) in enumerate(ranked, start=1)])
@@ -320,7 +346,7 @@ def _cmd_stats(config: RunConfig) -> None:
         ],
     )
     print(
-        f"stats: {len(processed)} lyrics, {len(palos)} palos; "
+        f"stats: {len(processed)} lyrics, {len(processed.palos)} palos; "
         f"zipf exponent {zipf.exponent:.4f}, heaps exponent "
         f"{heaps_fit.exponent:.4f}; reports in {out}"
     )
@@ -401,13 +427,18 @@ def _cmd_essential(config: RunConfig) -> None:
 
 
 def _genre_vectors(processed: Corpus):
-    aggregates = concat_by_palo(processed)
-    agg_corpus = Corpus(aggregates[p] for p in sorted(aggregates))
-    vocab = build_vocabulary(agg_corpus)
-    matrix = tfidf(agg_corpus, vocab)
-    return {
-        rec.palo: matrix.matrix[i] for i, rec in enumerate(agg_corpus.records)
+    """Each palo's TF-IDF vector, its songs taken as one document, over the
+    vocabulary of those documents. Each palo is held as its word counts."""
+    counts = {
+        palo: Counter(_tokens(processed, [palo]))
+        for palo in sorted(processed.palos)
     }
+    df = Counter(chain.from_iterable(counts.values()))
+    vocab = vectorize._vocabulary(df, len(counts))
+    matrix = vectorize._csr_rows(
+        ((c, sum(c.values())) for c in counts.values()), len(counts), vocab
+    )
+    return {palo: matrix[i] for i, palo in enumerate(counts)}
 
 
 def _cmd_distances(config: RunConfig) -> None:

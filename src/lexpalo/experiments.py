@@ -20,6 +20,7 @@ from text.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -421,8 +422,8 @@ def essential_words(
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     enc = _encode(corpus)
     check_alpha(alpha, len(enc.words))
     n_classes, n_words = len(enc.classes), len(enc.words)

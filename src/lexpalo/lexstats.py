@@ -2,7 +2,8 @@
 ratios, and Zipf/Heaps power-law fits.
 
 Documents are token sequences; corpus-level functions tokenize record texts
-by whitespace. Random draws are seeded explicitly by the caller.
+by whitespace one record at a time, so they hold per-type state but no
+corpus-wide token list. Random draws are seeded explicitly by the caller.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,14 +85,16 @@ def profile(document: Sequence[str]) -> LexicalProfile:
     return LexicalProfile(tokens=n_tokens, types=n_types, ttr=n_types / n_tokens)
 
 
-def _previous_occurrences(document: Sequence[str]) -> np.ndarray:
+def _previous_occurrences(tokens: Iterable[str]) -> np.ndarray:
     """Each position -> the last earlier position of its word, or -1."""
     last: dict[str, int] = {}
-    prev = []
-    for i, word in enumerate(document):
-        prev.append(last.get(word, -1))
-        last[word] = i
-    return np.array(prev, dtype=np.int64)
+
+    def prev():
+        for i, word in enumerate(tokens):
+            yield last.get(word, -1)
+            last[word] = i
+
+    return np.fromiter(prev(), dtype=np.int64)
 
 
 def sttr(
@@ -119,16 +122,26 @@ def sttr(
         raise WindowTooLongError(
             f"window of {window_length} tokens exceeds document length {length}"
         )
+    return _sttr_of(_previous_occurrences(document), window_length, n_windows, seed)
+
+
+def _sttr_of(
+    prev: np.ndarray, window_length: int, n_windows: int, seed: int
+) -> SttrResult:
+    """:func:`sttr` of a document given as its previous-occurrence positions
+    (:func:`_previous_occurrences`), for arguments already validated."""
+    length = len(prev)
     if window_length == length:
-        whole = profile(document)
         return SttrResult(
-            mean=whole.ttr, stderr=0.0, window_length=window_length, n_windows=1
+            mean=np.count_nonzero(prev < 0) / length,
+            stderr=0.0,
+            window_length=window_length,
+            n_windows=1,
         )
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, length - window_length + 1, size=n_windows)
     # A window starting at s holds one type per position in it whose word
     # last occurred before s.
-    prev = _previous_occurrences(document)
     ttrs = np.array(
         [
             np.count_nonzero(prev[s : s + window_length] < s) / window_length
@@ -265,13 +278,15 @@ def heaps_curve(
     (tokens seen, types seen) recorded at ~n_checkpoints log-spaced token
     counts (the final point is always included). The exponent is fitted over
     the top decade of token counts.
+
+    The shuffled records are read twice: once to count the tokens, which
+    places the marks, then to grow the vocabulary, a whole record at a time
+    unless it holds a mark.
     """
-    order = list(range(len(corpus.records)))
+    records = corpus.records
+    order = list(range(len(records)))
     random.Random(seed).shuffle(order)
-    stream = [
-        tok for i in order for tok in corpus.records[i].text.split()
-    ]
-    total = len(stream)
+    total = sum(len(rec.text.split()) for rec in records)
     if total == 0:
         raise EmptyDocumentError("corpus has no tokens")
     marks = np.unique(
@@ -281,13 +296,23 @@ def heaps_curve(
     seen: set[str] = set()
     mark_iter = iter(marks.tolist())
     next_mark = next(mark_iter)
-    for pos, tok in enumerate(stream, start=1):
-        seen.add(tok)
-        if pos == next_mark:
-            points.append((pos, len(seen)))
-            next_mark = next(mark_iter, None)
-            if next_mark is None:
-                break
+    pos = 0  # tokens streamed so far
+    for i in order:
+        tokens = records[i].text.split()
+        if pos + len(tokens) < next_mark:
+            seen.update(tokens)
+            pos += len(tokens)
+            continue
+        for tok in tokens:
+            pos += 1
+            seen.add(tok)
+            if pos == next_mark:
+                points.append((pos, len(seen)))
+                next_mark = next(mark_iter, None)
+                if next_mark is None:
+                    break
+        if next_mark is None:
+            break
     tail = [(l, v) for l, v in points if l >= total / 10]
     if len(tail) < 2:
         tail = points

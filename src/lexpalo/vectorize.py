@@ -25,6 +25,8 @@ from .corpus_io import Corpus
 from .errors import VocabularyMismatchError
 
 _INT32_MAX = np.iinfo(np.int32).max
+# Longest vector whose dot product OpenBLAS computes in one thread.
+_BLAS_SERIAL_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,18 @@ def build_vocabulary(train: Corpus) -> Vocabulary:
     df_counts: Counter[str] = Counter()
     for rec in train.records:
         df_counts.update(set(rec.text.split()))
+    return _vocabulary(df_counts, len(train.records))
+
+
+def _vocabulary(df_counts: Counter[str], n_docs: int) -> Vocabulary:
+    """The vocabulary of ``n_docs`` documents with these document
+    frequencies."""
     words = tuple(sorted(df_counts))
     return Vocabulary(
         words=words,
         index={w: i for i, w in enumerate(words)},
         df=tuple(df_counts[w] for w in words),
-        n_docs=len(train.records),
+        n_docs=n_docs,
     )
 
 
@@ -78,30 +86,35 @@ def tfidf_row(tokens: list[str], vocab: Vocabulary) -> sp.csr_matrix:
 
     A document without in-vocabulary tokens yields an all-zero row.
     """
-    return _csr_rows([tokens], vocab)
+    return _csr_rows([_row_counts(tokens, vocab.index)], 1, vocab)
 
 
-def _csr_rows(token_lists, vocab: Vocabulary) -> sp.csr_matrix:
-    """One CSR matrix, one row per token list, column indices sorted."""
+def _row_counts(tokens: list[str], index: dict[str, int]):
+    """(in-vocabulary word counts in first-occurrence order, token count)."""
+    return Counter(filter(index.__contains__, tokens)), len(tokens)
+
+
+def _csr_rows(rows, n_rows: int, vocab: Vocabulary) -> sp.csr_matrix:
+    """One CSR matrix from ``n_rows`` (word counts, token count) pairs, one
+    row per pair, column indices sorted. Every counted word must be in
+    ``vocab``."""
     if not vocab.words:
         raise VocabularyMismatchError("vocabulary is empty")
     index = vocab.index
     data, indices, indptr = [np.empty(0)], [np.empty(0, dtype=np.int64)], [0]
-    for tokens in token_lists:
-        counts = Counter(filter(index.__contains__, tokens))
+    for counts, length in rows:
         if counts:
-            length = len(tokens)
             cols = np.fromiter(map(index.__getitem__, counts), np.int64, len(counts))
             vals = np.array(
                 [n / length for n in counts.values()], dtype=float
             ) * vocab.idf[cols]
             # normalised in first-occurrence order, then sorted by column
-            vals /= np.linalg.norm(vals)
+            vals /= _norm(vals)
             order = np.argsort(cols)
             data.append(vals[order])
             indices.append(cols[order])
         indptr.append(indptr[-1] + len(counts))
-    shape = (len(token_lists), len(vocab.words))
+    shape = (n_rows, len(vocab.words))
     # the index dtype SciPy would pick, so its constructor neither scans
     # nor converts the index arrays
     idx_dtype = np.int32 if max(*shape, indptr[-1]) <= _INT32_MAX else np.int64
@@ -115,12 +128,26 @@ def _csr_rows(token_lists, vocab: Vocabulary) -> sp.csr_matrix:
     )
 
 
+def _norm(vals: np.ndarray) -> float:
+    """L2 norm, the same for any OpenBLAS thread count. OpenBLAS splits a
+    dot product of more than 10,000 values across threads, which changes
+    its last bits, so longer vectors are summed without BLAS."""
+    if len(vals) > _BLAS_SERIAL_MAX:
+        return np.sqrt(np.sum(vals * vals))
+    return np.linalg.norm(vals)
+
+
 def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
     """Vectorize every record of a corpus against ``vocab``.
 
     Row order follows the corpus; each non-empty row has unit L2 norm.
     """
-    matrix = _csr_rows([rec.text.split() for rec in docs.records], vocab)
+    index = vocab.index
+    matrix = _csr_rows(
+        (_row_counts(rec.text.split(), index) for rec in docs.records),
+        len(docs.records),
+        vocab,
+    )
     doc_ids = tuple(rec.id for rec in docs.records)
     empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
     return TfIdfMatrix(

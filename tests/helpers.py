@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 from lexpalo.corpus_io import Corpus, LyricRecord
 
@@ -104,3 +108,26 @@ def random_spanish_corpus(
             parts.append(rng.choice(PUNCT_POOL) + word + rng.choice(PUNCT_POOL))
         records.append(record(f"r{i}", " ".join(parts), rng.choice(("A", "B"))))
     return Corpus(records)
+
+
+def _benchmark_generator():
+    """perfbench/corpus.py, imported once (its dataclass needs the module
+    registered)."""
+    name = "perfbench_corpus"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def generated_corpus(seed, counts=(12, 8, 5, 1), n_words=300):
+    """A small corpus from the benchmark's lyric generator: accents, case,
+    punctuation, stop words, phrases, two small palos and two songs made
+    only of interjections (which preprocess to nothing)."""
+    gen = _benchmark_generator()
+    shape = replace(gen.REFERENCE, counts=counts, n_words=n_words, n_names=20,
+                    n_empty=2)
+    records, _ = gen.generate(seed, shape)
+    return Corpus(LyricRecord(r["id"], r["text"], r["palo"]) for r in records)

@@ -5,21 +5,26 @@ Everything here is deliberately written with plain dicts, lists, and
 package under test — so a library bug cannot hide inside a shared
 dependency. The implementations favor obviousness over speed.
 
-Three exceptions use numpy and scipy, because the library must equal them
+Some exceptions use numpy and scipy, because the library must equal them
 bit for bit, not within a tolerance: :func:`tfidf_per_document`, the earlier
-one-row-at-a-time construction of ``vectorize``, :func:`fit_from_counts`
-with :func:`predict_from_counts`, the earlier construction of an experiment
-round from integer counts, and :func:`sttr`, the earlier set-per-window
-construction of ``lexstats.sttr``.
+one-row-at-a-time construction of ``vectorize``; :func:`genre_vectors`, the
+earlier construction of the genre vectors from newline-joined palo texts;
+:func:`fit_from_counts` with :func:`predict_from_counts`, the earlier
+construction of an experiment round from integer counts; :func:`sttr`, the
+earlier set-per-window construction of ``lexstats.sttr``; and
+:func:`heaps_points`, the earlier construction of the Heaps curve from one
+list of every token.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
 import unicodedata
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,6 +104,27 @@ def tfidf_per_document(token_lists, vocab):
         (0, len(vocab.words))
     )
     return matrix, [i for i, row in enumerate(rows) if row.nnz == 0]
+
+
+def genre_vectors(records):
+    """{palo: 1 x |V| CSR row} for (palo, text) pairs in corpus order: each
+    palo's texts newline-joined into one document, a vocabulary over those
+    documents and :func:`tfidf_per_document` rows, as ``np.linalg.norm``
+    normalises them (rows of at most 10,000 values)."""
+    texts = {}
+    for palo, text in records:
+        texts.setdefault(palo, []).append(text)
+    palos = sorted(texts)
+    docs = ["\n".join(texts[p]).split() for p in palos]
+    words, df = vocabulary(docs)
+    vocab = SimpleNamespace(
+        words=words,
+        index={w: i for i, w in enumerate(words)},
+        df=[df[w] for w in words],
+        n_docs=len(docs),
+    )
+    matrix, _ = tfidf_per_document(docs, vocab)
+    return {palo: matrix[i] for i, palo in enumerate(palos)}
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +283,35 @@ def min_spanning_weight(weights, trees):
         if total < best:
             best = total
     return best
+
+
+# ---------------------------------------------------------------------------
+# lexical statistics over whole token lists
+
+
+def profile(tokens):
+    """(tokens, types, TTR) of one token list."""
+    return len(tokens), len(set(tokens)), len(set(tokens)) / len(tokens)
+
+
+def heaps_points(texts, seed, n_checkpoints=200):
+    """(tokens seen, types seen) at the Heaps curve's marks: every token of
+    the seeded shuffle of ``texts`` in one list, then one set grown token by
+    token."""
+    order = list(range(len(texts)))
+    random.Random(seed).shuffle(order)
+    stream = [tok for i in order for tok in texts[i].split()]
+    marks = set(
+        np.round(
+            np.geomspace(1, len(stream), num=min(n_checkpoints, len(stream)))
+        ).astype(int).tolist()
+    )
+    seen, points = set(), []
+    for pos, tok in enumerate(stream, start=1):
+        seen.add(tok)
+        if pos in marks:
+            points.append((pos, len(seen)))
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import json
 import os
 import random
 import time
+import tracemalloc
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -37,14 +38,22 @@ from lexpalo.preprocess import (
     compute_case_decisions,
     default_config,
     preprocess_corpus,
+    preprocess_with_decisions,
     remove_stopwords,
     strip_accents_and_punct,
     tokenize,
 )
+from lexpalo.seeding import derive_seed
 from lexpalo.vectorize import build_vocabulary, tfidf, tfidf_row
 
 import oracles
-from helpers import corpus, random_labeled_corpus, random_spanish_corpus
+from helpers import (
+    corpus,
+    generated_corpus,
+    random_labeled_corpus,
+    random_spanish_corpus,
+    record,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +335,94 @@ def test_sttr_full_window_reproduces_ttr_and_mean_stays_within_extremes():
         ]
         assert min(window_ttrs) - 1e-12 <= sampled.mean
         assert sampled.mean <= max(window_ttrs) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# streamed lexical passes against the whole-token-list constructions
+
+
+def streaming_corpora():
+    """Generated and random corpora, each with empty records and a
+    one-record palo, every other one with a one-token palo too (whose
+    document is then the sTTR window)."""
+    rng = random.Random(41)
+    corpora = [
+        preprocess_with_decisions(generated_corpus(seed), default_config())[0]
+        for seed in (1, 2)
+    ]
+    corpora += [
+        random_labeled_corpus(rng, n_palos=3, pool_size=25, doc_len=(0, 20))
+        for _ in range(15)
+    ]
+    extra = [record("pair-0", "", "pair"), record("pair-1", "w2 w3 w2", "pair")]
+    return [
+        Corpus(list(c.records) + extra + [record("solo-0", "w1", "solo")] * (i % 2))
+        for i, c in enumerate(corpora)
+    ]
+
+
+def oracle_stats_rows(c, n_windows, seed):
+    """profile.csv and sttr.csv rows from each palo's newline-joined texts
+    and the corpus's token list, as token lists."""
+    texts = {}
+    for rec in c.records:
+        texts.setdefault(rec.palo, []).append(rec.text)
+    docs = {palo: "\n".join(t).split() for palo, t in texts.items()}
+    window = min(map(len, docs.values()))
+    labelled = [(palo, docs[palo]) for palo in sorted(docs)]
+    labelled.append(("__corpus__", [t for palo in c.palos for t in docs[palo]]))
+    profile_rows, sttr_rows = [], []
+    for label, doc in labelled:
+        profile_rows.append([label, *oracles.profile(doc)])
+        mean, stderr = oracles.sttr(
+            doc, window, n_windows, derive_seed(seed, "sttr", label)
+        )
+        n = 1 if window == len(doc) else n_windows
+        sttr_rows.append([label, mean, stderr, window, n])
+    return profile_rows, sttr_rows
+
+
+def test_profile_and_sttr_rows_equal_the_token_list_oracle():
+    for c in streaming_corpora():
+        for n_windows, seed in ((50, 0), (1, 3), (7, 11)):
+            got = cli._profile_and_sttr_rows(c, n_windows, seed)
+            assert got == oracle_stats_rows(c, n_windows, seed)
+
+
+def test_genre_vectors_equal_the_joined_text_oracle():
+    for c in streaming_corpora():
+        got = cli._genre_vectors(c)
+        expected = oracles.genre_vectors([(r.palo, r.text) for r in c.records])
+        assert list(got) == list(expected)
+        for palo, row in got.items():
+            assert row.shape == expected[palo].shape
+            assert np.array_equal(row.indices, expected[palo].indices)
+            assert np.array_equal(row.data, expected[palo].data)
+
+
+def test_streamed_passes_hold_no_token_list():
+    # about 200k tokens over 50 types: a token list alone would take
+    # 1.6 MB of pointers, the token strings about 10 MB more
+    rng = random.Random(42)
+    words = [f"w{i}" for i in range(50)]
+    c = Corpus(
+        record(f"s{i}", " ".join(rng.choices(words, k=1000)), f"palo{i % 4}")
+        for i in range(200)
+    )
+    vocab = build_vocabulary(c)
+    passes = {
+        "heaps_curve": lambda: heaps_curve(c, seed=1),
+        "tfidf": lambda: tfidf(c, vocab),
+        "genre vectors": lambda: cli._genre_vectors(c),
+    }
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (name, peak)
 
 
 # ---------------------------------------------------------------------------

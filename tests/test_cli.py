@@ -4,6 +4,9 @@ import csv
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +257,46 @@ def test_mst_writes_dot_files(corpus_file, tmp_path):
     assert network.startswith("graph complete {")
     assert mst.count(" -- ") == 2
     assert network.count(" -- ") == 3
+
+
+def long_genre_records():
+    """Eight palos of about 11,700 shared and 300 own words each, every word
+    1-3 times in random order: genre vectors of about 12,000 values. The
+    words are plain lowercase letters and digits, which preprocessing keeps
+    as they are."""
+    rng = random.Random(3)
+    records = []
+    for k in range(8):
+        words = [f"w{i}" for i in range(12_000) if rng.random() < 0.95]
+        words += [f"p{k}w{i}" for i in range(300)]
+        tokens = [w for w in words for _ in range(rng.randint(1, 3))]
+        rng.shuffle(tokens)
+        for s in range(4):
+            records.append({"id": f"{k}-{s}", "palo": f"palo{k}",
+                            "text": " ".join(tokens[s::4])})
+    return records
+
+
+def test_distances_of_long_genre_vectors_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product of more than 10,000 values, as in
+    # np.linalg.norm, across threads
+    records = long_genre_records()
+    path = write_jsonl(tmp_path / "long.jsonl", records)
+    vectors = cli._genre_vectors(load_corpus(path))
+    assert min(row.nnz for row in vectors.values()) > 10_000
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = tmp_path / f"out-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "lexpalo.cli", "distances", "--corpus", str(path),
+             "--min-lyrics", "1", "--output-dir", str(out)],
+            env=env, capture_output=True, timeout=120, check=True,
+        )
+        outputs.append((out / "distances.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +621,20 @@ def test_alphas_outside_the_domain_exit_twelve(
     assert code == 12
     err = capsys.readouterr().err
     assert err.startswith(f"lexpalo {command}: error: alpha must be finite")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "-1"])
+def test_epsilons_outside_the_domain_exit_two(corpus_file, tmp_path, capsys, epsilon):
+    out = tmp_path / "out"
+    code = cli.main([
+        "essential", *base_args(corpus_file, out), "--runs", "2",
+        "--epsilon", epsilon,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lexpalo essential: error: epsilon must be finite")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 

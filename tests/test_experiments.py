@@ -360,6 +360,18 @@ def test_essential_rejects_bad_parameters():
         experiments.essential_words(SEPARABLE, 0.5, 3, HALF, epsilon=-0.1)
 
 
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, -math.inf, -1.0])
+def test_essential_rejects_epsilons_outside_the_domain_before_any_round(
+    monkeypatch, epsilon
+):
+    def no_encoding(*args):
+        raise AssertionError("corpus encoded")
+
+    monkeypatch.setattr(experiments, "_encode", no_encoding)
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        experiments.essential_words(SEPARABLE, 0.5, 3, HALF, epsilon=epsilon)
+
+
 def oracle_essential_report(corpus, alpha, n_runs, split, epsilon):
     """Recompute the essential-word report with plain dict arithmetic.
 

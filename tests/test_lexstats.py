@@ -18,12 +18,21 @@ from lexpalo.lexstats import (
     heaps_curve,
     profile,
     ranked_frequencies,
+    _previous_occurrences,
+    _sttr_of,
     sttr,
     zipf_fit,
 )
 
 import oracles
-from helpers import corpus, corpus_from_texts, labeled_corpus, record
+from helpers import (
+    corpus,
+    corpus_from_texts,
+    generated_corpus,
+    labeled_corpus,
+    random_labeled_corpus,
+    record,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +139,29 @@ def test_sttr_equals_the_set_per_window_oracle():
             assert (result.mean, result.stderr) == oracles.sttr(
                 doc, window, n_windows, seed=trial
             ), (doc, window, n_windows)
+
+
+def test_previous_occurrences_stream_from_any_iterable():
+    rng = random.Random(31)
+    for _ in range(20):
+        doc = [f"w{rng.randint(0, 9)}" for _ in range(rng.randint(0, 60))]
+        expected = [
+            max((j for j in range(i) if doc[j] == word), default=-1)
+            for i, word in enumerate(doc)
+        ]
+        for tokens in (doc, iter(doc), (w for w in doc)):
+            prev = _previous_occurrences(tokens)
+            assert prev.dtype == np.int64
+            assert prev.tolist() == expected
+
+
+def test_sttr_of_previous_occurrences_equals_sttr():
+    rng = random.Random(32)
+    for trial in range(30):
+        doc = [f"w{rng.randint(0, 12)}" for _ in range(rng.randint(1, 80))]
+        window = rng.choice((1, len(doc), rng.randint(1, len(doc))))
+        prev = _previous_occurrences(doc)
+        assert _sttr_of(prev, window, 9, seed=trial) == sttr(doc, window, 9, trial)
 
 
 def test_sttr_rejects_oversized_window():
@@ -354,3 +386,19 @@ def test_heaps_rejects_tokenless_corpus():
 def test_heaps_single_token_cannot_be_fit():
     with pytest.raises(DegenerateFitError):
         heaps_curve(corpus_from_texts(["unico"]), seed=0)
+
+
+def test_heaps_points_equal_the_token_stream_oracle():
+    rng = random.Random(33)
+    corpora = [generated_corpus(seed) for seed in (1, 2)]
+    corpora += [
+        random_labeled_corpus(rng, n_palos=3, pool_size=30, doc_len=(0, 40))
+        for _ in range(20)
+    ]
+    # a one-token record, and empty records around the first marks
+    corpora.append(corpus(("a", ""), ("b", "solo"), ("c", ""), ("d", "x y x")))
+    for c in corpora:
+        texts = [r.text for r in c.records]
+        for seed, n_checkpoints in ((0, 200), (5, 7), (9, 2)):
+            points, _ = heaps_curve(c, seed, n_checkpoints)
+            assert points == oracles.heaps_points(texts, seed, n_checkpoints)

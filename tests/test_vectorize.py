@@ -255,3 +255,28 @@ def test_idf_is_computed_once_per_vocabulary():
     assert vocab.idf is vocab.idf
     with pytest.raises(ValueError):
         vocab.idf[0] = 0.0
+
+
+@pytest.mark.parametrize("n_values", [9_999, 10_000, 10_001, 25_000])
+def test_rows_beyond_ten_thousand_values_are_normalised_without_blas(n_values):
+    # OpenBLAS threads the dot product of np.linalg.norm beyond 10,000 values
+    rng = random.Random(n_values)
+    words = [f"w{i}" for i in range(n_values)]
+    train = [" ".join(rng.sample(words, n_values // 2)) for _ in range(3)]
+    vocab = build_vocabulary(corpus_from_texts(train + [" ".join(words)]))
+    tokens = [w for w in words for _ in range(rng.randint(1, 4))]
+    rng.shuffle(tokens)
+    row = tfidf_row(tokens, vocab)
+
+    counts = {}
+    for tok in tokens:
+        counts[tok] = counts.get(tok, 0) + 1
+    cols = np.array([vocab.index[w] for w in counts])
+    vals = np.array([n / len(tokens) for n in counts.values()]) * vocab.idf[cols]
+    if n_values > 10_000:
+        vals /= np.sqrt(np.sum(vals * vals))
+    else:
+        vals /= np.linalg.norm(vals)
+    order = np.argsort(cols)
+    assert np.array_equal(row.indices, cols[order])
+    assert np.array_equal(row.data, vals[order])
