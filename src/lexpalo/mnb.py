@@ -58,6 +58,10 @@ class MnbModel:
         # SciPy's kernel does not copy the whole table for every document
         return np.ascontiguousarray(self.word_logprob.T)
 
+    @cached_property
+    def _log_priors(self) -> np.ndarray:
+        return np.array([math.log(self.priors[c]) for c in self.classes])
+
 
 @dataclass(frozen=True)
 class ClassScores:
@@ -114,12 +118,11 @@ def _score_matrix(model: MnbModel, rows) -> np.ndarray:
             f"document vector has {rows.shape[1]} columns, model vocabulary "
             f"has {len(model.vocab.words)}"
         )
-    log_priors = np.array([math.log(model.priors[c]) for c in model.classes])
     if sp.issparse(rows):
         contrib = rows.dot(model._logprob_by_word)
     else:
         contrib = rows.dot(model.word_logprob.T)
-    return np.asarray(contrib) + log_priors
+    return np.asarray(contrib) + model._log_priors
 
 
 def score(model: MnbModel, doc_vector) -> ClassScores:
@@ -133,7 +136,7 @@ def score(model: MnbModel, doc_vector) -> ClassScores:
     scores = _score_matrix(model, doc_vector)[0]
     predicted = model.classes[int(np.argmax(scores))]
     return ClassScores(
-        scores={c: float(s) for c, s in zip(model.classes, scores)},
+        scores=dict(zip(model.classes, scores.tolist())),
         predicted=predicted,
     )
 
@@ -185,26 +188,43 @@ def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> N
     atomic_write(path, lambda fh: fh.write(text))
 
 
+def _unique_strings(value, field: str) -> tuple[str, ...]:
+    """A JSON list of unique strings as a tuple; ValueError otherwise."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{field} must be a list of strings")
+    if len(set(value)) != len(value):
+        raise ValueError(f"{field} holds a string twice")
+    return tuple(value)
+
+
 def load_model(path) -> tuple[MnbModel, dict | None]:
     """Load a model persisted by :func:`save_model`.
 
     Returns the model and the stored preprocessing state (None when absent).
     Raises CorpusIoError for unreadable files and ModelFormatError for
-    unknown versions or malformed content: missing fields, document
-    frequencies that do not fit the words or the document count, priors that
-    do not name exactly the classes or are not positive, log-probs of the
-    wrong shape or not finite.
+    unknown versions or malformed content: a payload that is not a JSON
+    object, missing fields, classes or words that are not lists of unique
+    strings, an empty vocabulary, an alpha that is not a positive number,
+    document frequencies that do not fit the words or the document
+    count, priors that do not name exactly the classes or are not positive,
+    log-probs of the wrong shape or not finite.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # ValueError covers bad JSON, bad UTF-8 and over-long integers
+            except (ValueError, RecursionError) as exc:
                 raise ModelFormatError(
                     f"model file {path} is not valid UTF-8 JSON: {exc}"
                 ) from exc
     except OSError as exc:
         raise CorpusIoError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ModelFormatError(
+            f"model file {path} holds a JSON {type(payload).__name__}, "
+            f"not an object"
+        )
     version = payload.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
@@ -212,7 +232,7 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
             f"(expected {MODEL_FORMAT_VERSION!r})"
         )
     try:
-        words = tuple(payload["vocab"]["words"])
+        words = _unique_strings(payload["vocab"]["words"], "vocab.words")
         vocab = Vocabulary(
             words=words,
             index={w: i for i, w in enumerate(words)},
@@ -220,18 +240,22 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
             n_docs=payload["vocab"]["n_docs"],
         )
         model = MnbModel(
-            classes=tuple(payload["classes"]),
+            classes=_unique_strings(payload["classes"], "classes"),
             priors=dict(payload["priors"]),
             word_logprob=np.asarray(payload["word_logprob"], dtype=float),
             alpha=payload["alpha"],
             vocab=vocab,
         )
+        if not words:
+            raise ValueError("the vocabulary is empty")
+        if type(model.alpha) not in (int, float) or not 0 < model.alpha < math.inf:
+            raise ValueError(f"alpha must be a positive number, got {model.alpha!r}")
         # comparisons with anything but numbers raise TypeError
         if len(vocab.df) != len(words):
             raise ValueError(
                 f"{len(vocab.df)} document frequencies for {len(words)} words"
             )
-        if words and not 1 <= min(vocab.df) <= max(vocab.df) <= vocab.n_docs:
+        if not 1 <= min(vocab.df) <= max(vocab.df) <= vocab.n_docs:
             raise ValueError(f"document frequencies must lie in [1, {vocab.n_docs}]")
         if not model.classes or set(model.priors) != set(model.classes):
             raise ValueError(
@@ -240,7 +264,10 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
             )
         if not all(0 < p < math.inf for p in model.priors.values()):
             raise ValueError("priors must be positive and finite")
-    except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError for counts too large for a float
+        if not np.isfinite(vocab.idf).all():
+            raise ValueError("document frequencies give a non-finite idf")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model file {path} is malformed: {exc}") from exc
     if model.word_logprob.shape != (len(model.classes), len(words)):
         raise ModelFormatError(

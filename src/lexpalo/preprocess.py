@@ -133,33 +133,52 @@ _DOTTED_I = ("\u0130", "\u0131")
 
 @lru_cache(maxsize=16)
 def _concat_pattern(pairs: tuple[tuple[str, str], ...]):
-    """The phrase regex with one group per phrase, the replacement of each
-    group, and the casefolded phrases a match implies (None when a phrase
-    holds a letter of _DOTTED_I, so that every text is matched)."""
+    """The regex of all phrases with the replacement of each of its groups,
+    and the same for the phrases of each distinct phrase casefold (None when
+    a phrase holds a letter of _DOTTED_I, so that every text is matched with
+    the full regex)."""
     # Longest phrase first so overlapping phrases resolve deterministically.
     ordered = sorted(pairs, key=lambda kv: (-len(kv[0]), kv[0]))
+    # Phrases equal but for case share the replacement of the last of them
+    # in this order.
+    by_lower = {p.lower(): joined for p, joined in ordered}
+    full = _phrase_regex(ordered, by_lower)
+    if any(c in p for p, _ in ordered for c in _DOTTED_I):
+        return full, None
+    by_fold: dict[str, list[tuple[str, str]]] = {}
+    for pair in ordered:
+        by_fold.setdefault(pair[0].casefold(), []).append(pair)
+    # built here, not through a cache of its own, so that a large map cannot
+    # evict the full regex of another
+    return full, {
+        fold: _phrase_regex(group, by_lower) for fold, group in by_fold.items()
+    }
+
+
+def _phrase_regex(ordered, by_lower: dict[str, str]):
+    """The regex with one group per phrase, in this order, and the
+    replacement of each group."""
     pattern = re.compile(
         r"\b(?:" + "|".join(f"({re.escape(p)})" for p, _ in ordered) + r")\b",
         re.IGNORECASE,
     )
-    # Phrases equal but for case share the replacement of the last of them
-    # in this order.
-    by_lower = {p.lower(): joined for p, joined in ordered}
-    replacements = (None, *(by_lower[p.lower()] for p, _ in ordered))
-    folded = frozenset(p.casefold() for p, _ in ordered)
-    if any(c in p for p, _ in ordered for c in _DOTTED_I):
-        folded = None
-    return pattern, replacements, folded
+    return pattern, (None, *(by_lower[p.lower()] for p, _ in ordered))
 
 
-def _concat(text: str, pattern, replacements, folded) -> str:
+def _concat(text: str, full, by_fold) -> str:
     # Outside _DOTTED_I, characters re.IGNORECASE matches have equal
     # casefolds, and casefold maps each character on its own, so a phrase
-    # can match only where its casefold occurs in the text's casefold.
-    if folded is not None and not any(c in text for c in _DOTTED_I):
+    # can match only where its casefold occurs in the text's casefold. The
+    # regex of the one casefold that occurs is then the full regex without
+    # alternatives that match nowhere.
+    pattern, replacements = full
+    if by_fold is not None and not any(c in text for c in _DOTTED_I):
         folded_text = text.casefold()
-        if not any(p in folded_text for p in folded):
+        present = [fold for fold in by_fold if fold in folded_text]
+        if not present:
             return text
+        if len(present) == 1:
+            pattern, replacements = by_fold[present[0]]
     return pattern.sub(lambda m: replacements[m.lastindex], text)
 
 

@@ -86,7 +86,13 @@ def tfidf_row(tokens: list[str], vocab: Vocabulary) -> sp.csr_matrix:
 
     A document without in-vocabulary tokens yields an all-zero row.
     """
-    return _csr_rows([_row_counts(tokens, vocab.index)], 1, vocab)
+    _check_vocabulary(vocab)
+    counts, length = _row_counts(tokens, vocab.index)
+    shape = (1, len(vocab.words))
+    idx_dtype = _index_dtype(shape, len(counts))
+    cols, vals = _unit_row(counts, length, vocab, idx_dtype)
+    indptr = np.array([0, len(cols)], dtype=idx_dtype)
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
 
 
 def _row_counts(tokens: list[str], index: dict[str, int]):
@@ -94,30 +100,46 @@ def _row_counts(tokens: list[str], index: dict[str, int]):
     return Counter(filter(index.__contains__, tokens)), len(tokens)
 
 
+def _check_vocabulary(vocab: Vocabulary) -> None:
+    if not vocab.words:
+        raise VocabularyMismatchError("vocabulary is empty")
+
+
+def _index_dtype(shape: tuple[int, int], nnz: int):
+    """The index dtype SciPy would pick, so that its constructor neither
+    scans nor converts the index arrays."""
+    return np.int32 if max(*shape, nnz) <= _INT32_MAX else np.int64
+
+
+def _unit_row(counts: Counter[str], length: int, vocab: Vocabulary, idx_dtype):
+    """The sorted columns and unit-norm TF-IDF values of one row with these
+    word counts and token count. Every counted word must be in ``vocab``."""
+    n = len(counts)
+    cols = np.fromiter(map(vocab.index.__getitem__, counts), idx_dtype, n)
+    vals = np.fromiter(counts.values(), float, n)
+    if n:
+        vals /= length
+        vals *= vocab.idf[cols]
+        # normalised in first-occurrence order, then sorted by column
+        vals /= _norm(vals)
+        order = np.argsort(cols)
+        cols, vals = cols[order], vals[order]
+    return cols, vals
+
+
 def _csr_rows(rows, n_rows: int, vocab: Vocabulary) -> sp.csr_matrix:
     """One CSR matrix from ``n_rows`` (word counts, token count) pairs, one
     row per pair, column indices sorted. Every counted word must be in
     ``vocab``."""
-    if not vocab.words:
-        raise VocabularyMismatchError("vocabulary is empty")
-    index = vocab.index
+    _check_vocabulary(vocab)
     data, indices, indptr = [np.empty(0)], [np.empty(0, dtype=np.int64)], [0]
     for counts, length in rows:
-        if counts:
-            cols = np.fromiter(map(index.__getitem__, counts), np.int64, len(counts))
-            vals = np.array(
-                [n / length for n in counts.values()], dtype=float
-            ) * vocab.idf[cols]
-            # normalised in first-occurrence order, then sorted by column
-            vals /= _norm(vals)
-            order = np.argsort(cols)
-            data.append(vals[order])
-            indices.append(cols[order])
-        indptr.append(indptr[-1] + len(counts))
+        cols, vals = _unit_row(counts, length, vocab, np.int64)
+        data.append(vals)
+        indices.append(cols)
+        indptr.append(indptr[-1] + len(cols))
     shape = (n_rows, len(vocab.words))
-    # the index dtype SciPy would pick, so its constructor neither scans
-    # nor converts the index arrays
-    idx_dtype = np.int32 if max(*shape, indptr[-1]) <= _INT32_MAX else np.int64
+    idx_dtype = _index_dtype(shape, indptr[-1])
     return sp.csr_matrix(
         (
             np.concatenate(data),
@@ -131,10 +153,12 @@ def _csr_rows(rows, n_rows: int, vocab: Vocabulary) -> sp.csr_matrix:
 def _norm(vals: np.ndarray) -> float:
     """L2 norm, the same for any OpenBLAS thread count. OpenBLAS splits a
     dot product of more than 10,000 values across threads, which changes
-    its last bits, so longer vectors are summed without BLAS."""
+    its last bits, so longer vectors are summed without BLAS. Shorter ones
+    get what ``np.linalg.norm`` computes for a 1-D float vector, without
+    its Python dispatch."""
     if len(vals) > _BLAS_SERIAL_MAX:
         return np.sqrt(np.sum(vals * vals))
-    return np.linalg.norm(vals)
+    return np.sqrt(vals.dot(vals))
 
 
 def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:

@@ -13,7 +13,8 @@ earlier construction of the genre vectors from newline-joined palo texts;
 construction of an experiment round from integer counts; :func:`sttr`, the
 earlier set-per-window construction of ``lexstats.sttr``; and
 :func:`heaps_points`, the earlier construction of the Heaps curve from one
-list of every token.
+list of every token. :func:`concat_full_pattern` uses ``re``: it is the
+earlier phrase regex of ``preprocess``, run on every text with every phrase.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import re
 import unicodedata
 from collections import Counter
 from itertools import product
@@ -365,6 +367,23 @@ def _join_phrases(text, concat_map):
             out.append(text[i])
             i += 1
     return "".join(out)
+
+
+def concat_full_pattern(concat_map):
+    """Stage 1 as the earlier ``preprocess`` ran it on every text: one
+    case-insensitive, word-bounded regex with a group per phrase, longest
+    phrase first, and each match replaced by the replacement of the last
+    phrase in that order whose ``lower()`` equals its phrase's. Returns the
+    function of a text."""
+    ordered = sorted(concat_map, key=lambda pair: (-len(pair[0]), pair[0]))
+    pattern = re.compile(
+        r"\b(?:" + "|".join(f"({re.escape(p)})" for p, _ in ordered) + r")\b",
+        re.IGNORECASE,
+    )
+    by_lower = {phrase.lower(): joined for phrase, joined in ordered}
+    return lambda text: pattern.sub(
+        lambda m: by_lower[ordered[m.lastindex - 1][0].lower()], text
+    )
 
 
 def _strip_token(token, punctuation):

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: reports, determinism, and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import random
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexpalo import cli, load_corpus, mnb, save_corpus
 from lexpalo.errors import CorpusIoError, ModelFormatError
@@ -465,6 +468,12 @@ def _drop_last_df(payload):
     payload["vocab"]["df"].pop()
 
 
+def _empty_vocabulary(payload):
+    payload["vocab"]["words"] = []
+    payload["vocab"]["df"] = []
+    payload["word_logprob"] = [[] for _ in payload["classes"]]
+
+
 MODEL_CORRUPTIONS = {
     "no-gamma": _delete("preprocess", "gamma"),
     "no-punctuation": _delete("preprocess", "punctuation"),
@@ -489,6 +498,9 @@ MODEL_CORRUPTIONS = {
     "n-docs-zero": _set("vocab", "n_docs", 0),
     "df-zero": _set("vocab", "df", 0, 0),
     "log-prob-nan": _set("word_logprob", 0, 0, float("nan")),
+    "alpha-string": _set("alpha", "x"),
+    "alpha-zero": _set("alpha", 0),
+    "empty-vocabulary": _empty_vocabulary,
 }
 
 
@@ -502,6 +514,133 @@ def test_classify_rejects_corrupted_model(trained_model, tmp_path, capsys, corru
     code = cli.main(["classify", "--model", str(broken), "--text", "mar sol"])
     assert code == cli.EXIT_CODES[ModelFormatError]
     assert str(broken) in capsys.readouterr().err
+
+
+def assert_rejected_model(path, capsys):
+    """classify refuses the model file with exit 19, one error line naming
+    the file and nothing on stdout."""
+    capsys.readouterr()
+    code = cli.main(["classify", "--model", str(path), "--text", "mar sol"])
+    assert code == cli.EXIT_CODES[ModelFormatError]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("payload", [[], "x", 1, None], ids=repr)
+def test_classify_rejects_a_model_that_is_not_an_object(payload, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert_rejected_model(path, capsys)
+
+
+def _rewritten(trained_model, tmp_path, edit):
+    payload = json.loads(trained_model.read_text(encoding="utf-8"))
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def test_classify_rejects_classes_given_as_a_string(trained_model, tmp_path, capsys):
+    def two_classes_as_one_string(payload):
+        payload["classes"] = "ab"
+        payload["priors"] = {"a": 0.5, "b": 0.5}
+        del payload["word_logprob"][2:]
+
+    path = _rewritten(trained_model, tmp_path, two_classes_as_one_string)
+    assert_rejected_model(path, capsys)
+
+
+def test_classify_rejects_a_word_listed_twice(trained_model, tmp_path, capsys):
+    def repeat_first_word(payload):
+        words = payload["vocab"]["words"]
+        words[1] = words[0]
+
+    path = _rewritten(trained_model, tmp_path, repeat_first_word)
+    assert_rejected_model(path, capsys)
+
+
+def test_classify_rejects_a_word_that_is_not_a_string(trained_model, tmp_path, capsys):
+    path = _rewritten(trained_model, tmp_path, _set("vocab", "words", 0, 7))
+    assert_rejected_model(path, capsys)
+
+
+@pytest.fixture(scope="module")
+def small_model_text(tmp_path_factory):
+    """A saved model with a short stop-word list and concat map, so that
+    every part of its file is a likely target of a mutation."""
+    root = tmp_path_factory.mktemp("small-model")
+    corpus = write_jsonl(root / "corpus.jsonl", sample_records())
+    (root / "stop.txt").write_text("agua\n", encoding="utf-8")
+    (root / "map.tsv").write_text("mar sol\tMarSol\n", encoding="utf-8")
+    out = root / "out"
+    assert cli.main([
+        "train", *base_args(corpus, out), "--runs", "1",
+        "--stopwords", str(root / "stop.txt"), "--concat-map", str(root / "map.tsv"),
+    ]) == 0
+    return (out / "model.json").read_text(encoding="utf-8")
+
+
+def _json_kind(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+_JSON_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3),
+)
+
+
+def _paths(node, path=()):
+    """The path of every value below ``node``, itself included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _parent_of(payload, path):
+    for key in path[:-1]:
+        payload = payload[key]
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_classify_survives_a_mutated_model_file(small_model_text, tmp_path_factory, data):
+    payload = json.loads(small_model_text)
+    mutation = data.draw(st.sampled_from(["truncate", "retype", "drop", "wrap"]))
+    if mutation == "truncate":
+        raw = small_model_text.encode("utf-8")
+        content = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        if mutation == "retype":
+            path = data.draw(st.sampled_from(list(_paths(payload))[1:]))
+            old = _parent_of(payload, path)[path[-1]]
+            new = data.draw(_JSON_VALUES.filter(lambda v: _json_kind(v) != _json_kind(old)))
+            _parent_of(payload, path)[path[-1]] = new
+        elif mutation == "drop":
+            keys = [p for p in _paths(payload) if p and isinstance(p[-1], str)]
+            path = data.draw(st.sampled_from(keys))
+            del _parent_of(payload, path)[path[-1]]
+        else:
+            payload = [payload]
+        content = json.dumps(payload).encode("utf-8")
+    path = tmp_path_factory.mktemp("mutated") / "model.json"
+    path.write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["classify", "--model", str(path), "--text", "mar sol pena"])
+    assert code in (0, cli.EXIT_CODES[CorpusIoError], cli.EXIT_CODES[ModelFormatError])
 
 
 # ---------------------------------------------------------------------------

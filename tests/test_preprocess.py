@@ -6,6 +6,7 @@ import re
 import string
 import sys
 import unicodedata
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -127,11 +128,11 @@ def test_concat_map_on_letters_whose_case_pairs_are_not_plain(text, expected):
 @pytest.mark.parametrize("phrase", ["İzmir limanı", "İzmir limani", "izmir lımani"])
 def test_concat_map_phrase_with_dotted_letters_always_runs_the_regex(phrase):
     config = PreprocessConfig(concat_map=((phrase, "Izmir"),))
-    pattern, replacements, folded = preprocess._concat_pattern(config.concat_map)
-    assert folded is None
+    _, by_fold = preprocess._concat_pattern(config.concat_map)
+    assert by_fold is None
+    full_pattern = oracles.concat_full_pattern(config.concat_map)
     for text in ("izmir limani", "IZMIR LIMANI", "İZMİR LİMANI", "ızmır lımanı"):
-        expected = pattern.sub(lambda m: replacements[m.lastindex], text)
-        assert apply_concat_map(text, config) == expected
+        assert apply_concat_map(text, config) == full_pattern(text)
     assert apply_concat_map("izmir limani", config) == "Izmir"
 
 
@@ -163,7 +164,7 @@ def test_concat_map_skip_agrees_with_the_regex_on_random_texts():
     config = PreprocessConfig(concat_map=default_config().concat_map + (
         ("mi vida", "MiVida"), ("σοφία μου", "Sofia"),
     ))
-    pattern, replacements, _ = preprocess._concat_pattern(config.concat_map)
+    full_pattern = oracles.concat_full_pattern(config.concat_map)
     pieces = (
         "santa", "SANTA", "ſanta", "ana", "Ana", "ANA", "mi", "Mİ", "mı",
         "vida", "VİDA", "vıda", "σοφία", "ΣΟΦΊΑ", "μου", "ΜΟΥ", "san",
@@ -173,8 +174,64 @@ def test_concat_map_skip_agrees_with_the_regex_on_random_texts():
     rng = random.Random(8)
     for _ in range(3000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
-        expected = pattern.sub(lambda m: replacements[m.lastindex], text)
-        assert apply_concat_map(text, config) == expected, text
+        assert apply_concat_map(text, config) == full_pattern(text), text
+
+
+# case twins, and a phrase that holds another
+TWIN_MAP = (
+    ("Santa Ana", "SA1"), ("santa ana", "SA2"), ("Santa Ana de la Frontera", "SAF"),
+    ("San Fernando", "SanFernando"), ("Muralla Real", "MurallaReal"),
+)
+DOTTED_MAP = TWIN_MAP + (("İzmir limanı", "Izmir"),)
+
+
+@pytest.mark.parametrize("concat_map", [TWIN_MAP, DOTTED_MAP], ids=["plain", "dotted"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "sin nombre aquí", "Santa Anas", "xsanta ana", "santa  ana",  # none
+        "la Santa Ana", "SANTA ANA y santa ana", "en ſanta ana", "SAN FERNANDO",  # one
+        "Santa Ana de la Frontera",  # two casefolds, one a part of the other
+        "San Fernando y Santa Ana", "Muralla Real, san fernando, ſanta ana",
+        "İzmir limanı y Santa Ana", "IZMIR LIMANI", "ızmır santa ana",
+    ],
+)
+def test_concat_map_equals_the_full_pattern(text, concat_map):
+    config = PreprocessConfig(concat_map=concat_map)
+    expected = oracles.concat_full_pattern(concat_map)(text)
+    assert apply_concat_map(text, config) == expected
+
+
+@pytest.mark.parametrize("dotted", [False, True])
+def test_concat_map_of_hundreds_of_phrases_equals_the_full_pattern(dotted):
+    rng = random.Random(31)
+    words = [
+        "santa", "ana", "san", "fernando", "de", "la", "real", "mar", "sol",
+        "río", "niña", "luna", "pena", "cádiz", "jerez", "ſol", "sevilla",
+        "triana", "puerto", "cruz", "verde", "monte", "alto", "viejo",
+        "mi", "vida", "casa", "calle", "plaza", "barrio", "noche", "\u212aing",
+    ]
+    phrases = {}
+    while len(phrases) < 300:
+        phrase = " ".join(rng.choice(words) for _ in range(rng.randint(2, 3)))
+        phrase = "".join(c.upper() if rng.random() < 0.2 else c for c in phrase)
+        phrases.setdefault(phrase, f"J{len(phrases)}")
+    if dotted:
+        phrases["İzmir limanı"] = "Izmir"
+    concat_map = tuple(phrases.items())
+    config = PreprocessConfig(concat_map=concat_map)
+    full_pattern = oracles.concat_full_pattern(concat_map)
+    folds = {phrase.casefold() for phrase in phrases}
+    pieces = [*words, *phrases, "İ", "ı", " ", ", ", "\n"]
+    held = Counter()
+    for _ in range(1000):
+        text = " ".join(
+            rng.choice(pieces) if rng.random() < 0.3 else rng.choice(words)
+            for _ in range(rng.randint(0, 8))
+        )
+        held[min(2, sum(fold in text.casefold() for fold in folds))] += 1
+        assert apply_concat_map(text, config) == full_pattern(text), text
+    assert min(held[0], held[1], held[2]) >= 100, held
 
 
 # ---------------------------------------------------------------------------

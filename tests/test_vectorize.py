@@ -7,11 +7,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from lexpalo.corpus_io import Corpus
 from lexpalo.errors import VocabularyMismatchError
+from lexpalo.preprocess import default_config, preprocess_corpus
 from lexpalo.vectorize import Vocabulary, build_vocabulary, tfidf, tfidf_row
 
 import oracles
-from helpers import corpus_from_texts, random_labeled_corpus
+from helpers import corpus_from_texts, generated_corpus, random_labeled_corpus, record
 
 
 def vocab_of(*texts):
@@ -246,6 +248,20 @@ def test_tfidf_equals_per_document_reference_on_random_corpora():
         result = tfidf(c, vocab)
         assert_same_csr(result.matrix, expected)
         assert result.empty_doc_ids == tuple(c.records[i].id for i in empty)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tfidf_row_equals_its_row_of_tfidf(seed):
+    processed = preprocess_corpus(generated_corpus(seed), default_config())
+    records = processed.records
+    # half the corpus trains, so other texts hold out-of-vocabulary words
+    vocab = build_vocabulary(Corpus(records[::2]))
+    docs = Corpus([*records, record("empty", ""), record("oov", "zzz yyy zzz")])
+    matrix = tfidf(docs, vocab).matrix
+    assert matrix.has_sorted_indices
+    for i, rec in enumerate(docs.records):
+        assert_same_csr(tfidf_row(rec.text.split(), vocab), matrix[i])
+    assert matrix[len(records)].nnz == matrix[len(records) + 1].nnz == 0
 
 
 def test_idf_is_computed_once_per_vocabulary():
