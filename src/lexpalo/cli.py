@@ -387,6 +387,7 @@ def _cmd_train(config: RunConfig) -> None:
 
 
 def _cmd_sweep_alpha(config: RunConfig) -> None:
+    experiments.alpha_grid(config.grid_step)  # a bad step fails before preprocessing
     _, processed, _, _ = _prepare(config)
     out = config.output_dir
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)

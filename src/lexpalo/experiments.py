@@ -16,6 +16,14 @@ whole corpus, and every run slices its documents' rows out of them: the
 columns its training rows use are the run's vocabulary in sorted order, so
 its weights and masses are those :mod:`vectorize` and :mod:`mnb` compute
 from text.
+
+The alpha sweep needs only each validation document's class at each alpha.
+It scores every (document, alpha) pair in float32, a chunk of alphas per
+sparse product, and keeps the float32 class wherever it leads the
+runner-up by more than twice an analytic bound on the float32 and float64
+rounding (:func:`_screen_bounds`). It rescores every other pair, exact ties
+included, with the float64 arithmetic of a training round, so its hits are
+those of scoring every alpha in float64.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ from .mnb import check_alpha
 from .seeding import derive_seed
 
 DEFAULT_EPSILON = 1e-9
+# A sweep grid holds at most this many alphas, so each is at least 1e-5 and a
+# normal float32 in the sweep's screen.
+MAX_GRID_ALPHAS = 100_000
 
 
 @dataclass(frozen=True)
@@ -210,10 +221,10 @@ def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
     return _Fit(position, idf, classes, mass, log_prior, validation)
 
 
-def _predictor(enc: _Encoding, fit: _Fit):
-    """The validation documents' classes, and ``predict(alpha)``: the class
-    of each document under smoothing alpha, the argmax of ln P(C) +
-    sum_w tfidf(w, d) ln P(w|C) (see :mod:`mnb`) over the words it uses."""
+def _validation_rows(enc: _Encoding, fit: _Fit):
+    """The validation documents' classes, their TF-IDF rows over the
+    run-vocabulary words they use, and those words' class masses (used words
+    x classes, the layout ``rows @`` multiplies without a copy)."""
     docs = fit.validation
     tf = enc.tf[docs]
     row, col = _rows(tf), fit.position[tf.indices]
@@ -229,19 +240,30 @@ def _predictor(enc: _Encoding, fit: _Fit):
     used = np.flatnonzero(used)
     indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=len(docs)))]
     rows = sp.csr_matrix((weight, col, indptr), shape=(len(docs), len(used)))
-    # used words x classes, the layout ``rows @`` multiplies without a copy
-    mass = np.ascontiguousarray(fit.mass.T[used])
-    mass_total = fit.mass.sum(axis=1)
+    return enc.labels[docs], rows, np.ascontiguousarray(fit.mass.T[used])
+
+
+def _log_denominators(fit: _Fit, alphas) -> np.ndarray:
+    """ln(alpha |V| + class mass) per alpha (rows, when ``alphas`` is an
+    array) and class."""
+    return np.log(np.asarray(alphas)[..., None] * len(fit.idf) + fit.mass.sum(axis=1))
+
+
+def _predictor(enc: _Encoding, fit: _Fit):
+    """The validation documents' classes, and ``predict(alpha)``: the class
+    of each document under smoothing alpha, the argmax of ln P(C) +
+    sum_w tfidf(w, d) ln P(w|C) (see :mod:`mnb`) over the words it uses."""
+    truth, rows, mass = _validation_rows(enc, fit)
 
     def predict(alpha: float) -> np.ndarray:
         log_table = alpha + mass
         np.log(log_table, out=log_table)
-        log_table -= np.log(alpha * len(fit.idf) + mass_total)
+        log_table -= _log_denominators(fit, alpha)
         scores = rows @ log_table
         scores += fit.log_prior
         return fit.classes[np.argmax(scores, axis=1)]
 
-    return enc.labels[docs], predict
+    return truth, predict
 
 
 def _training_run(enc: _Encoding, job) -> TrainingResult:
@@ -260,11 +282,128 @@ def _training_run(enc: _Encoding, job) -> TrainingResult:
     )
 
 
+# A float32 table of used words x alphas x classes for one chunk of the
+# sweep's alphas stays in cache at this size.
+_SCREEN_TABLE_BYTES = 1_000_000
+# numpy's float32 log lies within _LOG32_ERROR * 2**-24 * (1 + |ln x|) of
+# ln x; the largest factor over every positive normal float32 is 1.201 with
+# and without the AVX-512 dispatch (tests/test_experiments.py samples it).
+_LOG32_ERROR = 2.0
+
+
+def _screen_bounds(rows, weight, mass, alphas, log_denom, log_prior) -> np.ndarray:
+    """A bound, per alpha (rows of the result) and validation document, on
+    the distance between any class's float32 screen score and its float64
+    score from ``predict``.
+
+    Both approximate sum_j w_j (ln(alpha + m_jc) - L_c) + ln P(c) over the
+    document's n weights w_j, which sum to W (``weight``), with L_c the log
+    denominator. With v = 2**-24 and lam >= |ln(alpha + m)| for every mass
+    m of the table: fl32(fl32(m) + fl32(alpha)) = (alpha + m)(1 + t), |t| <=
+    2.01 v, so its float32 log lies within e = v (2.03 + _LOG32_ERROR (1 +
+    lam)) of ln(alpha + m); the float32 weights add v W (lam + e), and the
+    float32 sum of n products gamma_n (1 + v) W (lam + e), gamma_n = n v /
+    (1 - n v). The float64 rounding of ``predict``, of the screen's
+    subtraction of W L_c - ln P(c) and of this bound lies, many times over,
+    within 2**-44 ((n + 16) W (lam + |L| + 2) + 2 |ln P|).
+    """
+    v = 2.0**-24
+    n = np.diff(rows.indptr).astype(float)
+    lam = np.maximum(-np.log(alphas), np.abs(np.log(alphas + mass.max(initial=0.0))))
+    e = v * (2.03 + _LOG32_ERROR * (1 + lam))
+    gamma = np.divide(n * v, 1 - n * v, out=np.full_like(n, np.inf), where=n * v < 0.5)
+    bound = np.outer(lam + e, weight * (gamma * (1 + v) + v))
+    bound += np.outer(e, weight)
+    bound += np.outer(lam + np.abs(log_denom).max(axis=1) + 2, 2.0**-44 * (n + 16) * weight)
+    bound += 2.0**-43 * np.abs(log_prior).max()
+    return bound
+
+
+def _rescore(fit: _Fit, rows, mass, docs, alphas) -> np.ndarray:
+    """The class scores of documents ``docs``, each under its own alpha, bit
+    for bit as ``predict`` computes them: one row per pair, the document's
+    entries in order, times each entry's log-probabilities."""
+    lengths = np.diff(rows.indptr)[docs]
+    indptr = np.r_[0, np.cumsum(lengths)]
+    entry = np.arange(indptr[-1]) + np.repeat(rows.indptr[docs] - indptr[:-1], lengths)
+    log_table = mass[rows.indices[entry]]
+    log_table += np.repeat(alphas, lengths)[:, None]
+    np.log(log_table, out=log_table)
+    log_table -= np.repeat(_log_denominators(fit, alphas), lengths, axis=0)
+    pairs = sp.csr_matrix(
+        (rows.data[entry], np.arange(len(entry)), indptr),
+        shape=(len(docs), len(entry)),
+    )
+    scores = pairs @ log_table
+    scores += fit.log_prior
+    return scores
+
+
+def _screen_scores(rows, weight, mass, alphas, log_denom, log_prior):
+    """Per chunk of alphas, its slice of ``alphas`` and every validation
+    document's float32 screen scores under them, the log denominators and
+    priors applied in float64: classes x alphas x documents, so that each
+    class's scores are one contiguous plane."""
+    rows32, mass32 = rows.astype(np.float32), mass.astype(np.float32)
+    n_used, n_classes = mass.shape
+    chunk = max(1, _SCREEN_TABLE_BYTES // max(mass32.nbytes, 1))
+    table = np.empty(mass32.size * min(chunk, len(alphas)), np.float32)
+    plane = np.empty_like(mass32)
+    # a word's classes as one item: copying items beats a strided add
+    word = np.dtype((np.void, mass32.itemsize * n_classes))
+    plane_words = plane.view(word)[:, 0]
+    for start in range(0, len(alphas), chunk):
+        span = slice(start, start + chunk)
+        part = alphas[span]
+        block = table[:mass32.size * len(part)].reshape(n_used, len(part), n_classes)
+        block_words = block.view(word)[..., 0]
+        for k, alpha in enumerate(part.astype(np.float32)):
+            np.add(mass32, alpha, out=plane)
+            block_words[:, k] = plane_words
+        np.log(block, out=block)
+        scores = rows32 @ block.reshape(n_used, len(part) * n_classes)
+        scores = scores.reshape(len(weight), len(part), n_classes).transpose(2, 1, 0)
+        offset = log_denom[span].T[..., None] * weight
+        offset -= log_prior[:, None, None]
+        yield span, np.subtract(scores, offset, out=offset)
+
+
 def _sweep_run(enc: _Encoding, job) -> np.ndarray:
+    """One run's validation accuracy at every alpha of the grid.
+
+    A float32 screen scores every (document, alpha) pair, and its leading
+    class stands where it leads the runner-up by more than twice the pair's
+    bound (:func:`_screen_bounds`). Every other pair, exact ties included,
+    is rescored as ``predict`` scores it, so the hits are ``predict``'s.
+    """
     grid, spec = job
-    truth, predict = _predictor(enc, _fit_split(enc, spec))
-    hits = [np.count_nonzero(predict(alpha) == truth) for alpha in grid]
-    return np.array(hits) / len(truth)
+    fit = _fit_split(enc, spec)
+    truth, rows, mass = _validation_rows(enc, fit)
+    alphas = np.array(grid)
+    log_denom = _log_denominators(fit, alphas)
+    weight = np.asarray(rows.sum(axis=1)).ravel()
+    margins = _screen_bounds(rows, weight, mass, alphas, log_denom, fit.log_prior)
+    margins *= 2
+    # per alpha and document: the screen's class is the truth; the screen
+    # cannot certify its class
+    hit = np.empty((len(alphas), len(truth)), dtype=bool)
+    unsure = np.empty_like(hit)
+    screen = _screen_scores(rows, weight, mass, alphas, log_denom, fit.log_prior)
+    for span, scores in screen:
+        # the leading class (the first on ties), its score and the runner-up's
+        top = np.zeros(scores.shape[1:], dtype=np.intp)
+        best = scores[0].copy()
+        second = np.full_like(best, -np.inf)
+        for c in range(1, len(scores)):
+            np.maximum(second, np.minimum(best, scores[c]), out=second)
+            np.copyto(top, c, where=scores[c] > best)
+            np.maximum(best, scores[c], out=best)
+        hit[span] = fit.classes[top] == truth
+        np.less_equal(best - second, margins[span], out=unsure[span])
+    k, docs = np.nonzero(unsure)
+    scores = _rescore(fit, rows, mass, docs, alphas[k])
+    hit[k, docs] = fit.classes[np.argmax(scores, axis=1)] == truth[docs]
+    return np.count_nonzero(hit, axis=1) / len(truth)
 
 
 _worker_encoding: _Encoding | None = None  # set in pool workers by _init_worker
@@ -369,10 +508,17 @@ def aggregate(runs: Sequence[TrainingResult]) -> AggregateReport:
 
 
 def alpha_grid(grid_step: float) -> tuple[float, ...]:
-    """The sweep grid {grid_step, 2*grid_step, ..., <= 1}."""
+    """The sweep grid {grid_step, 2*grid_step, ..., <= 1}, of at most
+    MAX_GRID_ALPHAS alphas."""
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"grid_step must lie in (0, 1], got {grid_step}")
-    n_steps = int(1.0 / grid_step + 1e-9)
+    n_steps = 1.0 / grid_step + 1e-9  # inf for the smallest steps
+    if n_steps >= MAX_GRID_ALPHAS + 1:
+        raise ValueError(
+            f"grid_step must give at most {MAX_GRID_ALPHAS} alphas "
+            f"(grid_step >= {1 / MAX_GRID_ALPHAS:g}), got {grid_step}"
+        )
+    n_steps = int(n_steps)
     return tuple(round(i * grid_step, 12) for i in range(1, n_steps + 1))
 
 

@@ -131,3 +131,11 @@ def generated_corpus(seed, counts=(12, 8, 5, 1), n_words=300):
                     n_empty=2)
     records, _ = gen.generate(seed, shape)
     return Corpus(LyricRecord(r["id"], r["text"], r["palo"]) for r in records)
+
+
+def benchmark_corpus(seed, shape="REFERENCE"):
+    """A corpus of one of the benchmark generator's full shapes
+    (``REFERENCE`` or ``WIDE``), as the benchmark writes it."""
+    gen = _benchmark_generator()
+    records, _ = gen.generate(seed, getattr(gen, shape))
+    return Corpus(LyricRecord(r["id"], r["text"], r["palo"]) for r in records)

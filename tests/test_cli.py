@@ -797,6 +797,27 @@ def test_sttr_windows_beyond_the_cap_exit_two(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("step", ["5e-324", "1e-9"])
+def test_grid_steps_beyond_the_cap_exit_two_before_preprocessing(
+    corpus_file, tmp_path, capsys, monkeypatch, step
+):
+    def no_preprocessing(config):
+        raise AssertionError("corpus preprocessed")
+
+    monkeypatch.setattr(cli, "_prepare", no_preprocessing)
+    out = tmp_path / "out"
+    code = cli.main([
+        "sweep-alpha", *base_args(corpus_file, out), "--grid-step", step,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("lexpalo sweep-alpha: error: grid_step")
+    assert "at most 100000 alphas" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_usage_errors_return_two(corpus_file, tmp_path, capsys):
     bad_fraction = cli.main([
         "train", *base_args(corpus_file, tmp_path),

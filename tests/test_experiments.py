@@ -1,7 +1,10 @@
 """Repeated trainings, aggregation, smoothing sweeps, essential words."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import replace as dc_replace
 
@@ -9,12 +12,24 @@ import numpy as np
 import pytest
 
 from lexpalo import experiments
-from lexpalo.corpus_io import Corpus, SplitSpec, split_positions, stratified_split
+from lexpalo.corpus_io import (
+    Corpus,
+    SplitSpec,
+    filter_top_palos,
+    split_positions,
+    stratified_split,
+)
 from lexpalo.errors import AlphaNonPositiveError, InconsistentClassesError
+from lexpalo.preprocess import default_config, preprocess_corpus
 from lexpalo.seeding import derive_seed
 
 import oracles
-from helpers import labeled_corpus, random_labeled_corpus
+from helpers import (
+    benchmark_corpus,
+    generated_corpus,
+    labeled_corpus,
+    random_labeled_corpus,
+)
 
 
 SEPARABLE = labeled_corpus(
@@ -315,6 +330,225 @@ def test_sweep_best_alpha_is_grid_argmax():
 def test_sweep_rejects_nonpositive_run_count():
     with pytest.raises(ValueError, match="n_runs"):
         experiments.alpha_sweep(SEPARABLE, 0.5, 0, HALF)
+
+
+def test_alpha_grid_rejects_grids_above_the_cap_before_building_one():
+    cap = experiments.MAX_GRID_ALPHAS
+    assert len(experiments.alpha_grid(1 / cap)) == cap
+    # 1e-9 would build a tuple of 10**9 alphas; 5e-324 overflowed in int()
+    for step in (1 / (cap + 1), 1e-9, 5e-324):
+        with pytest.raises(ValueError, match="at most"):
+            experiments.alpha_grid(step)
+
+
+# ---------------------------------------------------------------------------
+# sweep: the float32 screen leaves the float64 hits
+
+
+def preprocessed_benchmark_corpus(seed, shape):
+    corpus = filter_top_palos(benchmark_corpus(seed, shape), 100)
+    return preprocess_corpus(corpus, default_config())
+
+
+def duplicated_songs_corpus(seed):
+    """Palo B repeats every song of palo A, and palo C's songs are all
+    empty: C fits no class, and its validation songs, scored by the equal
+    priors of A and B alone, tie exactly on every split."""
+    songs = [r.text for r in generated_corpus(seed).records][:12]
+    return labeled_corpus({"A": songs, "B": songs, "C": [""] * 4})
+
+
+SCREEN_CORPORA = {
+    "reference": lambda: preprocessed_benchmark_corpus(5, "REFERENCE"),
+    "wide": lambda: preprocessed_benchmark_corpus(3, "WIDE"),
+    "duplicated-songs": lambda: duplicated_songs_corpus(41),
+    "emptied-records": lambda: with_empty_records(
+        generated_corpus(42, counts=(12, 8, 5, 3)), 42
+    ),
+    "palo-without-training-side": lambda: EMPTY_PALO,
+    # no validation song shares a word with the training side
+    "unseen-validation-words": lambda: labeled_corpus(
+        {"A": ["mar sol", "pena noche"], "B": ["luna arena", "sombra playa"]}
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def screen_encodings():
+    return {name: experiments._encode(make()) for name, make in SCREEN_CORPORA.items()}
+
+
+def counting_rescore(monkeypatch):
+    """Route the sweep's rescoring through a wrapper that counts its pairs."""
+    pairs = []
+    rescore = experiments._rescore
+
+    def counted(fit, rows, mass, docs, alphas):
+        pairs.append(len(docs))
+        return rescore(fit, rows, mass, docs, alphas)
+
+    monkeypatch.setattr(experiments, "_rescore", counted)
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "name, split, n_runs",
+    [
+        ("reference", SplitSpec(0.85, 5), 2),
+        ("wide", SplitSpec(0.85, 3), 1),
+        ("duplicated-songs", SplitSpec(0.6, 7), 6),
+        ("emptied-records", SplitSpec(0.6, 8), 6),
+        ("palo-without-training-side", EMPTY_PALO_RUNS, 6),
+        ("unseen-validation-words", HALF, 3),
+    ],
+)
+def test_sweep_hits_equal_the_float64_loop(
+    name, split, n_runs, screen_encodings, monkeypatch
+):
+    enc = screen_encodings[name]
+    grid = experiments.alpha_grid(0.005)
+    pairs = counting_rescore(monkeypatch)
+    for spec in experiments._run_specs(split, n_runs):
+        assert experiments._sweep_run(enc, (grid, spec)).tolist() == (
+            oracle_accuracies(enc, spec, grid)
+        )
+    if name in ("reference", "wide"):
+        # the screen certifies nearly every pair on corpora of real shape
+        n_validation = len(split_positions(enc.corpus, spec)[1])
+        assert sum(pairs) < 0.01 * n_runs * len(grid) * n_validation
+    if name == "duplicated-songs":
+        assert min(pairs) > 0
+
+
+def oracle_accuracies(enc, spec, grid):
+    """The float64 loop's validation accuracy of one split at every alpha."""
+    train, validation = map(np.asarray, split_positions(enc.corpus, spec))
+    train = train[enc.lengths[train] > 0]
+    reference = oracles.fit_from_counts(
+        enc.counts, enc.lengths, enc.labels, len(enc.classes), train
+    )
+    truth = enc.labels[validation]
+    return [
+        np.count_nonzero(
+            oracles.predict_from_counts(enc.counts, enc.lengths, validation, reference, alpha)
+            == truth
+        )
+        / len(truth)
+        for alpha in grid
+    ]
+
+
+def test_screen_errors_within_the_bound_leave_the_hits(screen_encodings, monkeypatch):
+    # the screen's leading class pushed down and every other class up by 0.9
+    # of the bound (the real error stays under 0.06 of it), so every pair
+    # whose screen margin is below 1.8 bounds changes its leading class
+    enc = screen_encodings["reference"]
+    grid = experiments.alpha_grid(0.005)
+    screen_scores = experiments._screen_scores
+    flipped = []
+
+    def adversarial(rows, weight, mass, alphas, log_denom, log_prior):
+        bound = experiments._screen_bounds(rows, weight, mass, alphas, log_denom, log_prior)
+        for span, scores in screen_scores(rows, weight, mass, alphas, log_denom, log_prior):
+            push = 0.9 * bound[span]
+            leader = scores.argmax(axis=0)[None]
+            led = np.take_along_axis(scores, leader, 0) - push
+            scores += push
+            np.put_along_axis(scores, leader, led, 0)
+            flipped.append(np.count_nonzero(scores.argmax(axis=0)[None] != leader))
+            yield span, scores
+
+    monkeypatch.setattr(experiments, "_screen_scores", adversarial)
+    for spec in experiments._run_specs(SplitSpec(0.85, 21), 2):
+        assert experiments._sweep_run(enc, (grid, spec)).tolist() == (
+            oracle_accuracies(enc, spec, grid)
+        )
+    assert sum(flipped) > 0
+
+
+@pytest.mark.parametrize("name", ["reference", "duplicated-songs", "emptied-records"])
+def test_rescored_scores_equal_the_full_products(name, screen_encodings):
+    enc = screen_encodings[name]
+    rng = np.random.default_rng(9)
+    for spec in experiments._run_specs(SplitSpec(0.6, 12), 2):
+        fit = experiments._fit_split(enc, spec)
+        _, rows, mass = experiments._validation_rows(enc, fit)
+        alphas = np.array([1e-5, 0.005, 0.11, 0.5, 1.0])
+        full = []
+        for alpha in alphas:
+            # predict's arithmetic, written out
+            log_table = alpha + mass
+            np.log(log_table, out=log_table)
+            log_table -= np.log(alpha * len(fit.idf) + fit.mass.sum(axis=1))
+            scores = rows @ log_table
+            scores += fit.log_prior
+            full.append(scores)
+        docs = np.tile(np.arange(rows.shape[0]), len(alphas))
+        which = np.repeat(np.arange(len(alphas)), rows.shape[0])
+        order = rng.permutation(len(docs))
+        docs, which = docs[order], which[order]
+        got = experiments._rescore(fit, rows, mass, docs, alphas[which])
+        want = np.array([full[k][d] for d, k in zip(docs, which)])
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", ["reference", "wide", "duplicated-songs"])
+def test_screen_scores_lie_within_their_bounds(name, screen_encodings):
+    enc = screen_encodings[name]
+    alphas = np.array(experiments.alpha_grid(0.01))
+    for spec in experiments._run_specs(SplitSpec(0.85, 13), 2):
+        fit = experiments._fit_split(enc, spec)
+        _, rows, mass = experiments._validation_rows(enc, fit)
+        weight = np.asarray(rows.sum(axis=1)).ravel()
+        log_denom = experiments._log_denominators(fit, alphas)
+        bound = experiments._screen_bounds(
+            rows, weight, mass, alphas, log_denom, fit.log_prior
+        )
+        screen = experiments._screen_scores(
+            rows, weight, mass, alphas, log_denom, fit.log_prior
+        )
+        for span, scores in screen:
+            for k, alpha in enumerate(alphas[span], start=span.start):
+                log_table = np.log(alpha + mass) - log_denom[k]
+                exact = rows @ log_table + fit.log_prior
+                error = np.abs(scores[:, k - span.start] - exact.T).max(axis=0)
+                assert (error <= bound[k]).all()
+
+
+LOG32_SAMPLE = """
+import numpy as np
+# every 997th float32 from 2**-17, below the smallest alpha a grid holds,
+# to 2**20, above alpha plus the class mass of any corpus under a million songs
+bits = np.arange(
+    np.float32(2.0**-17).view(np.uint32), np.float32(2.0**20).view(np.uint32),
+    997, dtype=np.uint32,
+)
+# and the input with the largest error over every positive normal float32
+x = np.append(bits.view(np.float32), np.float32(0.3604793846607208))
+exact = np.log(x.astype(np.float64))
+error = np.abs(np.log(x).astype(np.float64) - exact) / (2.0**-24 * (1 + np.abs(exact)))
+worst = float(error.max())
+if __name__ == "__main__":
+    print(worst)
+"""
+
+
+@pytest.mark.parametrize(
+    "disabled", [None, "X86_V4 AVX512_ICL AVX512_SPR"], ids=["default", "no-avx512"]
+)
+def test_float32_log_error_stays_within_the_screen_constant(disabled):
+    if disabled is None:
+        namespace = {}
+        exec(LOG32_SAMPLE, namespace)
+        worst = namespace["worst"]
+    else:
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+        done = subprocess.run(
+            [sys.executable, "-c", LOG32_SAMPLE],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        worst = float(done.stdout)
+    assert 0.5 < worst <= experiments._LOG32_ERROR
 
 
 # ---------------------------------------------------------------------------
