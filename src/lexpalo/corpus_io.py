@@ -164,8 +164,9 @@ def _read_jsonl(fh):
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", line_no) from exc
+        # ValueError also covers integers past the interpreter's digit limit
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
         if not isinstance(obj, dict):
             raise FormatError("record is not a JSON object", line_no)
         missing = [k for k in REQUIRED_KEYS if k not in obj]
@@ -183,24 +184,27 @@ def _read_jsonl(fh):
 
 def _read_csv(fh):
     reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
-        return [], []
-    missing = [k for k in REQUIRED_KEYS if k not in reader.fieldnames]
-    if missing:
-        raise FormatError(f"CSV header is missing column(s) {missing}", 1)
     records, lines = [], []
-    for row in reader:
-        line_no = reader.line_num
-        if None in row and row[None]:
-            raise FormatError("row has more fields than the header", line_no)
-        rec_id, palo, text = row["id"], row["palo"], row["text"]
-        _validate_loaded(rec_id, palo, text, line_no)
-        metadata = {
-            k: v for k, v in row.items()
-            if k not in REQUIRED_KEYS and k is not None and v is not None
-        }
-        records.append(LyricRecord(id=rec_id, text=text, palo=palo, metadata=metadata))
-        lines.append(line_no)
+    try:
+        if reader.fieldnames is None:
+            return [], []
+        missing = [k for k in REQUIRED_KEYS if k not in reader.fieldnames]
+        if missing:
+            raise FormatError(f"CSV header is missing column(s) {missing}", 1)
+        for row in reader:
+            line_no = reader.line_num
+            if None in row and row[None]:
+                raise FormatError("row has more fields than the header", line_no)
+            rec_id, palo, text = row["id"], row["palo"], row["text"]
+            _validate_loaded(rec_id, palo, text, line_no)
+            metadata = {
+                k: v for k, v in row.items()
+                if k not in REQUIRED_KEYS and k is not None and v is not None
+            }
+            records.append(LyricRecord(id=rec_id, text=text, palo=palo, metadata=metadata))
+            lines.append(line_no)
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise FormatError(f"invalid CSV: {exc}", reader.reader.line_num) from exc
     return records, lines
 
 

@@ -17,13 +17,11 @@ columns its training rows use are the run's vocabulary in sorted order, so
 its weights and masses are those :mod:`vectorize` and :mod:`mnb` compute
 from text.
 
-The alpha sweep needs only each validation document's class at each alpha.
-It scores every (document, alpha) pair in float32, a chunk of alphas per
-sparse product, and keeps the float32 class wherever it leads the
-runner-up by more than twice an analytic bound on the float32 and float64
-rounding (:func:`_screen_bounds`). It rescores every other pair, exact ties
-included, with the float64 arithmetic of a training round, so its hits are
-those of scoring every alpha in float64.
+The alpha sweep scores each validation document at a few Chebyshev nodes
+in ln alpha, interpolates to every alpha, and keeps the interpolated class
+where it leads by more than twice a bound on the error (:func:`_sweep_scores`).
+Every other pair, exact ties included, is rescored as a training round
+scores it, so the hits are those of scoring every alpha in float64.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from .mnb import check_alpha
 from .seeding import derive_seed
 
 DEFAULT_EPSILON = 1e-9
-# A sweep grid holds at most this many alphas, so each is at least 1e-5 and a
-# normal float32 in the sweep's screen.
+# A sweep grid holds at most this many alphas, so each is at least 1e-5.
 MAX_GRID_ALPHAS = 100_000
 
 
@@ -191,6 +188,7 @@ class _Fit:
     idf: np.ndarray
     classes: np.ndarray  # encoding classes that have training documents
     mass: np.ndarray  # those classes x run vocabulary, summed TF-IDF
+    totals: np.ndarray  # each class's mass summed over the vocabulary
     log_prior: np.ndarray
     validation: np.ndarray  # validation document positions
 
@@ -218,7 +216,7 @@ def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
     mass = np.bincount(cell, weights=weight, minlength=len(classes) * len(idf))
     mass = mass.reshape(len(classes), len(idf))
     log_prior = np.log(doc_counts[classes] / len(train))
-    return _Fit(position, idf, classes, mass, log_prior, validation)
+    return _Fit(position, idf, classes, mass, mass.sum(axis=1), log_prior, validation)
 
 
 def _validation_rows(enc: _Encoding, fit: _Fit):
@@ -246,31 +244,27 @@ def _validation_rows(enc: _Encoding, fit: _Fit):
 def _log_denominators(fit: _Fit, alphas) -> np.ndarray:
     """ln(alpha |V| + class mass) per alpha (rows, when ``alphas`` is an
     array) and class."""
-    return np.log(np.asarray(alphas)[..., None] * len(fit.idf) + fit.mass.sum(axis=1))
+    return np.log(np.asarray(alphas)[..., None] * len(fit.idf) + fit.totals)
 
 
-def _predictor(enc: _Encoding, fit: _Fit):
-    """The validation documents' classes, and ``predict(alpha)``: the class
-    of each document under smoothing alpha, the argmax of ln P(C) +
-    sum_w tfidf(w, d) ln P(w|C) (see :mod:`mnb`) over the words it uses."""
-    truth, rows, mass = _validation_rows(enc, fit)
-
-    def predict(alpha: float) -> np.ndarray:
-        log_table = alpha + mass
-        np.log(log_table, out=log_table)
-        log_table -= _log_denominators(fit, alpha)
-        scores = rows @ log_table
-        scores += fit.log_prior
-        return fit.classes[np.argmax(scores, axis=1)]
-
-    return truth, predict
+def _scores(fit: _Fit, rows, mass, alpha: float) -> np.ndarray:
+    """The class scores (see :mod:`mnb`) under smoothing alpha of the
+    validation documents, given the ``rows`` and ``mass`` of :func:`_validation_rows`."""
+    log_table = alpha + mass
+    np.log(log_table, out=log_table)
+    log_table -= _log_denominators(fit, alpha)
+    scores = rows @ log_table
+    scores += fit.log_prior
+    return scores
 
 
 def _training_run(enc: _Encoding, job) -> TrainingResult:
     alpha, spec = job
-    truth, predict = _predictor(enc, _fit_split(enc, spec))
+    fit = _fit_split(enc, spec)
+    truth, rows, mass = _validation_rows(enc, fit)
+    predicted = fit.classes[np.argmax(_scores(fit, rows, mass, alpha), axis=1)]
     k = len(enc.classes)
-    confusion = np.bincount(truth * k + predict(alpha), minlength=k * k)
+    confusion = np.bincount(truth * k + predicted, minlength=k * k)
     confusion = confusion.reshape(k, k)
     accuracy = confusion.diagonal() / confusion.sum(axis=1)
     return TrainingResult(
@@ -282,47 +276,50 @@ def _training_run(enc: _Encoding, job) -> TrainingResult:
     )
 
 
-# A float32 table of used words x alphas x classes for one chunk of the
-# sweep's alphas stays in cache at this size.
-_SCREEN_TABLE_BYTES = 1_000_000
-# numpy's float32 log lies within _LOG32_ERROR * 2**-24 * (1 + |ln x|) of
-# ln x; the largest factor over every positive normal float32 is 1.201 with
-# and without the AVX-512 dispatch (tests/test_experiments.py samples it).
-_LOG32_ERROR = 2.0
+# The sweep's largest interpolation error per unit weight (see _sweep_nodes),
+# and the size of a block of its interpolated scores, which stays in cache.
+_INTERPOLATION_TOLERANCE = 2.0**-24
+_BLOCK_BYTES = 1_000_000
 
 
-def _screen_bounds(rows, weight, mass, alphas, log_denom, log_prior) -> np.ndarray:
-    """A bound, per alpha (rows of the result) and validation document, on
-    the distance between any class's float32 screen score and its float64
-    score from ``predict``.
+def _sweep_nodes(s: np.ndarray, max_mass: float):
+    """Chebyshev points of [min s, max s] at which to score for the grid
+    points ``s`` (s = ln alpha) and the error E per unit weight of
+    :func:`_sweep_scores` at y = pi - 1/64, with n the least degree whose E
+    times 2 + (2/pi) ln(n + 1) (above 1 + the Lebesgue constant) is within
+    the tolerance; or ``s`` itself and 0 if those are no fewer."""
+    degrees = np.arange(1, min(len(s) - 1, 200))  # alpha_grid needs 45 at most
+    if not len(degrees):
+        return s, 0.0
+    c, h = (s.max() + s.min()) / 2, (s.max() - s.min()) / 2
+    y = math.pi - 2.0**-6
+    rho, a = y / h + math.hypot(1.0, y / h), math.hypot(h, y)
+    spread = math.log((math.exp(c + a) + max_mass) / math.sin(y)) - c + a + y
+    log_error = math.log(4 * spread / (rho - 1)) - degrees * math.log(rho)
+    lebesgue = np.log(2 + 2 / np.pi * np.log1p(degrees))
+    fits = np.flatnonzero(log_error + lebesgue <= math.log(_INTERPOLATION_TOLERANCE))
+    if not len(fits):
+        return s, 0.0
+    n = degrees[fits[0]]
+    nodes = np.clip(c + h * np.cos(np.pi * np.arange(n + 1) / n), s.min(), s.max())
+    return nodes, math.exp(log_error[fits[0]])
 
-    Both approximate sum_j w_j (ln(alpha + m_jc) - L_c) + ln P(c) over the
-    document's n weights w_j, which sum to W (``weight``), with L_c the log
-    denominator. With v = 2**-24 and lam >= |ln(alpha + m)| for every mass
-    m of the table: fl32(fl32(m) + fl32(alpha)) = (alpha + m)(1 + t), |t| <=
-    2.01 v, so its float32 log lies within e = v (2.03 + _LOG32_ERROR (1 +
-    lam)) of ln(alpha + m); the float32 weights add v W (lam + e), and the
-    float32 sum of n products gamma_n (1 + v) W (lam + e), gamma_n = n v /
-    (1 - n v). The float64 rounding of ``predict``, of the screen's
-    subtraction of W L_c - ln P(c) and of this bound lies, many times over,
-    within 2**-44 ((n + 16) W (lam + |L| + 2) + 2 |ln P|).
-    """
-    v = 2.0**-24
-    n = np.diff(rows.indptr).astype(float)
-    lam = np.maximum(-np.log(alphas), np.abs(np.log(alphas + mass.max(initial=0.0))))
-    e = v * (2.03 + _LOG32_ERROR * (1 + lam))
-    gamma = np.divide(n * v, 1 - n * v, out=np.full_like(n, np.inf), where=n * v < 0.5)
-    bound = np.outer(lam + e, weight * (gamma * (1 + v) + v))
-    bound += np.outer(e, weight)
-    bound += np.outer(lam + np.abs(log_denom).max(axis=1) + 2, 2.0**-44 * (n + 16) * weight)
-    bound += 2.0**-43 * np.abs(log_prior).max()
-    return bound
+
+def _interpolation_matrix(nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The Lagrange basis of ``nodes`` at each point of ``s`` (a row each),
+    by the second barycentric formula."""
+    weights = 1 / (np.subtract.outer(nodes, nodes) + np.eye(len(nodes))).prod(axis=1)
+    gaps = np.subtract.outer(s, nodes)
+    at_node = gaps == 0
+    matrix = weights / np.where(at_node, 1.0, gaps)
+    matrix = np.where(at_node.any(axis=1, keepdims=True), at_node, matrix)
+    return matrix / matrix.sum(axis=1, keepdims=True)
 
 
 def _rescore(fit: _Fit, rows, mass, docs, alphas) -> np.ndarray:
     """The class scores of documents ``docs``, each under its own alpha, bit
-    for bit as ``predict`` computes them: one row per pair, the document's
-    entries in order, times each entry's log-probabilities."""
+    for bit as :func:`_scores` computes them: one row per pair, the
+    document's entries in order, times each entry's log-probabilities."""
     lengths = np.diff(rows.indptr)[docs]
     indptr = np.r_[0, np.cumsum(lengths)]
     entry = np.arange(indptr[-1]) + np.repeat(rows.indptr[docs] - indptr[:-1], lengths)
@@ -339,67 +336,79 @@ def _rescore(fit: _Fit, rows, mass, docs, alphas) -> np.ndarray:
     return scores
 
 
-def _screen_scores(rows, weight, mass, alphas, log_denom, log_prior):
-    """Per chunk of alphas, its slice of ``alphas`` and every validation
-    document's float32 screen scores under them, the log denominators and
-    priors applied in float64: classes x alphas x documents, so that each
-    class's scores are one contiguous plane."""
-    rows32, mass32 = rows.astype(np.float32), mass.astype(np.float32)
-    n_used, n_classes = mass.shape
-    chunk = max(1, _SCREEN_TABLE_BYTES // max(mass32.nbytes, 1))
-    table = np.empty(mass32.size * min(chunk, len(alphas)), np.float32)
-    plane = np.empty_like(mass32)
-    # a word's classes as one item: copying items beats a strided add
-    word = np.dtype((np.void, mass32.itemsize * n_classes))
-    plane_words = plane.view(word)[:, 0]
-    for start in range(0, len(alphas), chunk):
-        span = slice(start, start + chunk)
-        part = alphas[span]
-        block = table[:mass32.size * len(part)].reshape(n_used, len(part), n_classes)
-        block_words = block.view(word)[..., 0]
-        for k, alpha in enumerate(part.astype(np.float32)):
-            np.add(mass32, alpha, out=plane)
-            block_words[:, k] = plane_words
-        np.log(block, out=block)
-        scores = rows32 @ block.reshape(n_used, len(part) * n_classes)
-        scores = scores.reshape(len(weight), len(part), n_classes).transpose(2, 1, 0)
-        offset = log_denom[span].T[..., None] * weight
-        offset -= log_prior[:, None, None]
-        yield span, np.subtract(scores, offset, out=offset)
+def _sweep_scores(fit: _Fit, rows, mass, alphas):
+    """Per block of alphas: its slice of ``alphas``, every validation
+    document's class scores under them, interpolated from :func:`_scores` at
+    the nodes of :func:`_sweep_nodes` (alphas x classes x documents), and a
+    bound on their distance from :func:`_scores` (alphas x documents).
+
+    In s = ln alpha a score is a constant plus sum_j w_j (f(m_j) - f(M/|V|)),
+    f(m) = ln(e^s + m), over a document's weights w_j (summing to W), word
+    masses m_j, class mass M and vocabulary V: analytic for |Im s| < pi. On
+    the Bernstein ellipse of [min s, max s] (centre c, half-width h) with
+    semi-minor axis y < pi (parameter rho = y/h + sqrt(1 + y^2/h^2), real
+    parts within a = sqrt(h^2 + y^2) of c), e^s + m has a modulus in [r_min,
+    r_max] = [e^(c-a) min(1, sin y), e^(c+a) + max m] and an argument
+    between 0 and Im s. So the interpolant in n + 1 Chebyshev points lies
+    within W E, E = 4 (ln(r_max / r_min) + y) rho^-n / (rho - 1) (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 8.2), and the one
+    in the nodes used, those points rounded, within (1 + Lambda) W E, Lambda
+    their Lebesgue function at the alpha. The bound adds (1 + Lambda) R for
+    rounding: with float64 log and exp within 2 ulp, u = 2**-53, n the
+    document's stored weights, d the degree, lam, |L| and |s| above |ln(alpha
+    + m)|, |ln denominator| and |ln alpha| over grid, nodes and masses, and P
+    the priors, :func:`_scores` lies within (n + 4) u W (lam + |L| + 1) + 2 u
+    |ln P| of exact; the nodes' exp and the grid's log move the point
+    interpolated at by 4 u (|s| + 1), the score by W times that; the
+    barycentric formula and its sum add (6 d + 8) u Lambda (W (lam + |L|) +
+    |ln P|) (Higham, IMA J. Numer. Anal. 24, 2004). R = 2**-44 ((n + 6 d +
+    16) W (lam + |L| + |s| + 2) + 8 |ln P|) holds it all many times over.
+    """
+    s = np.log(alphas)
+    max_mass = max(mass.max(initial=0.0), fit.totals.max() / len(fit.idf))
+    nodes, error = _sweep_nodes(s, max_mass)
+    # classes x documents per node
+    node_scores = np.stack([_scores(fit, rows, mass, alpha).T for alpha in np.exp(nodes)])
+    weight = np.asarray(rows.sum(axis=1)).ravel()
+    lam = max(-s.min(), abs(math.log(alphas.max() + max_mass)))
+    log_denom = np.abs(_log_denominators(fit, [alphas.min(), alphas.max()])).max()
+    rounding = (np.diff(rows.indptr) + 6 * len(nodes) + 16) * weight
+    rounding *= lam + log_denom + np.abs(s).max() + 2
+    bound = weight * error + 2.0**-44 * (rounding + 8 * np.abs(fit.log_prior).max())
+    block = max(1, _BLOCK_BYTES // node_scores[0].nbytes)
+    node_scores = node_scores.reshape(len(nodes), -1)
+    for start in range(0, len(alphas), block):
+        span = slice(start, start + block)
+        matrix = _interpolation_matrix(nodes, s[span])
+        scores = np.einsum("an,nm->am", matrix, node_scores)
+        scores = scores.reshape(len(matrix), len(fit.classes), rows.shape[0])
+        yield span, scores, np.multiply.outer(1 + np.abs(matrix).sum(axis=1), bound)
 
 
 def _sweep_run(enc: _Encoding, job) -> np.ndarray:
-    """One run's validation accuracy at every alpha of the grid.
-
-    A float32 screen scores every (document, alpha) pair, and its leading
-    class stands where it leads the runner-up by more than twice the pair's
-    bound (:func:`_screen_bounds`). Every other pair, exact ties included,
-    is rescored as ``predict`` scores it, so the hits are ``predict``'s.
-    """
+    """One run's validation accuracy at every alpha of the grid: the class
+    leading the interpolated scores (:func:`_sweep_scores`) by more than twice
+    the pair's bound, or else, exact ties included, that of :func:`_rescore`."""
     grid, spec = job
     fit = _fit_split(enc, spec)
     truth, rows, mass = _validation_rows(enc, fit)
     alphas = np.array(grid)
-    log_denom = _log_denominators(fit, alphas)
-    weight = np.asarray(rows.sum(axis=1)).ravel()
-    margins = _screen_bounds(rows, weight, mass, alphas, log_denom, fit.log_prior)
-    margins *= 2
-    # per alpha and document: the screen's class is the truth; the screen
-    # cannot certify its class
+    # per alpha and document: the interpolated class is the truth; the bound
+    # cannot certify it
     hit = np.empty((len(alphas), len(truth)), dtype=bool)
     unsure = np.empty_like(hit)
-    screen = _screen_scores(rows, weight, mass, alphas, log_denom, fit.log_prior)
-    for span, scores in screen:
+    for span, scores, bound in _sweep_scores(fit, rows, mass, alphas):
         # the leading class (the first on ties), its score and the runner-up's
-        top = np.zeros(scores.shape[1:], dtype=np.intp)
-        best = scores[0].copy()
+        top = np.zeros(bound.shape, dtype=np.intp)
+        best = scores[:, 0].copy()
         second = np.full_like(best, -np.inf)
-        for c in range(1, len(scores)):
-            np.maximum(second, np.minimum(best, scores[c]), out=second)
-            np.copyto(top, c, where=scores[c] > best)
-            np.maximum(best, scores[c], out=best)
+        for c in range(1, scores.shape[1]):
+            plane = scores[:, c]
+            np.maximum(second, np.minimum(best, plane), out=second)
+            np.copyto(top, c, where=plane > best)
+            np.maximum(best, plane, out=best)
         hit[span] = fit.classes[top] == truth
-        np.less_equal(best - second, margins[span], out=unsure[span])
+        np.less_equal(best - second, 2 * bound, out=unsure[span])
     k, docs = np.nonzero(unsure)
     scores = _rescore(fit, rows, mass, docs, alphas[k])
     hit[k, docs] = fit.classes[np.argmax(scores, axis=1)] == truth[docs]

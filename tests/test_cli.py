@@ -643,6 +643,72 @@ def test_classify_survives_a_mutated_model_file(small_model_text, tmp_path_facto
     assert code in (0, cli.EXIT_CODES[CorpusIoError], cli.EXIT_CODES[ModelFormatError])
 
 
+def _sample_csv():
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=["id", "palo", "text"], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(sample_records())
+    return out.getvalue()
+
+
+def _mutated_jsonl(data, mutation):
+    records = sample_records()
+    i = data.draw(st.integers(0, len(records) - 1))
+    if mutation == "retype":
+        key = data.draw(st.sampled_from(["id", "palo", "text"]))
+        records[i][key] = data.draw(_JSON_VALUES.filter(lambda v: not isinstance(v, str)))
+    elif mutation == "duplicate":
+        if data.draw(st.booleans()):
+            records[i]["id"] = records[data.draw(st.integers(0, len(records) - 1))]["id"]
+        else:
+            lines = [json.dumps(r, ensure_ascii=False) for r in records]
+            key = data.draw(st.sampled_from(["id", "palo", "text"]))
+            value = json.dumps(data.draw(_JSON_VALUES))
+            lines[i] = lines[i][:-1] + f', "{key}": {value}}}'
+            return ("\n".join(lines) + "\n").encode("utf-8")
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+
+
+def _mutated_csv(data, mutation):
+    rows = list(csv.reader(io.StringIO(_sample_csv())))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, 2))
+    if mutation == "retype":
+        # every CSV value is text: one with separators, quotes, line breaks
+        rows[i][j] = data.draw(st.text(alphabet=',"\n\r\x00 ab', max_size=6))
+    elif mutation == "duplicate":
+        if i == 0:  # a header column twice
+            rows[0][j] = rows[0][(j + 1) % 3]
+        else:
+            rows[i][0] = rows[data.draw(st.integers(1, len(rows) - 1))][0]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_commands_survive_a_mutated_corpus_file(tmp_path_factory, data):
+    format = data.draw(st.sampled_from(["jsonl", "csv"]))
+    mutation = data.draw(st.sampled_from(["truncate", "retype", "duplicate", "non-utf8"]))
+    mutate = _mutated_jsonl if format == "jsonl" else _mutated_csv
+    content = mutate(data, mutation)
+    if mutation == "truncate":
+        content = content[:data.draw(st.integers(0, len(content) - 1))]
+    elif mutation == "non-utf8":
+        at = data.draw(st.integers(0, len(content)))
+        byte = data.draw(st.integers(0x80, 0xFF))
+        content = content[:at] + bytes([byte]) + content[at:]
+    root = tmp_path_factory.mktemp("mutated")
+    path = root / f"corpus.{format}"
+    path.write_bytes(content)
+    documented = {0, *cli.EXIT_CODES.values()}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for command in (["stats"], ["train", "--runs", "2"]):
+            code = cli.main([*command, *base_args(path, root / "out"), "--format", format])
+            assert code in documented
+
+
 # ---------------------------------------------------------------------------
 # error paths and exit codes
 
@@ -670,6 +736,27 @@ def test_exit_code_malformed_jsonl(tmp_path, capsys):
     )
     assert cli.main(["stats", *base_args(bad, tmp_path)]) == 4
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "format, content, line",
+    [
+        # a value nested past the recursion limit
+        ("jsonl", '{"id": "a", "palo": "X", "text": "uno"}\n'
+         '{"id": "b", "palo": "X", "text": "dos", "m": ' + "[" * 100_000 + "]" * 100_000 + "}\n", 2),
+        # an integer literal past the interpreter's 4,300 digits
+        ("jsonl", '{"id": "a", "palo": "X", "text": "uno", "m": ' + "9" * 5_000 + "}\n", 1),
+        # a field past the csv module's 131,072 characters
+        ("csv", "id,palo,text\na,X,uno\nb,X," + "x" * 140_000 + "\n", 3),
+    ],
+    ids=["deeply-nested", "long-integer", "long-csv-field"],
+)
+def test_corpus_values_past_the_parsers_limits_exit_four(format, content, line, tmp_path, capsys):
+    bad = tmp_path / f"bad.{format}"
+    bad.write_text(content, encoding="utf-8")
+    code = cli.main(["stats", *base_args(bad, tmp_path), "--format", format])
+    assert code == 4
+    assert f"line {line}: invalid" in capsys.readouterr().err
 
 
 def test_exit_code_duplicate_ids(tmp_path, capsys):
