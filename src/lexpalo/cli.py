@@ -25,12 +25,8 @@ import csv
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
-from itertools import chain
 from pathlib import Path
-
-import numpy as np
 
 from . import (
     __version__,
@@ -39,7 +35,6 @@ from . import (
     lexstats,
     mnb,
     preprocess,
-    vectorize,
 )
 from .corpus_io import (
     Corpus,
@@ -49,9 +44,9 @@ from .corpus_io import (
     load_corpus,
     read_text,
 )
-from .errors import CorpusIoError, EmptyDocumentError, LexpaloError, ModelFormatError
+from .errors import CorpusIoError, LexpaloError
 from .seeding import derive_seed
-from .vectorize import build_vocabulary, tfidf, tfidf_row
+from .vectorize import build_vocabulary, genre_vectors, tfidf, tfidf_row
 
 THREADS_ENV_VAR = "LEXPALO_THREADS"
 
@@ -226,13 +221,13 @@ def _preprocess_config(config: RunConfig) -> preprocess.PreprocessConfig:
 
 
 def _prepare(config: RunConfig):
-    """load -> filter -> preprocess; returns (raw, processed, pconfig, lowered)."""
+    """load -> filter -> preprocess; returns (raw, processed, pipeline)."""
     pconfig = _preprocess_config(config)
     raw = load_corpus(config.corpus, config.format)
     filtered = filter_top_palos(raw, config.min_lyrics)
     processed, decisions = preprocess.preprocess_with_decisions(filtered, pconfig)
     lowered = frozenset(d.word for d in decisions if d.lowered)
-    return raw, processed, pconfig, lowered
+    return raw, processed, preprocess.FrozenPipeline(pconfig, lowered)
 
 
 def _nonempty_records(corpus: Corpus) -> Corpus:
@@ -240,64 +235,8 @@ def _nonempty_records(corpus: Corpus) -> Corpus:
     return corpus if len(kept) == len(corpus.records) else Corpus(kept)
 
 
-def _preprocess_state(
-    pconfig: preprocess.PreprocessConfig, lowered: frozenset[str]
-) -> dict:
-    return {
-        "gamma": pconfig.gamma,
-        "punctuation": "".join(sorted(pconfig.punctuation)),
-        "stopwords": sorted(pconfig.stopwords),
-        "concat_map": [[p, j] for p, j in pconfig.concat_map],
-        "lowered_words": sorted(lowered),
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
-
-def _tokens(corpus: Corpus, palos):
-    """The tokens of these palos' records, palo by palo, each palo's in
-    corpus order."""
-    records = corpus.records
-    return chain.from_iterable(
-        records[i].text.split() for p in palos for i in corpus.palo_index[p]
-    )
-
-
-def _profile_and_sttr_rows(processed: Corpus, n_windows: int, seed: int):
-    """Rows of profile.csv and sttr.csv: one per palo, sorted, then the
-    whole corpus with its palos in order of first appearance. Each document
-    is held as its previous-occurrence positions, 8 bytes a token."""
-    prevs = {
-        palo: lexstats._previous_occurrences(_tokens(processed, [palo]))
-        for palo in sorted(processed.palos)
-    }
-    for palo, prev in prevs.items():
-        if not len(prev):
-            raise EmptyDocumentError(
-                f"palo {palo!r} has no tokens after preprocessing"
-            )
-    window = min(map(len, prevs.values()))
-
-    def rows(label, prev):
-        res = lexstats._sttr_of(
-            prev, window, n_windows, seed=derive_seed(seed, "sttr", label)
-        )
-        types = np.count_nonzero(prev < 0)
-        return (
-            [label, len(prev), types, types / len(prev)],
-            [label, res.mean, res.stderr, res.window_length, res.n_windows],
-        )
-
-    palo_rows = [rows(palo, prev) for palo, prev in prevs.items()]
-    del prevs  # released before the corpus document is built
-    corpus_rows = rows(
-        "__corpus__",
-        lexstats._previous_occurrences(_tokens(processed, processed.palos)),
-    )
-    profile_rows, sttr_rows = zip(*palo_rows, corpus_rows)
-    return list(profile_rows), list(sttr_rows)
-
 
 def _cmd_stats(config: RunConfig) -> None:
     # checked before any report is written, not when the windows are drawn
@@ -306,17 +245,17 @@ def _cmd_stats(config: RunConfig) -> None:
             f"--sttr-windows must lie in [1, {lexstats.STTR_MAX_WINDOWS}], "
             f"got {config.sttr_windows}"
         )
-    raw, processed, _, _ = _prepare(config)
+    raw, processed, _ = _prepare(config)
     out = config.output_dir
 
     # Power laws describe the corpus as loaded (unfiltered, raw text).
     ranked = lexstats.ranked_frequencies(raw)
-    zipf = lexstats._zipf_from_ranked(ranked)
+    zipf = lexstats.zipf_fit(ranked)
     heaps_points, heaps_fit = lexstats.heaps_curve(
         raw, seed=derive_seed(config.seed, "heaps")
     )
 
-    profile_rows, sttr_rows = _profile_and_sttr_rows(
+    profile_rows, sttr_rows = lexstats.profile_and_sttr_rows(
         processed, config.sttr_windows, config.seed
     )
     _write_csv(out / "profile.csv", ["palo", "L", "V", "TTR"], profile_rows)
@@ -353,7 +292,7 @@ def _cmd_stats(config: RunConfig) -> None:
 
 
 def _cmd_train(config: RunConfig) -> None:
-    _, processed, pconfig, lowered = _prepare(config)
+    _, processed, pipeline = _prepare(config)
     out = config.output_dir
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
     runs = experiments.run_trainings(
@@ -379,7 +318,7 @@ def _cmd_train(config: RunConfig) -> None:
     matrix = tfidf(full, vocab)
     model = mnb.fit(matrix, [r.palo for r in full.records], config.alpha)
     model_path = out / "model.json"
-    mnb.save_model(model, model_path, _preprocess_state(pconfig, lowered))
+    mnb.save_model(model, model_path, pipeline.to_dict())
     print(
         f"train: {config.runs} runs at alpha={config.alpha}; mean global "
         f"accuracy {report.mean_global_accuracy:.4f}; model in {model_path}"
@@ -388,7 +327,7 @@ def _cmd_train(config: RunConfig) -> None:
 
 def _cmd_sweep_alpha(config: RunConfig) -> None:
     experiments.alpha_grid(config.grid_step)  # a bad step fails before preprocessing
-    _, processed, _, _ = _prepare(config)
+    _, processed, _ = _prepare(config)
     out = config.output_dir
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
     result = experiments.alpha_sweep(
@@ -404,7 +343,7 @@ def _cmd_sweep_alpha(config: RunConfig) -> None:
 
 
 def _cmd_essential(config: RunConfig) -> None:
-    _, processed, _, _ = _prepare(config)
+    _, processed, _ = _prepare(config)
     out = config.output_dir
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
     report = experiments.essential_words(
@@ -427,25 +366,10 @@ def _cmd_essential(config: RunConfig) -> None:
     print(f"essential: {report.n_runs} runs at alpha={config.alpha}; {sizes}")
 
 
-def _genre_vectors(processed: Corpus):
-    """Each palo's TF-IDF vector, its songs taken as one document, over the
-    vocabulary of those documents. Each palo is held as its word counts."""
-    counts = {
-        palo: Counter(_tokens(processed, [palo]))
-        for palo in sorted(processed.palos)
-    }
-    df = Counter(chain.from_iterable(counts.values()))
-    vocab = vectorize._vocabulary(df, len(counts))
-    matrix = vectorize._csr_rows(
-        ((c, sum(c.values())) for c in counts.values()), len(counts), vocab
-    )
-    return {palo: matrix[i] for i, palo in enumerate(counts)}
-
-
 def _cmd_distances(config: RunConfig) -> None:
-    _, processed, _, _ = _prepare(config)
+    _, processed, _ = _prepare(config)
     out = config.output_dir
-    m = genre_graph.distance_matrix(_genre_vectors(processed))
+    m = genre_graph.distance_matrix(genre_vectors(processed))
     _write_csv(
         out / "distances.csv",
         ["palo"] + list(m.labels),
@@ -476,9 +400,9 @@ def _cmd_distances(config: RunConfig) -> None:
 
 
 def _cmd_mst(config: RunConfig) -> None:
-    _, processed, _, _ = _prepare(config)
+    _, processed, _ = _prepare(config)
     out = config.output_dir
-    m = genre_graph.distance_matrix(_genre_vectors(processed))
+    m = genre_graph.distance_matrix(genre_vectors(processed))
     tree = genre_graph.minimum_spanning_tree(m)
     network = genre_graph.complete_graph(m)
     _write_text(out / "mst.dot", genre_graph.export_dot(tree, m))
@@ -490,70 +414,14 @@ def _cmd_mst(config: RunConfig) -> None:
     )
 
 
-def _str_list(value) -> bool:
-    return isinstance(value, list) and set(map(type, value)) <= {str}
-
-
-def _str_pairs(value) -> bool:
-    return (
-        isinstance(value, list)
-        and set(map(type, value)) <= {list}
-        and set(map(len, value)) <= {2}
-        and _str_list(list(chain.from_iterable(value)))
-    )
-
-
-# what each entry of the preprocessing state stored in a model must hold
-_STATE_CHECKS = {
-    "gamma": lambda v: type(v) in (int, float),
-    "punctuation": lambda v: isinstance(v, str),
-    "stopwords": _str_list,
-    "concat_map": _str_pairs,
-    "lowered_words": _str_list,
-}
-
-
-def _stored_pipeline(
-    state, path: Path
-) -> tuple[preprocess.PreprocessConfig, frozenset[str]]:
-    """The preprocessing configuration and lowered words a model was trained
-    with, from the state stored in its file."""
-    if state is None:
-        raise ModelFormatError(
-            "model file lacks the stored preprocessing state; "
-            "re-train with 'lexpalo train'"
-        )
-    if not isinstance(state, dict):
-        raise ModelFormatError(f"model file {path} has a malformed preprocess")
-    bad = [k for k, ok in _STATE_CHECKS.items() if k not in state or not ok(state[k])]
-    if bad:
-        raise ModelFormatError(
-            f"model file {path} has a missing or malformed preprocess "
-            f"{', '.join(bad)}"
-        )
-    try:
-        pconfig = preprocess.PreprocessConfig(
-            gamma=state["gamma"],
-            concat_map=tuple((p, j) for p, j in state["concat_map"]),
-            stopwords=frozenset(state["stopwords"]),
-            punctuation=frozenset(state["punctuation"]),
-        )
-    except ValueError as exc:
-        raise ModelFormatError(f"model file {path}: {exc}") from exc
-    return pconfig, frozenset(state["lowered_words"])
-
-
 def _cmd_classify(config: RunConfig) -> None:
     model, state = mnb.load_model(config.model)
-    pconfig, lowered = _stored_pipeline(state, config.model)
+    pipeline = preprocess.FrozenPipeline.from_dict(state, config.model)
     if config.text is not None:
         text = config.text
     else:
         text = read_text(config.file, "text file")
-    tokens = preprocess.filter_tokens(
-        preprocess.apply_concat_map(text, pconfig), pconfig, lowered
-    )
-    result = mnb.score(model, tfidf_row(tokens, model.vocab))
+    result = mnb.score(model, tfidf_row(pipeline.apply(text), model.vocab))
     print(result.predicted)
     if config.scores:
         for palo in sorted(result.scores, key=lambda p: (-result.scores[p], p)):

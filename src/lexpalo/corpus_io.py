@@ -17,6 +17,7 @@ import os
 import random
 import secrets
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import (
     CorpusIoError,
@@ -85,8 +86,13 @@ class Corpus:
         """Palo labels in order of first appearance."""
         return tuple(self.palo_index)
 
-    def records_of(self, palo: str) -> tuple[LyricRecord, ...]:
-        return tuple(self.records[i] for i in self.palo_index[palo])
+    def tokens(self, palos):
+        """The whitespace tokens of these palos' records, palo by palo, each
+        palo's in corpus order, streamed one record at a time."""
+        records = self.records
+        return chain.from_iterable(
+            records[i].text.split() for p in palos for i in self.palo_index[p]
+        )
 
 
 @dataclass(frozen=True)

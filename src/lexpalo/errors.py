@@ -51,11 +51,6 @@ class EmptyDocumentError(LexpaloError):
     exit_code = 8
 
 
-class WindowTooLongError(LexpaloError):
-    """A sampling window exceeds the document it is drawn from."""
-    exit_code = 9
-
-
 class DegenerateFitError(LexpaloError):
     """A power-law fit has no information to fit (e.g. all counts equal)."""
     exit_code = 10
@@ -75,11 +70,6 @@ class AlphaNonPositiveError(LexpaloError):
 class LabelMismatchError(LexpaloError):
     """Labels do not align with the rows of the matrix being fitted."""
     exit_code = 13
-
-
-class UnknownClassError(LexpaloError):
-    """A class label is not part of the fitted model."""
-    exit_code = 14
 
 
 class InconsistentClassesError(LexpaloError):

@@ -448,11 +448,6 @@ def _run_specs(split: SplitSpec, n_runs: int) -> list[SplitSpec]:
     ]
 
 
-def run_training(corpus: Corpus, alpha: float, split: SplitSpec) -> TrainingResult:
-    """Run one seeded split + fit + validation round."""
-    return _trainings(corpus, alpha, [split], threads=1)[0]
-
-
 def run_trainings(
     corpus: Corpus,
     alpha: float,

@@ -17,11 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus_io import Corpus
-from .errors import (
-    DegenerateFitError,
-    EmptyDocumentError,
-    WindowTooLongError,
-)
+from .errors import DegenerateFitError, EmptyDocumentError
+from .seeding import derive_seed
 
 ZIPF_DEFAULT_MIN_RANK = 10
 
@@ -29,15 +26,6 @@ ZIPF_DEFAULT_MIN_RANK = 10
 # ratio (16 bytes as arrays, more while the ratios are collected), so the cap
 # keeps one call within tens of MB; the paper samples far fewer.
 STTR_MAX_WINDOWS = 1_000_000
-
-
-@dataclass(frozen=True)
-class LexicalProfile:
-    """Token count L, type count |V|, and type-token ratio of one document."""
-
-    tokens: int
-    types: int
-    ttr: float
 
 
 @dataclass(frozen=True)
@@ -76,15 +64,6 @@ class PowerLawFit:
     fit_range: tuple[int, int]
 
 
-def profile(document: Sequence[str]) -> LexicalProfile:
-    """Token/type counts and TTR of one tokenized document."""
-    n_tokens = len(document)
-    if n_tokens == 0:
-        raise EmptyDocumentError("cannot profile a document with no tokens")
-    n_types = len(set(document))
-    return LexicalProfile(tokens=n_tokens, types=n_types, ttr=n_types / n_tokens)
-
-
 def _previous_occurrences(tokens: Iterable[str]) -> np.ndarray:
     """Each position -> the last earlier position of its word, or -1."""
     last: dict[str, int] = {}
@@ -97,39 +76,18 @@ def _previous_occurrences(tokens: Iterable[str]) -> np.ndarray:
     return np.fromiter(prev(), dtype=np.int64)
 
 
-def sttr(
-    document: Sequence[str],
-    window_length: int,
-    n_windows: int,
-    seed: int,
+def _sttr_of(
+    prev: np.ndarray, window_length: int, n_windows: int, seed: int
 ) -> SttrResult:
-    """Mean and standard error of TTR over random contiguous windows.
+    """Mean and standard error of TTR over random contiguous windows of a
+    document given as its previous-occurrence positions
+    (:func:`_previous_occurrences`), for 1 <= window_length <= len(prev) and
+    1 <= n_windows.
 
     Windows are drawn with replacement from uniformly random start offsets.
     When the window covers the whole document, the single whole-document TTR
     is returned with stderr 0 (one window, no sampling).
     """
-    length = len(document)
-    if length == 0:
-        raise EmptyDocumentError("cannot sample windows from an empty document")
-    if window_length < 1:
-        raise ValueError(f"window_length must be >= 1, got {window_length}")
-    if not 1 <= n_windows <= STTR_MAX_WINDOWS:
-        raise ValueError(
-            f"n_windows must lie in [1, {STTR_MAX_WINDOWS}], got {n_windows}"
-        )
-    if window_length > length:
-        raise WindowTooLongError(
-            f"window of {window_length} tokens exceeds document length {length}"
-        )
-    return _sttr_of(_previous_occurrences(document), window_length, n_windows, seed)
-
-
-def _sttr_of(
-    prev: np.ndarray, window_length: int, n_windows: int, seed: int
-) -> SttrResult:
-    """:func:`sttr` of a document given as its previous-occurrence positions
-    (:func:`_previous_occurrences`), for arguments already validated."""
     length = len(prev)
     if window_length == length:
         return SttrResult(
@@ -157,6 +115,52 @@ def _sttr_of(
         window_length=window_length,
         n_windows=n_windows,
     )
+
+
+def profile_and_sttr_rows(corpus: Corpus, n_windows: int, seed: int):
+    """Rows of profile.csv (palo, L, |V|, TTR) and sttr.csv (palo, mean,
+    stderr, window length, windows): one per palo, sorted, then the whole
+    corpus as ``__corpus__``, with its palos in order of first appearance.
+
+    Each palo's songs are taken as one document. The sTTR window is the
+    shortest document's length, and each row's windows are seeded by
+    ``derive_seed(seed, "sttr", label)``. Each document is held as its
+    previous-occurrence positions, 8 bytes a token. Raises ValueError unless
+    1 <= n_windows <= STTR_MAX_WINDOWS, and EmptyDocumentError when a palo
+    has no tokens.
+    """
+    if not 1 <= n_windows <= STTR_MAX_WINDOWS:
+        raise ValueError(
+            f"n_windows must lie in [1, {STTR_MAX_WINDOWS}], got {n_windows}"
+        )
+    prevs = {
+        palo: _previous_occurrences(corpus.tokens([palo]))
+        for palo in sorted(corpus.palos)
+    }
+    for palo, prev in prevs.items():
+        if not len(prev):
+            raise EmptyDocumentError(
+                f"palo {palo!r} has no tokens after preprocessing"
+            )
+    window = min(map(len, prevs.values()))
+
+    def rows(label, prev):
+        res = _sttr_of(
+            prev, window, n_windows, seed=derive_seed(seed, "sttr", label)
+        )
+        types = np.count_nonzero(prev < 0)
+        return (
+            [label, len(prev), types, types / len(prev)],
+            [label, res.mean, res.stderr, res.window_length, res.n_windows],
+        )
+
+    palo_rows = [rows(palo, prev) for palo, prev in prevs.items()]
+    del prevs  # released before the corpus document is built
+    corpus_rows = rows(
+        "__corpus__", _previous_occurrences(corpus.tokens(corpus.palos))
+    )
+    profile_rows, sttr_rows = zip(*palo_rows, corpus_rows)
+    return list(profile_rows), list(sttr_rows)
 
 
 def hapax_report(
@@ -221,9 +225,10 @@ def ranked_frequencies(corpus: Corpus) -> list[tuple[str, int]]:
 
 
 def zipf_fit(
-    corpus: Corpus, fit_range: tuple[int, int] | None = None
+    ranked: Sequence[tuple[str, int]], fit_range: tuple[int, int] | None = None
 ) -> PowerLawFit:
-    """Least-squares power-law fit of the rank-frequency distribution.
+    """Least-squares power-law fit of a rank-frequency distribution, given
+    as :func:`ranked_frequencies` lists it.
 
     The fit runs over 1-based ranks [lo, hi] in log-log space; the default
     range [10, |V|/10] skips head and tail curvature and falls back to the
@@ -231,13 +236,6 @@ def zipf_fit(
     DegenerateFitError when the frequencies in range carry no slope
     information (all equal) or there are fewer than 2 types.
     """
-    return _zipf_from_ranked(ranked_frequencies(corpus), fit_range)
-
-
-def _zipf_from_ranked(
-    ranked: Sequence[tuple[str, int]], fit_range: tuple[int, int] | None = None
-) -> PowerLawFit:
-    """:func:`zipf_fit` of an already ranked type-frequency list."""
     n_types = len(ranked)
     if n_types < 2:
         raise DegenerateFitError(

@@ -32,7 +32,6 @@ from .errors import (
     CorpusIoError,
     LabelMismatchError,
     ModelFormatError,
-    UnknownClassError,
     VocabularyMismatchError,
 )
 from .vectorize import TfIdfMatrix, Vocabulary
@@ -145,19 +144,6 @@ def predict_rows(model: MnbModel, rows) -> list[str]:
     """Predict a label per row of a (sparse) document matrix."""
     scores = _score_matrix(model, rows)
     return [model.classes[k] for k in np.argmax(scores, axis=1)]
-
-
-def word_logprob_table(model: MnbModel, palo: str) -> list[tuple[str, float]]:
-    """All (word, ln P(word|palo)) pairs, most probable first; ties on the
-    log-probability break lexicographically."""
-    if palo not in model.classes:
-        raise UnknownClassError(
-            f"{palo!r} is not one of the fitted classes {list(model.classes)}"
-        )
-    k = model.classes.index(palo)
-    logs = model.word_logprob[k]
-    order = sorted(range(len(logs)), key=lambda j: (-logs[j], model.vocab.words[j]))
-    return [(model.vocab.words[j], float(logs[j])) for j in order]
 
 
 def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> None:

@@ -29,7 +29,7 @@ from importlib import resources as importlib_resources
 from itertools import chain, filterfalse
 
 from .corpus_io import Corpus, LyricRecord, read_text
-from .errors import FormatError
+from .errors import FormatError, ModelFormatError
 
 logger = logging.getLogger(__name__)
 
@@ -195,17 +195,6 @@ def _punct_table(punctuation: frozenset[str]):
     return {ord(c): None for c in punctuation}
 
 
-def _raw_token_counts(texts) -> Counter[str]:
-    """Occurrences of each whitespace token over all texts."""
-    return Counter(chain.from_iterable(text.split() for text in texts))
-
-
-def _words(tokens, config: PreprocessConfig) -> dict[str, str]:
-    """Each raw token -> the token with the configured punctuation removed."""
-    table = _punct_table(config.punctuation)
-    return {raw: raw.translate(table) for raw in tokens}
-
-
 def _case_decisions(
     counts: Counter[str], words: dict[str, str], gamma: float
 ) -> list[CaseDecision]:
@@ -228,30 +217,6 @@ def _case_decisions(
             CaseDecision(word=key, n_lower=n_lower, n_upper=n_upper, lowered=lowered)
         )
     return decisions
-
-
-def compute_case_decisions(
-    corpus: Corpus, config: PreprocessConfig
-) -> list[CaseDecision]:
-    """Tally capitalization across the whole corpus and decide, per word form
-    seen capitalized at least once, whether to lowercase it everywhere.
-
-    Expects the concat map to have been applied already. Words are whitespace
-    tokens with the configured punctuation removed; keys are accent-preserving
-    lowercase forms. Decisions are returned sorted by word.
-    """
-    counts = _raw_token_counts(rec.text for rec in corpus.records)
-    return _case_decisions(counts, _words(counts, config), config.gamma)
-
-
-def strip_accents_and_punct(text: str, config: PreprocessConfig) -> str:
-    """Remove configured punctuation characters and accents.
-
-    Accent removal drops combining marks after canonical decomposition,
-    keeping the tilde that forms n-with-tilde (so "niña" survives intact
-    while "corazón" -> "corazon" and "vergüenza" -> "verguenza").
-    """
-    return _strip_accents(text.translate(_punct_table(config.punctuation)))
 
 
 def _latin1_table() -> dict[int, str]:
@@ -284,16 +249,6 @@ def _strip_accents(text: str) -> str:
             continue
         kept.append(ch)
     return unicodedata.normalize("NFC", "".join(kept))
-
-
-def tokenize(text: str) -> list[str]:
-    """Split on Unicode whitespace, dropping empty tokens."""
-    return text.split()
-
-
-def remove_stopwords(tokens: list[str], config: PreprocessConfig) -> list[str]:
-    """Drop tokens that exactly match a stop word (case-sensitive)."""
-    return [t for t in tokens if t not in config.stopwords]
 
 
 def _filter_word(
@@ -372,8 +327,11 @@ def preprocess_with_decisions(
     if config.concat_map:
         phrases = _concat_pattern(config.concat_map)
         texts = [_concat(text, *phrases) for text in texts]
-    counts = _raw_token_counts(texts)
-    words = _words(counts, config)
+    # each raw token's occurrences, and its word: the token without the
+    # configured punctuation
+    counts = Counter(chain.from_iterable(text.split() for text in texts))
+    table = _punct_table(config.punctuation)
+    words = {raw: raw.translate(table) for raw in counts}
     decisions = _case_decisions(counts, words, config.gamma)
     lowered = frozenset(d.word for d in decisions if d.lowered)
     joined = {
@@ -400,3 +358,83 @@ def preprocess_corpus(corpus: Corpus, config: PreprocessConfig) -> Corpus:
     """Run the full five-stage pipeline over a corpus."""
     processed, _ = preprocess_with_decisions(corpus, config)
     return processed
+
+
+def _str_list(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {str}
+
+
+def _str_pairs(value) -> bool:
+    return (
+        isinstance(value, list)
+        and set(map(type, value)) <= {list}
+        and set(map(len, value)) <= {2}
+        and _str_list(list(chain.from_iterable(value)))
+    )
+
+
+# what each entry of the state stored in a model must hold
+_STATE_CHECKS = {
+    "gamma": lambda v: type(v) in (int, float),
+    "punctuation": lambda v: isinstance(v, str),
+    "stopwords": _str_list,
+    "concat_map": _str_pairs,
+    "lowered_words": _str_list,
+}
+
+
+@dataclass(frozen=True)
+class FrozenPipeline:
+    """A configuration and the corpus-level lowered words it produced: what
+    a saved model needs to filter new text as its training corpus was."""
+
+    config: PreprocessConfig
+    lowered_words: frozenset[str]
+
+    def apply(self, text: str) -> list[str]:
+        """All five stages on one text: its tokens."""
+        return filter_tokens(
+            apply_concat_map(text, self.config), self.config, self.lowered_words
+        )
+
+    def to_dict(self) -> dict:
+        """The JSON-ready state a model file stores."""
+        config = self.config
+        return {
+            "gamma": config.gamma,
+            "punctuation": "".join(sorted(config.punctuation)),
+            "stopwords": sorted(config.stopwords),
+            "concat_map": [[p, j] for p, j in config.concat_map],
+            "lowered_words": sorted(self.lowered_words),
+        }
+
+    @classmethod
+    def from_dict(cls, state, path) -> FrozenPipeline:
+        """The pipeline of the state a model file at ``path`` stores (None
+        when it stores none). Raises ModelFormatError when the state is
+        missing or malformed."""
+        if state is None:
+            raise ModelFormatError(
+                "model file lacks the stored preprocessing state; "
+                "re-train with 'lexpalo train'"
+            )
+        if not isinstance(state, dict):
+            raise ModelFormatError(f"model file {path} has a malformed preprocess")
+        bad = [
+            k for k, ok in _STATE_CHECKS.items() if k not in state or not ok(state[k])
+        ]
+        if bad:
+            raise ModelFormatError(
+                f"model file {path} has a missing or malformed preprocess "
+                f"{', '.join(bad)}"
+            )
+        try:
+            config = PreprocessConfig(
+                gamma=state["gamma"],
+                concat_map=tuple((p, j) for p, j in state["concat_map"]),
+                stopwords=frozenset(state["stopwords"]),
+                punctuation=frozenset(state["punctuation"]),
+            )
+        except ValueError as exc:
+            raise ModelFormatError(f"model file {path}: {exc}") from exc
+        return cls(config, frozenset(state["lowered_words"]))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,3 +181,19 @@ def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
         vocab=vocab,
         empty_doc_ids=tuple(doc_ids[i] for i in empty),
     )
+
+
+def genre_vectors(corpus: Corpus) -> dict[str, sp.csr_matrix]:
+    """Each palo's 1 x |V| TF-IDF row, its songs taken as one document, over
+    the vocabulary of those documents; palos in sorted order. Each palo is
+    held as its word counts, so no document's token list is built."""
+    counts = {
+        palo: Counter(corpus.tokens([palo]))
+        for palo in sorted(corpus.palos)
+    }
+    df = Counter(chain.from_iterable(counts.values()))
+    vocab = _vocabulary(df, len(counts))
+    matrix = _csr_rows(
+        ((c, sum(c.values())) for c in counts.values()), len(counts), vocab
+    )
+    return {palo: matrix[i] for i, palo in enumerate(counts)}

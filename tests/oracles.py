@@ -11,7 +11,7 @@ one-row-at-a-time construction of ``vectorize``; :func:`genre_vectors`, the
 earlier construction of the genre vectors from newline-joined palo texts;
 :func:`fit_from_counts` with :func:`predict_from_counts`, the earlier
 construction of an experiment round from integer counts; :func:`sttr`, the
-earlier set-per-window construction of ``lexstats.sttr``; and
+earlier set-per-window construction of the sTTR windows; and
 :func:`heaps_points`, the earlier construction of the Heaps curve from one
 list of every token. :func:`concat_full_pattern` uses ``re``: it is the
 earlier phrase regex of ``preprocess``, run on every text with every phrase.

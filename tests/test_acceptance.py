@@ -32,19 +32,23 @@ from lexpalo.genre_graph import (
     hierarchical_cluster,
     minimum_spanning_tree,
 )
-from lexpalo.lexstats import heaps_curve, profile, sttr, zipf_fit
+from lexpalo.lexstats import (
+    heaps_curve,
+    profile_and_sttr_rows,
+    ranked_frequencies,
+    _previous_occurrences,
+    _sttr_of,
+    zipf_fit,
+)
 from lexpalo.preprocess import (
     apply_concat_map,
-    compute_case_decisions,
     default_config,
+    filter_tokens,
     preprocess_corpus,
     preprocess_with_decisions,
-    remove_stopwords,
-    strip_accents_and_punct,
-    tokenize,
 )
 from lexpalo.seeding import derive_seed
-from lexpalo.vectorize import build_vocabulary, tfidf, tfidf_row
+from lexpalo.vectorize import build_vocabulary, genre_vectors, tfidf, tfidf_row
 
 import oracles
 from helpers import (
@@ -186,29 +190,29 @@ def test_preprocessing_examples_hold_and_pipeline_is_idempotent():
 
     # corpus-level lowering: a capitalized form is kept once it stops being
     # rare among all occurrences of the word (strictly-below threshold)
-    decisions = {
-        d.word: d
-        for d in compute_case_decisions(
-            corpus(
-                ("1", "Ay ay ay ay ay ay ay ay ay", "A"),
-                ("2", "Mar Mar Mar Mar Mar", "A"),
-                ("3", "Luna luna luna luna", "A"),
-            ),
-            config,
-        )
-    }
+    _, decisions = preprocess_with_decisions(
+        corpus(
+            ("1", "Ay ay ay ay ay ay ay ay ay", "A"),
+            ("2", "Mar Mar Mar Mar Mar", "A"),
+            ("3", "Luna luna luna luna", "A"),
+        ),
+        config,
+    )
+    decisions = {d.word: d for d in decisions}
     assert decisions["ay"].lowered and decisions["ay"].n_upper == 1
     assert not decisions["mar"].lowered  # only ever capitalized
     assert not decisions["luna"].lowered  # 1 of 5 sits exactly at the bound
 
     # accents and punctuation strip; the tilde on n survives
-    assert strip_accents_and_punct("¡corazón!", config) == "corazon"
-    assert strip_accents_and_punct("vergüenza", config) == "verguenza"
-    assert strip_accents_and_punct("niña", config) == "niña"
+    assert filter_tokens("¡corazón!", config, frozenset()) == ["corazon"]
+    assert filter_tokens("vergüenza", config, frozenset()) == ["verguenza"]
+    assert filter_tokens("niña", config, frozenset()) == ["niña"]
 
     # whitespace tokenization and case-sensitive stop words
-    assert tokenize("a  Cadiz no") == ["a", "Cadiz", "no"]
-    assert remove_stopwords(["que", "Que", "mar"], config) == ["Que", "mar"]
+    assert filter_tokens("mar  Cadiz\tsol", config, frozenset()) == [
+        "mar", "Cadiz", "sol"
+    ]
+    assert filter_tokens("que Que mar", config, frozenset()) == ["Que", "mar"]
 
     # the full pipeline on a three-song corpus
     out = preprocess_corpus(
@@ -305,7 +309,7 @@ def test_power_law_exponents_recovered_on_synthetic_corpora():
         words.extend([f"w{rank:04d}"] * round(scale / rank))
     assert len(words) >= 100_000
     zipf_corpus = corpus(("z1", " ".join(words), "Z"))
-    zfit = zipf_fit(zipf_corpus)
+    zfit = zipf_fit(ranked_frequencies(zipf_corpus))
     assert zfit.exponent == pytest.approx(-1.0, abs=0.05)
 
     distinct = corpus(("h1", " ".join(f"t{i:04d}" for i in range(5000)), "Z"))
@@ -321,14 +325,14 @@ def test_sttr_full_window_reproduces_ttr_and_mean_stays_within_extremes():
     rng = random.Random(14)
     for _ in range(25):
         tokens = [f"w{rng.randint(0, 12)}" for _ in range(rng.randint(5, 60))]
-        whole = profile(tokens)
-        full = sttr(tokens, len(tokens), 50, seed=1)
-        assert full.mean == whole.ttr
+        prev = _previous_occurrences(tokens)
+        full = _sttr_of(prev, len(tokens), 50, seed=1)
+        assert full.mean == oracles.profile(tokens)[2]
         assert full.stderr == 0.0
         assert full.n_windows == 1
 
         w = rng.randint(1, len(tokens) - 1)
-        sampled = sttr(tokens, w, 40, seed=2)
+        sampled = _sttr_of(prev, w, 40, seed=2)
         window_ttrs = [
             len(set(tokens[s : s + w])) / w
             for s in range(len(tokens) - w + 1)
@@ -385,13 +389,13 @@ def oracle_stats_rows(c, n_windows, seed):
 def test_profile_and_sttr_rows_equal_the_token_list_oracle():
     for c in streaming_corpora():
         for n_windows, seed in ((50, 0), (1, 3), (7, 11)):
-            got = cli._profile_and_sttr_rows(c, n_windows, seed)
+            got = profile_and_sttr_rows(c, n_windows, seed)
             assert got == oracle_stats_rows(c, n_windows, seed)
 
 
 def test_genre_vectors_equal_the_joined_text_oracle():
     for c in streaming_corpora():
-        got = cli._genre_vectors(c)
+        got = genre_vectors(c)
         expected = oracles.genre_vectors([(r.palo, r.text) for r in c.records])
         assert list(got) == list(expected)
         for palo, row in got.items():
@@ -413,7 +417,7 @@ def test_streamed_passes_hold_no_token_list():
     passes = {
         "heaps_curve": lambda: heaps_curve(c, seed=1),
         "tfidf": lambda: tfidf(c, vocab),
-        "genre vectors": lambda: cli._genre_vectors(c),
+        "genre vectors": lambda: genre_vectors(c),
     }
     for name, run in passes.items():
         tracemalloc.start()
@@ -569,13 +573,13 @@ def reference_corpus():
 def palo_of(reference_corpus):
     """Map short genre codes onto the corpus's own palo spellings."""
     filtered, _ = reference_corpus
-    config = default_config()
+    punctuation = default_config().punctuation
     resolved = {}
     for code, prefixes in PALO_CODE_PREFIXES.items():
         matches = [
             name
             for name in filtered.palos
-            if strip_accents_and_punct(name, config).lower().startswith(prefixes)
+            if oracles._strip_token(name, punctuation).lower().startswith(prefixes)
         ]
         assert len(matches) == 1, f"cannot resolve {code!r} in {filtered.palos}"
         resolved[code] = matches[0]

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexpalo import cli, load_corpus, mnb, save_corpus
 from lexpalo.errors import CorpusIoError, ModelFormatError
+from lexpalo.vectorize import genre_vectors
 
 
 def write_jsonl(path, records):
@@ -285,7 +286,7 @@ def test_distances_of_long_genre_vectors_do_not_depend_on_blas_threads(tmp_path)
     # np.linalg.norm, across threads
     records = long_genre_records()
     path = write_jsonl(tmp_path / "long.jsonl", records)
-    vectors = cli._genre_vectors(load_corpus(path))
+    vectors = genre_vectors(load_corpus(path))
     assert min(row.nnz for row in vectors.values()) > 10_000
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []

@@ -58,7 +58,10 @@ def test_load_jsonl_roundtrips_fields(tmp_path):
     assert c.records[0].text == "ay pena mía"
     assert c.records[1].metadata == {"source": "web"}
     assert c.palos == ("solea", "tangos")
-    assert [r.id for r in c.records_of("solea")] == ["x1", "x3"]
+    assert list(c.tokens(["solea"])) == ["ay", "pena", "mía", "otra", "pena"]
+    assert list(c.tokens(["tangos", "solea"])) == [
+        "al", "compás", "ay", "pena", "mía", "otra", "pena"
+    ]
 
 
 def test_load_jsonl_skips_blank_lines(tmp_path):

@@ -72,11 +72,17 @@ EMPTY_PALO_RUNS = SplitSpec(train_fraction=0.5, seed=29)
 
 
 # ---------------------------------------------------------------------------
-# run_training
+# one training round
+
+
+def run_training(corpus, alpha, split):
+    """One seeded split + fit + validation round, as run_trainings runs each
+    of its rounds."""
+    return experiments._trainings(corpus, alpha, [split], threads=1)[0]
 
 
 def test_training_separable_corpus_is_perfect():
-    result = experiments.run_training(SEPARABLE, alpha=0.5, split=HALF)
+    result = run_training(SEPARABLE, alpha=0.5, split=HALF)
     assert result.classes == ("A", "B")
     assert result.global_accuracy == 1.0
     assert result.per_class_accuracy == {"A": 1.0, "B": 1.0}
@@ -89,7 +95,7 @@ def test_training_oov_validation_doc_falls_back_to_priors():
     # validation half is out-of-vocabulary there and gets scored by priors
     # alone; A has more training docs, hence the larger prior.
     corpus = labeled_corpus({"A": ["mar sol"] * 4, "B": ["uno", "dos"]})
-    result = experiments.run_training(corpus, alpha=0.5, split=HALF)
+    result = run_training(corpus, alpha=0.5, split=HALF)
     assert np.array_equal(result.confusion, [[2, 0], [1, 0]])
     assert result.per_class_accuracy == {"A": 1.0, "B": 0.0}
     assert result.global_accuracy == pytest.approx(2 / 3)
@@ -98,7 +104,7 @@ def test_training_oov_validation_doc_falls_back_to_priors():
 def test_training_confusion_rows_match_validation_counts():
     corpus = mixed_corpus()
     split = SplitSpec(train_fraction=0.5, seed=99)
-    result = experiments.run_training(corpus, alpha=0.5, split=split)
+    result = run_training(corpus, alpha=0.5, split=split)
     _, validation = stratified_split(corpus, split)
     for k, palo in enumerate(result.classes):
         expected = sum(1 for r in validation.records if r.palo == palo)
@@ -106,7 +112,7 @@ def test_training_confusion_rows_match_validation_counts():
 
 
 def test_training_accuracies_recompute_from_confusion():
-    result = experiments.run_training(
+    result = run_training(
         mixed_corpus(7), alpha=0.3, split=SplitSpec(train_fraction=0.7, seed=5)
     )
     confusion = result.confusion
@@ -121,13 +127,13 @@ def test_training_tolerates_token_free_records():
     corpus = labeled_corpus(
         {"A": ["mar sol", "", "mar sol", "mar sol"], "B": ["pena", "pena"]}
     )
-    result = experiments.run_training(corpus, alpha=0.5, split=HALF)
+    result = run_training(corpus, alpha=0.5, split=HALF)
     assert result.confusion.sum() == 3  # 2 validation A docs + 1 B doc
 
 
 def test_training_is_deterministic():
-    first = experiments.run_training(mixed_corpus(), alpha=0.5, split=HALF)
-    second = experiments.run_training(mixed_corpus(), alpha=0.5, split=HALF)
+    first = run_training(mixed_corpus(), alpha=0.5, split=HALF)
+    second = run_training(mixed_corpus(), alpha=0.5, split=HALF)
     assert np.array_equal(first.confusion, second.confusion)
     assert first.per_class_accuracy == second.per_class_accuracy
     assert first.global_accuracy == second.global_accuracy
@@ -152,7 +158,7 @@ def test_trainings_match_individually_seeded_runs():
             train_fraction=HALF.train_fraction,
             seed=derive_seed(HALF.seed, "run", i),
         )
-        alone = experiments.run_training(corpus, 0.5, spec)
+        alone = run_training(corpus, 0.5, spec)
         assert np.array_equal(run.confusion, alone.confusion)
         assert run.global_accuracy == alone.global_accuracy
 
@@ -240,10 +246,10 @@ def test_aggregate_perfect_classifier_has_no_confusion():
 def test_aggregate_rejects_empty_and_mismatched_runs():
     with pytest.raises(ValueError, match="no runs"):
         experiments.aggregate([])
-    r1 = experiments.run_training(
+    r1 = run_training(
         labeled_corpus({"A": ["mar"] * 2, "B": ["sol"] * 2}), 0.5, HALF
     )
-    r2 = experiments.run_training(
+    r2 = run_training(
         labeled_corpus({"A": ["mar"] * 2, "C": ["sol"] * 2}), 0.5, HALF
     )
     with pytest.raises(InconsistentClassesError):
@@ -735,7 +741,7 @@ def test_training_side_without_a_palo_pins_the_fitted_classes():
     assert not any(r.text for r in train.records if r.palo == "C")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = experiments.run_training(EMPTY_PALO, 0.5, EMPTY_PALO_SPLIT)
+        result = run_training(EMPTY_PALO, 0.5, EMPTY_PALO_SPLIT)
     assert result.classes == ("A", "B", "C")
     assert result.confusion.tolist() == [[2, 0, 0], [0, 2, 0], [1, 1, 0]]
     assert result.per_class_accuracy == {"A": 1.0, "B": 1.0, "C": 0.0}
@@ -902,7 +908,7 @@ BAD_ALPHAS = [0.0, -0.5, math.nan, math.inf, -math.inf, 1e308]
 def test_experiments_reject_alphas_outside_the_domain(alpha):
     corpus = mixed_corpus()
     with pytest.raises(AlphaNonPositiveError, match="finite and > 0"):
-        experiments.run_training(corpus, alpha, HALF)
+        run_training(corpus, alpha, HALF)
     with pytest.raises(AlphaNonPositiveError):
         experiments.run_trainings(corpus, alpha, 2, HALF, threads=2)
     with pytest.raises(AlphaNonPositiveError):

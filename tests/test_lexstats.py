@@ -7,20 +7,15 @@ import numpy as np
 import pytest
 
 from lexpalo.corpus_io import Corpus
-from lexpalo.errors import (
-    DegenerateFitError,
-    EmptyDocumentError,
-    WindowTooLongError,
-)
+from lexpalo.errors import DegenerateFitError, EmptyDocumentError
 from lexpalo.lexstats import (
     STTR_MAX_WINDOWS,
     hapax_report,
     heaps_curve,
-    profile,
+    profile_and_sttr_rows,
     ranked_frequencies,
     _previous_occurrences,
     _sttr_of,
-    sttr,
     zipf_fit,
 )
 
@@ -39,19 +34,25 @@ from helpers import (
 # profile
 
 
+def profile(document):
+    """(L, |V|, TTR) of one token list, from the profile row of a one-song
+    corpus."""
+    profile_rows, _ = profile_and_sttr_rows(
+        corpus_from_texts([" ".join(document)]), 1, seed=0
+    )
+    return tuple(profile_rows[0][1:])
+
+
 def test_profile_counts_tokens_types_and_ttr():
-    p = profile(["a", "b", "a"])
-    assert (p.tokens, p.types) == (3, 2)
-    assert p.ttr == 2 / 3
+    assert profile(["a", "b", "a"]) == (3, 2, 2 / 3)
 
 
 def test_profile_all_distinct_tokens_has_ttr_one():
-    assert profile(["x", "y", "z"]).ttr == 1.0
+    assert profile(["x", "y", "z"])[2] == 1.0
 
 
 def test_profile_single_repeated_token_hits_lower_bound():
-    p = profile(["la"] * 8)
-    assert p.ttr == 1 / 8
+    assert profile(["la"] * 8)[2] == 1 / 8
 
 
 def test_profile_rejects_empty_document():
@@ -63,19 +64,26 @@ def test_profile_ttr_bounds_on_random_documents():
     rng = random.Random(10)
     for _ in range(50):
         doc = [f"w{rng.randint(0, 12)}" for _ in range(rng.randint(1, 60))]
-        p = profile(doc)
-        assert 1 / p.tokens <= p.ttr <= 1.0
-        assert (p.ttr == 1.0) == (len(set(doc)) == len(doc))
+        tokens, _, ttr = profile(doc)
+        assert 1 / tokens <= ttr <= 1.0
+        assert (ttr == 1.0) == (len(set(doc)) == len(doc))
 
 
 # ---------------------------------------------------------------------------
 # sTTR
 
 
+def sttr(document, window_length, n_windows, seed):
+    """sTTR of one token list, drawn as profile_and_sttr_rows draws it."""
+    return _sttr_of(
+        _previous_occurrences(document), window_length, n_windows, seed
+    )
+
+
 def test_sttr_full_window_is_whole_document_ttr_without_error():
     doc = ["a", "b", "a", "c"]
     result = sttr(doc, window_length=4, n_windows=50, seed=123)
-    assert result.mean == profile(doc).ttr
+    assert result.mean == profile(doc)[2]
     assert result.stderr == 0.0
     assert result.n_windows == 1
     assert result.window_length == 4
@@ -155,37 +163,22 @@ def test_previous_occurrences_stream_from_any_iterable():
             assert prev.tolist() == expected
 
 
-def test_sttr_of_previous_occurrences_equals_sttr():
-    rng = random.Random(32)
-    for trial in range(30):
-        doc = [f"w{rng.randint(0, 12)}" for _ in range(rng.randint(1, 80))]
-        window = rng.choice((1, len(doc), rng.randint(1, len(doc))))
-        prev = _previous_occurrences(doc)
-        assert _sttr_of(prev, window, 9, seed=trial) == sttr(doc, window, 9, trial)
-
-
-def test_sttr_rejects_oversized_window():
-    with pytest.raises(WindowTooLongError):
-        sttr(["a", "b"], window_length=3, n_windows=2, seed=0)
-
-
 def test_sttr_rejects_window_counts_beyond_the_cap(monkeypatch):
     def no_draws(*args):
         raise AssertionError("windows drawn")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
+    c = labeled_corpus({"A": ["a b c"], "B": ["a b"]})
     for n_windows in (STTR_MAX_WINDOWS + 1, 100_000_000_000):
         with pytest.raises(ValueError, match="n_windows"):
-            sttr(["a", "b", "c"], 2, n_windows, seed=0)
+            profile_and_sttr_rows(c, n_windows, seed=0)
 
 
 def test_sttr_rejects_bad_parameters():
     with pytest.raises(EmptyDocumentError):
-        sttr([], 1, 1, seed=0)
+        profile_and_sttr_rows(labeled_corpus({"A": ["a b"], "B": [""]}), 1, seed=0)
     with pytest.raises(ValueError):
-        sttr(["a", "b"], 0, 5, seed=0)
-    with pytest.raises(ValueError):
-        sttr(["a", "b"], 1, 0, seed=0)
+        profile_and_sttr_rows(labeled_corpus({"A": ["a b"]}), 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +283,7 @@ def test_zipf_exact_power_law_recovers_slope_minus_one():
     text = " ".join(
         ["w1"] * 240 + ["w2"] * 120 + ["w3"] * 80 + ["w4"] * 60
     )
-    fit = zipf_fit(corpus_from_texts([text]), fit_range=(1, 4))
+    fit = zipf_fit(ranked_frequencies(corpus_from_texts([text])), fit_range=(1, 4))
     assert abs(fit.exponent - (-1.0)) < 1e-9
     assert fit.r_squared > 1 - 1e-9
     assert fit.fit_range == (1, 4)
@@ -299,35 +292,35 @@ def test_zipf_exact_power_law_recovers_slope_minus_one():
 
 def test_zipf_small_vocabulary_falls_back_to_full_range():
     text = " ".join(["w1"] * 240 + ["w2"] * 120 + ["w3"] * 80 + ["w4"] * 60)
-    fit = zipf_fit(corpus_from_texts([text]))
+    fit = zipf_fit(ranked_frequencies(corpus_from_texts([text])))
     assert fit.fit_range == (1, 4)
 
 
 def test_zipf_explicit_range_is_clamped_to_vocabulary():
     text = " ".join(["w1"] * 8 + ["w2"] * 4 + ["w3"] * 2)
-    fit = zipf_fit(corpus_from_texts([text]), fit_range=(1, 50))
+    fit = zipf_fit(ranked_frequencies(corpus_from_texts([text])), fit_range=(1, 50))
     assert fit.fit_range == (1, 3)
 
 
 def test_zipf_rejects_invalid_ranges():
     text = " ".join(["w1"] * 8 + ["w2"] * 4 + ["w3"] * 2)
-    c = corpus_from_texts([text])
+    ranked = ranked_frequencies(corpus_from_texts([text]))
     with pytest.raises(ValueError):
-        zipf_fit(c, fit_range=(0, 3))
+        zipf_fit(ranked, fit_range=(0, 3))
     with pytest.raises(ValueError):
-        zipf_fit(c, fit_range=(3, 3))
+        zipf_fit(ranked, fit_range=(3, 3))
     with pytest.raises(ValueError):
-        zipf_fit(c, fit_range=(3, 50))  # clamps to (3, 3): too narrow
+        zipf_fit(ranked, fit_range=(3, 50))  # clamps to (3, 3): too narrow
 
 
 def test_zipf_equal_frequencies_are_degenerate():
     with pytest.raises(DegenerateFitError):
-        zipf_fit(corpus_from_texts(["a b a b"]))
+        zipf_fit(ranked_frequencies(corpus_from_texts(["a b a b"])))
 
 
 def test_zipf_needs_two_types():
     with pytest.raises(DegenerateFitError):
-        zipf_fit(corpus_from_texts(["solo solo solo"]))
+        zipf_fit(ranked_frequencies(corpus_from_texts(["solo solo solo"])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Multinomial naive Bayes: fitting, scoring, ranking, persistence."""
+"""Multinomial naive Bayes: fitting, scoring, persistence."""
 
 import dataclasses
 import json
@@ -15,7 +15,6 @@ from lexpalo.errors import (
     CorpusIoError,
     LabelMismatchError,
     ModelFormatError,
-    UnknownClassError,
     VocabularyMismatchError,
 )
 from lexpalo.vectorize import Vocabulary, build_vocabulary, tfidf, tfidf_row
@@ -262,41 +261,6 @@ def test_scores_are_bit_identical_to_the_direct_product(tmp_path):
     )
     assert by_hand.word_logprob.flags.c_contiguous
     assert_scores_bit_identical(by_hand, probes)
-
-
-# ---------------------------------------------------------------------------
-# per-class word ranking
-
-
-def test_word_logprob_table_is_sorted_with_lexicographic_ties():
-    model, _, _ = fitted({"X": ["a a b", "a c"], "Y": ["d"]})
-    table = mnb.word_logprob_table(model, "X")
-    values = [v for _, v in table]
-    assert values == sorted(values, reverse=True)
-    for (w1, v1), (w2, v2) in zip(table, table[1:]):
-        if v1 == v2:
-            assert w1 < w2
-
-
-def test_word_logprob_table_floor_words_rank_last():
-    model, matrix, _ = fitted({"X": ["a a"], "Y": ["b b"]}, alpha=0.3)
-    table = mnb.word_logprob_table(model, "X")
-    assert table[0][0] == "a"
-    assert table[-1][0] == "b"
-    k_x = model.classes.index("X")
-    floor = model.word_logprob[k_x, matrix.vocab.index["b"]]
-    assert table[-1][1] == pytest.approx(float(floor), abs=0.0)
-
-
-def test_word_logprob_table_identical_classes_get_identical_tables():
-    model, _, _ = fitted({"X": ["a b c"], "Y": ["a b c"]})
-    assert mnb.word_logprob_table(model, "X") == mnb.word_logprob_table(model, "Y")
-
-
-def test_word_logprob_table_unknown_class():
-    model, _, _ = fitted({"X": ["a"], "Y": ["b"]})
-    with pytest.raises(UnknownClassError):
-        mnb.word_logprob_table(model, "Z")
 
 
 # ---------------------------------------------------------------------------

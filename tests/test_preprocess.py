@@ -1,5 +1,6 @@
 """The five-stage text-filtering pipeline and its corpus-level case rule."""
 
+import json
 import logging
 import random
 import re
@@ -18,18 +19,15 @@ from lexpalo import preprocess
 from lexpalo.preprocess import (
     DEFAULT_PUNCTUATION,
     CaseDecision,
+    FrozenPipeline,
     PreprocessConfig,
     apply_concat_map,
-    compute_case_decisions,
     default_config,
     filter_tokens,
     load_concat_map,
     load_stopwords,
     preprocess_corpus,
     preprocess_with_decisions,
-    remove_stopwords,
-    strip_accents_and_punct,
-    tokenize,
 )
 
 import oracles
@@ -39,8 +37,17 @@ from helpers import corpus, corpus_from_texts, random_spanish_corpus
 BARE = PreprocessConfig()  # default gamma, no stopwords, no concat map
 
 
+def case_decisions(corpus_, config):
+    return preprocess_with_decisions(corpus_, config)[1]
+
+
 def decisions_by_word(corpus_, config):
-    return {d.word: d for d in compute_case_decisions(corpus_, config)}
+    return {d.word: d for d in case_decisions(corpus_, config)}
+
+
+def strip(text, config=BARE):
+    """Stages 3-4 on one text, for a configuration without stop words."""
+    return filter_tokens(text, config, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +279,13 @@ def test_case_keys_keep_accents_distinct():
 
 
 def test_case_lowercase_only_words_get_no_decision():
-    decisions = compute_case_decisions(corpus_from_texts(["solo minúsculas"]), BARE)
+    decisions = case_decisions(corpus_from_texts(["solo minúsculas"]), BARE)
     assert decisions == []
 
 
 def test_case_decisions_sorted_by_word():
     c = corpus_from_texts(["Zambra Ana Mar"])
-    words = [d.word for d in compute_case_decisions(c, BARE)]
+    words = [d.word for d in case_decisions(c, BARE)]
     assert words == sorted(words)
 
 
@@ -293,7 +300,7 @@ def test_case_gamma_one_lowers_anything_seen_lowercase():
 def test_case_gamma_zero_lowers_nothing():
     config = PreprocessConfig(gamma=0.0)
     c = corpus_from_texts(["Mar mar mar mar Mar"])
-    assert not any(d.lowered for d in compute_case_decisions(c, config))
+    assert not any(d.lowered for d in case_decisions(c, config))
 
 
 # ---------------------------------------------------------------------------
@@ -301,37 +308,37 @@ def test_case_gamma_zero_lowers_nothing():
 
 
 def test_strip_removes_accents_and_punctuation():
-    assert strip_accents_and_punct("¡corazón!", BARE) == "corazon"
+    assert strip("¡corazón!") == ["corazon"]
 
 
 def test_strip_preserves_n_with_tilde():
-    assert strip_accents_and_punct("niña", BARE) == "niña"
-    assert strip_accents_and_punct("SEÑOR", BARE) == "SEÑOR"
+    assert strip("niña") == ["niña"]
+    assert strip("SEÑOR") == ["SEÑOR"]
 
 
 def test_strip_maps_u_with_diaeresis_to_plain_u():
-    assert strip_accents_and_punct("vergüenza", BARE) == "verguenza"
+    assert strip("vergüenza") == ["verguenza"]
 
 
 def test_strip_removes_every_configured_punctuation_char():
     text = "a,b;c.d:e¡f!g¿h?i@j#k\\l$m"
-    assert strip_accents_and_punct(text, BARE) == "abcdefghijklm"
+    assert strip(text) == ["abcdefghijklm"]
     assert set(",;.:¡!¿?@#\\$") == set(DEFAULT_PUNCTUATION)
 
 
 def test_strip_is_identity_on_clean_text():
     text = "un cante sin adornos"
-    assert strip_accents_and_punct(text, BARE) == text
+    assert strip(text) == text.split()
 
 
 def test_strip_handles_decomposed_input():
     decomposed = unicodedata.normalize("NFD", "camarón")
-    assert strip_accents_and_punct(decomposed, BARE) == "camaron"
+    assert strip(decomposed) == ["camaron"]
 
 
 def test_strip_respects_custom_punctuation_set():
     config = PreprocessConfig(punctuation=frozenset("-"))
-    assert strip_accents_and_punct("re-mate, sí", config) == "remate, si"
+    assert strip("re-mate, sí", config) == ["remate,", "si"]
 
 
 LATIN1 = "".join(map(chr, range(256)))
@@ -354,33 +361,33 @@ def test_strip_accents_matches_decomposition_on_random_latin1_strings():
 
 
 def test_tokenize_splits_on_runs_of_whitespace():
-    assert tokenize("a  Cadiz no") == ["a", "Cadiz", "no"]
+    assert strip("a  Cadiz no") == ["a", "Cadiz", "no"]
 
 
 def test_tokenize_empty_text():
-    assert tokenize("") == []
-    assert tokenize("   \n\t ") == []
+    assert strip("") == []
+    assert strip("   \n\t ") == []
 
 
 def test_tokenize_is_additive_over_lines():
     lines = ["ay pena", "mar y arena azul", "compás"]
     joined = "\n".join(lines)
-    assert len(tokenize(joined)) == sum(len(tokenize(l)) for l in lines)
+    assert len(strip(joined)) == sum(len(strip(l)) for l in lines)
 
 
 def test_stopword_removal_is_case_sensitive():
     config = PreprocessConfig(stopwords=frozenset({"que"}))
-    assert remove_stopwords(["que", "Que", "mar"], config) == ["Que", "mar"]
+    assert filter_tokens("que Que mar", config, frozenset()) == ["Que", "mar"]
 
 
 def test_stopword_removal_can_empty_a_document():
     config = PreprocessConfig(stopwords=frozenset({"de", "la"}))
-    assert remove_stopwords(["de", "la", "de"], config) == []
+    assert filter_tokens("de la de", config, frozenset()) == []
 
 
 def test_stopword_removal_with_empty_set_is_identity():
     tokens = ["el", "mar", "de", "Cadiz"]
-    assert remove_stopwords(tokens, BARE) == tokens
+    assert strip(" ".join(tokens)) == tokens
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +529,13 @@ def test_filter_tokens_matches_pipeline_output():
     c = random_spanish_corpus(random.Random(3), n_records=(4, 6))
     processed, decisions = preprocess_with_decisions(c, config)
     lowered = frozenset(d.word for d in decisions if d.lowered)
+    pipeline = FrozenPipeline(config, lowered)
+    state = json.loads(json.dumps(pipeline.to_dict()))
+    assert FrozenPipeline.from_dict(state, "model.json") == pipeline
     for raw, out in zip(c.records, processed.records):
         mapped = apply_concat_map(raw.text, config)
         assert filter_tokens(mapped, config, lowered) == out.text.split()
+        assert pipeline.apply(raw.text) == out.text.split()
 
 
 def per_token_rule(text, config, lowered):
@@ -645,7 +656,7 @@ def test_pipeline_lowered_words_never_resurface_capitalized():
         c = random_spanish_corpus(rng)
         out, decisions = preprocess_with_decisions(c, config)
         lowered_stripped = {
-            strip_accents_and_punct(d.word, config)
+            oracles._strip_token(d.word, config.punctuation)
             for d in decisions if d.lowered
         }
         for rec in out.records:
