@@ -64,6 +64,15 @@ def test_load_jsonl_roundtrips_fields(tmp_path):
     ]
 
 
+def test_tokens_stream_lazily_in_the_given_palo_order():
+    c = corpus(("1", "a b", "P"), ("2", "c", "Q"), ("3", "d e", "P"))
+    tokens = c.tokens(["Q", "P"])
+    assert not isinstance(tokens, list)
+    assert next(tokens) == "c"
+    assert list(tokens) == ["a", "b", "d", "e"]
+    assert list(c.tokens([])) == []
+
+
 def test_load_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(

@@ -18,6 +18,7 @@ from lexpalo.lexstats import (
     _sttr_of,
     zipf_fit,
 )
+from lexpalo.seeding import derive_seed
 
 import oracles
 from helpers import (
@@ -161,6 +162,33 @@ def test_previous_occurrences_stream_from_any_iterable():
             prev = _previous_occurrences(tokens)
             assert prev.dtype == np.int64
             assert prev.tolist() == expected
+
+
+def test_sttr_of_previous_occurrences_equals_sttr():
+    rng = random.Random(32)
+    for trial in range(30):
+        c = random_labeled_corpus(rng)
+        _, sttr_rows = profile_and_sttr_rows(c, 9, seed=trial)
+        prevs = [
+            (palo, _previous_occurrences(c.tokens([palo])))
+            for palo in sorted(c.palos)
+        ]
+        window = min(len(prev) for _, prev in prevs)
+        prevs.append(("__corpus__", _previous_occurrences(c.tokens(c.palos))))
+        assert len(sttr_rows) == len(prevs)
+        for row, (label, prev) in zip(sttr_rows, prevs):
+            res = _sttr_of(prev, window, 9, seed=derive_seed(trial, "sttr", label))
+            assert row == [label, res.mean, res.stderr, window, res.n_windows]
+
+
+def test_sttr_window_never_exceeds_the_shortest_palo():
+    c = labeled_corpus({"A": ["a b c d e", "f g"], "B": ["a b a"], "C": ["x y z w"]})
+    profile_rows, sttr_rows = profile_and_sttr_rows(c, 5, seed=0)
+    shortest = min(row[1] for row in profile_rows)
+    assert shortest == 3
+    assert [row[3] for row in sttr_rows] == [shortest] * len(sttr_rows)
+    b_row = next(row for row in sttr_rows if row[0] == "B")
+    assert b_row == ["B", 2 / 3, 0.0, 3, 1]
 
 
 def test_sttr_rejects_window_counts_beyond_the_cap(monkeypatch):

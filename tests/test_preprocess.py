@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexpalo.corpus_io import Corpus
-from lexpalo.errors import CorpusIoError, FormatError
+from lexpalo.errors import CorpusIoError, FormatError, ModelFormatError
 from lexpalo import preprocess
 from lexpalo.preprocess import (
     DEFAULT_PUNCTUATION,
@@ -536,6 +536,49 @@ def test_filter_tokens_matches_pipeline_output():
         mapped = apply_concat_map(raw.text, config)
         assert filter_tokens(mapped, config, lowered) == out.text.split()
         assert pipeline.apply(raw.text) == out.text.split()
+
+
+def frozen_state(**changes):
+    config = PreprocessConfig(
+        stopwords=frozenset({"la", "de"}),
+        concat_map=(("Santa Ana", "SantaAna"),),
+    )
+    state = FrozenPipeline(config, frozenset({"niña", "cádiz"})).to_dict()
+    state.update(changes)
+    return state
+
+
+def test_frozen_pipeline_to_dict_keeps_the_model_file_layout():
+    state = frozen_state()
+    assert list(state) == [
+        "gamma", "punctuation", "stopwords", "concat_map", "lowered_words"
+    ]
+    assert state["punctuation"] == "".join(sorted(DEFAULT_PUNCTUATION))
+    assert state["stopwords"] == ["de", "la"]
+    assert state["concat_map"] == [["Santa Ana", "SantaAna"]]
+    assert state["lowered_words"] == ["cádiz", "niña"]
+
+
+def test_frozen_pipeline_from_dict_rejects_an_absent_or_non_dict_state():
+    with pytest.raises(ModelFormatError, match="preprocessing state"):
+        FrozenPipeline.from_dict(None, "m.json")
+    for state in ([], "state", 3):
+        with pytest.raises(ModelFormatError, match="m.json has a malformed"):
+            FrozenPipeline.from_dict(state, "m.json")
+
+
+def test_frozen_pipeline_from_dict_names_every_bad_key():
+    state = frozen_state(gamma="0.2", lowered_words=[["mar"]])
+    del state["stopwords"]
+    with pytest.raises(ModelFormatError) as info:
+        FrozenPipeline.from_dict(state, "m.json")
+    assert str(info.value).endswith("gamma, stopwords, lowered_words")
+
+
+def test_frozen_pipeline_from_dict_reports_invalid_config_as_model_format():
+    for bad in (frozen_state(gamma=5), frozen_state(stopwords=["de la"])):
+        with pytest.raises(ModelFormatError, match="model file m.json: "):
+            FrozenPipeline.from_dict(bad, "m.json")
 
 
 def per_token_rule(text, config, lowered):
