@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -44,7 +45,7 @@ from .corpus_io import (
     load_corpus,
     read_text,
 )
-from .errors import CorpusIoError, LexpaloError
+from .errors import CorpusIoError, FormatError, LexpaloError
 from .seeding import derive_seed
 from .vectorize import build_vocabulary, genre_vectors, tfidf, tfidf_row
 
@@ -156,7 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("mst", "genre MST and network as DOT files")
     corpus_opts(sp)
-    sp.add_argument("--linkage", choices=genre_graph.LINKAGES)
 
     sp = command("classify", "label new text with a saved model")
     sp.add_argument("--model", required=True, type=Path,
@@ -170,42 +170,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# report writing
+# report rendering and writing
 
-def _atomic_write(path: Path, write_fn) -> None:
-    """Write a report via temp-file + rename, creating its directory."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CorpusIoError(f"cannot create {path.parent}: {exc}") from exc
-    atomic_write(path, write_fn)
+def _atomic_write(path: Path, text: str) -> None:
+    """Write one report via temp-file + rename."""
+    atomic_write(path, lambda fh: fh.write(text))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    _atomic_write(path, write)
-
-
-def _write_text(path: Path, content: str) -> None:
-    _atomic_write(path, lambda fh: fh.write(content))
+def _csv(header: list[str], rows) -> str:
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue()
 
 
-def _write_matrix_csv(path: Path, classes, matrix) -> None:
-    rows = [[c] + [float(matrix[i, j]) for j in range(len(classes))]
-            for i, c in enumerate(classes)]
-    _write_csv(path, ["true"] + list(classes), rows)
+def _matrix_csv(corner: str, labels, matrix) -> str:
+    return _csv([corner] + list(labels),
+                [[lab] + [float(v) for v in matrix[i]] for i, lab in enumerate(labels)])
 
 
-def _safe_filename(palo: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in palo)
+def _essential_file_names(palos) -> dict[str, str]:
+    """Each palo's essential-list file; FormatError when two palos share one."""
+    owners = {}
+    for palo in sorted(palos):
+        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in palo)
+        name = f"essential_{safe}.txt"
+        if owners.setdefault(name, palo) != palo:
+            raise FormatError(f"palos {owners[name]!r} and {palo!r} both write {name}")
+    return {palo: name for name, palo in owners.items()}
 
 
 # ---------------------------------------------------------------------------
 # shared pipeline steps
+
+def _check_options(config: RunConfig) -> None:
+    """Reject bad option values before the corpus is read."""
+    if not 1 <= config.sttr_windows <= lexstats.STTR_MAX_WINDOWS:
+        raise ValueError(
+            f"--sttr-windows must lie in [1, {lexstats.STTR_MAX_WINDOWS}], "
+            f"got {config.sttr_windows}"
+        )
+    experiments.alpha_grid(config.grid_step)
+
 
 def _preprocess_config(config: RunConfig) -> preprocess.PreprocessConfig:
     base = preprocess.default_config(gamma=config.gamma)
@@ -230,24 +237,10 @@ def _prepare(config: RunConfig):
     return raw, processed, preprocess.FrozenPipeline(pconfig, lowered)
 
 
-def _nonempty_records(corpus: Corpus) -> Corpus:
-    kept = [r for r in corpus.records if r.text.split()]
-    return corpus if len(kept) == len(corpus.records) else Corpus(kept)
-
-
 # ---------------------------------------------------------------------------
-# commands
+# report builders: (config, raw, processed, pipeline) -> ({file: text}, summary)
 
-def _cmd_stats(config: RunConfig) -> None:
-    # checked before any report is written, not when the windows are drawn
-    if not 1 <= config.sttr_windows <= lexstats.STTR_MAX_WINDOWS:
-        raise ValueError(
-            f"--sttr-windows must lie in [1, {lexstats.STTR_MAX_WINDOWS}], "
-            f"got {config.sttr_windows}"
-        )
-    raw, processed, _ = _prepare(config)
-    out = config.output_dir
-
+def _stats(config: RunConfig, raw, processed, pipeline):
     # Power laws describe the corpus as loaded (unfiltered, raw text).
     ranked = lexstats.ranked_frequencies(raw)
     zipf = lexstats.zipf_fit(ranked)
@@ -258,42 +251,37 @@ def _cmd_stats(config: RunConfig) -> None:
     profile_rows, sttr_rows = lexstats.profile_and_sttr_rows(
         processed, config.sttr_windows, config.seed
     )
-    _write_csv(out / "profile.csv", ["palo", "L", "V", "TTR"], profile_rows)
-    _write_csv(out / "sttr.csv",
-               ["palo", "mean", "stderr", "window_length", "n_windows"],
-               sttr_rows)
+    reports = {"profile.csv": _csv(["palo", "L", "V", "TTR"], profile_rows)}
+    reports["sttr.csv"] = _csv(
+        ["palo", "mean", "stderr", "window_length", "n_windows"], sttr_rows
+    )
 
     hapax = lexstats.hapax_report(processed)
     palo_of = {rec.id: rec.palo for rec in processed.records}
-    _write_csv(out / "hapax.csv", ["song_id", "palo", "r_h"],
-               [[sid, palo_of[sid], ratio] for sid, ratio in hapax.per_song])
-    _write_csv(out / "hapax_unique.csv", ["palo", "unique_types"],
-               [[p, len(hapax.per_palo_unique[p])]
-                for p in sorted(hapax.per_palo_unique)])
+    reports["hapax.csv"] = _csv(
+        ["song_id", "palo", "r_h"],
+        [[sid, palo_of[sid], ratio] for sid, ratio in hapax.per_song])
+    reports["hapax_unique.csv"] = _csv(
+        ["palo", "unique_types"],
+        [[p, len(hapax.per_palo_unique[p])] for p in sorted(hapax.per_palo_unique)])
 
-    _write_csv(out / "zipf.csv", ["rank", "freq"],
-               [[rank, freq] for rank, (_, freq) in enumerate(ranked, start=1)])
-    _write_csv(out / "heaps.csv", ["L", "V"], [list(p) for p in heaps_points])
-    _write_csv(
-        out / "powerlaw.csv",
+    reports["zipf.csv"] = _csv(
+        ["rank", "freq"],
+        [[rank, freq] for rank, (_, freq) in enumerate(ranked, start=1)])
+    reports["heaps.csv"] = _csv(["L", "V"], [list(p) for p in heaps_points])
+    reports["powerlaw.csv"] = _csv(
         ["curve", "exponent", "intercept", "r_squared", "range_lo", "range_hi"],
-        [
-            ["zipf", zipf.exponent, zipf.intercept, zipf.r_squared,
-             zipf.fit_range[0], zipf.fit_range[1]],
-            ["heaps", heaps_fit.exponent, heaps_fit.intercept,
-             heaps_fit.r_squared, heaps_fit.fit_range[0], heaps_fit.fit_range[1]],
-        ],
+        [[name, fit.exponent, fit.intercept, fit.r_squared, *fit.fit_range]
+         for name, fit in (("zipf", zipf), ("heaps", heaps_fit))],
     )
-    print(
+    return reports, (
         f"stats: {len(processed)} lyrics, {len(processed.palos)} palos; "
         f"zipf exponent {zipf.exponent:.4f}, heaps exponent "
-        f"{heaps_fit.exponent:.4f}; reports in {out}"
+        f"{heaps_fit.exponent:.4f}; reports in {config.output_dir}"
     )
 
 
-def _cmd_train(config: RunConfig) -> None:
-    _, processed, pipeline = _prepare(config)
-    out = config.output_dir
+def _train(config: RunConfig, raw, processed, pipeline):
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
     runs = experiments.run_trainings(
         processed, config.alpha, config.runs, split, threads=config.threads
@@ -305,116 +293,93 @@ def _cmd_train(config: RunConfig) -> None:
         for palo in report.classes:
             accuracy_rows.append([i, run.seed, palo, run.per_class_accuracy[palo]])
         accuracy_rows.append([i, run.seed, "__global__", run.global_accuracy])
-    _write_csv(out / "accuracy.csv", ["run", "seed", "palo", "accuracy"],
-               accuracy_rows)
-    _write_matrix_csv(out / "confusion_mean.csv", report.classes,
-                      report.mean_confusion)
-    _write_matrix_csv(out / "confusion_only.csv", report.classes,
-                      report.confusion_only)
+    reports = {
+        "accuracy.csv": _csv(["run", "seed", "palo", "accuracy"], accuracy_rows),
+        "confusion_mean.csv": _matrix_csv("true", report.classes, report.mean_confusion),
+        "confusion_only.csv": _matrix_csv("true", report.classes, report.confusion_only),
+    }
 
     # One model over the whole corpus for later classification.
-    full = _nonempty_records(processed)
+    full = Corpus(r for r in processed.records if r.text.split())
     vocab = build_vocabulary(full)
     matrix = tfidf(full, vocab)
     model = mnb.fit(matrix, [r.palo for r in full.records], config.alpha)
-    model_path = out / "model.json"
-    mnb.save_model(model, model_path, pipeline.to_dict())
-    print(
+    reports["model.json"] = model.to_json(pipeline.to_dict())
+    return reports, (
         f"train: {config.runs} runs at alpha={config.alpha}; mean global "
-        f"accuracy {report.mean_global_accuracy:.4f}; model in {model_path}"
+        f"accuracy {report.mean_global_accuracy:.4f}; model in "
+        f"{config.output_dir / 'model.json'}"
     )
 
 
-def _cmd_sweep_alpha(config: RunConfig) -> None:
-    experiments.alpha_grid(config.grid_step)  # a bad step fails before preprocessing
-    _, processed, _ = _prepare(config)
-    out = config.output_dir
+def _sweep_alpha(config: RunConfig, raw, processed, pipeline):
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
     result = experiments.alpha_sweep(
         processed, config.grid_step, config.runs, split, threads=config.threads
     )
-    _write_csv(out / "alpha_sweep.csv", ["alpha", "mean_accuracy"],
-               [[a, m] for a, m in zip(result.grid, result.mean_accuracy)])
+    reports = {"alpha_sweep.csv": _csv(
+        ["alpha", "mean_accuracy"],
+        [[a, m] for a, m in zip(result.grid, result.mean_accuracy)])}
     best_mean = result.mean_accuracy[result.grid.index(result.best_alpha)]
-    print(
+    return reports, (
         f"sweep-alpha: best alpha {result.best_alpha} "
         f"(mean accuracy {best_mean:.4f} over {result.n_runs} runs)"
     )
 
 
-def _cmd_essential(config: RunConfig) -> None:
-    _, processed, _ = _prepare(config)
-    out = config.output_dir
+def _essential(config: RunConfig, raw, processed, pipeline):
+    names = _essential_file_names(processed.palos)
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
     report = experiments.essential_words(
         processed, config.alpha, config.runs, split, epsilon=config.epsilon
     )
-    for palo in sorted(report.per_palo):
-        _write_text(
-            out / f"essential_{_safe_filename(palo)}.txt",
-            "".join(w + "\n" for w in report.per_palo[palo]),
-        )
-    _write_csv(
-        out / "essential_counts.csv",
+    palos = sorted(report.per_palo)
+    reports = {names[p]: "".join(w + "\n" for w in report.per_palo[p]) for p in palos}
+    reports["essential_counts.csv"] = _csv(
         ["palo", "count", "normalized"],
-        [[p, report.counts[p], report.normalized[p]]
-         for p in sorted(report.per_palo)],
+        [[p, report.counts[p], report.normalized[p]] for p in palos],
     )
-    sizes = ", ".join(
-        f"{p}={report.counts[p]}" for p in sorted(report.per_palo)
-    )
-    print(f"essential: {report.n_runs} runs at alpha={config.alpha}; {sizes}")
+    sizes = ", ".join(f"{p}={report.counts[p]}" for p in palos)
+    return reports, f"essential: {report.n_runs} runs at alpha={config.alpha}; {sizes}"
 
 
-def _cmd_distances(config: RunConfig) -> None:
-    _, processed, _ = _prepare(config)
-    out = config.output_dir
+def _distances(config: RunConfig, raw, processed, pipeline):
     m = genre_graph.distance_matrix(genre_vectors(processed))
-    _write_csv(
-        out / "distances.csv",
-        ["palo"] + list(m.labels),
-        [[lab] + [float(v) for v in m.values[i]]
-         for i, lab in enumerate(m.labels)],
-    )
+    reports = {"distances.csv": _matrix_csv("palo", m.labels, m.values)}
     dendro = genre_graph.hierarchical_cluster(m, linkage=config.linkage)
-    _write_text(
-        out / "dendrogram.json",
-        json.dumps(
-            {
-                "labels": list(dendro.labels),
-                "linkage": dendro.linkage,
-                "merges": [list(merge) for merge in dendro.merges],
-            },
-            ensure_ascii=False,
-        )
-        + "\n",
-    )
+    reports["dendrogram.json"] = json.dumps(
+        {
+            "labels": list(dendro.labels),
+            "linkage": dendro.linkage,
+            "merges": [list(merge) for merge in dendro.merges],
+        },
+        ensure_ascii=False,
+    ) + "\n"
     closest = min(
         ((m.values[i, j], m.labels[i], m.labels[j])
          for i in range(len(m.labels)) for j in range(i + 1, len(m.labels))),
     )
-    print(
+    return reports, (
         f"distances: {len(m.labels)} palos; closest pair "
         f"{closest[1]}--{closest[2]} at {closest[0]:.4f}"
     )
 
 
-def _cmd_mst(config: RunConfig) -> None:
-    _, processed, _ = _prepare(config)
-    out = config.output_dir
+def _mst(config: RunConfig, raw, processed, pipeline):
     m = genre_graph.distance_matrix(genre_vectors(processed))
     tree = genre_graph.minimum_spanning_tree(m)
     network = genre_graph.complete_graph(m)
-    _write_text(out / "mst.dot", genre_graph.export_dot(tree, m))
-    _write_text(out / "network.dot", genre_graph.export_dot(network, m))
+    reports = {"mst.dot": genre_graph.export_dot(tree, m),
+               "network.dot": genre_graph.export_dot(network, m)}
     total = sum(w for _, _, w in tree.edges)
-    print(
+    return reports, (
         f"mst: {len(tree.edges)} edges, total weight {total:.4f}; "
-        f"DOT files in {out}"
+        f"DOT files in {config.output_dir}"
     )
 
 
-def _cmd_classify(config: RunConfig) -> None:
+def _classify(config: RunConfig) -> str:
+    """The printed lines: the label, then the scores if asked for."""
     model, state = mnb.load_model(config.model)
     pipeline = preprocess.FrozenPipeline.from_dict(state, config.model)
     if config.text is not None:
@@ -422,33 +387,43 @@ def _cmd_classify(config: RunConfig) -> None:
     else:
         text = read_text(config.file, "text file")
     result = mnb.score(model, tfidf_row(pipeline.apply(text), model.vocab))
-    print(result.predicted)
+    lines = [result.predicted]
     if config.scores:
         for palo in sorted(result.scores, key=lambda p: (-result.scores[p], p)):
-            print(f"{palo}\t{result.scores[palo]!r}")
+            lines.append(f"{palo}\t{result.scores[palo]!r}")
+    return "\n".join(lines)
 
 
-_COMMANDS = {
-    "stats": _cmd_stats,
-    "train": _cmd_train,
-    "sweep-alpha": _cmd_sweep_alpha,
-    "essential": _cmd_essential,
-    "distances": _cmd_distances,
-    "mst": _cmd_mst,
-    "classify": _cmd_classify,
+_BUILDERS = {
+    "stats": _stats,
+    "train": _train,
+    "sweep-alpha": _sweep_alpha,
+    "essential": _essential,
+    "distances": _distances,
+    "mst": _mst,
 }
 
 
 def run(command: str, config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code. A command
+    builds all its reports before it writes any."""
     try:
-        _COMMANDS[command](config)
-    except LexpaloError as exc:
+        _check_options(config)
+        if command == "classify":
+            summary = _classify(config)
+        else:
+            reports, summary = _BUILDERS[command](config, *_prepare(config))
+            out = config.output_dir
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise CorpusIoError(f"cannot create {out}: {exc}") from exc
+            for name, text in reports.items():
+                _atomic_write(out / name, text)
+        print(summary)
+    except (LexpaloError, ValueError) as exc:
         print(f"lexpalo {command}: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(f"lexpalo {command}: error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, LexpaloError) else 2
     return 0
 
 

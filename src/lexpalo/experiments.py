@@ -460,10 +460,7 @@ def run_trainings(
     With threads > 1 the rounds execute in worker processes; results are
     identical to the sequential order either way.
     """
-    return _trainings(corpus, alpha, _run_specs(split, n_runs), threads)
-
-
-def _trainings(corpus: Corpus, alpha: float, specs, threads: int) -> list:
+    specs = _run_specs(split, n_runs)
     enc = _encode(corpus)
     check_alpha(alpha, len(enc.words))
     jobs = [(alpha, spec) for spec in specs]

@@ -61,6 +61,31 @@ class MnbModel:
     def _log_priors(self) -> np.ndarray:
         return np.array([math.log(self.priors[c]) for c in self.classes])
 
+    def to_json(self, preprocess_state: dict | None = None) -> str:
+        """The model as JSON text (format version "mnb-v1").
+
+        ``preprocess_state`` — the frozen text-filtering state captured at
+        training time — is stored alongside the model so saved classifiers can
+        normalize new text exactly as their training corpus was.
+        """
+        payload = {
+            "version": MODEL_FORMAT_VERSION,
+            "classes": list(self.classes),
+            "priors": {c: self.priors[c] for c in self.classes},
+            "alpha": self.alpha,
+            "vocab": {
+                "words": list(self.vocab.words),
+                "df": list(self.vocab.df),
+                "n_docs": self.vocab.n_docs,
+            },
+            "word_logprob": [list(map(float, row)) for row in self.word_logprob],
+        }
+        if preprocess_state is not None:
+            payload["preprocess"] = preprocess_state
+        # json.dumps encodes in one C call; json.dump streams the same text
+        # through the pure-Python encoder
+        return json.dumps(payload, ensure_ascii=False, allow_nan=False) + "\n"
+
 
 @dataclass(frozen=True)
 class ClassScores:
@@ -147,30 +172,8 @@ def predict_rows(model: MnbModel, rows) -> list[str]:
 
 
 def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> None:
-    """Persist a model as JSON (format version "mnb-v1"), atomically.
-
-    ``preprocess_state`` — the frozen text-filtering state captured at
-    training time — is stored alongside the model so saved classifiers can
-    normalize new text exactly as their training corpus was.
-    """
-    payload = {
-        "version": MODEL_FORMAT_VERSION,
-        "classes": list(model.classes),
-        "priors": {c: model.priors[c] for c in model.classes},
-        "alpha": model.alpha,
-        "vocab": {
-            "words": list(model.vocab.words),
-            "df": list(model.vocab.df),
-            "n_docs": model.vocab.n_docs,
-        },
-        "word_logprob": [list(map(float, row)) for row in model.word_logprob],
-    }
-    if preprocess_state is not None:
-        payload["preprocess"] = preprocess_state
-
-    # json.dumps encodes in one C call; json.dump streams the same text
-    # through the pure-Python encoder
-    text = json.dumps(payload, ensure_ascii=False, allow_nan=False) + "\n"
+    """Persist ``model.to_json(preprocess_state)`` atomically."""
+    text = model.to_json(preprocess_state)
     atomic_write(path, lambda fh: fh.write(text))
 
 

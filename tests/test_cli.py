@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexpalo import cli, load_corpus, mnb, save_corpus
-from lexpalo.errors import CorpusIoError, ModelFormatError
+from lexpalo.errors import CorpusIoError, LabelMismatchError, ModelFormatError
 from lexpalo.vectorize import genre_vectors
 
 
@@ -222,6 +222,25 @@ def test_essential_writes_lists_and_counts(corpus_file, tmp_path):
         assert len(words) == int(count)
         assert 0.0 <= float(normalized) <= 1.0
         assert len(set(words)) == len(words)
+
+
+def test_essential_palos_sharing_a_list_file_exit_four(tmp_path, capsys):
+    # "a b" and "a/b" both map to essential_a_b.txt
+    records = [
+        {"id": f"{palo}-{i}", "palo": palo, "text": text}
+        for palo, texts in (
+            ("a b", ["mar sol arena", "sol barco mar", "arena brisa sol"]),
+            ("a/b", ["pena noche sombra", "noche llorar pena", "piedra sombra noche"]),
+        )
+        for i, text in enumerate(texts)
+    ]
+    corpus = write_jsonl(tmp_path / "clash.jsonl", records)
+    out = tmp_path / "out"
+    code = cli.main(["essential", *base_args(corpus, out), "--runs", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "'a b'" in err and "'a/b'" in err and "essential_a_b.txt" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +871,23 @@ def test_alphas_outside_the_domain_exit_twelve(
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_command_that_fails_after_its_first_report_writes_nothing(
+    corpus_file, tmp_path, capsys, monkeypatch
+):
+    # the full-corpus model is fitted after the accuracy and confusion
+    # reports are built
+    def failing_fit(*args, **kwargs):
+        raise LabelMismatchError("fit failed")
+
+    monkeypatch.setattr(mnb, "fit", failing_fit)
+    out = tmp_path / "out"
+    code = cli.main(["train", *base_args(corpus_file, out), "--runs", "2"])
+    assert code == LabelMismatchError.exit_code
+    assert code in cli.EXIT_CODES.values()
+    assert "fit failed" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("epsilon", ["inf", "nan", "-1"])
 def test_epsilons_outside_the_domain_exit_two(corpus_file, tmp_path, capsys, epsilon):
     out = tmp_path / "out"
@@ -934,6 +970,9 @@ def test_argparse_rejections_exit_two(corpus_file, tmp_path, capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["classify", "--model", "m.json"])  # needs --text or --file
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mst", *base_args(corpus_file, tmp_path), "--linkage", "single"])
     assert exc.value.code == 2
     capsys.readouterr()
 

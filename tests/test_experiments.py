@@ -78,7 +78,9 @@ EMPTY_PALO_RUNS = SplitSpec(train_fraction=0.5, seed=29)
 def run_training(corpus, alpha, split):
     """One seeded split + fit + validation round, as run_trainings runs each
     of its rounds."""
-    return experiments._trainings(corpus, alpha, [split], threads=1)[0]
+    enc = experiments._encode(corpus)
+    experiments.check_alpha(alpha, len(enc.words))
+    return experiments._training_run(enc, (alpha, split))
 
 
 def test_training_separable_corpus_is_perfect():
