@@ -44,6 +44,7 @@ from .corpus_io import (
     filter_top_palos,
     load_corpus,
     read_text,
+    token_ids,
 )
 from .errors import CorpusIoError, FormatError, LexpaloError
 from .seeding import derive_seed
@@ -242,21 +243,23 @@ def _prepare(config: RunConfig):
 
 def _stats(config: RunConfig, raw, processed, pipeline):
     # Power laws describe the corpus as loaded (unfiltered, raw text).
-    ranked = lexstats.ranked_frequencies(raw)
+    tok = token_ids(raw)
+    ranked = lexstats.ranked_frequencies(tok)
     zipf = lexstats.zipf_fit(ranked)
     heaps_points, heaps_fit = lexstats.heaps_curve(
-        raw, seed=derive_seed(config.seed, "heaps")
+        tok, seed=derive_seed(config.seed, "heaps")
     )
 
+    tok = token_ids(processed)
     profile_rows, sttr_rows = lexstats.profile_and_sttr_rows(
-        processed, config.sttr_windows, config.seed
+        tok, config.sttr_windows, config.seed
     )
     reports = {"profile.csv": _csv(["palo", "L", "V", "TTR"], profile_rows)}
     reports["sttr.csv"] = _csv(
         ["palo", "mean", "stderr", "window_length", "n_windows"], sttr_rows
     )
 
-    hapax = lexstats.hapax_report(processed)
+    hapax = lexstats.hapax_report(tok)
     palo_of = {rec.id: rec.palo for rec in processed.records}
     reports["hapax.csv"] = _csv(
         ["song_id", "palo", "r_h"],

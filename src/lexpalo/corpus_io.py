@@ -19,6 +19,8 @@ import secrets
 from dataclasses import dataclass, field
 from itertools import chain
 
+import numpy as np
+
 from .errors import (
     CorpusIoError,
     DuplicateIdError,
@@ -93,6 +95,41 @@ class Corpus:
         return chain.from_iterable(
             records[i].text.split() for p in palos for i in self.palo_index[p]
         )
+
+
+@dataclass(frozen=True)
+class TokenIds:
+    """A corpus's whitespace tokens as integer word ids: record i's tokens
+    are ``words[j] for j in ids[offsets[i]:offsets[i + 1]]``."""
+
+    corpus: Corpus
+    ids: np.ndarray  # int32 word id per token, records in corpus order
+    offsets: np.ndarray  # int64, one per record plus one
+    words: tuple[str, ...]  # in order of first appearance
+
+
+class _FirstSeenIds(dict):
+    """Word -> id in order of first occurrence, assigned on lookup."""
+
+    def __missing__(self, word):
+        self[word] = len(self)
+        return len(self) - 1
+
+
+def token_ids(corpus: Corpus) -> TokenIds:
+    """Tokenize every record once, into word ids (4 bytes a token); no token
+    list is held."""
+    offsets = np.zeros(len(corpus.records) + 1, dtype=np.int64)
+
+    def tokens():
+        for i, rec in enumerate(corpus.records, start=1):
+            doc = rec.text.split()
+            offsets[i] = len(doc)
+            yield doc
+
+    ids = _FirstSeenIds()
+    seen = np.fromiter(map(ids.__getitem__, chain.from_iterable(tokens())), np.int32)
+    return TokenIds(corpus, seen, np.cumsum(offsets), tuple(ids))
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus_io import Corpus, SplitSpec, split_positions
+from .corpus_io import Corpus, SplitSpec, split_positions, token_ids
 from .errors import EmptyCorpusError, InconsistentClassesError, NoThresholdError
 from .mnb import check_alpha
 from .seeding import derive_seed
@@ -119,32 +118,16 @@ class _Encoding:
     words: tuple[str, ...]
 
 
-class _FirstSeenIds(dict):
-    """Word -> id in order of first occurrence, assigned on lookup."""
-
-    def __missing__(self, word):
-        self[word] = len(self)
-        return len(self) - 1
-
-
 def _encode(corpus: Corpus) -> _Encoding:
-    lengths = np.empty(len(corpus.records), dtype=np.int64)
-
-    def tokens():
-        for i, rec in enumerate(corpus.records):
-            doc = rec.text.split()
-            lengths[i] = len(doc)
-            yield doc
-
-    ids = _FirstSeenIds()
-    seen = np.fromiter(map(ids.__getitem__, chain.from_iterable(tokens())), np.int64)
-    words = tuple(sorted(ids))
+    tok = token_ids(corpus)
+    lengths = np.diff(tok.offsets)
+    words = tuple(sorted(tok.words))
     position = {w: j for j, w in enumerate(words)}
     n_docs, n_words = len(lengths), len(words)
     # one (document, word) key per token; sorted, each run of equal keys is
     # one entry of the count matrix, in row-major order
     key = np.repeat(np.arange(n_docs) * n_words, lengths)
-    key += np.fromiter(map(position.__getitem__, ids), np.int64, len(ids))[seen]
+    key += np.fromiter(map(position.__getitem__, tok.words), np.int64)[tok.ids]
     key.sort()
     first = np.flatnonzero(np.diff(key, prepend=-1))
     entries = key[first]
@@ -429,12 +412,13 @@ def _in_worker(task):
 
 
 def _map_runs(enc: _Encoding, run, jobs, threads: int) -> list:
-    """``run(enc, job)`` per job, in order; worker processes (threads > 1)
-    receive the encoding once, at start-up."""
-    if threads <= 1:
+    """``run(enc, job)`` per job, in order; worker processes, at most one per
+    job, receive the encoding once, at start-up."""
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [run(enc, job) for job in jobs]
     with ProcessPoolExecutor(
-        threads, initializer=_init_worker, initargs=(enc,)
+        workers, initializer=_init_worker, initargs=(enc,)
     ) as pool:
         return list(pool.map(_in_worker, [(run, job) for job in jobs]))
 

@@ -78,7 +78,7 @@ def distance_matrix(palo_vectors: dict[str, object]) -> DistanceMatrix:
         if sp.issparse(vec):
             vec = vec.toarray()
         vec = np.asarray(vec, dtype=float).ravel()
-        norm = float(np.linalg.norm(vec))
+        norm = float(np.sqrt(np.sum(vec * vec)))  # np.linalg.norm wakes BLAS threads
         if abs(norm - 1.0) > _NORM_TOLERANCE:
             raise NormError(
                 f"vector for {label!r} has norm {norm:.9f}, expected 1"

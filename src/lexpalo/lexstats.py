@@ -1,22 +1,22 @@
 """Lexical statistics: token/type counts, TTR, windowed sTTR, palo-hapax
 ratios, and Zipf/Heaps power-law fits.
 
-Documents are token sequences; corpus-level functions tokenize record texts
-by whitespace one record at a time, so they hold per-type state but no
-corpus-wide token list. Random draws are seeded explicitly by the caller.
+Corpus-level functions take a corpus encoded once by
+:func:`corpus_io.token_ids`: every whitespace token as an integer word id,
+4 bytes a token, and no list of token strings. Documents are arrays of
+those ids. Random draws are seeded explicitly by the caller.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus_io import Corpus
+from .corpus_io import TokenIds
 from .errors import DegenerateFitError, EmptyDocumentError
 from .seeding import derive_seed
 
@@ -64,16 +64,15 @@ class PowerLawFit:
     fit_range: tuple[int, int]
 
 
-def _previous_occurrences(tokens: Iterable[str]) -> np.ndarray:
-    """Each position -> the last earlier position of its word, or -1."""
-    last: dict[str, int] = {}
-
-    def prev():
-        for i, word in enumerate(tokens):
-            yield last.get(word, -1)
-            last[word] = i
-
-    return np.fromiter(prev(), dtype=np.int64)
+def _previous_occurrences(doc: np.ndarray) -> np.ndarray:
+    """Each position of a document of word ids -> the last earlier position
+    of its word, or -1."""
+    # a stable sort keeps each word's positions in order, one run per word
+    order = np.argsort(doc, kind="stable")
+    repeat = doc[order[1:]] == doc[order[:-1]]
+    prev = np.full(len(doc), -1, dtype=np.int64)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    return prev
 
 
 def _sttr_of(
@@ -81,8 +80,8 @@ def _sttr_of(
 ) -> SttrResult:
     """Mean and standard error of TTR over random contiguous windows of a
     document given as its previous-occurrence positions
-    (:func:`_previous_occurrences`), for 1 <= window_length <= len(prev) and
-    1 <= n_windows.
+    (:func:`_previous_occurrences`; any negative value means none), for
+    1 <= window_length <= len(prev) and 1 <= n_windows.
 
     Windows are drawn with replacement from uniformly random start offsets.
     When the window covers the whole document, the single whole-document TTR
@@ -117,15 +116,16 @@ def _sttr_of(
     )
 
 
-def profile_and_sttr_rows(corpus: Corpus, n_windows: int, seed: int):
+def profile_and_sttr_rows(tok: TokenIds, n_windows: int, seed: int):
     """Rows of profile.csv (palo, L, |V|, TTR) and sttr.csv (palo, mean,
     stderr, window length, windows): one per palo, sorted, then the whole
     corpus as ``__corpus__``, with its palos in order of first appearance.
 
     Each palo's songs are taken as one document. The sTTR window is the
     shortest document's length, and each row's windows are seeded by
-    ``derive_seed(seed, "sttr", label)``. Each document is held as its
-    previous-occurrence positions, 8 bytes a token. Raises ValueError unless
+    ``derive_seed(seed, "sttr", label)``. The corpus document is held as its
+    ids and previous-occurrence positions, 12 bytes a token, and each palo's
+    document is a slice of it. Raises ValueError unless
     1 <= n_windows <= STTR_MAX_WINDOWS, and EmptyDocumentError when a palo
     has no tokens.
     """
@@ -133,16 +133,21 @@ def profile_and_sttr_rows(corpus: Corpus, n_windows: int, seed: int):
         raise ValueError(
             f"n_windows must lie in [1, {STTR_MAX_WINDOWS}], got {n_windows}"
         )
-    prevs = {
-        palo: _previous_occurrences(corpus.tokens([palo]))
-        for palo in sorted(corpus.palos)
-    }
-    for palo, prev in prevs.items():
-        if not len(prev):
+    corpus, offsets = tok.corpus, tok.offsets
+    # the corpus document holds the palos' documents one after another
+    sizes = np.diff(offsets)
+    ends = np.cumsum([sizes[list(ix)].sum() for ix in corpus.palo_index.values()])
+    bounds = sorted(zip(corpus.palos, [0, *ends.tolist()], ends.tolist()))
+    for palo, start, end in bounds:
+        if start == end:
             raise EmptyDocumentError(
                 f"palo {palo!r} has no tokens after preprocessing"
             )
-    window = min(map(len, prevs.values()))
+    window = min(end - start for _, start, end in bounds)
+    records = [i for ix in corpus.palo_index.values() for i in ix]
+    prev = _previous_occurrences(
+        np.concatenate([tok.ids[offsets[i] : offsets[i + 1]] for i in records])
+    )
 
     def rows(label, prev):
         res = _sttr_of(
@@ -154,17 +159,14 @@ def profile_and_sttr_rows(corpus: Corpus, n_windows: int, seed: int):
             [label, res.mean, res.stderr, res.window_length, res.n_windows],
         )
 
-    palo_rows = [rows(palo, prev) for palo, prev in prevs.items()]
-    del prevs  # released before the corpus document is built
-    corpus_rows = rows(
-        "__corpus__", _previous_occurrences(corpus.tokens(corpus.palos))
-    )
-    profile_rows, sttr_rows = zip(*palo_rows, corpus_rows)
+    # an occurrence before a palo's slice is no occurrence in its document
+    palo_rows = [rows(palo, prev[start:end] - start) for palo, start, end in bounds]
+    profile_rows, sttr_rows = zip(*palo_rows, rows("__corpus__", prev))
     return list(profile_rows), list(sttr_rows)
 
 
 def hapax_report(
-    corpus: Corpus, essential: dict[str, Sequence[str]] | None = None
+    tok: TokenIds, essential: dict[str, Sequence[str]] | None = None
 ) -> HapaxReport:
     """Find each palo's exclusive vocabulary and per-song exclusivity ratios.
 
@@ -172,23 +174,22 @@ def hapax_report(
     no other palo's. A song's ratio is |song types exclusive to its palo| /
     |song types|; songs without tokens are skipped.
     """
-    palo_types: dict[str, set[str]] = {p: set() for p in corpus.palos}
-    for rec in corpus.records:
-        palo_types[rec.palo].update(rec.text.split())
-    presence: Counter[str] = Counter()
-    for types in palo_types.values():
-        presence.update(types)
+    corpus, ids, offsets = tok.corpus, tok.ids, tok.offsets.tolist()
+    present = np.zeros((len(corpus.palos), len(tok.words)), dtype=bool)
+    for row, positions in zip(present, corpus.palo_index.values()):
+        for i in positions:
+            row[ids[offsets[i] : offsets[i + 1]]] = True
+    exclusive = dict(zip(corpus.palos, present & (present.sum(axis=0) == 1)))
     unique = {
-        palo: frozenset(w for w in types if presence[w] == 1)
-        for palo, types in palo_types.items()
+        palo: frozenset(tok.words[j] for j in np.flatnonzero(row).tolist())
+        for palo, row in exclusive.items()
     }
     per_song = []
-    for rec in corpus.records:
-        song_types = set(rec.text.split())
-        if not song_types:
-            continue
-        ratio = len(song_types & unique[rec.palo]) / len(song_types)
-        per_song.append((rec.id, ratio))
+    for i, rec in enumerate(corpus.records):
+        song = np.unique(ids[offsets[i] : offsets[i + 1]])
+        if len(song):
+            ratio = np.count_nonzero(exclusive[rec.palo][song]) / len(song)
+            per_song.append((rec.id, ratio))
     shared: dict[str, int] = {}
     if essential is not None:
         shared = {
@@ -217,11 +218,16 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r_squared
 
 
-def ranked_frequencies(corpus: Corpus) -> list[tuple[str, int]]:
+def ranked_frequencies(tok: TokenIds) -> list[tuple[str, int]]:
     """Type frequencies over all corpus tokens, most frequent first
     (lexicographic tie-break)."""
-    counts = Counter(tok for rec in corpus.records for tok in rec.text.split())
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    counts = np.zeros(len(tok.words), dtype=np.int64)
+    np.add.at(counts, tok.ids, 1)  # np.bincount would copy the ids to int64
+    by_word = np.array(
+        sorted(range(len(tok.words)), key=tok.words.__getitem__), dtype=np.intp
+    )
+    order = by_word[np.argsort(-counts[by_word], kind="stable")]
+    return list(zip([tok.words[j] for j in order.tolist()], counts[order].tolist()))
 
 
 def zipf_fit(
@@ -268,49 +274,37 @@ def zipf_fit(
 
 
 def heaps_curve(
-    corpus: Corpus, seed: int, n_checkpoints: int = 200
+    tok: TokenIds, seed: int, n_checkpoints: int = 200
 ) -> tuple[list[tuple[int, int]], PowerLawFit]:
     """Vocabulary-growth curve and a power-law fit of its tail.
 
     Records are shuffled once (seeded), tokens streamed in that order, and
     (tokens seen, types seen) recorded at ~n_checkpoints log-spaced token
     counts (the final point is always included). The exponent is fitted over
-    the top decade of token counts.
+    the top decade of token counts. Raises ValueError unless
+    n_checkpoints >= 1.
 
-    The shuffled records are read twice: once to count the tokens, which
-    places the marks, then to grow the vocabulary, a whole record at a time
-    unless it holds a mark.
+    Each word's first position in the shuffled stream is found record by
+    record; the types seen at a mark are the words first seen before it.
     """
-    records = corpus.records
-    order = list(range(len(records)))
+    if n_checkpoints < 1:
+        raise ValueError(f"n_checkpoints must be >= 1, got {n_checkpoints}")
+    offsets = tok.offsets.tolist()
+    order = list(range(len(offsets) - 1))
     random.Random(seed).shuffle(order)
-    total = sum(len(rec.text.split()) for rec in records)
+    total = len(tok.ids)
     if total == 0:
         raise EmptyDocumentError("corpus has no tokens")
     marks = np.unique(
         np.round(np.geomspace(1, total, num=min(n_checkpoints, total))).astype(int)
     )
-    points: list[tuple[int, int]] = []
-    seen: set[str] = set()
-    mark_iter = iter(marks.tolist())
-    next_mark = next(mark_iter)
+    first = np.full(len(tok.words), total, dtype=np.int64)
     pos = 0  # tokens streamed so far
     for i in order:
-        tokens = records[i].text.split()
-        if pos + len(tokens) < next_mark:
-            seen.update(tokens)
-            pos += len(tokens)
-            continue
-        for tok in tokens:
-            pos += 1
-            seen.add(tok)
-            if pos == next_mark:
-                points.append((pos, len(seen)))
-                next_mark = next(mark_iter, None)
-                if next_mark is None:
-                    break
-        if next_mark is None:
-            break
+        start, end = offsets[i], offsets[i + 1]
+        np.minimum.at(first, tok.ids[start:end], np.arange(pos, pos + end - start))
+        pos += end - start
+    points = list(zip(marks.tolist(), np.searchsorted(np.sort(first), marks).tolist()))
     tail = [(l, v) for l, v in points if l >= total / 10]
     if len(tail) < 2:
         tail = points

@@ -317,6 +317,52 @@ def heaps_points(texts, seed, n_checkpoints=200):
 
 
 # ---------------------------------------------------------------------------
+# lexical statistics streamed as token strings, one record at a time (the
+# library's constructions before its reports read word ids)
+
+
+def ranked_frequencies(texts):
+    """(word, count) over every token of ``texts``, most frequent first,
+    ties in word order."""
+    counts = Counter(tok for text in texts for tok in text.split())
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def previous_occurrences(tokens):
+    """Each position of a token stream -> the last earlier position of its
+    word, or -1."""
+    last, prev = {}, []
+    for i, word in enumerate(tokens):
+        prev.append(last.get(word, -1))
+        last[word] = i
+    return prev
+
+
+def hapax(records, essential=None):
+    """(per-song ratios, per-palo exclusive word sets, overlap with the
+    essential lists) of (id, palo, text) records, from one set of words per
+    palo and one per song; songs without tokens are skipped."""
+    palo_types = {}
+    for _, palo, text in records:
+        palo_types.setdefault(palo, set()).update(text.split())
+    presence = Counter(w for types in palo_types.values() for w in types)
+    unique = {
+        palo: frozenset(w for w in types if presence[w] == 1)
+        for palo, types in palo_types.items()
+    }
+    per_song = []
+    for rec_id, palo, text in records:
+        song_types = set(text.split())
+        if song_types:
+            per_song.append((rec_id, len(song_types & unique[palo]) / len(song_types)))
+    shared = {
+        palo: len(unique.get(palo, frozenset()) & set(words))
+        for palo, words in (essential or {}).items()
+    }
+    return tuple(per_song), unique, shared
+
+
+# ---------------------------------------------------------------------------
 # windowed type-token ratio
 
 

@@ -25,6 +25,7 @@ from lexpalo.corpus_io import (
     concat_by_palo,
     filter_top_palos,
     load_corpus,
+    token_ids,
 )
 from lexpalo.genre_graph import (
     DistanceMatrix,
@@ -33,6 +34,7 @@ from lexpalo.genre_graph import (
     minimum_spanning_tree,
 )
 from lexpalo.lexstats import (
+    hapax_report,
     heaps_curve,
     profile_and_sttr_rows,
     ranked_frequencies,
@@ -309,11 +311,11 @@ def test_power_law_exponents_recovered_on_synthetic_corpora():
         words.extend([f"w{rank:04d}"] * round(scale / rank))
     assert len(words) >= 100_000
     zipf_corpus = corpus(("z1", " ".join(words), "Z"))
-    zfit = zipf_fit(ranked_frequencies(zipf_corpus))
+    zfit = zipf_fit(ranked_frequencies(token_ids(zipf_corpus)))
     assert zfit.exponent == pytest.approx(-1.0, abs=0.05)
 
     distinct = corpus(("h1", " ".join(f"t{i:04d}" for i in range(5000)), "Z"))
-    _, hfit = heaps_curve(distinct, seed=7)
+    _, hfit = heaps_curve(token_ids(distinct), seed=7)
     assert hfit.exponent == pytest.approx(1.0, abs=0.02)
 
 
@@ -325,7 +327,7 @@ def test_sttr_full_window_reproduces_ttr_and_mean_stays_within_extremes():
     rng = random.Random(14)
     for _ in range(25):
         tokens = [f"w{rng.randint(0, 12)}" for _ in range(rng.randint(5, 60))]
-        prev = _previous_occurrences(tokens)
+        prev = _previous_occurrences(token_ids(corpus(("t", " ".join(tokens)))).ids)
         full = _sttr_of(prev, len(tokens), 50, seed=1)
         assert full.mean == oracles.profile(tokens)[2]
         assert full.stderr == 0.0
@@ -342,7 +344,7 @@ def test_sttr_full_window_reproduces_ttr_and_mean_stays_within_extremes():
 
 
 # ---------------------------------------------------------------------------
-# streamed lexical passes against the whole-token-list constructions
+# lexical passes against the whole-token-list and token-string constructions
 
 
 def streaming_corpora():
@@ -386,11 +388,74 @@ def oracle_stats_rows(c, n_windows, seed):
     return profile_rows, sttr_rows
 
 
+def many_words_corpus():
+    """90,000 tokens over 70,000 distinct words in three palos: more word
+    ids than 16 bits hold."""
+    rng = random.Random(43)
+    words = [f"v{i}" for i in range(70_000)]
+    tokens = words + rng.choices(words[:2_000], k=20_000)
+    rng.shuffle(tokens)
+    return Corpus(
+        record(f"m{i}", " ".join(tokens[600 * i : 600 * (i + 1)]), f"palo{i % 3}")
+        for i in range(150)
+    )
+
+
+def lexical_corpora():
+    """The streaming corpora, raw accented corpora with empty records and a
+    one-token song per palo, and the many-words corpus."""
+    rng = random.Random(44)
+    accented = [
+        Corpus(
+            list(random_spanish_corpus(rng, tokens_per_record=(0, 12)).records)
+            + [record("uno-A", "ñu", "A"), record("uno-B", "¡Qué!", "B")]
+        )
+        for _ in range(10)
+    ]
+    return streaming_corpora() + accented + [many_words_corpus()]
+
+
 def test_profile_and_sttr_rows_equal_the_token_list_oracle():
-    for c in streaming_corpora():
+    *small, large = lexical_corpora()
+    for c in small:
         for n_windows, seed in ((50, 0), (1, 3), (7, 11)):
-            got = profile_and_sttr_rows(c, n_windows, seed)
+            got = profile_and_sttr_rows(token_ids(c), n_windows, seed)
             assert got == oracle_stats_rows(c, n_windows, seed)
+    assert profile_and_sttr_rows(token_ids(large), 7, 11) == oracle_stats_rows(
+        large, 7, 11
+    )
+
+
+def test_ranked_frequencies_equal_the_string_oracle():
+    for c in lexical_corpora():
+        got = ranked_frequencies(token_ids(c))
+        assert got == oracles.ranked_frequencies([r.text for r in c.records])
+        assert all(type(count) is int for _, count in got)
+
+
+def test_heaps_points_equal_the_token_list_oracle():
+    for c in lexical_corpora():
+        texts = [r.text for r in c.records]
+        for seed, n_checkpoints in ((0, 200), (9, 2)):
+            points, _ = heaps_curve(token_ids(c), seed, n_checkpoints)
+            assert points == oracles.heaps_points(texts, seed, n_checkpoints)
+
+
+def test_hapax_report_equals_the_string_oracle():
+    for c in lexical_corpora():
+        first_words = {}
+        for r in c.records:
+            first_words.setdefault(r.palo, []).extend(r.text.split()[:1])
+        essential = {palo: words[:3] for palo, words in first_words.items()}
+        essential["absent"] = ["w1"]
+        got = hapax_report(token_ids(c), essential)
+        per_song, unique, shared = oracles.hapax(
+            [(r.id, r.palo, r.text) for r in c.records], essential
+        )
+        assert got.per_song == per_song
+        assert got.per_palo_unique == unique
+        assert list(got.per_palo_unique) == list(unique)
+        assert got.shared_with_essential == shared
 
 
 def test_genre_vectors_equal_the_joined_text_oracle():
@@ -415,7 +480,9 @@ def test_streamed_passes_hold_no_token_list():
     )
     vocab = build_vocabulary(c)
     passes = {
-        "heaps_curve": lambda: heaps_curve(c, seed=1),
+        "heaps_curve": lambda: heaps_curve(token_ids(c), seed=1),
+        "ranked_frequencies": lambda: ranked_frequencies(token_ids(c)),
+        "hapax_report": lambda: hapax_report(token_ids(c)),
         "tfidf": lambda: tfidf(c, vocab),
         "genre vectors": lambda: genre_vectors(c),
     }

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexpalo import cli, load_corpus, mnb, save_corpus
+from lexpalo import Corpus, cli, load_corpus, mnb, save_corpus
 from lexpalo.errors import CorpusIoError, LabelMismatchError, ModelFormatError
 from lexpalo.vectorize import genre_vectors
+
+from helpers import random_labeled_corpus, random_spanish_corpus
 
 
 def write_jsonl(path, records):
@@ -133,6 +136,36 @@ def test_stats_is_byte_deterministic(corpus_file, tmp_path):
     assert cli.main(["stats", *base_args(corpus_file, out2)]) == 0
     for name in ("profile.csv", "sttr.csv", "zipf.csv", "powerlaw.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# Integer counts and correctly rounded divisions only, so the same on every
+# platform and BLAS.
+PINNED_STATS_SHA256 = {
+    "profile.csv": "9bde640211b89cd7471f2314065107a4dd42027adb1bc58d6d8d57636f49ef83",
+    "hapax.csv": "530b0a164246933370add1a169f37b36bf914f4ef34b22ba1b797db94f3776af",
+    "hapax_unique.csv": "ab1e74c722297d0e62a40b50bfc91402615ca71626d75b388ca687399c8b7638",
+    "zipf.csv": "3c493799ea0212bef024f1d61d77b8b6a980fc26381f895cf53cf71bbb7069b7",
+    "heaps.csv": "0cffd06d6c932d91a88386f3820d1ca810a59fad1f71562e46a50f3e2d4321ef",
+}
+
+
+def test_stats_reports_keep_their_pinned_digests(tmp_path, capsys):
+    # accented, punctuated, cased songs shared by two palos, and three palos
+    # of words of their own
+    rng = random.Random(16)
+    c = Corpus(
+        random_spanish_corpus(rng, n_records=(60, 60), tokens_per_record=(1, 30)).records
+        + random_labeled_corpus(rng, n_palos=3, docs_per_palo=(5, 10), pool_size=25,
+                                doc_len=(1, 20), shared_pool=False).records
+    )
+    save_corpus(c, tmp_path / "corpus.jsonl")
+    out = tmp_path / "out"
+    assert cli.main([
+        "stats", "--corpus", str(tmp_path / "corpus.jsonl"), "--output-dir", str(out),
+        "--min-lyrics", "1", "--seed", "7",
+    ]) == 0
+    for name, digest in PINNED_STATS_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from lexpalo.corpus_io import (
     atomic_write,
     save_corpus,
     stratified_split,
+    token_ids,
 )
 from lexpalo.errors import (
     CorpusIoError,
@@ -28,7 +30,7 @@ from lexpalo.errors import (
     StratumTooSmallError,
 )
 
-from helpers import corpus, labeled_corpus, record
+from helpers import corpus, labeled_corpus, random_spanish_corpus, record
 
 
 def write_jsonl(path, rows):
@@ -71,6 +73,24 @@ def test_tokens_stream_lazily_in_the_given_palo_order():
     assert next(tokens) == "c"
     assert list(tokens) == ["a", "b", "d", "e"]
     assert list(c.tokens([])) == []
+
+
+def test_token_ids_round_trip_every_record():
+    rng = random.Random(17)
+    corpora = [random_spanish_corpus(rng, tokens_per_record=(0, 12)) for _ in range(20)]
+    corpora.append(corpus(("e", ""), ("w", " \t\n "), ("one", "ñ"), ("b", "x y x")))
+    for c in corpora:
+        tok = token_ids(c)
+        assert tok.corpus is c
+        assert tok.ids.dtype == np.int32 and tok.offsets.dtype == np.int64
+        assert len(tok.offsets) == len(c) + 1 and tok.offsets[0] == 0
+        for i, rec in enumerate(c.records):
+            ids = tok.ids[tok.offsets[i] : tok.offsets[i + 1]]
+            assert [tok.words[j] for j in ids] == rec.text.split()
+        # ids count up from 0 in order of first appearance
+        first = dict.fromkeys(tok.ids.tolist())
+        assert list(first) == list(range(len(tok.words)))
+        assert len(set(tok.words)) == len(tok.words)
 
 
 def test_load_jsonl_skips_blank_lines(tmp_path):

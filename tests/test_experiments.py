@@ -176,6 +176,26 @@ def test_trainings_parallel_equals_sequential():
         assert s.global_accuracy == p.global_accuracy
 
 
+def test_worker_pool_holds_at_most_one_process_per_run(monkeypatch):
+    started = []
+    pool = experiments.ProcessPoolExecutor
+
+    def recording_pool(max_workers, **kwargs):
+        started.append(max_workers)
+        return pool(min(max_workers, 2), **kwargs)  # never a large pool
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
+    corpus = mixed_corpus()
+    sequential = experiments.run_trainings(corpus, 0.5, 2, HALF, threads=1)
+    for threads, n_runs, pools in ((16, 2, [2]), (2, 1, []), (3, 2, [2])):
+        started.clear()
+        runs = experiments.run_trainings(corpus, 0.5, n_runs, HALF, threads=threads)
+        assert started == pools
+        for s, p in zip(sequential, runs):
+            assert np.array_equal(s.confusion, p.confusion)
+            assert s.global_accuracy == p.global_accuracy
+
+
 def test_trainings_rejects_nonpositive_run_count():
     with pytest.raises(ValueError, match="n_runs"):
         experiments.run_trainings(SEPARABLE, 0.5, 0, HALF)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from lexpalo.corpus_io import Corpus
+from lexpalo.corpus_io import Corpus, token_ids
 from lexpalo.errors import DegenerateFitError, EmptyDocumentError
 from lexpalo.lexstats import (
     STTR_MAX_WINDOWS,
@@ -39,7 +39,7 @@ def profile(document):
     """(L, |V|, TTR) of one token list, from the profile row of a one-song
     corpus."""
     profile_rows, _ = profile_and_sttr_rows(
-        corpus_from_texts([" ".join(document)]), 1, seed=0
+        token_ids(corpus_from_texts([" ".join(document)])), 1, seed=0
     )
     return tuple(profile_rows[0][1:])
 
@@ -74,10 +74,16 @@ def test_profile_ttr_bounds_on_random_documents():
 # sTTR
 
 
+def word_ids(tokens):
+    """A token list as word ids in order of first appearance."""
+    index = {}
+    return np.array([index.setdefault(t, len(index)) for t in tokens], np.int32)
+
+
 def sttr(document, window_length, n_windows, seed):
     """sTTR of one token list, drawn as profile_and_sttr_rows draws it."""
     return _sttr_of(
-        _previous_occurrences(document), window_length, n_windows, seed
+        _previous_occurrences(word_ids(document)), window_length, n_windows, seed
     )
 
 
@@ -158,8 +164,9 @@ def test_previous_occurrences_stream_from_any_iterable():
             max((j for j in range(i) if doc[j] == word), default=-1)
             for i, word in enumerate(doc)
         ]
-        for tokens in (doc, iter(doc), (w for w in doc)):
-            prev = _previous_occurrences(tokens)
+        ids = word_ids(doc)
+        for doc_ids in (ids, ids.astype(np.int64), ids * 7 + 3):
+            prev = _previous_occurrences(doc_ids)
             assert prev.dtype == np.int64
             assert prev.tolist() == expected
 
@@ -168,13 +175,15 @@ def test_sttr_of_previous_occurrences_equals_sttr():
     rng = random.Random(32)
     for trial in range(30):
         c = random_labeled_corpus(rng)
-        _, sttr_rows = profile_and_sttr_rows(c, 9, seed=trial)
+        _, sttr_rows = profile_and_sttr_rows(token_ids(c), 9, seed=trial)
         prevs = [
-            (palo, _previous_occurrences(c.tokens([palo])))
+            (palo, np.array(oracles.previous_occurrences(c.tokens([palo]))))
             for palo in sorted(c.palos)
         ]
         window = min(len(prev) for _, prev in prevs)
-        prevs.append(("__corpus__", _previous_occurrences(c.tokens(c.palos))))
+        prevs.append(
+            ("__corpus__", np.array(oracles.previous_occurrences(c.tokens(c.palos))))
+        )
         assert len(sttr_rows) == len(prevs)
         for row, (label, prev) in zip(sttr_rows, prevs):
             res = _sttr_of(prev, window, 9, seed=derive_seed(trial, "sttr", label))
@@ -183,7 +192,7 @@ def test_sttr_of_previous_occurrences_equals_sttr():
 
 def test_sttr_window_never_exceeds_the_shortest_palo():
     c = labeled_corpus({"A": ["a b c d e", "f g"], "B": ["a b a"], "C": ["x y z w"]})
-    profile_rows, sttr_rows = profile_and_sttr_rows(c, 5, seed=0)
+    profile_rows, sttr_rows = profile_and_sttr_rows(token_ids(c), 5, seed=0)
     shortest = min(row[1] for row in profile_rows)
     assert shortest == 3
     assert [row[3] for row in sttr_rows] == [shortest] * len(sttr_rows)
@@ -199,14 +208,16 @@ def test_sttr_rejects_window_counts_beyond_the_cap(monkeypatch):
     c = labeled_corpus({"A": ["a b c"], "B": ["a b"]})
     for n_windows in (STTR_MAX_WINDOWS + 1, 100_000_000_000):
         with pytest.raises(ValueError, match="n_windows"):
-            profile_and_sttr_rows(c, n_windows, seed=0)
+            profile_and_sttr_rows(token_ids(c), n_windows, seed=0)
 
 
 def test_sttr_rejects_bad_parameters():
     with pytest.raises(EmptyDocumentError):
-        profile_and_sttr_rows(labeled_corpus({"A": ["a b"], "B": [""]}), 1, seed=0)
+        profile_and_sttr_rows(
+            token_ids(labeled_corpus({"A": ["a b"], "B": [""]})), 1, seed=0
+        )
     with pytest.raises(ValueError):
-        profile_and_sttr_rows(labeled_corpus({"A": ["a b"]}), 0, seed=0)
+        profile_and_sttr_rows(token_ids(labeled_corpus({"A": ["a b"]})), 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +228,7 @@ def test_hapax_disjoint_palos_make_every_song_fully_exclusive():
     c = labeled_corpus(
         {"A": ["uno dos", "dos tres"], "B": ["cuatro cinco", "cinco"]}
     )
-    report = hapax_report(c)
+    report = hapax_report(token_ids(c))
     assert all(ratio == 1.0 for _, ratio in report.per_song)
     assert report.per_palo_unique["A"] == frozenset({"uno", "dos", "tres"})
     assert report.per_palo_unique["B"] == frozenset({"cuatro", "cinco"})
@@ -225,7 +236,7 @@ def test_hapax_disjoint_palos_make_every_song_fully_exclusive():
 
 def test_hapax_identical_vocabularies_have_no_exclusive_words():
     c = labeled_corpus({"A": ["mar sol"], "B": ["sol mar"]})
-    report = hapax_report(c)
+    report = hapax_report(token_ids(c))
     assert all(ratio == 0.0 for _, ratio in report.per_song)
     assert all(not u for u in report.per_palo_unique.values())
 
@@ -235,7 +246,7 @@ def test_hapax_mixed_example_counts_per_song_types():
         ("s1", "mar mar sal", "A"),
         ("s2", "mar luna", "B"),
     )
-    report = hapax_report(c)
+    report = hapax_report(token_ids(c))
     ratios = dict(report.per_song)
     # s1 types {mar, sal}: only "sal" is A-exclusive -> 1/2
     assert ratios["s1"] == 0.5
@@ -245,7 +256,7 @@ def test_hapax_mixed_example_counts_per_song_types():
 def test_hapax_skips_songs_without_tokens():
     c = Corpus([record("s1", "mar", "A"), record("s2", "", "A"),
                 record("s3", "sol", "B")])
-    report = hapax_report(c)
+    report = hapax_report(token_ids(c))
     assert [sid for sid, _ in report.per_song] == ["s1", "s3"]
 
 
@@ -264,7 +275,7 @@ def test_hapax_unique_sets_are_pairwise_disjoint_and_bounded():
                 for p in ("A", "B", "C")
             }
         )
-        report = hapax_report(c)
+        report = hapax_report(token_ids(c))
         sets = list(report.per_palo_unique.values())
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
@@ -284,8 +295,8 @@ def test_hapax_removing_a_palo_can_only_grow_other_palos_sets():
             for p in ("A", "B", "C")
         }
     )
-    full = hapax_report(c)
-    reduced = hapax_report(Corpus(r for r in c.records if r.palo != "C"))
+    full = hapax_report(token_ids(c))
+    reduced = hapax_report(token_ids(Corpus(r for r in c.records if r.palo != "C")))
     for palo in ("A", "B"):
         assert full.per_palo_unique[palo] <= reduced.per_palo_unique[palo]
 
@@ -293,7 +304,7 @@ def test_hapax_removing_a_palo_can_only_grow_other_palos_sets():
 def test_hapax_counts_overlap_with_essential_lists():
     c = labeled_corpus({"A": ["uno dos tres"], "B": ["cuatro"]})
     report = hapax_report(
-        c, essential={"A": ["dos", "tres", "cinco"], "B": ["mar"]}
+        token_ids(c), essential={"A": ["dos", "tres", "cinco"], "B": ["mar"]}
     )
     assert report.shared_with_essential == {"A": 2, "B": 0}
 
@@ -302,16 +313,20 @@ def test_hapax_counts_overlap_with_essential_lists():
 # rank-frequency and Zipf
 
 
+def ranked_of(texts):
+    return ranked_frequencies(token_ids(corpus_from_texts(texts)))
+
+
 def test_ranked_frequencies_sorts_by_count_then_word():
     c = corpus_from_texts(["b b a a c"])
-    assert ranked_frequencies(c) == [("a", 2), ("b", 2), ("c", 1)]
+    assert ranked_frequencies(token_ids(c)) == [("a", 2), ("b", 2), ("c", 1)]
 
 
 def test_zipf_exact_power_law_recovers_slope_minus_one():
     text = " ".join(
         ["w1"] * 240 + ["w2"] * 120 + ["w3"] * 80 + ["w4"] * 60
     )
-    fit = zipf_fit(ranked_frequencies(corpus_from_texts([text])), fit_range=(1, 4))
+    fit = zipf_fit(ranked_of([text]), fit_range=(1, 4))
     assert abs(fit.exponent - (-1.0)) < 1e-9
     assert fit.r_squared > 1 - 1e-9
     assert fit.fit_range == (1, 4)
@@ -320,19 +335,19 @@ def test_zipf_exact_power_law_recovers_slope_minus_one():
 
 def test_zipf_small_vocabulary_falls_back_to_full_range():
     text = " ".join(["w1"] * 240 + ["w2"] * 120 + ["w3"] * 80 + ["w4"] * 60)
-    fit = zipf_fit(ranked_frequencies(corpus_from_texts([text])))
+    fit = zipf_fit(ranked_of([text]))
     assert fit.fit_range == (1, 4)
 
 
 def test_zipf_explicit_range_is_clamped_to_vocabulary():
     text = " ".join(["w1"] * 8 + ["w2"] * 4 + ["w3"] * 2)
-    fit = zipf_fit(ranked_frequencies(corpus_from_texts([text])), fit_range=(1, 50))
+    fit = zipf_fit(ranked_of([text]), fit_range=(1, 50))
     assert fit.fit_range == (1, 3)
 
 
 def test_zipf_rejects_invalid_ranges():
     text = " ".join(["w1"] * 8 + ["w2"] * 4 + ["w3"] * 2)
-    ranked = ranked_frequencies(corpus_from_texts([text]))
+    ranked = ranked_of([text])
     with pytest.raises(ValueError):
         zipf_fit(ranked, fit_range=(0, 3))
     with pytest.raises(ValueError):
@@ -343,12 +358,12 @@ def test_zipf_rejects_invalid_ranges():
 
 def test_zipf_equal_frequencies_are_degenerate():
     with pytest.raises(DegenerateFitError):
-        zipf_fit(ranked_frequencies(corpus_from_texts(["a b a b"])))
+        zipf_fit(ranked_of(["a b a b"]))
 
 
 def test_zipf_needs_two_types():
     with pytest.raises(DegenerateFitError):
-        zipf_fit(ranked_frequencies(corpus_from_texts(["solo solo solo"])))
+        zipf_fit(ranked_of(["solo solo solo"]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +372,7 @@ def test_zipf_needs_two_types():
 
 def test_heaps_single_repeated_token_has_flat_curve():
     c = corpus_from_texts(["la la la la la", "la la la"])
-    points, fit = heaps_curve(c, seed=1)
+    points, fit = heaps_curve(token_ids(c), seed=1)
     assert all(v == 1 for _, v in points)
     assert abs(fit.exponent) < 1e-9
     assert fit.r_squared == 1.0
@@ -367,7 +382,7 @@ def test_heaps_all_distinct_tokens_grow_linearly():
     texts = [
         " ".join(f"w{r}_{i}" for i in range(20)) for r in range(10)
     ]
-    points, fit = heaps_curve(corpus_from_texts(texts), seed=5)
+    points, fit = heaps_curve(token_ids(corpus_from_texts(texts)), seed=5)
     assert all(v == l for l, v in points)
     assert abs(fit.exponent - 1.0) < 1e-9
 
@@ -379,7 +394,7 @@ def test_heaps_points_are_monotone_and_end_at_totals():
         for _ in range(8)
     ]
     c = corpus_from_texts(texts)
-    points, _ = heaps_curve(c, seed=3)
+    points, _ = heaps_curve(token_ids(c), seed=3)
     ls = [l for l, _ in points]
     vs = [v for _, v in points]
     assert ls == sorted(set(ls))
@@ -395,18 +410,25 @@ def test_heaps_is_deterministic_per_seed():
         " ".join(f"w{rng.randint(0, 9)}" for _ in range(12)) for _ in range(6)
     ]
     c = corpus_from_texts(texts)
-    assert heaps_curve(c, seed=11) == heaps_curve(c, seed=11)
+    assert heaps_curve(token_ids(c), seed=11) == heaps_curve(token_ids(c), seed=11)
 
 
 def test_heaps_rejects_tokenless_corpus():
     c = Corpus([record("r1", "", "A")])
     with pytest.raises(EmptyDocumentError):
-        heaps_curve(c, seed=0)
+        heaps_curve(token_ids(c), seed=0)
 
 
 def test_heaps_single_token_cannot_be_fit():
     with pytest.raises(DegenerateFitError):
-        heaps_curve(corpus_from_texts(["unico"]), seed=0)
+        heaps_curve(token_ids(corpus_from_texts(["unico"])), seed=0)
+
+
+@pytest.mark.parametrize("n_checkpoints", [0, -1])
+def test_heaps_rejects_fewer_than_one_checkpoint(n_checkpoints):
+    c = token_ids(corpus_from_texts(["a b c", "a d"]))
+    with pytest.raises(ValueError, match="n_checkpoints"):
+        heaps_curve(c, seed=0, n_checkpoints=n_checkpoints)
 
 
 def test_heaps_points_equal_the_token_stream_oracle():
@@ -421,5 +443,5 @@ def test_heaps_points_equal_the_token_stream_oracle():
     for c in corpora:
         texts = [r.text for r in c.records]
         for seed, n_checkpoints in ((0, 200), (5, 7), (9, 2)):
-            points, _ = heaps_curve(c, seed, n_checkpoints)
+            points, _ = heaps_curve(token_ids(c), seed, n_checkpoints)
             assert points == oracles.heaps_points(texts, seed, n_checkpoints)
