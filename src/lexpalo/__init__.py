@@ -13,11 +13,8 @@ from .corpus_io import (  # noqa: F401
     Corpus,
     LyricRecord,
     SplitSpec,
-    concat_by_palo,
     filter_top_palos,
     load_corpus,
-    save_corpus,
-    stratified_split,
 )
 from .errors import LexpaloError  # noqa: F401
 from .preprocess import (  # noqa: F401

@@ -14,8 +14,9 @@ Subcommands cover the full pipeline over a labeled lyric corpus:
 
 All randomness flows from ``--seed``; reports are written atomically
 (temp file + rename) with deterministic ordering, so identical inputs give
-byte-identical outputs. ``LEXPALO_THREADS`` caps worker processes for the
-repeated-training commands (results do not depend on it).
+byte-identical outputs. ``LEXPALO_THREADS`` caps worker processes for
+``train`` and ``sweep-alpha`` (results do not depend on it); ``essential``
+always runs its rounds in one process.
 """
 
 from __future__ import annotations

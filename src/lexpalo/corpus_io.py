@@ -1,4 +1,4 @@
-"""Loading, validating, filtering, splitting, and aggregating lyric corpora.
+"""Loading, validating, filtering and splitting lyric corpora.
 
 A corpus is an ordered collection of labeled songs. The canonical on-disk
 format is JSON Lines with one object per song carrying at least ``id``,
@@ -284,20 +284,6 @@ def atomic_write(path, write_fn) -> None:
         raise CorpusIoError(f"cannot write {path}: {exc}") from exc
 
 
-def save_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus atomically as JSON Lines (the schema load_corpus reads)."""
-
-    def write(fh):
-        for rec in corpus.records:
-            obj = {"id": rec.id, "palo": rec.palo, "text": rec.text}
-            for k, v in rec.metadata.items():
-                if k not in REQUIRED_KEYS:
-                    obj[k] = v
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-    atomic_write(path, write)
-
-
 def filter_top_palos(corpus: Corpus, min_lyrics: int) -> Corpus:
     """Keep only records whose palo has at least ``min_lyrics`` records.
 
@@ -338,26 +324,3 @@ def split_positions(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[in
     train_ix.sort()
     val_ix.sort()
     return train_ix, val_ix
-
-
-def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
-    """Split a corpus into train and validation as :func:`split_positions`
-    places its records."""
-    train_ix, val_ix = split_positions(corpus, spec)
-    return (
-        Corpus(corpus.records[i] for i in train_ix),
-        Corpus(corpus.records[i] for i in val_ix),
-    )
-
-
-def concat_by_palo(corpus: Corpus) -> dict[str, LyricRecord]:
-    """Concatenate each palo's lyrics (corpus order, newline-joined) into one
-    aggregate record per palo, keyed and id-tagged by the palo name."""
-    return {
-        palo: LyricRecord(
-            id=f"__agg__{palo}",
-            text="\n".join(corpus.records[i].text for i in positions),
-            palo=palo,
-        )
-        for palo, positions in corpus.palo_index.items()
-    }

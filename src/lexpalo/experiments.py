@@ -63,7 +63,7 @@ class AggregateReport:
     mean_confusion is the mean of per-run row-normalized confusion matrices
     (so its diagonal equals mean_accuracy); confusion_only zeroes the
     diagonal and renormalizes each row over the off-diagonal mass, leaving
-    all-zero rows (palos never confused) listed in zero_confusion_palos.
+    all-zero rows for palos never confused.
     """
 
     n_runs: int
@@ -73,7 +73,6 @@ class AggregateReport:
     mean_global_accuracy: float
     mean_confusion: np.ndarray
     confusion_only: np.ndarray
-    zero_confusion_palos: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -93,14 +92,12 @@ class EssentialWordReport:
 
     per_palo lists each palo's essential words by descending mean P(w|palo)
     across runs; counts/normalized give list sizes and sizes divided by the
-    palo's type count; threshold_rank is the 0-based rank of the best
-    ever-at-floor word (essential words are exactly those ranked above it).
+    palo's type count.
     """
 
     per_palo: dict[str, tuple[str, ...]]
     counts: dict[str, int]
     normalized: dict[str, float]
-    threshold_rank: dict[str, int]
     n_runs: int
 
 
@@ -473,13 +470,10 @@ def aggregate(runs: Sequence[TrainingResult]) -> AggregateReport:
     off_diag = mean_confusion.copy()
     np.fill_diagonal(off_diag, 0.0)
     confusion_only = np.zeros_like(off_diag)
-    zero_palos = []
-    for k, c in enumerate(classes):
+    for k in range(len(classes)):
         mass = off_diag[k].sum()
         if mass > 0.0:
             confusion_only[k] = off_diag[k] / mass
-        else:
-            zero_palos.append(c)
     return AggregateReport(
         n_runs=len(runs),
         classes=classes,
@@ -488,7 +482,6 @@ def aggregate(runs: Sequence[TrainingResult]) -> AggregateReport:
         mean_global_accuracy=float(np.mean([r.global_accuracy for r in runs])),
         mean_confusion=mean_confusion,
         confusion_only=confusion_only,
-        zero_confusion_palos=tuple(zero_palos),
     )
 
 
@@ -601,6 +594,5 @@ def essential_words(
         per_palo=per_palo,
         counts=counts,
         normalized=normalized,
-        threshold_rank=dict(counts),
         n_runs=n_runs,
     )

@@ -177,13 +177,44 @@ def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> N
     atomic_write(path, lambda fh: fh.write(text))
 
 
-def _unique_strings(value, field: str) -> tuple[str, ...]:
-    """A JSON list of unique strings as a tuple; ValueError otherwise."""
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ValueError(f"{field} must be a list of strings")
-    if len(set(value)) != len(value):
-        raise ValueError(f"{field} holds a string twice")
-    return tuple(value)
+def _texts(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= {str}
+
+
+def _distinct_texts(value) -> bool:
+    return _texts(value) and 0 < len(value) == len(set(value))
+
+
+def _positive(value) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+# what each field of a model file must hold, by dotted path; the preprocess
+# fields are checked when the file stores a preprocessing state. Numbers are
+# checked by type, not isinstance, so that a JSON boolean is never a number.
+_FIELDS = {
+    "classes": _distinct_texts,
+    "priors": lambda v: isinstance(v, dict) and all(map(_positive, v.values())),
+    "alpha": _positive,
+    "vocab.words": _distinct_texts,
+    "vocab.df": lambda v: isinstance(v, list) and set(map(type, v)) <= {int},
+    "vocab.n_docs": lambda v: type(v) is int,
+    "word_logprob": lambda v: isinstance(v, list),
+    "preprocess.gamma": lambda v: type(v) in (int, float),
+    "preprocess.punctuation": lambda v: isinstance(v, str),
+    "preprocess.stopwords": _texts,
+    "preprocess.concat_map": lambda v: isinstance(v, list) and all(
+        type(pair) is list and len(pair) == 2 and _texts(pair) for pair in v
+    ),
+    "preprocess.lowered_words": _texts,
+}
+
+
+def _field(payload, name: str):
+    """The value at a dotted path of the payload (None when missing)."""
+    for key in name.split("."):
+        payload = payload.get(key) if isinstance(payload, dict) else None
+    return payload
 
 
 def load_model(path) -> tuple[MnbModel, dict | None]:
@@ -192,11 +223,10 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
     Returns the model and the stored preprocessing state (None when absent).
     Raises CorpusIoError for unreadable files and ModelFormatError for
     unknown versions or malformed content: a payload that is not a JSON
-    object, missing fields, classes or words that are not lists of unique
-    strings, an empty vocabulary, an alpha that is not a positive number,
-    document frequencies that do not fit the words or the document
-    count, priors that do not name exactly the classes or are not positive,
-    log-probs of the wrong shape or not finite.
+    object, a field missing or not of the kind ``_FIELDS`` gives it,
+    document frequencies that do not fit the words or the document count,
+    priors that do not name exactly the classes, log-probs of the wrong
+    shape or not finite.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -220,8 +250,15 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
             f"unsupported model version {version!r} "
             f"(expected {MODEL_FORMAT_VERSION!r})"
         )
+    state = payload.get("preprocess")
+    bad = [name for name, ok in _FIELDS.items() if not ok(_field(payload, name))
+           and (state is not None or not name.startswith("preprocess."))]
+    if bad:
+        raise ModelFormatError(
+            f"model file {path} has a missing or malformed {', '.join(bad)}"
+        )
+    words = tuple(payload["vocab"]["words"])
     try:
-        words = _unique_strings(payload["vocab"]["words"], "vocab.words")
         vocab = Vocabulary(
             words=words,
             index={w: i for i, w in enumerate(words)},
@@ -229,34 +266,27 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
             n_docs=payload["vocab"]["n_docs"],
         )
         model = MnbModel(
-            classes=_unique_strings(payload["classes"], "classes"),
+            classes=tuple(payload["classes"]),
             priors=dict(payload["priors"]),
             word_logprob=np.asarray(payload["word_logprob"], dtype=float),
             alpha=payload["alpha"],
             vocab=vocab,
         )
-        if not words:
-            raise ValueError("the vocabulary is empty")
-        if type(model.alpha) not in (int, float) or not 0 < model.alpha < math.inf:
-            raise ValueError(f"alpha must be a positive number, got {model.alpha!r}")
-        # comparisons with anything but numbers raise TypeError
         if len(vocab.df) != len(words):
             raise ValueError(
                 f"{len(vocab.df)} document frequencies for {len(words)} words"
             )
         if not 1 <= min(vocab.df) <= max(vocab.df) <= vocab.n_docs:
             raise ValueError(f"document frequencies must lie in [1, {vocab.n_docs}]")
-        if not model.classes or set(model.priors) != set(model.classes):
+        if set(model.priors) != set(model.classes):
             raise ValueError(
                 f"priors name {list(model.priors)}, classes are "
                 f"{list(model.classes)}"
             )
-        if not all(0 < p < math.inf for p in model.priors.values()):
-            raise ValueError("priors must be positive and finite")
         # OverflowError for counts too large for a float
         if not np.isfinite(vocab.idf).all():
             raise ValueError("document frequencies give a non-finite idf")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model file {path} is malformed: {exc}") from exc
     if model.word_logprob.shape != (len(model.classes), len(words)):
         raise ModelFormatError(
@@ -266,4 +296,4 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
         )
     if not np.isfinite(model.word_logprob).all():
         raise ModelFormatError(f"model file {path} has non-finite log-probs")
-    return model, payload.get("preprocess")
+    return model, state

@@ -360,29 +360,6 @@ def preprocess_corpus(corpus: Corpus, config: PreprocessConfig) -> Corpus:
     return processed
 
 
-def _str_list(value) -> bool:
-    return isinstance(value, list) and set(map(type, value)) <= {str}
-
-
-def _str_pairs(value) -> bool:
-    return (
-        isinstance(value, list)
-        and set(map(type, value)) <= {list}
-        and set(map(len, value)) <= {2}
-        and _str_list(list(chain.from_iterable(value)))
-    )
-
-
-# what each entry of the state stored in a model must hold
-_STATE_CHECKS = {
-    "gamma": lambda v: type(v) in (int, float),
-    "punctuation": lambda v: isinstance(v, str),
-    "stopwords": _str_list,
-    "concat_map": _str_pairs,
-    "lowered_words": _str_list,
-}
-
-
 @dataclass(frozen=True)
 class FrozenPipeline:
     """A configuration and the corpus-level lowered words it produced: what
@@ -410,23 +387,13 @@ class FrozenPipeline:
 
     @classmethod
     def from_dict(cls, state, path) -> FrozenPipeline:
-        """The pipeline of the state a model file at ``path`` stores (None
-        when it stores none). Raises ModelFormatError when the state is
-        missing or malformed."""
+        """The pipeline of the state :func:`mnb.load_model` read from the
+        model file at ``path``. Raises ModelFormatError when the file stores
+        no state (None) or an invalid configuration."""
         if state is None:
             raise ModelFormatError(
                 "model file lacks the stored preprocessing state; "
                 "re-train with 'lexpalo train'"
-            )
-        if not isinstance(state, dict):
-            raise ModelFormatError(f"model file {path} has a malformed preprocess")
-        bad = [
-            k for k, ok in _STATE_CHECKS.items() if k not in state or not ok(state[k])
-        ]
-        if bad:
-            raise ModelFormatError(
-                f"model file {path} has a missing or malformed preprocess "
-                f"{', '.join(bad)}"
             )
         try:
             config = PreprocessConfig(

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from lexpalo.corpus_io import Corpus, LyricRecord
+from lexpalo.corpus_io import REQUIRED_KEYS, Corpus, LyricRecord, atomic_write
 
 
 def record(rec_id, text, palo="X", **metadata):
@@ -21,6 +22,20 @@ def record(rec_id, text, palo="X", **metadata):
 def corpus(*items):
     """Build a corpus from (id, text[, palo]) tuples."""
     return Corpus(record(*item) for item in items)
+
+
+def save_corpus(corpus: Corpus, path) -> None:
+    """Write a corpus atomically as JSON Lines (the schema load_corpus reads)."""
+
+    def write(fh):
+        for rec in corpus.records:
+            obj = {"id": rec.id, "palo": rec.palo, "text": rec.text}
+            for k, v in rec.metadata.items():
+                if k not in REQUIRED_KEYS:
+                    obj[k] = v
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+    atomic_write(path, write)
 
 
 def corpus_from_texts(texts, palo="X", prefix="d"):

@@ -15,6 +15,9 @@ earlier set-per-window construction of the sTTR windows; and
 :func:`heaps_points`, the earlier construction of the Heaps curve from one
 list of every token. :func:`concat_full_pattern` uses ``re``: it is the
 earlier phrase regex of ``preprocess``, run on every text with every phrase.
+:func:`stratified_split` and :func:`concat_by_palo` build the package's
+corpus records: the first splits them where ``corpus_io.split_positions``
+places them, so tests of the split check that function.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
+
+from lexpalo.corpus_io import Corpus, LyricRecord, split_positions
 
 # ---------------------------------------------------------------------------
 # tf-idf
@@ -483,3 +488,30 @@ def preprocess(texts, gamma, concat_map, stopwords, punctuation):
                     tokens.append(piece)
         filtered.append(" ".join(tokens))
     return filtered, decisions
+
+
+# ---------------------------------------------------------------------------
+# corpus splitting and per-palo aggregation
+
+
+def stratified_split(corpus, spec):
+    """Split a corpus into train and validation as
+    ``corpus_io.split_positions`` places its records."""
+    train_ix, val_ix = split_positions(corpus, spec)
+    return (
+        Corpus(corpus.records[i] for i in train_ix),
+        Corpus(corpus.records[i] for i in val_ix),
+    )
+
+
+def concat_by_palo(corpus):
+    """Concatenate each palo's lyrics (corpus order, newline-joined) into one
+    aggregate record per palo, keyed and id-tagged by the palo name."""
+    return {
+        palo: LyricRecord(
+            id=f"__agg__{palo}",
+            text="\n".join(corpus.records[i].text for i in positions),
+            palo=palo,
+        )
+        for palo, positions in corpus.palo_index.items()
+    }

@@ -22,7 +22,6 @@ from lexpalo import cli, experiments, mnb
 from lexpalo.corpus_io import (
     Corpus,
     SplitSpec,
-    concat_by_palo,
     filter_top_palos,
     load_corpus,
     token_ids,
@@ -727,7 +726,7 @@ def test_reference_genre_distances_clusters_and_mst_structure(
     reference_corpus, palo_of
 ):
     _, processed = reference_corpus
-    aggregates = concat_by_palo(processed)
+    aggregates = oracles.concat_by_palo(processed)
     agg = Corpus(aggregates[p] for p in sorted(aggregates))
     matrix = tfidf(agg, build_vocabulary(agg))
     vectors = {rec.palo: matrix.matrix[i] for i, rec in enumerate(agg.records)}

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexpalo import Corpus, cli, load_corpus, mnb, save_corpus
-from lexpalo.errors import CorpusIoError, LabelMismatchError, ModelFormatError
+from lexpalo import Corpus, cli, load_corpus, mnb
+from lexpalo.errors import (
+    CorpusIoError, LabelMismatchError, LexpaloError, ModelFormatError,
+)
 from lexpalo.vectorize import genre_vectors
 
-from helpers import random_labeled_corpus, random_spanish_corpus
+from helpers import random_labeled_corpus, random_spanish_corpus, save_corpus
 
 
 def write_jsonl(path, records):
@@ -521,6 +524,22 @@ def _drop_last_df(payload):
     payload["vocab"]["df"].pop()
 
 
+def _every_prior_true(payload):
+    payload["priors"] = {c: True for c in payload["classes"]}
+
+
+def _every_df(value):
+    def edit(payload):
+        payload["vocab"]["df"] = [value] * len(payload["vocab"]["df"])
+
+    return edit
+
+
+def _n_docs_and_every_df_true(payload):
+    _every_df(True)(payload)
+    payload["vocab"]["n_docs"] = True
+
+
 def _empty_vocabulary(payload):
     payload["vocab"]["words"] = []
     payload["vocab"]["df"] = []
@@ -546,8 +565,12 @@ MODEL_CORRUPTIONS = {
     "empty-priors": _set("priors", {}),
     "priors-keys-differ": _rename_first_prior,
     "prior-string": _set("priors", "sole", "0.3"),
+    "prior-true": _every_prior_true,
     "df-length-differs": _drop_last_df,
+    "df-fraction": _every_df(1.5),
     "n-docs-string": _set("vocab", "n_docs", "18"),
+    "n-docs-fraction": _set("vocab", "n_docs", 30.5),
+    "n-docs-bool": _n_docs_and_every_df_true,
     "n-docs-zero": _set("vocab", "n_docs", 0),
     "df-zero": _set("vocab", "df", 0, 0),
     "log-prob-nan": _set("word_logprob", 0, 0, float("nan")),
@@ -764,6 +787,16 @@ def test_commands_survive_a_mutated_corpus_file(tmp_path_factory, data):
 
 # ---------------------------------------------------------------------------
 # error paths and exit codes
+
+
+def test_readme_exit_code_table_matches_the_error_classes():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| (\d+) \| (\w+) \| [^|\n]+ \|$",
+                      readme.read_text(encoding="utf-8"), re.MULTILINE)
+    assert {name: int(code) for code, name in rows} == {
+        cls.__name__: cls.exit_code for cls in LexpaloError.__subclasses__()
+    }
+    assert len(rows) == len(LexpaloError.__subclasses__())
 
 
 def test_exit_code_missing_corpus(tmp_path, capsys):

@@ -14,12 +14,9 @@ from lexpalo.corpus_io import (
     Corpus,
     LyricRecord,
     SplitSpec,
-    concat_by_palo,
     filter_top_palos,
     load_corpus,
     atomic_write,
-    save_corpus,
-    stratified_split,
     token_ids,
 )
 from lexpalo.errors import (
@@ -30,7 +27,8 @@ from lexpalo.errors import (
     StratumTooSmallError,
 )
 
-from helpers import corpus, labeled_corpus, random_spanish_corpus, record
+import oracles
+from helpers import corpus, labeled_corpus, random_spanish_corpus, record, save_corpus
 
 
 def write_jsonl(path, rows):
@@ -310,7 +308,7 @@ def test_filter_rejects_nonpositive_threshold():
 
 def test_split_sizes_20_records_at_085():
     c = labeled_corpus({"A": [f"text {i}" for i in range(20)]})
-    train, val = stratified_split(c, SplitSpec(train_fraction=0.85, seed=1))
+    train, val = oracles.stratified_split(c, SplitSpec(train_fraction=0.85, seed=1))
     assert len(train) == 17
     assert len(val) == 3
 
@@ -318,14 +316,14 @@ def test_split_sizes_20_records_at_085():
 def test_split_rounds_half_up():
     # 0.85 * 10 = 8.5 rounds to 9, not 8
     c = labeled_corpus({"A": [f"text {i}" for i in range(10)]})
-    train, val = stratified_split(c, SplitSpec(train_fraction=0.85, seed=1))
+    train, val = oracles.stratified_split(c, SplitSpec(train_fraction=0.85, seed=1))
     assert (len(train), len(val)) == (9, 1)
 
 
 def test_split_clamps_so_both_sides_are_nonempty():
     c = labeled_corpus({"A": ["one", "two"]})
     for fraction in (0.01, 0.99):
-        train, val = stratified_split(c, SplitSpec(train_fraction=fraction, seed=3))
+        train, val = oracles.stratified_split(c, SplitSpec(train_fraction=fraction, seed=3))
         assert (len(train), len(val)) == (1, 1)
 
 
@@ -335,7 +333,7 @@ def test_split_partitions_each_palo():
         {p: [f"text {i}" for i in range(rng.randint(2, 30))]
          for p in ("A", "B", "C")}
     )
-    train, val = stratified_split(c, SplitSpec(train_fraction=0.8, seed=11))
+    train, val = oracles.stratified_split(c, SplitSpec(train_fraction=0.8, seed=11))
     train_ids = {r.id for r in train.records}
     val_ids = {r.id for r in val.records}
     assert train_ids | val_ids == {r.id for r in c.records}
@@ -346,7 +344,7 @@ def test_split_partitions_each_palo():
 
 def test_split_outputs_preserve_corpus_order():
     c = corpus(*[(f"r{i}", f"text {i}", "AB"[i % 2]) for i in range(12)])
-    train, val = stratified_split(c, SplitSpec(train_fraction=0.75, seed=5))
+    train, val = oracles.stratified_split(c, SplitSpec(train_fraction=0.75, seed=5))
     order = {r.id: i for i, r in enumerate(c.records)}
     for side in (train, val):
         positions = [order[r.id] for r in side.records]
@@ -357,10 +355,10 @@ def test_split_is_deterministic_per_seed():
     c = labeled_corpus({"A": [f"t{i}" for i in range(9)],
                         "B": [f"u{i}" for i in range(14)]})
     spec = SplitSpec(train_fraction=0.85, seed=42)
-    first = stratified_split(c, spec)
-    second = stratified_split(c, spec)
+    first = oracles.stratified_split(c, spec)
+    second = oracles.stratified_split(c, spec)
     assert first[0] == second[0] and first[1] == second[1]
-    shifted = stratified_split(c, SplitSpec(train_fraction=0.85, seed=43))
+    shifted = oracles.stratified_split(c, SplitSpec(train_fraction=0.85, seed=43))
     assert shifted[0] != first[0] or shifted[1] != first[1]
 
 
@@ -372,7 +370,7 @@ def test_split_proportions_stay_within_one_record_of_fraction():
             {p: [f"t{i}" for i in range(rng.randint(2, 40))]
              for p in ("A", "B", "C", "D")}
         )
-        train, _ = stratified_split(
+        train, _ = oracles.stratified_split(
             c, SplitSpec(train_fraction=fraction, seed=trial)
         )
         for palo, positions in c.palo_index.items():
@@ -384,7 +382,7 @@ def test_split_proportions_stay_within_one_record_of_fraction():
 def test_split_rejects_singleton_palo():
     c = corpus(("1", "t", "A"), ("2", "t", "A"), ("3", "t", "B"))
     with pytest.raises(StratumTooSmallError, match="'B'"):
-        stratified_split(c, SplitSpec(train_fraction=0.85, seed=0))
+        oracles.stratified_split(c, SplitSpec(train_fraction=0.85, seed=0))
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
@@ -405,7 +403,7 @@ def test_concat_by_palo_token_count_is_additive():
         ("4", "compás", "B"),
         ("5", "el río", "A"),
     )
-    aggregates = concat_by_palo(c)
+    aggregates = oracles.concat_by_palo(c)
     assert set(aggregates) == {"A", "B"}
     for palo, agg in aggregates.items():
         per_record = sum(
@@ -418,7 +416,7 @@ def test_concat_by_palo_token_count_is_additive():
 
 def test_concat_by_palo_joins_in_corpus_order():
     c = corpus(("1", "uno", "A"), ("2", "dos", "B"), ("3", "tres", "A"))
-    assert concat_by_palo(c)["A"].text == "uno\ntres"
+    assert oracles.concat_by_palo(c)["A"].text == "uno\ntres"
 
 
 # ---------------------------------------------------------------------------

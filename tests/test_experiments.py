@@ -14,7 +14,6 @@ from lexpalo.corpus_io import (
     SplitSpec,
     filter_top_palos,
     split_positions,
-    stratified_split,
 )
 from lexpalo.errors import AlphaNonPositiveError, InconsistentClassesError
 from lexpalo.preprocess import default_config, preprocess_corpus
@@ -107,7 +106,7 @@ def test_training_confusion_rows_match_validation_counts():
     corpus = mixed_corpus()
     split = SplitSpec(train_fraction=0.5, seed=99)
     result = run_training(corpus, alpha=0.5, split=split)
-    _, validation = stratified_split(corpus, split)
+    _, validation = oracles.stratified_split(corpus, split)
     for k, palo in enumerate(result.classes):
         expected = sum(1 for r in validation.records if r.palo == palo)
         assert result.confusion[k].sum() == expected
@@ -242,14 +241,14 @@ def test_aggregate_confusion_only_renormalizes_off_diagonal():
         experiments.run_trainings(mixed_corpus(), 0.5, 6, HALF)
     )
     assert np.all(np.diag(report.confusion_only) == 0.0)
-    for k, palo in enumerate(report.classes):
+    for k in range(len(report.classes)):
         row_sum = report.confusion_only[k].sum()
-        if palo in report.zero_confusion_palos:
+        off = report.mean_confusion[k].copy()
+        off[k] = 0.0
+        if not off.any():  # a palo never confused: an all-zero row
             assert row_sum == 0.0
         else:
             assert row_sum == pytest.approx(1.0, abs=1e-9)
-            off = report.mean_confusion[k].copy()
-            off[k] = 0.0
             assert np.allclose(
                 report.confusion_only[k], off / off.sum(), atol=1e-15
             )
@@ -259,7 +258,8 @@ def test_aggregate_perfect_classifier_has_no_confusion():
     report = experiments.aggregate(
         experiments.run_trainings(SEPARABLE, 0.5, 3, HALF)
     )
-    assert report.zero_confusion_palos == ("A", "B")
+    assert [p for p, row in zip(report.classes, report.confusion_only)
+            if not row.any()] == ["A", "B"]
     assert np.all(report.confusion_only == 0.0)
     assert np.array_equal(report.mean_confusion, np.eye(2))
     assert report.mean_global_accuracy == 1.0
@@ -609,7 +609,7 @@ def test_essential_zero_mass_words_set_the_cutoff():
     report = experiments.essential_words(corpus, 0.5, 3, HALF)
     assert report.per_palo == {"A": ("mar", "sol"), "B": ("pena", "zzz")}
     assert report.counts == {"A": 2, "B": 2}
-    assert report.threshold_rank == {"A": 2, "B": 2}
+    assert report.counts == {p: len(w) for p, w in report.per_palo.items()}
     assert report.normalized == {"A": 1.0, "B": 1.0}
     assert report.n_runs == 3
 
@@ -670,7 +670,7 @@ def oracle_essential_report(corpus, alpha, n_runs, split, epsilon):
             train_fraction=split.train_fraction,
             seed=derive_seed(split.seed, "run", i),
         )
-        train, _ = stratified_split(corpus, spec)
+        train, _ = oracles.stratified_split(corpus, spec)
         docs, labels = [], []
         for rec in train.records:
             tokens = rec.text.split()
@@ -731,7 +731,7 @@ def test_essential_matches_bruteforce_recomputation(seed):
     assert report.per_palo == per_palo
     assert report.counts == counts
     assert report.normalized == normalized
-    assert report.threshold_rank == thresholds
+    assert report.counts == thresholds
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +742,7 @@ def oracle_confusion(corpus, alpha, split):
     """One round's confusion counts from the brute-force TF-IDF and naive
     Bayes, over the library's stratified split (the seeding contract)."""
     classes = sorted({r.palo for r in corpus.records})
-    train, validation = stratified_split(corpus, split)
+    train, validation = oracles.stratified_split(corpus, split)
     docs, labels = [], []
     for rec in train.records:
         if rec.text.split():
@@ -759,7 +759,7 @@ def oracle_confusion(corpus, alpha, split):
 
 
 def test_training_side_without_a_palo_pins_the_fitted_classes():
-    train, _ = stratified_split(EMPTY_PALO, EMPTY_PALO_SPLIT)
+    train, _ = oracles.stratified_split(EMPTY_PALO, EMPTY_PALO_SPLIT)
     assert not any(r.text for r in train.records if r.palo == "C")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -776,7 +776,7 @@ def test_sweep_and_essential_without_a_palo_on_the_training_side():
             train_fraction=EMPTY_PALO_RUNS.train_fraction,
             seed=derive_seed(EMPTY_PALO_RUNS.seed, "run", i),
         )
-        train, _ = stratified_split(EMPTY_PALO, spec)
+        train, _ = oracles.stratified_split(EMPTY_PALO, spec)
         assert not any(r.text for r in train.records if r.palo == "C")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -789,7 +789,7 @@ def test_sweep_and_essential_without_a_palo_on_the_training_side():
         "B": ("pena", "sombra", "noche"),
         "C": (),
     }
-    assert report.counts == report.threshold_rank == {"A": 4, "B": 3, "C": 0}
+    assert report.counts == {"A": 4, "B": 3, "C": 0}
     assert report.normalized == {"A": 1.0, "B": 0.75, "C": 0.0}
 
 
@@ -814,7 +814,7 @@ def test_essential_with_empty_records_matches_bruteforce(seed):
     assert report.per_palo == per_palo
     assert report.counts == counts
     assert report.normalized == normalized
-    assert report.threshold_rank == thresholds
+    assert report.counts == thresholds
 
 
 @pytest.mark.parametrize("seed", [7, 14, 15])
@@ -833,7 +833,7 @@ def test_essential_with_run_dependent_vocabularies_matches_bruteforce(seed):
     assert report.per_palo == per_palo
     assert report.counts == counts
     assert report.normalized == normalized
-    assert report.threshold_rank == thresholds
+    assert report.counts == thresholds
 
 
 def sorted_vocabulary_encoding(corpus):

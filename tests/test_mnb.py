@@ -17,6 +17,7 @@ from lexpalo.errors import (
     ModelFormatError,
     VocabularyMismatchError,
 )
+from lexpalo.preprocess import FrozenPipeline, PreprocessConfig
 from lexpalo.vectorize import Vocabulary, build_vocabulary, tfidf, tfidf_row
 
 import oracles
@@ -275,14 +276,17 @@ def roundtrip(tmp_path, model, state=None):
 
 def test_save_load_roundtrip_is_exact(tmp_path):
     model, _, _ = fitted({"X": ["a b", "a"], "Y": ["c ñaña", "c b"]}, alpha=0.11)
-    state = {"gamma": 0.2, "stopwords": ["de", "la"], "lowered_words": []}
-    _, (loaded, loaded_state) = roundtrip(tmp_path, model, state)
+    state = FrozenPipeline(
+        PreprocessConfig(stopwords=frozenset({"de", "la"})), frozenset()
+    ).to_dict()
+    path, (loaded, loaded_state) = roundtrip(tmp_path, model, state)
     assert loaded.classes == model.classes
     assert loaded.priors == model.priors
     assert loaded.alpha == model.alpha
     assert np.array_equal(loaded.word_logprob, model.word_logprob)
     assert loaded.vocab == model.vocab
     assert loaded_state == state
+    assert loaded.to_json(state).encode("utf-8") == path.read_bytes()
 
 
 def test_save_load_without_state(tmp_path):
@@ -305,14 +309,17 @@ def test_saved_bytes_equal_streamed_json_dump(tmp_path):
         "X": ["a b ñaña", "a corazón"],
         "Y": [" ".join(f"w{rng.randint(0, 300)}" for _ in range(400)), "c b"],
     }, alpha=0.11)
-    state = {"gamma": 0.2, "stopwords": ["de", "la"], "lowered_words": ["él"]}
-    path, _ = roundtrip(tmp_path, model, state)
+    state = FrozenPipeline(
+        PreprocessConfig(stopwords=frozenset({"de", "la"})), frozenset({"él"})
+    ).to_dict()
+    path, (loaded, _) = roundtrip(tmp_path, model, state)
     payload = json.loads(path.read_text(encoding="utf-8"))
     streamed = tmp_path / "streamed.json"
     with open(streamed, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, ensure_ascii=False, allow_nan=False)
         fh.write("\n")
     assert path.read_bytes() == streamed.read_bytes()
+    assert loaded.to_json(state).encode("utf-8") == path.read_bytes()
 
 
 def test_load_rejects_unknown_version(tmp_path):

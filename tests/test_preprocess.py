@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexpalo.corpus_io import Corpus
 from lexpalo.errors import CorpusIoError, FormatError, ModelFormatError
-from lexpalo import preprocess
+from lexpalo import mnb, preprocess
 from lexpalo.preprocess import (
     DEFAULT_PUNCTUATION,
     CaseDecision,
@@ -29,9 +29,10 @@ from lexpalo.preprocess import (
     preprocess_corpus,
     preprocess_with_decisions,
 )
+from lexpalo.vectorize import build_vocabulary, tfidf
 
 import oracles
-from helpers import corpus, corpus_from_texts, random_spanish_corpus
+from helpers import corpus, corpus_from_texts, labeled_corpus, random_spanish_corpus
 
 
 BARE = PreprocessConfig()  # default gamma, no stopwords, no concat map
@@ -559,20 +560,36 @@ def test_frozen_pipeline_to_dict_keeps_the_model_file_layout():
     assert state["lowered_words"] == ["cádiz", "niña"]
 
 
-def test_frozen_pipeline_from_dict_rejects_an_absent_or_non_dict_state():
+def model_file_with_state(tmp_path, state):
+    """A model file that stores ``state`` as its preprocessing state."""
+    c = labeled_corpus({"X": ["mar"], "Y": ["sol"]})
+    model = mnb.fit(tfidf(c, build_vocabulary(c)), ["X", "Y"], 0.5)
+    path = tmp_path / "m.json"
+    mnb.save_model(model, path, state)
+    return path
+
+
+def test_frozen_pipeline_from_dict_rejects_an_absent_or_non_dict_state(tmp_path):
     with pytest.raises(ModelFormatError, match="preprocessing state"):
         FrozenPipeline.from_dict(None, "m.json")
+    every_key = ", ".join(f"preprocess.{key}" for key in frozen_state())
     for state in ([], "state", 3):
-        with pytest.raises(ModelFormatError, match="m.json has a malformed"):
-            FrozenPipeline.from_dict(state, "m.json")
+        path = model_file_with_state(tmp_path, state)
+        with pytest.raises(ModelFormatError) as info:
+            mnb.load_model(path)
+        assert str(info.value) == (
+            f"model file {path} has a missing or malformed {every_key}"
+        )
 
 
-def test_frozen_pipeline_from_dict_names_every_bad_key():
+def test_frozen_pipeline_from_dict_names_every_bad_key(tmp_path):
     state = frozen_state(gamma="0.2", lowered_words=[["mar"]])
     del state["stopwords"]
     with pytest.raises(ModelFormatError) as info:
-        FrozenPipeline.from_dict(state, "m.json")
-    assert str(info.value).endswith("gamma, stopwords, lowered_words")
+        mnb.load_model(model_file_with_state(tmp_path, state))
+    assert str(info.value).endswith(
+        "preprocess.gamma, preprocess.stopwords, preprocess.lowered_words"
+    )
 
 
 def test_frozen_pipeline_from_dict_reports_invalid_config_as_model_format():
