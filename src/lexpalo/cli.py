@@ -53,10 +53,6 @@ from .vectorize import build_vocabulary, genre_vectors, tfidf, tfidf_row
 
 THREADS_ENV_VAR = "LEXPALO_THREADS"
 
-# Stable, documented exit codes (0 = success, 2 = usage error: argparse
-# rejections and invalid parameter values).
-EXIT_CODES = {cls: cls.exit_code for cls in LexpaloError.__subclasses__()}
-
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -39,10 +39,6 @@ class DistanceMatrix:
         if v.min() < 0.0 or v.max() > 1.0:
             raise ValueError("distances must lie in [0, 1]")
 
-    def get(self, a: str, b: str) -> float:
-        i, j = self.labels.index(a), self.labels.index(b)
-        return float(self.values[i, j])
-
 
 @dataclass(frozen=True)
 class Dendrogram:
@@ -138,24 +134,6 @@ def hierarchical_cluster(
     return Dendrogram(labels=m.labels, merges=tuple(merges), linkage=linkage)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def complete_graph(m: DistanceMatrix) -> GenreGraph:
     """The full weighted graph over the matrix's genres."""
     n = len(m.labels)
@@ -179,11 +157,12 @@ def minimum_spanning_tree(m: DistanceMatrix) -> GenreGraph:
         for i in range(n)
         for j in range(i + 1, n)
     )
-    uf = _UnionFind(n)
+    component = list(range(n))  # each genre's component label
     edges = []
     for w, lu, lv, i, j in candidates:
-        if uf.union(i, j):
+        if component[i] != component[j]:
             edges.append((lu, lv, w))
+            component = [component[i] if c == component[j] else c for c in component]
             if len(edges) == n - 1:
                 break
     return GenreGraph(nodes=m.labels, edges=tuple(edges), kind="mst")

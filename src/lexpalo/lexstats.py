@@ -230,37 +230,24 @@ def ranked_frequencies(tok: TokenIds) -> list[tuple[str, int]]:
     return list(zip([tok.words[j] for j in order.tolist()], counts[order].tolist()))
 
 
-def zipf_fit(
-    ranked: Sequence[tuple[str, int]], fit_range: tuple[int, int] | None = None
-) -> PowerLawFit:
+def zipf_fit(ranked: Sequence[tuple[str, int]]) -> PowerLawFit:
     """Least-squares power-law fit of a rank-frequency distribution, given
     as :func:`ranked_frequencies` lists it.
 
-    The fit runs over 1-based ranks [lo, hi] in log-log space; the default
-    range [10, |V|/10] skips head and tail curvature and falls back to the
-    full range when the vocabulary is too small for it. Raises
-    DegenerateFitError when the frequencies in range carry no slope
-    information (all equal) or there are fewer than 2 types.
+    The fit runs in log-log space over the 1-based ranks [10, |V|/10], which
+    skip head and tail curvature, or over the full range [1, |V|] when the
+    vocabulary is too small for that. Raises DegenerateFitError when the
+    frequencies in range carry no slope information (all equal) or there
+    are fewer than 2 types.
     """
     n_types = len(ranked)
     if n_types < 2:
         raise DegenerateFitError(
             f"need at least 2 distinct types to fit, got {n_types}"
         )
-    if fit_range is None:
-        lo, hi = ZIPF_DEFAULT_MIN_RANK, n_types // 10
-        if hi < lo:
-            lo, hi = 1, n_types
-    else:
-        lo, hi = fit_range
-        if not 1 <= lo < hi:
-            raise ValueError(f"invalid fit range ({lo}, {hi})")
-        hi = min(hi, n_types)
-        if hi - lo < 1:
-            raise ValueError(
-                f"fit range ({lo}, {hi}) leaves fewer than 2 ranks "
-                f"for a vocabulary of {n_types} types"
-            )
+    lo, hi = ZIPF_DEFAULT_MIN_RANK, n_types // 10
+    if hi < lo:
+        lo, hi = 1, n_types
     freqs = np.array([c for _, c in ranked[lo - 1 : hi]], dtype=float)
     if freqs.max() == freqs.min():
         raise DegenerateFitError(

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus_io import atomic_write
 from .errors import (
@@ -136,27 +135,21 @@ def fit(matrix: TfIdfMatrix, labels, alpha: float) -> MnbModel:
 
 
 def _score_matrix(model: MnbModel, rows) -> np.ndarray:
-    """Score many documents at once: rows (n x |V|) -> scores (n x n_classes)."""
+    """Score many documents at once: sparse rows (n x |V|) -> (n x classes)."""
     if rows.shape[1] != len(model.vocab.words):
         raise VocabularyMismatchError(
             f"document vector has {rows.shape[1]} columns, model vocabulary "
             f"has {len(model.vocab.words)}"
         )
-    if sp.issparse(rows):
-        contrib = rows.dot(model._logprob_by_word)
-    else:
-        contrib = rows.dot(model.word_logprob.T)
-    return np.asarray(contrib) + model._log_priors
+    return rows.dot(model._logprob_by_word) + model._log_priors
 
 
 def score(model: MnbModel, doc_vector) -> ClassScores:
-    """Score one document vector (1 x |V| sparse row or dense vector).
+    """Score one document vector, a 1 x |V| SciPy sparse row.
 
     An all-zero vector degrades to prior-only scores. Ties go to the first
     class in the model's sorted class order.
     """
-    if not sp.issparse(doc_vector):
-        doc_vector = np.asarray(doc_vector, dtype=float).reshape(1, -1)
     scores = _score_matrix(model, doc_vector)[0]
     predicted = model.classes[int(np.argmax(scores))]
     return ClassScores(
@@ -166,7 +159,7 @@ def score(model: MnbModel, doc_vector) -> ClassScores:
 
 
 def predict_rows(model: MnbModel, rows) -> list[str]:
-    """Predict a label per row of a (sparse) document matrix."""
+    """Predict a label per row of a sparse document matrix."""
     scores = _score_matrix(model, rows)
     return [model.classes[k] for k in np.argmax(scores, axis=1)]
 
@@ -225,8 +218,9 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
     unknown versions or malformed content: a payload that is not a JSON
     object, a field missing or not of the kind ``_FIELDS`` gives it,
     document frequencies that do not fit the words or the document count,
-    priors that do not name exactly the classes, log-probs of the wrong
-    shape or not finite.
+    priors that do not name exactly the classes or sum to 1, log-probs that
+    are not floats, of the wrong shape, not finite, above 0, or whose exp does
+    not sum to 1 per class (sums within 1e-6).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -268,7 +262,7 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
         model = MnbModel(
             classes=tuple(payload["classes"]),
             priors=dict(payload["priors"]),
-            word_logprob=np.asarray(payload["word_logprob"], dtype=float),
+            word_logprob=np.asarray(payload["word_logprob"]),  # "-1.5" stays text
             alpha=payload["alpha"],
             vocab=vocab,
         )
@@ -283,6 +277,10 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
                 f"priors name {list(model.priors)}, classes are "
                 f"{list(model.classes)}"
             )
+        if abs(math.fsum(model.priors.values()) - 1) > 1e-6:
+            raise ValueError("priors do not sum to 1")
+        if model.word_logprob.dtype.kind != "f":
+            raise ValueError("log-probs are not all numbers")
         # OverflowError for counts too large for a float
         if not np.isfinite(vocab.idf).all():
             raise ValueError("document frequencies give a non-finite idf")
@@ -294,6 +292,11 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
             f"{model.word_logprob.shape}, expected "
             f"({len(model.classes)}, {len(words)})"
         )
-    if not np.isfinite(model.word_logprob).all():
+    logprob = model.word_logprob
+    if not np.isfinite(logprob).all():
         raise ModelFormatError(f"model file {path} has non-finite log-probs")
+    # > 0 is checked first: exp overflows on a large log-prob
+    if (logprob > 0).any() or (abs(np.exp(logprob).sum(axis=1) - 1) > 1e-6).any():
+        raise ModelFormatError(f"model file {path} has log-probs above 0 or "
+                               f"a class whose probabilities do not sum to 1")
     return model, state

@@ -49,16 +49,10 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class TfIdfMatrix:
-    """Sparse row-normalized TF-IDF matrix over a fixed vocabulary.
-
-    Rows align with ``doc_ids``; documents that produced an all-zero row
-    (no in-vocabulary tokens) are listed in ``empty_doc_ids``.
-    """
+    """Sparse row-normalized TF-IDF matrix over a fixed vocabulary."""
 
     matrix: sp.csr_matrix
-    doc_ids: tuple[str, ...]
     vocab: Vocabulary
-    empty_doc_ids: tuple[str, ...]
 
 
 def build_vocabulary(train: Corpus) -> Vocabulary:
@@ -173,14 +167,7 @@ def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
         len(docs.records),
         vocab,
     )
-    doc_ids = tuple(rec.id for rec in docs.records)
-    empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
-    return TfIdfMatrix(
-        matrix=matrix,
-        doc_ids=doc_ids,
-        vocab=vocab,
-        empty_doc_ids=tuple(doc_ids[i] for i in empty),
-    )
+    return TfIdfMatrix(matrix=matrix, vocab=vocab)
 
 
 def genre_vectors(corpus: Corpus) -> dict[str, sp.csr_matrix]:

@@ -9,6 +9,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from lexpalo.corpus_io import REQUIRED_KEYS, Corpus, LyricRecord, atomic_write
 
 
@@ -154,3 +156,13 @@ def benchmark_corpus(seed, shape="REFERENCE"):
     gen = _benchmark_generator()
     records, _ = gen.generate(seed, getattr(gen, shape))
     return Corpus(LyricRecord(r["id"], r["text"], r["palo"]) for r in records)
+
+
+def empty_rows(matrix) -> tuple[int, ...]:
+    """The positions of a CSR matrix's all-zero rows."""
+    return tuple(np.flatnonzero(np.diff(matrix.indptr) == 0).tolist())
+
+
+def distance(m, a: str, b: str) -> float:
+    """The distance between two labels of a ``DistanceMatrix``."""
+    return float(m.values[m.labels.index(a), m.labels.index(b)])

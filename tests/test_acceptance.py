@@ -54,6 +54,8 @@ from lexpalo.vectorize import build_vocabulary, genre_vectors, tfidf, tfidf_row
 import oracles
 from helpers import (
     corpus,
+    distance,
+    empty_rows,
     generated_corpus,
     random_labeled_corpus,
     random_spanish_corpus,
@@ -169,9 +171,9 @@ def test_tfidf_rows_are_unit_norm_and_match_hand_computation():
         matrix = tfidf(rc, build_vocabulary(rc))
         squared = matrix.matrix.multiply(matrix.matrix).sum(axis=1)
         norms = np.sqrt(np.asarray(squared).ravel())
-        empty = set(matrix.empty_doc_ids)
-        for rec, norm in zip(rc.records, norms):
-            if rec.id in empty:
+        empty = set(empty_rows(matrix.matrix))
+        for i, norm in enumerate(norms):
+            if i in empty:
                 assert norm == 0.0
             else:
                 assert abs(norm - 1.0) <= 1e-9
@@ -284,7 +286,7 @@ def test_cosine_distance_properties_on_randomized_vectors():
         shared = raw / np.linalg.norm(raw)
         # the self dot-product can round one ulp below 1
         identical = distance_matrix({"a": shared, "b": shared.copy()})
-        assert 0.0 <= identical.get("a", "b") <= 1e-12
+        assert 0.0 <= distance(identical, "a", "b") <= 1e-12
 
         split = int(rng.integers(1, dim))
         left, right = np.zeros(dim), np.zeros(dim)
@@ -296,7 +298,7 @@ def test_cosine_distance_properties_on_randomized_vectors():
                 "b": right / np.linalg.norm(right),
             }
         )
-        assert m.get("a", "b") == 1.0
+        assert distance(m, "a", "b") == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +734,8 @@ def test_reference_genre_distances_clusters_and_mst_structure(
     vectors = {rec.palo: matrix.matrix[i] for i, rec in enumerate(agg.records)}
     m = distance_matrix(vectors)
 
-    assert abs(m.get(palo_of["Ti"], palo_of["Ta"]) - 0.26) <= 0.04
-    assert abs(m.get(palo_of["B"], palo_of["So"]) - 0.28) <= 0.04
+    assert abs(distance(m, palo_of["Ti"], palo_of["Ta"]) - 0.26) <= 0.04
+    assert abs(distance(m, palo_of["B"], palo_of["So"]) - 0.28) <= 0.04
     assert abs(float(m.values.max()) - 0.70) <= 0.05
 
     dendro = hierarchical_cluster(m)

@@ -24,6 +24,9 @@ from lexpalo.vectorize import genre_vectors
 
 from helpers import random_labeled_corpus, random_spanish_corpus, save_corpus
 
+# the documented exit codes of data and model errors
+ERROR_CODES = {cls.exit_code for cls in LexpaloError.__subclasses__()}
+
 
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
@@ -478,7 +481,7 @@ def test_non_utf8_input_file_exits_with_its_documented_code(
     }[reader]
     bad.write_bytes(text.encode("latin-1"))
     capsys.readouterr()
-    assert cli.main(argv) == cli.EXIT_CODES[error]
+    assert cli.main(argv) == error.exit_code
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "UTF-8" in err
@@ -491,7 +494,7 @@ def test_classify_rejects_model_without_preprocessing_state(
     bare = tmp_path / "bare.json"
     mnb.save_model(model, bare)
     code = cli.main(["classify", "--model", str(bare), "--text", "mar"])
-    assert code == cli.EXIT_CODES[ModelFormatError]
+    assert code == ModelFormatError.exit_code
     assert "preprocessing state" in capsys.readouterr().err
 
 
@@ -540,6 +543,17 @@ def _n_docs_and_every_df_true(payload):
     payload["vocab"]["n_docs"] = True
 
 
+def _raise_a_log_prob(payload):
+    payload["word_logprob"][0][0] += 2.0
+
+
+def _first_prior(value):
+    def edit(payload):
+        payload["priors"][payload["classes"][0]] = value
+
+    return edit
+
+
 def _empty_vocabulary(payload):
     payload["vocab"]["words"] = []
     payload["vocab"]["df"] = []
@@ -574,6 +588,13 @@ MODEL_CORRUPTIONS = {
     "n-docs-zero": _set("vocab", "n_docs", 0),
     "df-zero": _set("vocab", "df", 0, 0),
     "log-prob-nan": _set("word_logprob", 0, 0, float("nan")),
+    "log-prob-string": _set("word_logprob", 0, 0, "-1.5"),
+    "log-prob-true": _set("word_logprob", 0, 0, True),
+    "log-prob-false": _set("word_logprob", 0, 0, False),
+    "log-prob-positive": _set("word_logprob", 0, 0, 3.0),
+    "log-prob-raised": _raise_a_log_prob,
+    "prior-above-one": _first_prior(1.5),
+    "prior-huge": _first_prior(1e6),
     "alpha-string": _set("alpha", "x"),
     "alpha-zero": _set("alpha", 0),
     "empty-vocabulary": _empty_vocabulary,
@@ -588,7 +609,7 @@ def test_classify_rejects_corrupted_model(trained_model, tmp_path, capsys, corru
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(payload), encoding="utf-8")
     code = cli.main(["classify", "--model", str(broken), "--text", "mar sol"])
-    assert code == cli.EXIT_CODES[ModelFormatError]
+    assert code == ModelFormatError.exit_code
     assert str(broken) in capsys.readouterr().err
 
 
@@ -597,7 +618,7 @@ def assert_rejected_model(path, capsys):
     the file and nothing on stdout."""
     capsys.readouterr()
     code = cli.main(["classify", "--model", str(path), "--text", "mar sol"])
-    assert code == cli.EXIT_CODES[ModelFormatError]
+    assert code == ModelFormatError.exit_code
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -716,7 +737,7 @@ def test_classify_survives_a_mutated_model_file(small_model_text, tmp_path_facto
     path.write_bytes(content)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["classify", "--model", str(path), "--text", "mar sol pena"])
-    assert code in (0, cli.EXIT_CODES[CorpusIoError], cli.EXIT_CODES[ModelFormatError])
+    assert code in (0, CorpusIoError.exit_code, ModelFormatError.exit_code)
 
 
 def _sample_csv():
@@ -778,7 +799,7 @@ def test_commands_survive_a_mutated_corpus_file(tmp_path_factory, data):
     root = tmp_path_factory.mktemp("mutated")
     path = root / f"corpus.{format}"
     path.write_bytes(content)
-    documented = {0, *cli.EXIT_CODES.values()}
+    documented = {0, *ERROR_CODES}
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for command in (["stats"], ["train", "--runs", "2"]):
             code = cli.main([*command, *base_args(path, root / "out"), "--format", format])
@@ -949,7 +970,7 @@ def test_a_command_that_fails_after_its_first_report_writes_nothing(
     out = tmp_path / "out"
     code = cli.main(["train", *base_args(corpus_file, out), "--runs", "2"])
     assert code == LabelMismatchError.exit_code
-    assert code in cli.EXIT_CODES.values()
+    assert code in ERROR_CODES
     assert "fit failed" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 

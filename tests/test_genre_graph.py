@@ -24,7 +24,7 @@ from lexpalo.genre_graph import (
 from lexpalo.vectorize import build_vocabulary, tfidf
 
 import oracles
-from helpers import labeled_corpus
+from helpers import distance, labeled_corpus
 
 
 def matrix_from(labels, entries):
@@ -70,12 +70,6 @@ def test_distance_matrix_validates_its_invariants():
         DistanceMatrix(("a", "b", "c"), np.zeros((2, 2)))
 
 
-def test_distance_matrix_get_looks_up_by_label():
-    assert FOUR.get("a", "d") == 0.7
-    assert FOUR.get("d", "a") == 0.7
-    assert FOUR.get("b", "b") == 0.0
-
-
 # ---------------------------------------------------------------------------
 # distance_matrix from genre vectors
 
@@ -88,12 +82,12 @@ def unit(*components):
 def test_distances_identical_vectors_are_zero():
     v = unit(1, 2, 3)
     m = distance_matrix({"x": v, "y": v.copy()})
-    assert m.get("x", "y") == 0.0
+    assert distance(m, "x", "y") == 0.0
 
 
 def test_distances_disjoint_support_is_one():
     m = distance_matrix({"x": unit(1, 1, 0, 0), "y": unit(0, 0, 2, 1)})
-    assert m.get("x", "y") == 1.0
+    assert distance(m, "x", "y") == 1.0
 
 
 def test_distances_labels_are_sorted():
@@ -104,7 +98,7 @@ def test_distances_labels_are_sorted():
 
 def test_distances_hand_value():
     m = distance_matrix({"x": unit(1, 0), "y": unit(1, 1)})
-    assert m.get("x", "y") == pytest.approx(1 - 1 / np.sqrt(2), abs=1e-12)
+    assert distance(m, "x", "y") == pytest.approx(1 - 1 / np.sqrt(2), abs=1e-12)
 
 
 def test_distances_rejects_non_unit_vectors():
@@ -122,15 +116,15 @@ def test_distances_accepts_sparse_tfidf_rows():
     vocab = build_vocabulary(c)
     rows = tfidf(c, vocab)
     m = distance_matrix({"A": rows.matrix[0], "B": rows.matrix[1]})
-    assert m.get("A", "B") == 1.0  # disjoint vocabularies
+    assert distance(m, "A", "B") == 1.0  # disjoint vocabularies
 
 
 def test_distances_negative_dot_clamps_to_one():
     m = distance_matrix({"x": unit(1, -1), "y": unit(1, 1)})
-    assert m.get("x", "y") == pytest.approx(1.0, abs=1e-12)
+    assert distance(m, "x", "y") == pytest.approx(1.0, abs=1e-12)
     third = unit(-1, 0)
     m2 = distance_matrix({"x": unit(1, 0), "y": third})
-    assert m2.get("x", "y") == 1.0  # dot = -1 clamps at the cap
+    assert distance(m2, "x", "y") == 1.0  # dot = -1 clamps at the cap
 
 
 BLAS_THREADS_SCRIPT = """
@@ -405,7 +399,7 @@ def test_export_dot_roundtrips_weights_and_centralities_exactly():
             parsed_nodes[node.group(1)] = float(node.group(2))
     assert tuple(parsed_edges) == tree.edges
     for u, v, w in parsed_edges:
-        assert w == m.get(u, v)  # repr precision survives the round-trip
+        assert w == distance(m, u, v)  # repr precision survives the round-trip
     assert parsed_nodes == centrality
 
 

@@ -326,7 +326,7 @@ def test_zipf_exact_power_law_recovers_slope_minus_one():
     text = " ".join(
         ["w1"] * 240 + ["w2"] * 120 + ["w3"] * 80 + ["w4"] * 60
     )
-    fit = zipf_fit(ranked_of([text]), fit_range=(1, 4))
+    fit = zipf_fit(ranked_of([text]))
     assert abs(fit.exponent - (-1.0)) < 1e-9
     assert fit.r_squared > 1 - 1e-9
     assert fit.fit_range == (1, 4)
@@ -337,23 +337,6 @@ def test_zipf_small_vocabulary_falls_back_to_full_range():
     text = " ".join(["w1"] * 240 + ["w2"] * 120 + ["w3"] * 80 + ["w4"] * 60)
     fit = zipf_fit(ranked_of([text]))
     assert fit.fit_range == (1, 4)
-
-
-def test_zipf_explicit_range_is_clamped_to_vocabulary():
-    text = " ".join(["w1"] * 8 + ["w2"] * 4 + ["w3"] * 2)
-    fit = zipf_fit(ranked_of([text]), fit_range=(1, 50))
-    assert fit.fit_range == (1, 3)
-
-
-def test_zipf_rejects_invalid_ranges():
-    text = " ".join(["w1"] * 8 + ["w2"] * 4 + ["w3"] * 2)
-    ranked = ranked_of([text])
-    with pytest.raises(ValueError):
-        zipf_fit(ranked, fit_range=(0, 3))
-    with pytest.raises(ValueError):
-        zipf_fit(ranked, fit_range=(3, 3))
-    with pytest.raises(ValueError):
-        zipf_fit(ranked, fit_range=(3, 50))  # clamps to (3, 3): too narrow
 
 
 def test_zipf_equal_frequencies_are_degenerate():

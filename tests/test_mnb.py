@@ -131,24 +131,16 @@ def test_score_hand_model_difference_is_log_odds():
         alpha=0.1,
         vocab=vocab,
     )
-    result = mnb.score(model, np.array([0.0, 1.0]))
+    result = mnb.score(model, sp.csr_matrix([[0.0, 1.0]]))
     assert result.predicted == "c1"
     diff = result.scores["c1"] - result.scores["c2"]
     assert abs(diff - math.log(0.7 / 0.3)) < 1e-12
 
 
-def test_score_accepts_dense_and_sparse_rows():
-    model, matrix, _ = fitted({"X": ["a b"], "Y": ["c"]})
-    dense = matrix.matrix[0].toarray().ravel()
-    s_dense = mnb.score(model, dense)
-    s_sparse = mnb.score(model, matrix.matrix[0])
-    assert s_dense == s_sparse
-
-
 def test_score_rejects_wrong_width_vector():
     model, _, _ = fitted({"X": ["a b"], "Y": ["c"]})
     with pytest.raises(VocabularyMismatchError):
-        mnb.score(model, np.array([1.0]))
+        mnb.score(model, sp.csr_matrix([[1.0]]))
 
 
 def test_predicted_is_argmax_of_reported_scores():
@@ -231,9 +223,6 @@ def assert_scores_bit_identical(model, rows):
     for i in range(rows.shape[0]):
         got = mnb.score(model, rows[i])
         assert [got.scores[c] for c in model.classes] == list(expected[i])
-        dense = mnb.score(model, rows[i].toarray().ravel())
-        dense_expected = old_way_scores(model, rows[i].toarray())[0]
-        assert [dense.scores[c] for c in model.classes] == list(dense_expected)
     assert mnb.predict_rows(model, rows) == [
         model.classes[k] for k in np.argmax(expected, axis=1)
     ]

@@ -1,9 +1,15 @@
-"""Module boundaries: no module of the package uses another's private names."""
+"""Module boundaries: no module of the package uses another's private
+names, and the README's library usage block runs."""
 
 import ast
+import contextlib
+import io
+import random
 from pathlib import Path
 
 import lexpalo
+
+from helpers import random_labeled_corpus, save_corpus
 
 PACKAGE = Path(lexpalo.__file__).resolve().parent
 
@@ -40,3 +46,21 @@ def cross_module_private_names(package):
 
 def test_no_module_uses_another_modules_private_names():
     assert cross_module_private_names(PACKAGE) == []
+
+
+def test_readme_library_usage_block_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library usage", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert '"lyrics.jsonl"' in block
+    # 3 palos of 100 lyrics, so that min_lyrics=100 keeps them all
+    path = tmp_path / "lyrics.jsonl"
+    save_corpus(random_labeled_corpus(
+        random.Random(3), docs_per_palo=(100, 100), doc_len=(10, 10)), path)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(block.replace('"lyrics.jsonl"', repr(str(path))), namespace)
+    assert len(out.getvalue().splitlines()) == 1
+    assert namespace["report"].classes == ("palo0", "palo1", "palo2")
+    assert set(namespace["essentials"].per_palo) == {"palo0", "palo1", "palo2"}
+    assert len(namespace["tree"].edges) == 2

@@ -13,7 +13,9 @@ from lexpalo.preprocess import default_config, preprocess_corpus
 from lexpalo.vectorize import Vocabulary, build_vocabulary, tfidf, tfidf_row
 
 import oracles
-from helpers import corpus_from_texts, generated_corpus, random_labeled_corpus, record
+from helpers import (
+    corpus_from_texts, empty_rows, generated_corpus, random_labeled_corpus, record,
+)
 
 
 def vocab_of(*texts):
@@ -85,9 +87,12 @@ def test_tfidf_single_in_vocab_word_gives_unit_basis_vector():
 
 def test_tfidf_rows_align_with_corpus_order_and_ids():
     c = corpus_from_texts(["a b", "c", "a c"])
-    result = tfidf(c, build_vocabulary(c))
-    assert result.doc_ids == ("d0", "d1", "d2")
+    vocab = build_vocabulary(c)
+    result = tfidf(c, vocab)
+    assert tuple(rec.id for rec in c.records) == ("d0", "d1", "d2")
     assert result.matrix.shape == (3, 3)
+    for rec, row in zip(c.records, result.matrix):
+        assert np.array_equal(row.toarray(), tfidf_row(rec.text.split(), vocab).toarray())
 
 
 def test_tfidf_empty_and_all_oov_docs_yield_flagged_zero_rows():
@@ -95,7 +100,7 @@ def test_tfidf_empty_and_all_oov_docs_yield_flagged_zero_rows():
     vocab = build_vocabulary(train)
     docs = corpus_from_texts(["a", "", "zzz yyy"], prefix="v")
     result = tfidf(docs, vocab)
-    assert result.empty_doc_ids == ("v1", "v2")
+    assert [docs.records[i].id for i in empty_rows(result.matrix)] == ["v1", "v2"]
     assert result.matrix[1].nnz == 0
     assert result.matrix[2].nnz == 0
     assert result.matrix[0].nnz == 1
@@ -230,8 +235,8 @@ def test_tfidf_equals_per_document_reference(train, docs):
     expected, empty = oracles.tfidf_per_document(token_lists, vocab)
     result = tfidf(corpus_from_texts(docs, prefix="v"), vocab)
     assert_same_csr(result.matrix, expected)
-    assert result.doc_ids == tuple(f"v{i}" for i in range(len(docs)))
-    assert result.empty_doc_ids == tuple(f"v{i}" for i in empty)
+    assert result.matrix.shape[0] == len(docs)
+    assert empty_rows(result.matrix) == tuple(empty)
     for i, tokens in enumerate(token_lists):
         row, _ = oracles.tfidf_per_document([tokens], vocab)
         assert_same_csr(tfidf_row(tokens, vocab), row)
@@ -247,7 +252,7 @@ def test_tfidf_equals_per_document_reference_on_random_corpora():
         )
         result = tfidf(c, vocab)
         assert_same_csr(result.matrix, expected)
-        assert result.empty_doc_ids == tuple(c.records[i].id for i in empty)
+        assert empty_rows(result.matrix) == tuple(empty)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
