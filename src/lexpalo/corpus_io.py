@@ -303,7 +303,12 @@ def split_positions(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[in
 
     Per palo, the train count is round-half-up(train_fraction * n) clamped to
     [1, n-1], so both sides always see every palo. Membership is decided by a
-    shuffle-then-cut with a PRNG seeded from (seed, palo name).
+    shuffle-then-cut with a PRNG seeded from (seed, palo name): validation is
+    the tail ``order[n_train:]`` of ``random.Random(seed).shuffle(order)``.
+    That shuffle swaps ``order[i]`` with ``order[randbelow(i + 1)]`` for i
+    from n-1 down, so the tail is final after its first n - n_train draws;
+    only those are made, with the same ``_randbelow`` calls, and the train
+    side is the rest.
 
     Raises StratumTooSmallError when some palo has fewer than 2 records.
     """
@@ -318,7 +323,10 @@ def split_positions(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[in
         n_train = math.floor(spec.train_fraction * n + 0.5)  # round half-up
         n_train = min(max(n_train, 1), n - 1)
         order = list(positions)
-        random.Random(derive_seed(spec.seed, "stratum", palo)).shuffle(order)
+        randbelow = random.Random(derive_seed(spec.seed, "stratum", palo))._randbelow
+        for i in range(n - 1, n_train - 1, -1):
+            j = randbelow(i + 1)
+            order[i], order[j] = order[j], order[i]
         train_ix.extend(order[:n_train])
         val_ix.extend(order[n_train:])
     train_ix.sort()

@@ -257,9 +257,13 @@ def _training_run(enc: _Encoding, job) -> TrainingResult:
 
 
 # The sweep's largest interpolation error per unit weight (see _sweep_nodes),
-# and the size of a block of its interpolated scores, which stays in cache.
+# the size of a block of its interpolated scores, which stays in cache, and
+# the alphas per matrix product that fills it: OpenBLAS runs a product this
+# small on the calling thread, where one product per block spreads across
+# threads and costs many times more.
 _INTERPOLATION_TOLERANCE = 2.0**-24
 _BLOCK_BYTES = 1_000_000
+_GEMM_ROWS = 4
 
 
 def _sweep_nodes(s: np.ndarray, max_mass: float):
@@ -341,8 +345,9 @@ def _sweep_scores(fit: _Fit, rows, mass, alphas):
     |ln P| of exact; the nodes' exp and the grid's log move the point
     interpolated at by 4 u (|s| + 1), the score by W times that; the
     barycentric formula and its sum add (6 d + 8) u Lambda (W (lam + |L|) +
-    |ln P|) (Higham, IMA J. Numer. Anal. 24, 2004). R = 2**-44 ((n + 6 d +
-    16) W (lam + |L| + |s| + 2) + 8 |ln P|) holds it all many times over.
+    |ln P|) (Higham, IMA J. Numer. Anal. 24, 2004), in whatever order the
+    matrix product sums the d + 1 terms. R = 2**-44 ((n + 6 d + 16) W (lam +
+    |L| + |s| + 2) + 8 |ln P|) holds it all many times over.
     """
     s = np.log(alphas)
     max_mass = max(mass.max(initial=0.0), fit.totals.max() / len(fit.idf))
@@ -360,7 +365,10 @@ def _sweep_scores(fit: _Fit, rows, mass, alphas):
     for start in range(0, len(alphas), block):
         span = slice(start, start + block)
         matrix = _interpolation_matrix(nodes, s[span])
-        scores = np.einsum("an,nm->am", matrix, node_scores)
+        scores = np.empty((len(matrix), node_scores.shape[1]))
+        for row in range(0, len(matrix), _GEMM_ROWS):
+            gemm = slice(row, row + _GEMM_ROWS)
+            np.matmul(matrix[gemm], node_scores, out=scores[gemm])
         scores = scores.reshape(len(matrix), len(fit.classes), rows.shape[0])
         yield span, scores, np.multiply.outer(1 + np.abs(matrix).sum(axis=1), bound)
 
@@ -551,28 +559,38 @@ def essential_words(
     enc = _encode(corpus)
     check_alpha(alpha, len(enc.words))
     n_classes, n_words = len(enc.classes), len(enc.words)
-    # words x palos, so that a run adds to the rows of its vocabulary
-    deltas = np.zeros((n_words, n_classes))  # sum of (P - run floor), present runs
+    # palos x every word: a run's masses fill a zeroed buffer, so a word
+    # outside its vocabulary gets P = floor and adds exactly 0.0 to its sum
+    deltas = np.zeros((n_classes, n_words))  # sum of (P - run floor), present runs
     total_floor = np.zeros(n_classes)  # sum of run floors, all runs
-    flagged = np.zeros((n_words, n_classes), dtype=bool)
+    flagged = np.zeros((n_classes, n_words), dtype=bool)
     seen = np.zeros(n_words, dtype=bool)
+    probs = np.empty((n_classes, n_words))
 
     for spec in _run_specs(split, n_runs):
         fit = _fit_split(enc, spec)
-        cols = np.flatnonzero(fit.position >= 0)
-        mass = np.zeros((n_classes, len(cols)))
-        mass[fit.classes] = fit.mass
-        denom = alpha * len(cols) + mass.sum(axis=1)
+        in_vocabulary = fit.position >= 0
+        probs.fill(0.0)
+        probs[np.ix_(fit.classes, in_vocabulary)] = fit.mass
+        # a palo without training documents has zero masses
+        totals, least = np.zeros(n_classes), np.zeros(n_classes)
+        totals[fit.classes] = fit.totals
+        least[fit.classes] = fit.mass.min(axis=1)
+        denom = alpha * len(fit.idf) + totals
         floor = alpha / denom
-        probs = (alpha + mass) / denom[:, None]
+        probs += alpha
+        probs /= denom[:, None]
         total_floor += floor
-        deltas[cols] += probs.T - floor
-        flagged[cols] |= (probs <= probs.min(axis=1, keepdims=True) * (1 + epsilon)).T
-        seen[cols] = True
+        # rounding is monotone, so this is the least P over the vocabulary
+        threshold = (alpha + least) / denom * (1 + epsilon)
+        flagged |= (probs <= threshold[:, None]) & in_vocabulary
+        probs -= floor[:, None]
+        deltas += probs
+        seen |= in_vocabulary
 
     # words ranked by descending mean P(w|palo), ties in word order
     present = np.flatnonzero(seen)
-    means = (deltas[present].T + total_floor[:, None]) / n_runs
+    means = (deltas[:, present] + total_floor[:, None]) / n_runs
     n_types = [
         int(np.count_nonzero(enc.counts[enc.labels == k].getnnz(axis=0)))
         for k in range(n_classes)
@@ -581,7 +599,7 @@ def essential_words(
     per_palo, counts, normalized = {}, {}, {}
     for k, cls in enumerate(enc.classes):
         order = present[np.lexsort((present, -means[k]))]
-        flagged_ranks = np.flatnonzero(flagged[order, k])
+        flagged_ranks = np.flatnonzero(flagged[k, order])
         if not len(flagged_ranks):
             raise NoThresholdError(
                 f"no word was ever flagged at the floor for palo {cls!r}"

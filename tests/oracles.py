@@ -16,12 +16,13 @@ earlier set-per-window construction of the sTTR windows; and
 list of every token. :func:`concat_full_pattern` uses ``re``: it is the
 earlier phrase regex of ``preprocess``, run on every text with every phrase.
 :func:`stratified_split` and :func:`concat_by_palo` build the package's
-corpus records: the first splits them where ``corpus_io.split_positions``
-places them, so tests of the split check that function.
+corpus records; the split itself, :func:`stratified_positions`, is a full
+``random.shuffle`` of each palo then a cut, with its own seed derivation.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import random
@@ -34,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 
-from lexpalo.corpus_io import Corpus, LyricRecord, split_positions
+from lexpalo.corpus_io import Corpus, LyricRecord
 
 # ---------------------------------------------------------------------------
 # tf-idf
@@ -494,10 +495,28 @@ def preprocess(texts, gamma, concat_map, stopwords, punctuation):
 # corpus splitting and per-palo aggregation
 
 
+def stratified_positions(corpus, spec):
+    """Sorted train and validation record positions: per palo, its positions
+    shuffled whole by a ``random.Random`` seeded with the SHA-256 of
+    "seed:stratum:palo", then cut after round-half-up(fraction * n), clamped
+    to [1, n - 1], records."""
+    train, val = [], []
+    for palo, positions in corpus.palo_index.items():
+        n = len(positions)
+        n_train = min(max(math.floor(spec.train_fraction * n + 0.5), 1), n - 1)
+        text = f"{spec.seed}:stratum:{palo}".encode("utf-8")
+        seed = int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
+        order = list(positions)
+        random.Random(seed).shuffle(order)
+        train += order[:n_train]
+        val += order[n_train:]
+    return sorted(train), sorted(val)
+
+
 def stratified_split(corpus, spec):
-    """Split a corpus into train and validation as
-    ``corpus_io.split_positions`` places its records."""
-    train_ix, val_ix = split_positions(corpus, spec)
+    """Split a corpus into train and validation corpora at the positions of
+    :func:`stratified_positions`."""
+    train_ix, val_ix = stratified_positions(corpus, spec)
     return (
         Corpus(corpus.records[i] for i in train_ix),
         Corpus(corpus.records[i] for i in val_ix),

@@ -17,6 +17,7 @@ from lexpalo.corpus_io import (
     filter_top_palos,
     load_corpus,
     atomic_write,
+    split_positions,
     token_ids,
 )
 from lexpalo.errors import (
@@ -28,7 +29,14 @@ from lexpalo.errors import (
 )
 
 import oracles
-from helpers import corpus, labeled_corpus, random_spanish_corpus, record, save_corpus
+from helpers import (
+    benchmark_corpus,
+    corpus,
+    labeled_corpus,
+    random_spanish_corpus,
+    record,
+    save_corpus,
+)
 
 
 def write_jsonl(path, rows):
@@ -306,9 +314,15 @@ def test_filter_rejects_nonpositive_threshold():
 # stratified splitting
 
 
+def split_corpus(c, spec):
+    """The train and validation corpora at ``split_positions``."""
+    train, val = split_positions(c, spec)
+    return Corpus(c.records[i] for i in train), Corpus(c.records[i] for i in val)
+
+
 def test_split_sizes_20_records_at_085():
     c = labeled_corpus({"A": [f"text {i}" for i in range(20)]})
-    train, val = oracles.stratified_split(c, SplitSpec(train_fraction=0.85, seed=1))
+    train, val = split_corpus(c, SplitSpec(train_fraction=0.85, seed=1))
     assert len(train) == 17
     assert len(val) == 3
 
@@ -316,14 +330,14 @@ def test_split_sizes_20_records_at_085():
 def test_split_rounds_half_up():
     # 0.85 * 10 = 8.5 rounds to 9, not 8
     c = labeled_corpus({"A": [f"text {i}" for i in range(10)]})
-    train, val = oracles.stratified_split(c, SplitSpec(train_fraction=0.85, seed=1))
+    train, val = split_corpus(c, SplitSpec(train_fraction=0.85, seed=1))
     assert (len(train), len(val)) == (9, 1)
 
 
 def test_split_clamps_so_both_sides_are_nonempty():
     c = labeled_corpus({"A": ["one", "two"]})
     for fraction in (0.01, 0.99):
-        train, val = oracles.stratified_split(c, SplitSpec(train_fraction=fraction, seed=3))
+        train, val = split_corpus(c, SplitSpec(train_fraction=fraction, seed=3))
         assert (len(train), len(val)) == (1, 1)
 
 
@@ -333,7 +347,7 @@ def test_split_partitions_each_palo():
         {p: [f"text {i}" for i in range(rng.randint(2, 30))]
          for p in ("A", "B", "C")}
     )
-    train, val = oracles.stratified_split(c, SplitSpec(train_fraction=0.8, seed=11))
+    train, val = split_corpus(c, SplitSpec(train_fraction=0.8, seed=11))
     train_ids = {r.id for r in train.records}
     val_ids = {r.id for r in val.records}
     assert train_ids | val_ids == {r.id for r in c.records}
@@ -344,7 +358,7 @@ def test_split_partitions_each_palo():
 
 def test_split_outputs_preserve_corpus_order():
     c = corpus(*[(f"r{i}", f"text {i}", "AB"[i % 2]) for i in range(12)])
-    train, val = oracles.stratified_split(c, SplitSpec(train_fraction=0.75, seed=5))
+    train, val = split_corpus(c, SplitSpec(train_fraction=0.75, seed=5))
     order = {r.id: i for i, r in enumerate(c.records)}
     for side in (train, val):
         positions = [order[r.id] for r in side.records]
@@ -355,10 +369,10 @@ def test_split_is_deterministic_per_seed():
     c = labeled_corpus({"A": [f"t{i}" for i in range(9)],
                         "B": [f"u{i}" for i in range(14)]})
     spec = SplitSpec(train_fraction=0.85, seed=42)
-    first = oracles.stratified_split(c, spec)
-    second = oracles.stratified_split(c, spec)
+    first = split_corpus(c, spec)
+    second = split_corpus(c, spec)
     assert first[0] == second[0] and first[1] == second[1]
-    shifted = oracles.stratified_split(c, SplitSpec(train_fraction=0.85, seed=43))
+    shifted = split_corpus(c, SplitSpec(train_fraction=0.85, seed=43))
     assert shifted[0] != first[0] or shifted[1] != first[1]
 
 
@@ -370,7 +384,7 @@ def test_split_proportions_stay_within_one_record_of_fraction():
             {p: [f"t{i}" for i in range(rng.randint(2, 40))]
              for p in ("A", "B", "C", "D")}
         )
-        train, _ = oracles.stratified_split(
+        train, _ = split_corpus(
             c, SplitSpec(train_fraction=fraction, seed=trial)
         )
         for palo, positions in c.palo_index.items():
@@ -382,7 +396,21 @@ def test_split_proportions_stay_within_one_record_of_fraction():
 def test_split_rejects_singleton_palo():
     c = corpus(("1", "t", "A"), ("2", "t", "A"), ("3", "t", "B"))
     with pytest.raises(StratumTooSmallError, match="'B'"):
-        oracles.stratified_split(c, SplitSpec(train_fraction=0.85, seed=0))
+        split_corpus(c, SplitSpec(train_fraction=0.85, seed=0))
+
+
+def test_split_positions_equal_a_full_shuffle_then_cut():
+    # the split makes only the draws of random.shuffle that fill the
+    # validation tail, through the private Random._randbelow: both the method
+    # and shuffle's draw order must hold on every Python it runs on
+    assert callable(random.Random(0)._randbelow)
+    small = labeled_corpus({"A": ["uno", "dos"], "B": ["tres", "cuatro", "cinco"]})
+    reference = benchmark_corpus(5)
+    for c in (small, reference):
+        for fraction in (0.001, 0.5, 0.85, 0.999):
+            for seed in range(125):
+                spec = SplitSpec(train_fraction=fraction, seed=seed)
+                assert split_positions(c, spec) == oracles.stratified_positions(c, spec)
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])

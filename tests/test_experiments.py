@@ -446,6 +446,23 @@ def test_sweep_hits_equal_the_float64_loop(
         assert min(pairs) > 0
 
 
+@pytest.mark.parametrize(
+    "name, split, n_runs", [("reference", SplitSpec(0.85, 6), 2), ("wide", SplitSpec(0.85, 4), 1)]
+)
+def test_sweep_hits_equal_the_float64_loop_with_a_partial_last_product(
+    name, split, n_runs, screen_encodings
+):
+    # 142 alphas, not a multiple of the alphas of one matrix product; the
+    # wide shape's products have more columns
+    enc = screen_encodings[name]
+    grid = experiments.alpha_grid(0.007)
+    assert len(grid) == 142 and len(grid) % experiments._GEMM_ROWS
+    for spec in experiments._run_specs(split, n_runs):
+        assert experiments._sweep_run(enc, (grid, spec)).tolist() == (
+            oracle_accuracies(enc, spec, grid)
+        )
+
+
 def oracle_accuracies(enc, spec, grid):
     """The float64 loop's validation accuracy of one split at every alpha."""
     train, validation = map(np.asarray, split_positions(enc.corpus, spec))
@@ -829,6 +846,50 @@ def test_essential_with_run_dependent_vocabularies_matches_bruteforce(seed):
     report = experiments.essential_words(corpus, 0.5, 4, split, epsilon=1e-9)
     per_palo, counts, normalized, thresholds = oracle_essential_report(
         corpus, 0.5, 4, split, epsilon=1e-9
+    )
+    assert report.per_palo == per_palo
+    assert report.counts == counts
+    assert report.normalized == normalized
+    assert report.counts == thresholds
+
+
+def every_word_palo_corpus(seed):
+    """Palo A's songs each use every word of a pool that holds all of B's
+    and C's words but two, which one song of each holds alone: a run that
+    validates on both songs has the pool for vocabulary, so A's least P in it
+    lies above A's floor, and those two words are missing from it."""
+    rng = random.Random(seed)
+    pool = [f"w{j}" for j in range(10)]
+
+    def every_word():
+        words = [w for w in pool for _ in range(rng.randint(1, 3))]
+        rng.shuffle(words)
+        return " ".join(words)
+
+    def some_words(*extra):
+        return " ".join(rng.sample(pool, rng.randint(2, 6)) + list(extra))
+
+    return labeled_corpus({
+        "A": [every_word() for _ in range(5)],
+        "B": [some_words("raro")] + [some_words() for _ in range(4)],
+        "C": [some_words("unico")] + [some_words() for _ in range(4)],
+    })
+
+
+@pytest.mark.parametrize("seed", [90, 93, 94])
+def test_essential_with_a_palo_using_every_vocabulary_word_matches_bruteforce(seed):
+    corpus = every_word_palo_corpus(seed)
+    split = SplitSpec(train_fraction=0.6, seed=seed)
+    vocabularies = []
+    for spec in experiments._run_specs(split, 6):
+        train, _ = oracles.stratified_split(corpus, spec)
+        vocabularies.append({w for r in train.records for w in r.text.split()})
+    pool = {f"w{j}" for j in range(10)}
+    # runs with the pool for vocabulary, and runs with a word beyond it
+    assert pool in vocabularies and any(v > pool for v in vocabularies)
+    report = experiments.essential_words(corpus, 0.5, 6, split, epsilon=1e-9)
+    per_palo, counts, normalized, thresholds = oracle_essential_report(
+        corpus, 0.5, 6, split, epsilon=1e-9
     )
     assert report.per_palo == per_palo
     assert report.counts == counts
