@@ -298,8 +298,9 @@ def filter_top_palos(corpus: Corpus, min_lyrics: int) -> Corpus:
     return Corpus(r for r in corpus.records if r.palo in keep)
 
 
-def split_positions(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[int]]:
-    """Record positions of the train and validation sides, each sorted.
+def split_positions(corpus: Corpus, spec: SplitSpec) -> np.ndarray:
+    """Sorted record positions of the validation side; the train side is
+    every other record.
 
     Per palo, the train count is round-half-up(train_fraction * n) clamped to
     [1, n-1], so both sides always see every palo. Membership is decided by a
@@ -307,12 +308,10 @@ def split_positions(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[in
     the tail ``order[n_train:]`` of ``random.Random(seed).shuffle(order)``.
     That shuffle swaps ``order[i]`` with ``order[randbelow(i + 1)]`` for i
     from n-1 down, so the tail is final after its first n - n_train draws;
-    only those are made, with the same ``_randbelow`` calls, and the train
-    side is the rest.
+    only those are made, with the same ``_randbelow`` calls.
 
     Raises StratumTooSmallError when some palo has fewer than 2 records.
     """
-    train_ix: list[int] = []
     val_ix: list[int] = []
     for palo, positions in corpus.palo_index.items():
         n = len(positions)
@@ -327,8 +326,5 @@ def split_positions(corpus: Corpus, spec: SplitSpec) -> tuple[list[int], list[in
         for i in range(n - 1, n_train - 1, -1):
             j = randbelow(i + 1)
             order[i], order[j] = order[j], order[i]
-        train_ix.extend(order[:n_train])
         val_ix.extend(order[n_train:])
-    train_ix.sort()
-    val_ix.sort()
-    return train_ix, val_ix
+    return np.array(sorted(val_ix), dtype=np.intp)

@@ -12,10 +12,13 @@ document scored, including empty ones (scored by priors alone).
 
 Each call tokenizes the corpus once, into integer counts and term
 frequencies (count / document length) over the sorted vocabulary of the
-whole corpus, and every run slices its documents' rows out of them: the
-columns its training rows use are the run's vocabulary in sorted order, so
-its weights and masses are those :mod:`vectorize` and :mod:`mnb` compute
-from text.
+whole corpus, with each stored entry's word and class cell and each word's
+document count. A run draws only its validation side. Its vocabulary, in
+sorted order, is the words whose document count less the validation
+documents' is positive; its TF-IDF weights are computed for every entry,
+the validation documents' as exactly +0.0, and one bincount over the class
+cells sums each class's masses in document order. So its weights and masses
+are those :mod:`vectorize` and :mod:`mnb` compute from text.
 
 The alpha sweep scores each validation document at a few Chebyshev nodes
 in ln alpha, interpolates to every alpha, and keeps the interpolated class
@@ -104,7 +107,7 @@ class EssentialWordReport:
 @dataclass(frozen=True)
 class _Encoding:
     """A corpus as integer token counts and term frequencies over its sorted
-    vocabulary."""
+    vocabulary, with per-entry tables that every run indexes."""
 
     corpus: Corpus
     counts: sp.csr_matrix  # documents x words
@@ -113,6 +116,9 @@ class _Encoding:
     classes: tuple[str, ...]  # sorted palos
     labels: np.ndarray  # position in ``classes`` per document
     words: tuple[str, ...]
+    word: np.ndarray  # per entry of ``tf``, its word (``tf.indices`` as intp)
+    cell: np.ndarray  # per entry, label * len(words) + word
+    df: np.ndarray  # per word, the documents that use it
 
 
 def _encode(corpus: Corpus) -> _Encoding:
@@ -130,9 +136,9 @@ def _encode(corpus: Corpus) -> _Encoding:
     entries = key[first]
     indptr = np.searchsorted(entries, np.arange(n_docs + 1) * n_words)
     row = np.repeat(np.arange(n_docs), np.diff(indptr))
+    word = entries - row * n_words
     counts = sp.csr_matrix(
-        (np.diff(first, append=len(key)), entries - row * n_words, indptr),
-        shape=(n_docs, n_words),
+        (np.diff(first, append=len(key)), word, indptr), shape=(n_docs, n_words)
     )
     # ``len`` counts every token, as :func:`vectorize.tfidf` does
     tf = sp.csr_matrix(
@@ -142,61 +148,75 @@ def _encode(corpus: Corpus) -> _Encoding:
     classes = tuple(sorted(corpus.palo_index))
     class_of = {palo: k for k, palo in enumerate(classes)}
     labels = np.array([class_of[rec.palo] for rec in corpus.records])
-    return _Encoding(corpus, counts, tf, lengths, classes, labels, words)
+    cell = labels[row] * n_words + word
+    df = np.bincount(word, minlength=n_words)
+    return _Encoding(corpus, counts, tf, lengths, classes, labels, words, word, cell, df)
 
 
-def _rows(tf: sp.csr_matrix) -> np.ndarray:
-    """The row of each stored entry."""
-    return np.repeat(np.arange(tf.shape[0]), np.diff(tf.indptr))
-
-
-def _tfidf(row, col, tf, idf):
-    """TF-IDF weights of (row, run-vocabulary column, tf) entries:
-    tf * idf, L2-normalized per row."""
-    weight = idf[col]
-    weight *= tf
-    norms = np.sqrt(np.bincount(row, weights=weight * weight))
-    weight /= norms[row]
-    return weight
+def _entries(indptr: np.ndarray, docs: np.ndarray):
+    """The stored entries of rows ``docs`` of a CSR matrix with ``indptr``,
+    in order, and the indptr of those rows as a matrix of their own."""
+    lengths = indptr[docs + 1] - indptr[docs]
+    sub = np.r_[0, np.cumsum(lengths)]
+    return np.arange(sub[-1]) + np.repeat(indptr[docs] - sub[:-1], lengths), sub
 
 
 @dataclass(frozen=True)
 class _Fit:
     """One run's training side, fitted up to the class masses."""
 
-    position: np.ndarray  # per encoding word, its run-vocabulary place or -1
-    idf: np.ndarray
+    in_vocabulary: np.ndarray  # per encoding word, in the run's vocabulary
+    size: int  # words in the run's vocabulary
+    idf: np.ndarray  # per encoding word, 0.0 outside the vocabulary
     classes: np.ndarray  # encoding classes that have training documents
-    mass: np.ndarray  # those classes x run vocabulary, summed TF-IDF
-    totals: np.ndarray  # each class's mass summed over the vocabulary
+    # every encoding class x every word, summed TF-IDF: 0.0 outside
+    # ``classes`` and the vocabulary
+    mass: np.ndarray
+    totals: np.ndarray  # each of ``classes``' mass summed over the vocabulary
+    least: np.ndarray  # each of ``classes``' least mass over the vocabulary
     log_prior: np.ndarray
     validation: np.ndarray  # validation document positions
+    norms: np.ndarray  # per validation document, its TF-IDF row's L2 norm
 
 
 def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
     """Split, vocabulary, TF-IDF and class masses of one run."""
-    train, validation = map(np.asarray, split_positions(enc.corpus, spec))
-    train = train[enc.lengths[train] > 0]
-    if not len(train):
+    validation = split_positions(enc.corpus, spec)
+    train = enc.lengths > 0
+    train[validation] = False
+    n_train = np.count_nonzero(train)
+    if not n_train:
         raise EmptyCorpusError(f"no training document of seed {spec.seed} has tokens")
-    tf = enc.tf[train]
-    df = np.bincount(tf.indices, minlength=len(enc.words))
+    entries, _ = _entries(enc.tf.indptr, validation)
+    df = enc.df - np.bincount(enc.word[entries], minlength=len(enc.words))
     in_vocabulary = df > 0
-    position = np.where(in_vocabulary, np.cumsum(in_vocabulary) - 1, -1)
-    idf = 1.0 + np.log(len(train) / df[in_vocabulary])
-    # every column a training row uses has df > 0, so none is dropped
-    row, col = _rows(tf), position[tf.indices]
-    weight = _tfidf(row, col, tf.data, idf)
+    idf = np.zeros(len(enc.words))
+    idf[in_vocabulary] = 1.0 + np.log(n_train / df[in_vocabulary])
+    # tf * idf, L2-normalized per row. A validation row's norm, over its
+    # vocabulary words, is kept for _validation_rows; then +inf turns its
+    # weights into +0.0, which leave each class cell's sum over the training
+    # entries as it is. The product with ones adds each row's squares in
+    # order from 0.0, as a bincount over the rows does, and faster.
+    weight = idf[enc.word]
+    weight *= enc.tf.data
+    squares = sp.csr_matrix((weight * weight, enc.tf.indices, enc.tf.indptr), enc.tf.shape)
+    norms = np.sqrt(squares @ np.ones(len(idf)))
+    validation_norms = norms[validation]
+    norms[validation] = np.inf
+    weight /= np.repeat(norms, np.diff(enc.tf.indptr))
+    n_classes = len(enc.classes)
+    mass = np.bincount(enc.cell, weights=weight, minlength=n_classes * len(idf))
+    mass = mass.reshape(n_classes, len(idf))
     # A palo without training documents gets no class, so no -inf prior.
-    labels = enc.labels[train]
-    doc_counts = np.bincount(labels, minlength=len(enc.classes))
+    doc_counts = np.bincount(enc.labels[train], minlength=n_classes)
     classes = np.flatnonzero(doc_counts)
-    cell = (np.searchsorted(classes, labels) * len(idf))[row]
-    cell += col
-    mass = np.bincount(cell, weights=weight, minlength=len(classes) * len(idf))
-    mass = mass.reshape(len(classes), len(idf))
-    log_prior = np.log(doc_counts[classes] / len(train))
-    return _Fit(position, idf, classes, mass, mass.sum(axis=1), log_prior, validation)
+    # rows kept C-contiguous (``mass[:, in_vocabulary]`` is not), so each
+    # sums as the masses over the vocabulary alone do
+    vocabulary_mass = mass.compress(in_vocabulary, axis=1)[classes]
+    totals, least = vocabulary_mass.sum(axis=1), vocabulary_mass.min(axis=1)
+    log_prior = np.log(doc_counts[classes] / n_train)
+    return _Fit(in_vocabulary, vocabulary_mass.shape[1], idf, classes, mass, totals, least,
+                log_prior, validation, validation_norms)
 
 
 def _validation_rows(enc: _Encoding, fit: _Fit):
@@ -204,27 +224,29 @@ def _validation_rows(enc: _Encoding, fit: _Fit):
     run-vocabulary words they use, and those words' class masses (used words
     x classes, the layout ``rows @`` multiplies without a copy)."""
     docs = fit.validation
-    tf = enc.tf[docs]
-    row, col = _rows(tf), fit.position[tf.indices]
+    entries, indptr = _entries(enc.tf.indptr, docs)
+    word = enc.word[entries]
     # validation rows may use words outside the run's vocabulary
-    keep = col >= 0
-    row, col = row[keep], col[keep]
-    weight = _tfidf(row, col, tf.data[keep], fit.idf)
-    # the run-vocabulary words the documents use, in order, and each
-    # entry's place among them
-    used = np.zeros(len(fit.idf), dtype=bool)
-    used[col] = True
-    col = (np.cumsum(used) - 1)[col]
+    keep = fit.in_vocabulary[word]
+    indptr = np.r_[0, np.cumsum(keep)][indptr]
+    entries, word = entries[keep], word[keep]
+    weight = fit.idf[word]
+    weight *= enc.tf.data[entries]
+    weight /= np.repeat(fit.norms, np.diff(indptr))
+    # the words the documents use, in order, and each entry's place among them
+    used = np.zeros(len(enc.words), dtype=bool)
+    used[word] = True
+    col = (np.cumsum(used) - 1)[word]
     used = np.flatnonzero(used)
-    indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=len(docs)))]
     rows = sp.csr_matrix((weight, col, indptr), shape=(len(docs), len(used)))
-    return enc.labels[docs], rows, np.ascontiguousarray(fit.mass.T[used])
+    mass = np.ascontiguousarray(fit.mass[np.ix_(fit.classes, used)].T)
+    return enc.labels[docs], rows, mass
 
 
 def _log_denominators(fit: _Fit, alphas) -> np.ndarray:
     """ln(alpha |V| + class mass) per alpha (rows, when ``alphas`` is an
     array) and class."""
-    return np.log(np.asarray(alphas)[..., None] * len(fit.idf) + fit.totals)
+    return np.log(np.asarray(alphas)[..., None] * fit.size + fit.totals)
 
 
 def _scores(fit: _Fit, rows, mass, alpha: float) -> np.ndarray:
@@ -304,9 +326,8 @@ def _rescore(fit: _Fit, rows, mass, docs, alphas) -> np.ndarray:
     """The class scores of documents ``docs``, each under its own alpha, bit
     for bit as :func:`_scores` computes them: one row per pair, the
     document's entries in order, times each entry's log-probabilities."""
-    lengths = np.diff(rows.indptr)[docs]
-    indptr = np.r_[0, np.cumsum(lengths)]
-    entry = np.arange(indptr[-1]) + np.repeat(rows.indptr[docs] - indptr[:-1], lengths)
+    entry, indptr = _entries(rows.indptr, docs)
+    lengths = np.diff(indptr)
     log_table = mass[rows.indices[entry]]
     log_table += np.repeat(alphas, lengths)[:, None]
     np.log(log_table, out=log_table)
@@ -350,7 +371,7 @@ def _sweep_scores(fit: _Fit, rows, mass, alphas):
     |L| + |s| + 2) + 8 |ln P|) holds it all many times over.
     """
     s = np.log(alphas)
-    max_mass = max(mass.max(initial=0.0), fit.totals.max() / len(fit.idf))
+    max_mass = max(mass.max(initial=0.0), fit.totals.max() / fit.size)
     nodes, error = _sweep_nodes(s, max_mass)
     # classes x documents per node
     node_scores = np.stack([_scores(fit, rows, mass, alpha).T for alpha in np.exp(nodes)])
@@ -398,8 +419,9 @@ def _sweep_run(enc: _Encoding, job) -> np.ndarray:
         hit[span] = fit.classes[top] == truth
         np.less_equal(best - second, 2 * bound, out=unsure[span])
     k, docs = np.nonzero(unsure)
-    scores = _rescore(fit, rows, mass, docs, alphas[k])
-    hit[k, docs] = fit.classes[np.argmax(scores, axis=1)] == truth[docs]
+    if len(k):
+        scores = _rescore(fit, rows, mass, docs, alphas[k])
+        hit[k, docs] = fit.classes[np.argmax(scores, axis=1)] == truth[docs]
     return np.count_nonzero(hit, axis=1) / len(truth)
 
 
@@ -559,46 +581,41 @@ def essential_words(
     enc = _encode(corpus)
     check_alpha(alpha, len(enc.words))
     n_classes, n_words = len(enc.classes), len(enc.words)
-    # palos x every word: a run's masses fill a zeroed buffer, so a word
-    # outside its vocabulary gets P = floor and adds exactly 0.0 to its sum
+    # palos x every word: a run's full-width masses are 0.0 outside its
+    # vocabulary, so such a word gets P = floor and adds exactly 0.0 to its sum
     deltas = np.zeros((n_classes, n_words))  # sum of (P - run floor), present runs
     total_floor = np.zeros(n_classes)  # sum of run floors, all runs
     flagged = np.zeros((n_classes, n_words), dtype=bool)
     seen = np.zeros(n_words, dtype=bool)
-    probs = np.empty((n_classes, n_words))
 
     for spec in _run_specs(split, n_runs):
         fit = _fit_split(enc, spec)
-        in_vocabulary = fit.position >= 0
-        probs.fill(0.0)
-        probs[np.ix_(fit.classes, in_vocabulary)] = fit.mass
+        probs = fit.mass  # turned into P - floor in place
         # a palo without training documents has zero masses
         totals, least = np.zeros(n_classes), np.zeros(n_classes)
         totals[fit.classes] = fit.totals
-        least[fit.classes] = fit.mass.min(axis=1)
-        denom = alpha * len(fit.idf) + totals
+        least[fit.classes] = fit.least
+        denom = alpha * fit.size + totals
         floor = alpha / denom
         probs += alpha
         probs /= denom[:, None]
         total_floor += floor
         # rounding is monotone, so this is the least P over the vocabulary
         threshold = (alpha + least) / denom * (1 + epsilon)
-        flagged |= (probs <= threshold[:, None]) & in_vocabulary
+        flagged |= (probs <= threshold[:, None]) & fit.in_vocabulary
         probs -= floor[:, None]
         deltas += probs
-        seen |= in_vocabulary
+        seen |= fit.in_vocabulary
 
     # words ranked by descending mean P(w|palo), ties in word order
     present = np.flatnonzero(seen)
     means = (deltas[:, present] + total_floor[:, None]) / n_runs
-    n_types = [
-        int(np.count_nonzero(enc.counts[enc.labels == k].getnnz(axis=0)))
-        for k in range(n_classes)
-    ]
+    used = np.bincount(enc.cell, minlength=n_classes * n_words)
+    n_types = np.count_nonzero(used.reshape(n_classes, n_words), axis=1).tolist()
 
     per_palo, counts, normalized = {}, {}, {}
     for k, cls in enumerate(enc.classes):
-        order = present[np.lexsort((present, -means[k]))]
+        order = present[np.argsort(-means[k], kind="stable")]
         flagged_ranks = np.flatnonzero(flagged[k, order])
         if not len(flagged_ranks):
             raise NoThresholdError(

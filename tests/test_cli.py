@@ -22,7 +22,9 @@ from lexpalo.errors import (
 )
 from lexpalo.vectorize import genre_vectors
 
-from helpers import random_labeled_corpus, random_spanish_corpus, save_corpus
+from helpers import (
+    generated_corpus, random_labeled_corpus, random_spanish_corpus, save_corpus,
+)
 
 # the documented exit codes of data and model errors
 ERROR_CODES = {cls.exit_code for cls in LexpaloError.__subclasses__()}
@@ -171,6 +173,43 @@ def test_stats_reports_keep_their_pinned_digests(tmp_path, capsys):
         "--min-lyrics", "1", "--seed", "7",
     ]) == 0
     for name, digest in PINNED_STATS_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# Ratios of counts and word lists: a rounding change would have to flip a
+# classification or a ranking to move them.
+PINNED_EXPERIMENT_SHA256 = {
+    "accuracy.csv": "7ca973c30768819ca1dc97034ea190d1c475c85f3b0d627e57cc8a3a329e74ab",
+    "confusion_mean.csv": "dc4421aff87cd5ae92a03fe15bd363d63b6eb947c82f62ba18f61ec646928e2a",
+    "confusion_only.csv": "7896ed129eb4fea4fb318639bdf5346f1c132bf0d617705c54940ce85c413cb6",
+    "alpha_sweep.csv": "e1824576b269a6f038808abfd968fc8e90b03198272647babf24b5ca98acc044",
+    "essential_counts.csv": "44aec6adb7b51642e436ab2cb750fdd9afdfdb4931e69e1f81b00b09ac415313",
+    "essential_alegrías.txt": "fe4257fc522ddfeee08eb2f7a0f79fff1be4879746c6a687a006c37ddb2645a9",
+    "essential_bulerías.txt": "b0d3fe3a9c4e5b5544095ecb076bbc112b3335f6bb2bbfe7c1a583bbeb011cc1",
+    "essential_cabales.txt": "e5e7fe3f76f23f49d703c5c293ba5ee0a537b93c923e5adf54ab214652fb2d59",
+    "essential_fandangos.txt": "c52b70125f4036f81657e930d8e62c8540362cf1fcb7b11a05aae4fb2889b505",
+    "essential_malagueñas.txt": "a518493cc18677b186fbac145845299767ce541a89dfc67e72eabd0269a43121",
+    "essential_trilleras.txt": "e84f3ab162b5541e1b2fcb99e9ffc79ec3eeb43580558a4b53f1e579ba49abe2",
+}
+
+
+def test_experiment_reports_keep_their_pinned_digests(tmp_path, capsys):
+    # six palos sharing a word pool, two songs that preprocess to nothing
+    save_corpus(generated_corpus(20, counts=(30, 20, 12, 8), n_words=120),
+                tmp_path / "corpus.jsonl")
+    out = tmp_path / "out"
+    for command, extra in (
+        ("train", ["--runs", "3"]),
+        ("sweep-alpha", ["--runs", "2", "--grid-step", "0.05"]),
+        ("essential", ["--runs", "4"]),
+    ):
+        assert cli.main([
+            command, "--corpus", str(tmp_path / "corpus.jsonl"), "--output-dir", str(out),
+            "--min-lyrics", "2", "--seed", "7", *extra,
+        ]) == 0
+    essential = {p.name for p in out.glob("essential_*.txt")}
+    assert essential == {n for n in PINNED_EXPERIMENT_SHA256 if n.endswith(".txt")}
+    for name, digest in PINNED_EXPERIMENT_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 

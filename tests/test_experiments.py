@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from lexpalo import experiments
-from lexpalo.corpus_io import (
-    Corpus,
-    SplitSpec,
-    filter_top_palos,
-    split_positions,
-)
+from lexpalo.corpus_io import Corpus, SplitSpec, filter_top_palos
 from lexpalo.errors import AlphaNonPositiveError, InconsistentClassesError
 from lexpalo.preprocess import default_config, preprocess_corpus
 from lexpalo.seeding import derive_seed
@@ -440,10 +435,26 @@ def test_sweep_hits_equal_the_float64_loop(
     if name in ("reference", "wide"):
         # the interpolated screen certifies nearly every pair on corpora of
         # real shape
-        n_validation = len(split_positions(enc.corpus, spec)[1])
+        n_validation = len(oracles.stratified_positions(enc.corpus, spec)[1])
         assert sum(pairs) <= 0.0003 * n_runs * len(grid) * n_validation
     if name == "duplicated-songs":
         assert min(pairs) > 0
+
+
+def test_sweep_rescores_only_the_splits_with_uncertified_pairs(screen_encodings, monkeypatch):
+    # duplicated songs tie exactly in every split; on the reference shape a
+    # split rarely leaves a pair its bound cannot certify
+    grid = experiments.alpha_grid(0.005)
+    pairs = counting_rescore(monkeypatch)
+    enc = screen_encodings["duplicated-songs"]
+    for spec in experiments._run_specs(SplitSpec(0.6, 7), 6):
+        experiments._sweep_run(enc, (grid, spec))
+    assert len(pairs) == 6 and min(pairs) > 0
+    pairs.clear()
+    enc = screen_encodings["reference"]
+    for spec in experiments._run_specs(SplitSpec(0.85, 5), 4):
+        experiments._sweep_run(enc, (grid, spec))
+    assert len(pairs) < 4 and all(pairs)
 
 
 @pytest.mark.parametrize(
@@ -465,7 +476,7 @@ def test_sweep_hits_equal_the_float64_loop_with_a_partial_last_product(
 
 def oracle_accuracies(enc, spec, grid):
     """The float64 loop's validation accuracy of one split at every alpha."""
-    train, validation = map(np.asarray, split_positions(enc.corpus, spec))
+    train, validation = map(np.asarray, oracles.stratified_positions(enc.corpus, spec))
     train = train[enc.lengths[train] > 0]
     reference = oracles.fit_from_counts(
         enc.counts, enc.lengths, enc.labels, len(enc.classes), train
@@ -522,7 +533,8 @@ def test_rescored_scores_equal_the_full_products(name, screen_encodings):
             # predict's arithmetic, written out
             log_table = alpha + mass
             np.log(log_table, out=log_table)
-            log_table -= np.log(alpha * len(fit.idf) + fit.mass.sum(axis=1))
+            vocabulary = fit.mass[np.ix_(fit.classes, fit.in_vocabulary)]
+            log_table -= np.log(alpha * vocabulary.shape[1] + vocabulary.sum(axis=1))
             scores = rows @ log_table
             scores += fit.log_prior
             full.append(scores)
@@ -636,6 +648,29 @@ def test_essential_identical_palos_get_identical_lists():
     report = experiments.essential_words(corpus, 0.5, 3, HALF)
     assert report.per_palo["X"] == report.per_palo["Y"] == ("mar",)
     assert report.counts["X"] == report.counts["Y"] == 1
+
+
+def test_essential_ranks_exact_mean_ties_in_word_order():
+    # the four words of a group come together in A's songs, as often each,
+    # so every run gives them one P(w|A) and they tie exactly on their mean;
+    # 24 groups, so the ranking sorts more words than a short insertion sort
+    rng = random.Random(31)
+    groups = [[f"{letter}{g:02d}" for letter in "zyxa"] for g in range(24)]
+    songs = []
+    for _ in range(12):
+        song = [w for group in rng.sample(groups, 6) for w in group * rng.randint(1, 3)]
+        rng.shuffle(song)
+        songs.append(" ".join(song))
+    corpus = labeled_corpus({"A": songs, "B": ["pena noche", "noche sombra luna"] * 3})
+    split = SplitSpec(0.7, 4)
+    report = experiments.essential_words(corpus, 0.5, 4, split)
+    ranked = report.per_palo["A"]
+    tied = [group for group in groups if group[0] in ranked]
+    assert len(tied) > 16
+    for group in tied:
+        first = ranked.index(min(group))
+        assert ranked[first:first + 4] == tuple(sorted(group))
+    assert report.per_palo == oracle_essential_report(corpus, 0.5, 4, split, 1e-9)[0]
 
 
 def test_essential_larger_epsilon_never_grows_the_lists():
@@ -945,29 +980,48 @@ def same_bits(a, b):
 @pytest.mark.parametrize("seed", [81, 82, 83])
 def test_rounds_equal_the_from_counts_construction(seed):
     rng = random.Random(seed)
-    for corpus in (
-        with_empty_records(mixed_corpus(seed), seed),
-        with_empty_records(
-            random_labeled_corpus(
-                rng, n_palos=4, docs_per_palo=(5, 12), pool_size=60, doc_len=(1, 40)
+    runs = SplitSpec(0.6, seed)
+    subsets = 0
+    for corpus, split in (
+        (with_empty_records(mixed_corpus(seed), seed), runs),
+        (
+            with_empty_records(
+                random_labeled_corpus(
+                    rng, n_palos=4, docs_per_palo=(5, 12), pool_size=60, doc_len=(1, 40)
+                ),
+                seed,
+                share=0.2,
             ),
-            seed,
-            share=0.2,
+            runs,
         ),
+        # palo C's training side holds only emptied songs
+        (EMPTY_PALO, EMPTY_PALO_RUNS),
     ):
         enc = experiments._encode(corpus)
         assert not all(enc.lengths)
-        for spec in experiments._run_specs(SplitSpec(0.6, seed), 10):
+        for spec in experiments._run_specs(split, 3 if corpus is EMPTY_PALO else 10):
             fit = experiments._fit_split(enc, spec)
-            train, validation = map(np.asarray, split_positions(corpus, spec))
+            train, validation = map(np.asarray, oracles.stratified_positions(corpus, spec))
             train = train[enc.lengths[train] > 0]
             reference = oracles.fit_from_counts(
                 enc.counts, enc.lengths, enc.labels, len(enc.classes), train
             )
-            fields = (fit.position, fit.idf, fit.classes, fit.mass, fit.log_prior)
-            for got, want in zip(fields, reference):
-                assert same_bits(got, want)
+            position, idf, classes, mass, log_prior = reference
+            assert same_bits(fit.in_vocabulary, position >= 0)
+            assert fit.size == len(idf)
+            assert same_bits(fit.idf[fit.in_vocabulary], idf)
+            assert not fit.idf[~fit.in_vocabulary].any()
+            assert same_bits(fit.classes, classes)
+            # the full-width masses: the compressed ones, and 0.0 elsewhere
+            fitted = np.zeros_like(fit.mass, dtype=bool)
+            fitted[np.ix_(fit.classes, fit.in_vocabulary)] = True
+            assert same_bits(fit.mass[fitted].reshape(mass.shape), mass)
+            assert not fit.mass[~fitted].any()
+            assert same_bits(fit.totals, mass.sum(axis=1))
+            assert same_bits(fit.least, mass.min(axis=1))
+            assert same_bits(fit.log_prior, log_prior)
             assert same_bits(fit.validation, validation)
+            subsets += len(fit.classes) < len(enc.classes)
             truth, rows, mass = experiments._validation_rows(enc, fit)
             assert same_bits(truth, enc.labels[validation])
             for alpha in (1e-6, 0.11, 0.5, 1.0, 7.0):
@@ -978,6 +1032,7 @@ def test_rounds_equal_the_from_counts_construction(seed):
                         enc.counts, enc.lengths, validation, reference, alpha
                     ),
                 )
+    assert subsets == 3  # every EMPTY_PALO run fits two of three classes
 
 
 # ---------------------------------------------------------------------------
