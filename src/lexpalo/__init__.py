@@ -18,7 +18,6 @@ from .corpus_io import (  # noqa: F401
 )
 from .errors import LexpaloError  # noqa: F401
 from .preprocess import (  # noqa: F401
-    CaseDecision,
     PreprocessConfig,
     default_config,
     preprocess_corpus,

@@ -230,9 +230,7 @@ def _prepare(config: RunConfig):
     pconfig = _preprocess_config(config)
     raw = load_corpus(config.corpus, config.format)
     filtered = filter_top_palos(raw, config.min_lyrics)
-    processed, decisions = preprocess.preprocess_with_decisions(filtered, pconfig)
-    lowered = frozenset(d.word for d in decisions if d.lowered)
-    return raw, processed, preprocess.FrozenPipeline(pconfig, lowered)
+    return raw, *preprocess.preprocess_with_decisions(filtered, pconfig)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     """Read a corpus file.
 
     Args:
-        path: file to read.
+        path: file to read, UTF-8 with or without a byte-order mark.
         format: ``"jsonl"`` (canonical) or ``"csv"``.
 
     Raises:
@@ -178,7 +178,7 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {format!r}")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             if format == "jsonl":
                 records, lines = _read_jsonl(fh)
             else:
@@ -252,10 +252,11 @@ def _read_csv(fh):
 
 
 def read_text(path, what: str) -> str:
-    """The contents of a UTF-8 text file. Raises CorpusIoError, calling the
-    file ``what``, when it cannot be read or is not UTF-8."""
+    """The contents of a UTF-8 text file, less a leading byte-order mark.
+    Raises CorpusIoError, calling the file ``what``, when it cannot be read
+    or is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise CorpusIoError(f"cannot read {what} {path}: {exc}") from exc

@@ -223,7 +223,7 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
     not sum to 1 per class (sums within 1e-6).
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 payload = json.load(fh)
             # ValueError covers bad JSON, bad UTF-8 and over-long integers

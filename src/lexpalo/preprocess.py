@@ -70,21 +70,6 @@ class PreprocessConfig:
                 raise ValueError(f"stop word {word!r} contains whitespace")
 
 
-@dataclass(frozen=True)
-class CaseDecision:
-    """Corpus-level lowercasing decision for one word form.
-
-    ``word`` is the lowercased (accent-preserving) form; ``n_lower``/
-    ``n_upper`` count occurrences starting with a lowercase/uppercase letter;
-    ``lowered`` records whether all occurrences get lowercased.
-    """
-
-    word: str
-    n_lower: int
-    n_upper: int
-    lowered: bool
-
-
 def load_stopwords(path) -> frozenset[str]:
     """Read a stop-word file: one token per line, '#' comments, blanks ignored."""
     lines = read_text(path, "stop-word file").split("\n")
@@ -195,10 +180,11 @@ def _punct_table(punctuation: frozenset[str]):
     return {ord(c): None for c in punctuation}
 
 
-def _case_decisions(
+def _lowered_words(
     counts: Counter[str], words: dict[str, str], gamma: float
-) -> list[CaseDecision]:
-    """Tally capitalization of each raw token's word, weighed by its count."""
+) -> frozenset[str]:
+    """The lowercase keys of the words to lower everywhere: capitalization of
+    each raw token's word tallied, weighed by its count."""
     lower: dict[str, int] = {}
     upper: dict[str, int] = {}
     for raw, n in counts.items():
@@ -208,15 +194,10 @@ def _case_decisions(
         tally = upper if word[0].isupper() else lower
         key = word.lower()
         tally[key] = tally.get(key, 0) + n
-    decisions = []
-    for key in sorted(upper):
-        n_upper = upper[key]
-        n_lower = lower.get(key, 0)
-        lowered = n_upper < gamma * (n_lower + n_upper)
-        decisions.append(
-            CaseDecision(word=key, n_lower=n_lower, n_upper=n_upper, lowered=lowered)
-        )
-    return decisions
+    return frozenset(
+        key for key, n_upper in upper.items()
+        if n_upper < gamma * (lower.get(key, 0) + n_upper)
+    )
 
 
 def _latin1_table() -> dict[int, str]:
@@ -262,14 +243,6 @@ def _filter_word(
     return tuple(filterfalse(config.stopwords.__contains__, stripped.split()))
 
 
-def _filter_token(
-    raw: str, config: PreprocessConfig, lowered_words: frozenset[str]
-) -> tuple[str, ...]:
-    """Stages 2-5 for one whitespace token: the tokens it contributes."""
-    word = raw.translate(_punct_table(config.punctuation))
-    return _filter_word(raw, word, config, lowered_words)
-
-
 # Entries the shared table of one pipeline holds before it empties itself:
 # about 200 bytes each, so at most about 6 MB a table, and the tables of the
 # last four pipelines are kept. Zipfian lyrics repeat most raw tokens: 2,000
@@ -288,7 +261,9 @@ class _TokenTable(dict):
     def __missing__(self, raw):
         if len(self) >= _TABLE_CAP:
             self.clear()
-        tokens = self[raw] = _filter_token(raw, *self._pipeline)
+        config, lowered_words = self._pipeline
+        word = raw.translate(_punct_table(config.punctuation))
+        tokens = self[raw] = _filter_word(raw, word, config, lowered_words)
         return tokens
 
 
@@ -302,8 +277,8 @@ def filter_tokens(
 ) -> list[str]:
     """Run stages 2-5 on one text, given the corpus-level lowered-word set.
 
-    ``lowered_words`` holds the (pre-accent-strip) lowercase keys of words
-    whose case decisions came out ``lowered=True``. Each distinct raw token
+    ``lowered_words`` holds the (pre-accent-strip) lowercase keys of the
+    words the corpus-level case tally lowers. Each distinct raw token
     is filtered once per pipeline, in a table shared by equal pipelines.
     """
     table = _shared_table(config, lowered_words)
@@ -312,9 +287,9 @@ def filter_tokens(
 
 def preprocess_with_decisions(
     corpus: Corpus, config: PreprocessConfig
-) -> tuple[Corpus, list[CaseDecision]]:
-    """Run the full five-stage pipeline, also returning the corpus-level case
-    decisions (needed to freeze the pipeline state for later classification).
+) -> tuple[Corpus, FrozenPipeline]:
+    """Run the full five-stage pipeline, also returning the pipeline frozen
+    with its corpus-level lowered words, to filter later text the same way.
 
     The returned corpus has identical record ids/palos/metadata and filtered
     texts (tokens joined by single spaces). Records left without tokens are
@@ -332,8 +307,7 @@ def preprocess_with_decisions(
     counts = Counter(chain.from_iterable(text.split() for text in texts))
     table = _punct_table(config.punctuation)
     words = {raw: raw.translate(table) for raw in counts}
-    decisions = _case_decisions(counts, words, config.gamma)
-    lowered = frozenset(d.word for d in decisions if d.lowered)
+    lowered = _lowered_words(counts, words, config.gamma)
     joined = {
         raw: " ".join(_filter_word(raw, word, config, lowered))
         for raw, word in words.items()
@@ -351,7 +325,7 @@ def preprocess_with_decisions(
         logger.warning(
             "preprocessing left %d record(s) with no tokens", n_empty
         )
-    return Corpus(out), decisions
+    return Corpus(out), FrozenPipeline(config, lowered)
 
 
 def preprocess_corpus(corpus: Corpus, config: PreprocessConfig) -> Corpus:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus_io import Corpus
-from .errors import VocabularyMismatchError
+from .errors import EmptyDocumentError, VocabularyMismatchError
 
 _INT32_MAX = np.iinfo(np.int32).max
 # Longest vector whose dot product OpenBLAS computes in one thread.
@@ -173,11 +173,15 @@ def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
 def genre_vectors(corpus: Corpus) -> dict[str, sp.csr_matrix]:
     """Each palo's 1 x |V| TF-IDF row, its songs taken as one document, over
     the vocabulary of those documents; palos in sorted order. Each palo is
-    held as its word counts, so no document's token list is built."""
+    held as its word counts, so no document's token list is built. Raises
+    EmptyDocumentError when a palo counts no token."""
     counts = {
         palo: Counter(corpus.tokens([palo]))
         for palo in sorted(corpus.palos)
     }
+    for palo, c in counts.items():
+        if not c:
+            raise EmptyDocumentError(f"palo {palo!r} has no tokens after preprocessing")
     df = Counter(chain.from_iterable(counts.values()))
     vocab = _vocabulary(df, len(counts))
     matrix = _csr_rows(

@@ -453,13 +453,12 @@ def _strip_token(token, punctuation):
 
 
 def preprocess(texts, gamma, concat_map, stopwords, punctuation):
-    """Filtered texts and case decisions for a list of record texts.
+    """Filtered texts and lowered words for a list of record texts.
 
     Stage 2 counts, for every whitespace token with its punctuation removed,
     whether it starts uppercase, keyed by its lowercase form; a form seen
     uppercase N_upper times and lowercase N_lower times is lowered everywhere
-    iff N_upper < gamma * (N_lower + N_upper). Decisions are (word, n_lower,
-    n_upper, lowered) tuples for the forms seen uppercase, sorted by word.
+    iff N_upper < gamma * (N_lower + N_upper).
     Stages 2-5 then run on every token occurrence in turn.
     """
     joined = [_join_phrases(text, concat_map) for text in texts]
@@ -470,13 +469,10 @@ def preprocess(texts, gamma, concat_map, stopwords, punctuation):
             if word:
                 tally = n_upper if word[0].isupper() else n_lower
                 tally[word.lower()] = tally.get(word.lower(), 0) + 1
-    decisions = []
-    lowered = set()
-    for word in sorted(n_upper):
-        low, up = n_lower.get(word, 0), n_upper[word]
-        decisions.append((word, low, up, up < gamma * (low + up)))
-        if up < gamma * (low + up):
-            lowered.add(word)
+    lowered = {
+        word for word, up in n_upper.items()
+        if up < gamma * (n_lower.get(word, 0) + up)
+    }
     filtered = []
     for text in joined:
         tokens = []
@@ -488,7 +484,7 @@ def preprocess(texts, gamma, concat_map, stopwords, punctuation):
                 if piece not in stopwords:
                     tokens.append(piece)
         filtered.append(" ".join(tokens))
-    return filtered, decisions
+    return filtered, lowered
 
 
 # ---------------------------------------------------------------------------

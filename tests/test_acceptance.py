@@ -12,6 +12,7 @@ import os
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -193,18 +194,21 @@ def test_preprocessing_examples_hold_and_pipeline_is_idempotent():
 
     # corpus-level lowering: a capitalized form is kept once it stops being
     # rare among all occurrences of the word (strictly-below threshold)
-    _, decisions = preprocess_with_decisions(
-        corpus(
-            ("1", "Ay ay ay ay ay ay ay ay ay", "A"),
-            ("2", "Mar Mar Mar Mar Mar", "A"),
-            ("3", "Luna luna luna luna", "A"),
-        ),
-        config,
+    lyrics = corpus(
+        ("1", "Ay ay ay ay ay ay ay ay ay", "A"),
+        ("2", "Mar Mar Mar Mar Mar", "A"),
+        ("3", "Luna luna luna luna", "A"),
     )
-    decisions = {d.word: d for d in decisions}
-    assert decisions["ay"].lowered and decisions["ay"].n_upper == 1
-    assert not decisions["mar"].lowered  # only ever capitalized
-    assert not decisions["luna"].lowered  # 1 of 5 sits exactly at the bound
+
+    def lowered(gamma):
+        return preprocess_with_decisions(
+            lyrics, replace(config, gamma=gamma)
+        )[1].lowered_words
+
+    # "mar" is only ever capitalized; 1 "Luna" of 5 sits exactly at the bound
+    assert lowered(config.gamma) == {"ay"}
+    # 1 "Ay" of 9
+    assert "ay" not in lowered(0.11) and "ay" in lowered(0.12)
 
     # accents and punctuation strip; the tilde on n survives
     assert filter_tokens("¡corazón!", config, frozenset()) == ["corazon"]

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, determinism, and exit codes."""
 
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -524,6 +525,70 @@ def test_non_utf8_input_file_exits_with_its_documented_code(
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "UTF-8" in err
+
+
+def csv_text(records):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["id", "palo", "text"])
+    writer.writeheader()
+    writer.writerows(records)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "reader",
+    ["corpus-jsonl", "corpus-csv", "stopwords", "concat-map", "classify-file",
+     "model"],
+)
+def test_input_file_with_a_byte_order_mark_reads_as_the_plain_file(
+    reader, corpus_file, trained_model, tmp_path, capsys
+):
+    """Each input file the CLI reads, saved plainly and after the UTF-8
+    byte-order mark that Excel's "CSV UTF-8" and Notepad write."""
+    out = tmp_path / "out"
+    first, second = sample_records()[6]["text"].split()[:2]  # an alegria song's
+
+    def stats(path, *extra):
+        return ["stats", *base_args(path, out), *extra]
+
+    def with_corpus(option):
+        return lambda path: stats(corpus_file, option, str(path))
+
+    text, argv = {
+        "corpus-jsonl": (corpus_file.read_text(encoding="utf-8"), stats),
+        "corpus-csv": (csv_text(sample_records()),
+                       lambda path: stats(path, "--format", "csv")),
+        "stopwords": (f"{first}\n{second}\n", with_corpus("--stopwords")),
+        "concat-map": (f"{first} {second}\tJoined\n", with_corpus("--concat-map")),
+        "classify-file": ("mar sol arena", lambda path: [
+            "classify", "--scores", "--model", str(trained_model), "--file", str(path)
+        ]),
+        "model": (trained_model.read_text(encoding="utf-8"), lambda path: [
+            "classify", "--scores", "--model", str(path), "--text", "mar sol arena"
+        ]),
+    }[reader]
+    seen = []
+    for bom in (b"", codecs.BOM_UTF8):
+        path = tmp_path / "input"
+        path.write_bytes(bom + text.encode("utf-8"))
+        capsys.readouterr()
+        assert cli.main(argv(path)) == 0
+        reports = sorted((f.name, f.read_bytes()) for f in out.glob("*"))
+        seen.append((capsys.readouterr().out, reports))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("command", ["stats", "distances", "mst"])
+def test_palo_emptied_by_preprocessing_exits_eight(command, tmp_path, capsys):
+    records = [*sample_records(), *(
+        {"id": f"bulerias-{i}", "palo": "bulerias", "text": "que de la el"}
+        for i in range(3)
+    )]
+    corpus = write_jsonl(tmp_path / "emptied.jsonl", records)
+    code = cli.main([command, *base_args(corpus, tmp_path / "out")])
+    assert code == 8
+    err = capsys.readouterr().err
+    assert err.endswith("palo 'bulerias' has no tokens after preprocessing\n")
 
 
 def test_classify_rejects_model_without_preprocessing_state(

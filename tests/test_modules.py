@@ -1,13 +1,16 @@
 """Module boundaries: no module of the package uses another's private
-names, and the README's library usage block runs."""
+names, every package name the benchmark reads exists, and the README's
+library usage block runs."""
 
 import ast
 import contextlib
+import importlib
 import io
 import random
 from pathlib import Path
 
 import lexpalo
+import lexpalo.cli  # noqa: F401  (every module of the package loaded)
 
 from helpers import random_labeled_corpus, save_corpus
 
@@ -46,6 +49,81 @@ def cross_module_private_names(package):
 
 def test_no_module_uses_another_modules_private_names():
     assert cross_module_private_names(PACKAGE) == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# layer metrics that still name functions the package no longer has
+STALE = {
+    "lexpalo.corpus_io.stratified_split", "lexpalo.mnb.fit_from_masses",
+    "lexpalo.mnb.class_masses", "lexpalo.lexstats.sttr",
+}
+
+
+def _assigned(tree):
+    return {
+        target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
+def _compared_and_counted(function):
+    """The string constants a function compares or passes to ``.count``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "count"):
+            operands = node.args
+        else:
+            continue
+        yield from (
+            op.value for op in operands
+            if isinstance(op, ast.Constant) and isinstance(op.value, str)
+        )
+
+
+def perfbench_package_names(perfbench):
+    """``lexpalo.module.name`` for each package name the benchmark reads,
+    parsed without importing it: the names its ``from lexpalo... import``
+    lines bring in, the functions that layers.HOOKS, SELF_TIME, CALL_MS and
+    layer_metrics name, and tracer.PRIVATE."""
+    names = set()
+    traced = []  # "layer.function"
+    for path in sorted(perfbench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "lexpalo"):
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        assigned = _assigned(tree)
+        if path.name == "layers.py":
+            traced += [key.value for key in assigned["HOOKS"].keys]
+            for funcs in ast.literal_eval(assigned["SELF_TIME"]).values():
+                traced += funcs
+            traced += ast.literal_eval(assigned["CALL_MS"]).values()
+            (metrics,) = [
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"
+            ]
+            traced += _compared_and_counted(metrics)
+        elif path.name == "tracer.py":
+            for layer, attrs in ast.literal_eval(assigned["PRIVATE"]).items():
+                traced += [f"{layer}.{attr}" for attr in attrs]
+    return names | {f"lexpalo.{name}" for name in traced}
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    names = perfbench_package_names(PERFBENCH)
+    for expected in ("lexpalo.preprocess.preprocess_with_decisions",
+                     "lexpalo.cli._atomic_write", "lexpalo.mnb.fit",
+                     "lexpalo.experiments.aggregate", "lexpalo.vectorize.tfidf_row"):
+        assert expected in names
+    unresolved = {
+        name for name in names
+        if not hasattr(importlib.import_module(name.rpartition(".")[0]),
+                       name.rpartition(".")[2])
+    }
+    assert sorted(unresolved - STALE) == []
 
 
 def test_readme_library_usage_block_runs(tmp_path):

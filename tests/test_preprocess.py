@@ -18,7 +18,6 @@ from lexpalo.errors import CorpusIoError, FormatError, ModelFormatError
 from lexpalo import mnb, preprocess
 from lexpalo.preprocess import (
     DEFAULT_PUNCTUATION,
-    CaseDecision,
     FrozenPipeline,
     PreprocessConfig,
     apply_concat_map,
@@ -38,12 +37,11 @@ from helpers import corpus, corpus_from_texts, labeled_corpus, random_spanish_co
 BARE = PreprocessConfig()  # default gamma, no stopwords, no concat map
 
 
-def case_decisions(corpus_, config):
-    return preprocess_with_decisions(corpus_, config)[1]
-
-
-def decisions_by_word(corpus_, config):
-    return {d.word: d for d in case_decisions(corpus_, config)}
+def lowered_words(corpus_, config=BARE, gamma=None):
+    """The words the corpus-level case tally lowers, at ``gamma`` if given."""
+    if gamma is not None:
+        config = replace(config, gamma=gamma)
+    return preprocess_with_decisions(corpus_, config)[1].lowered_words
 
 
 def strip(text, config=BARE):
@@ -243,65 +241,55 @@ def test_concat_map_of_hundreds_of_phrases_equals_the_full_pattern(dotted):
 
 
 # ---------------------------------------------------------------------------
-# corpus-level case decisions
+# corpus-level case decisions: each count is pinned through the decision at
+# a gamma on either side of the tally's ratio N / (n + N)
 
 
 def test_case_rare_capitalization_is_lowered():
-    texts = ["Mar"] + ["mar"] * 8
-    d = decisions_by_word(corpus_from_texts(texts), BARE)["mar"]
-    assert d == CaseDecision(word="mar", n_lower=8, n_upper=1, lowered=True)
+    c = corpus_from_texts(["Mar"] + ["mar"] * 8)  # 1 of 9
+    assert lowered_words(c) == {"mar"}
+    assert lowered_words(c, gamma=0.11) == frozenset()
+    assert lowered_words(c, gamma=0.12) == {"mar"}
 
 
 def test_case_uppercase_only_word_is_kept():
-    d = decisions_by_word(corpus_from_texts(["Cádiz"] * 5), BARE)["cádiz"]
-    assert d == CaseDecision(word="cádiz", n_lower=0, n_upper=5, lowered=False)
+    c = corpus_from_texts(["Cádiz"] * 5)  # 5 of 5
+    assert lowered_words(c) == frozenset()
+    assert lowered_words(c, gamma=1.0) == frozenset()
 
 
 def test_case_exact_boundary_is_kept():
     # N = gamma * (n + N) exactly: 1 = 0.2 * 5; the rule is strictly "<"
-    texts = ["Mar", "mar", "mar", "mar", "mar"]
-    d = decisions_by_word(corpus_from_texts(texts), BARE)["mar"]
-    assert (d.n_lower, d.n_upper) == (4, 1)
-    assert d.lowered is False
+    c = corpus_from_texts(["Mar", "mar", "mar", "mar", "mar"])
+    assert lowered_words(c, gamma=0.2) == frozenset()
+    assert lowered_words(c, gamma=0.21) == {"mar"}
 
 
 def test_case_counts_ignore_punctuation_wrappers():
-    c = corpus_from_texts(["¡Ay! ay ay"])
-    d = decisions_by_word(c, BARE)["ay"]
-    assert (d.n_lower, d.n_upper) == (2, 1)
+    c = corpus_from_texts(["¡Ay! ay ay"])  # 1 of 3
+    assert lowered_words(c, gamma=1 / 3) == frozenset()
+    assert lowered_words(c, gamma=0.34) == {"ay"}
 
 
 def test_case_keys_keep_accents_distinct():
+    # "cadiz" is not a lowercase use of "Cádiz", so it is 1 of 1
     c = corpus_from_texts(["Cádiz", "cadiz cadiz cadiz"])
-    decisions = decisions_by_word(c, BARE)
-    assert set(decisions) == {"cádiz"}
-    assert decisions["cádiz"].n_lower == 0
-    assert decisions["cádiz"].lowered is False
+    assert lowered_words(c, gamma=1.0) == frozenset()
 
 
 def test_case_lowercase_only_words_get_no_decision():
-    decisions = case_decisions(corpus_from_texts(["solo minúsculas"]), BARE)
-    assert decisions == []
-
-
-def test_case_decisions_sorted_by_word():
-    c = corpus_from_texts(["Zambra Ana Mar"])
-    words = [d.word for d in case_decisions(c, BARE)]
-    assert words == sorted(words)
+    c = corpus_from_texts(["solo minúsculas"])
+    assert lowered_words(c, gamma=1.0) == frozenset()
 
 
 def test_case_gamma_one_lowers_anything_seen_lowercase():
-    config = PreprocessConfig(gamma=1.0)
     c = corpus_from_texts(["Mar mar Unico"])
-    decisions = decisions_by_word(c, config)
-    assert decisions["mar"].lowered is True
-    assert decisions["unico"].lowered is False  # never seen lowercase
+    assert lowered_words(c, gamma=1.0) == {"mar"}  # "Unico" never lowercase
 
 
 def test_case_gamma_zero_lowers_nothing():
-    config = PreprocessConfig(gamma=0.0)
     c = corpus_from_texts(["Mar mar mar mar Mar"])
-    assert not any(d.lowered for d in case_decisions(c, config))
+    assert lowered_words(c, gamma=0.0) == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +516,9 @@ def test_pipeline_kept_capitalized_word_survives_lowercase_stopword():
 def test_filter_tokens_matches_pipeline_output():
     config = default_config()
     c = random_spanish_corpus(random.Random(3), n_records=(4, 6))
-    processed, decisions = preprocess_with_decisions(c, config)
-    lowered = frozenset(d.word for d in decisions if d.lowered)
-    pipeline = FrozenPipeline(config, lowered)
+    processed, pipeline = preprocess_with_decisions(c, config)
+    lowered = pipeline.lowered_words
+    assert pipeline.config is config
     state = json.loads(json.dumps(pipeline.to_dict()))
     assert FrozenPipeline.from_dict(state, "model.json") == pipeline
     for raw, out in zip(c.records, processed.records):
@@ -600,9 +588,10 @@ def test_frozen_pipeline_from_dict_reports_invalid_config_as_model_format():
 
 def per_token_rule(text, config, lowered):
     """Stages 2-5 token by token, without the shared table."""
+    punct = preprocess._punct_table(config.punctuation)
     return [
         t for raw in text.split()
-        for t in preprocess._filter_token(raw, config, lowered)
+        for t in preprocess._filter_word(raw, raw.translate(punct), config, lowered)
     ]
 
 
@@ -714,10 +703,10 @@ def test_pipeline_lowered_words_never_resurface_capitalized():
     rng = random.Random(777)
     for _ in range(100):
         c = random_spanish_corpus(rng)
-        out, decisions = preprocess_with_decisions(c, config)
+        out, pipeline = preprocess_with_decisions(c, config)
         lowered_stripped = {
-            oracles._strip_token(d.word, config.punctuation)
-            for d in decisions if d.lowered
+            oracles._strip_token(word, config.punctuation)
+            for word in pipeline.lowered_words
         }
         for rec in out.records:
             for tok in rec.text.split():
@@ -806,15 +795,13 @@ def test_pipeline_matches_per_occurrence_oracle(texts, gamma):
         gamma=gamma, concat_map=DEFAULTS.concat_map, stopwords=DEFAULTS.stopwords
     )
     c = corpus_from_texts(texts)
-    processed, decisions = preprocess_with_decisions(c, config)
-    expected_texts, expected_decisions = oracles.preprocess(
+    processed, pipeline = preprocess_with_decisions(c, config)
+    expected_texts, expected_lowered = oracles.preprocess(
         texts, gamma, config.concat_map, config.stopwords, config.punctuation
     )
     assert [r.text for r in processed.records] == expected_texts
-    assert [
-        (d.word, d.n_lower, d.n_upper, d.lowered) for d in decisions
-    ] == expected_decisions
-    lowered = frozenset(d.word for d in decisions if d.lowered)
+    assert pipeline.lowered_words == expected_lowered
+    lowered = pipeline.lowered_words
     mapped = [apply_concat_map(text, config) for text in texts]
     preprocess._shared_table.cache_clear()
     for _ in ("cold table", "warm table"):
