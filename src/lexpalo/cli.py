@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _atomic_write(path: Path, text: str) -> None:
     """Write one report via temp-file + rename."""
-    atomic_write(path, lambda fh: fh.write(text))
+    atomic_write(path, text)
 
 
 def _csv(header: list[str], rows) -> str:

@@ -1,10 +1,12 @@
-"""Loading, validating, filtering and splitting lyric corpora.
+"""Lyric corpora, and every file lexpalo reads or writes.
 
 A corpus is an ordered collection of labeled songs. The canonical on-disk
 format is JSON Lines with one object per song carrying at least ``id``,
 ``palo`` (genre label) and ``text``; any additional keys are kept as string
 metadata. A CSV reader accepts the same schema (extra columns become
-metadata).
+metadata). Both readers only parse; one check in ``load_corpus`` holds every
+record to the same rule. Every input file is opened through ``open_text``
+and every output file written through ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -147,21 +149,6 @@ class SplitSpec:
             )
 
 
-def _stringify(value) -> str:
-    # Metadata values are strings; anything else is stored as canonical JSON
-    # so that save -> load round-trips.
-    return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
-
-
-def _validate_loaded(rec_id, palo, text, line: int):
-    if not isinstance(rec_id, str) or not rec_id.strip():
-        raise FormatError("'id' must be a non-empty string", line)
-    if not isinstance(palo, str) or not palo.strip():
-        raise FormatError("'palo' must be a non-empty string", line)
-    if not isinstance(text, str) or not text.strip():
-        raise FormatError("'text' must be a non-empty string", line)
-
-
 def load_corpus(path, format: str = "jsonl") -> Corpus:
     """Read a corpus file.
 
@@ -177,33 +164,46 @@ def load_corpus(path, format: str = "jsonl") -> Corpus:
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {format!r}")
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            if format == "jsonl":
-                records, lines = _read_jsonl(fh)
-            else:
-                records, lines = _read_csv(fh)
-    except OSError as exc:
-        raise CorpusIoError(f"cannot read corpus file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusIoError(f"corpus file {path} is not UTF-8 text: {exc}") from exc
-
+    records = []
     seen: dict[str, int] = {}
-    for rec, line in zip(records, lines):
-        if rec.id in seen:
-            raise DuplicateIdError(
-                f"duplicate id {rec.id!r} on lines {seen[rec.id]} and {line}"
-            )
-        seen[rec.id] = line
+    with open_text(path, "corpus file", newline="") as fh:
+        rows = _read_jsonl(fh) if format == "jsonl" else _read_csv(fh)
+        for line, rec_id, palo, text, metadata in rows:
+            if not isinstance(rec_id, str) or not rec_id.strip():
+                raise FormatError("'id' must be a non-empty string", line)
+            if not isinstance(palo, str) or not palo.strip():
+                raise FormatError("'palo' must be a non-empty string", line)
+            if not isinstance(text, str) or not text.strip():
+                raise FormatError("'text' must be a non-empty string", line)
+            if not _encodable(f"{rec_id}{palo}{text}"):
+                raise FormatError("'id', 'palo' or 'text' holds a lone surrogate", line)
+            if rec_id in seen:
+                raise DuplicateIdError(
+                    f"duplicate id {rec_id!r} on lines {seen[rec_id]} and {line}"
+                )
+            seen[rec_id] = line
+            records.append(LyricRecord(rec_id, text, palo, metadata))
     if not records:
         raise EmptyCorpusError(f"corpus file {path} contains no records")
     return Corpus(records)
 
 
+def _encodable(value: str) -> bool:
+    """Whether ``value`` holds no lone surrogate, which UTF-8 cannot encode.
+    Latin-1 is tried first: CPython encodes a one-byte string by copying."""
+    for encoding in ("latin-1", "utf-8"):
+        try:
+            value.encode(encoding)
+            return True
+        except UnicodeEncodeError:
+            pass
+    return False
+
+
 def _read_jsonl(fh):
-    records, lines = [], []
+    """Yield (line, id, palo, text, metadata) per non-blank line."""
     for line_no, raw in enumerate(fh, start=1):
-        if not raw.strip():
+        if raw.isspace():
             continue
         try:
             obj = json.loads(raw)
@@ -215,67 +215,67 @@ def _read_jsonl(fh):
         missing = [k for k in REQUIRED_KEYS if k not in obj]
         if missing:
             raise FormatError(f"missing required key(s) {missing}", line_no)
-        rec_id, palo, text = obj["id"], obj["palo"], obj["text"]
-        _validate_loaded(rec_id, palo, text, line_no)
+        # non-string metadata is kept as canonical JSON: save -> load round-trips
         metadata = {
-            k: _stringify(v) for k, v in obj.items() if k not in REQUIRED_KEYS
+            k: v if isinstance(v, str) else json.dumps(v, ensure_ascii=False)
+            for k, v in obj.items() if k not in REQUIRED_KEYS
         }
-        records.append(LyricRecord(id=rec_id, text=text, palo=palo, metadata=metadata))
-        lines.append(line_no)
-    return records, lines
+        yield line_no, obj["id"], obj["palo"], obj["text"], metadata
 
 
 def _read_csv(fh):
+    """Yield (line, id, palo, text, metadata) per row; a missing cell is None."""
     reader = csv.DictReader(fh)
-    records, lines = [], []
     try:
         if reader.fieldnames is None:
-            return [], []
+            return
         missing = [k for k in REQUIRED_KEYS if k not in reader.fieldnames]
         if missing:
             raise FormatError(f"CSV header is missing column(s) {missing}", 1)
         for row in reader:
-            line_no = reader.line_num
             if None in row and row[None]:
-                raise FormatError("row has more fields than the header", line_no)
-            rec_id, palo, text = row["id"], row["palo"], row["text"]
-            _validate_loaded(rec_id, palo, text, line_no)
+                raise FormatError("row has more fields than the header", reader.line_num)
             metadata = {
                 k: v for k, v in row.items()
                 if k not in REQUIRED_KEYS and k is not None and v is not None
             }
-            records.append(LyricRecord(id=rec_id, text=text, palo=palo, metadata=metadata))
-            lines.append(line_no)
+            yield reader.line_num, row["id"], row["palo"], row["text"], metadata
     except csv.Error as exc:  # a field past the csv module's size limit
         raise FormatError(f"invalid CSV: {exc}", reader.reader.line_num) from exc
-    return records, lines
 
 
-def read_text(path, what: str) -> str:
-    """The contents of a UTF-8 text file, less a leading byte-order mark.
+@contextlib.contextmanager
+def open_text(path, what: str, newline=None):
+    """Open a UTF-8 text file for reading, less a leading byte-order mark.
     Raises CorpusIoError, calling the file ``what``, when it cannot be read
     or is not UTF-8."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
     except OSError as exc:
         raise CorpusIoError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorpusIoError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
-def atomic_write(path, write_fn) -> None:
-    """Write a UTF-8 text file via ``write_fn(file)``, a temporary sibling and
-    a rename, so readers never see a partial file. The file gets the mode
-    ``open()`` gives under the umask; a failed write leaves the target as it
-    was and no temporary file. Raises CorpusIoError when it cannot write."""
+def read_text(path, what: str) -> str:
+    """The contents of a UTF-8 text file, read through :func:`open_text`."""
+    with open_text(path, what) as fh:
+        return fh.read()
+
+
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` as a UTF-8 file via a temporary sibling and a rename,
+    so readers never see a partial file. The file gets the mode ``open()``
+    gives under the umask; a failed write leaves the target as it was and no
+    temporary file. Raises CorpusIoError when it cannot write."""
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                write_fn(fh)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):

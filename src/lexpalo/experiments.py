@@ -499,11 +499,10 @@ def aggregate(runs: Sequence[TrainingResult]) -> AggregateReport:
 
     off_diag = mean_confusion.copy()
     np.fill_diagonal(off_diag, 0.0)
-    confusion_only = np.zeros_like(off_diag)
-    for k in range(len(classes)):
-        mass = off_diag[k].sum()
-        if mass > 0.0:
-            confusion_only[k] = off_diag[k] / mass
+    mass = off_diag.sum(axis=1, keepdims=True)
+    confusion_only = np.divide(
+        off_diag, mass, out=np.zeros_like(off_diag), where=mass > 0.0
+    )
     return AggregateReport(
         n_runs=len(runs),
         classes=classes,

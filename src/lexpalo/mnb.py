@@ -25,10 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus_io import atomic_write
+from .corpus_io import atomic_write, open_text
 from .errors import (
     AlphaNonPositiveError,
-    CorpusIoError,
     LabelMismatchError,
     ModelFormatError,
     VocabularyMismatchError,
@@ -166,8 +165,7 @@ def predict_rows(model: MnbModel, rows) -> list[str]:
 
 def save_model(model: MnbModel, path, preprocess_state: dict | None = None) -> None:
     """Persist ``model.to_json(preprocess_state)`` atomically."""
-    text = model.to_json(preprocess_state)
-    atomic_write(path, lambda fh: fh.write(text))
+    atomic_write(path, model.to_json(preprocess_state))
 
 
 def _texts(value) -> bool:
@@ -222,17 +220,14 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
     are not floats, of the wrong shape, not finite, above 0, or whose exp does
     not sum to 1 per class (sums within 1e-6).
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            try:
-                payload = json.load(fh)
-            # ValueError covers bad JSON, bad UTF-8 and over-long integers
-            except (ValueError, RecursionError) as exc:
-                raise ModelFormatError(
-                    f"model file {path} is not valid UTF-8 JSON: {exc}"
-                ) from exc
-    except OSError as exc:
-        raise CorpusIoError(f"cannot read model file {path}: {exc}") from exc
+    with open_text(path, "model file") as fh:
+        try:
+            payload = json.load(fh)
+        # ValueError covers bad JSON, bad UTF-8 and over-long integers
+        except (ValueError, RecursionError) as exc:
+            raise ModelFormatError(
+                f"model file {path} is not valid UTF-8 JSON: {exc}"
+            ) from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(
             f"model file {path} holds a JSON {type(payload).__name__}, "

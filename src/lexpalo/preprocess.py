@@ -57,17 +57,20 @@ class PreprocessConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         for phrase, joined in self.concat_map:
-            if len(phrase.split()) < 2:
-                raise ValueError(
-                    f"concat-map phrase {phrase!r} is not multiword"
-                )
-            if not joined or joined.split() != [joined]:
-                raise ValueError(
-                    f"concat-map replacement {joined!r} must be a single token"
-                )
+            if fault := _pair_fault(phrase, joined):
+                raise ValueError(fault)
         for word in self.stopwords:
             if not word or word.split() != [word]:
                 raise ValueError(f"stop word {word!r} contains whitespace")
+
+
+def _pair_fault(phrase: str, joined: str) -> str | None:
+    """Why a concat-map pair breaks the pair rule, or None when it keeps it."""
+    if len(phrase.split()) < 2:
+        return f"concat-map phrase {phrase!r} is not multiword"
+    if not joined or joined.split() != [joined]:
+        return f"concat-map replacement {joined!r} must be a single token"
+    return None
 
 
 def load_stopwords(path) -> frozenset[str]:
@@ -96,6 +99,8 @@ def load_concat_map(path) -> tuple[tuple[str, str], ...]:
             raise FormatError(
                 "concat-map line must be 'phrase<TAB>replacement'", ln
             )
+        if fault := _pair_fault(*parts):
+            raise FormatError(fault, ln)
         pairs.append((parts[0], parts[1]))
     return tuple(pairs)
 

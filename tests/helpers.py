@@ -28,16 +28,14 @@ def corpus(*items):
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus atomically as JSON Lines (the schema load_corpus reads)."""
-
-    def write(fh):
-        for rec in corpus.records:
-            obj = {"id": rec.id, "palo": rec.palo, "text": rec.text}
-            for k, v in rec.metadata.items():
-                if k not in REQUIRED_KEYS:
-                    obj[k] = v
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-    atomic_write(path, write)
+    lines = []
+    for rec in corpus.records:
+        obj = {"id": rec.id, "palo": rec.palo, "text": rec.text}
+        for k, v in rec.metadata.items():
+            if k not in REQUIRED_KEYS:
+                obj[k] = v
+        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    atomic_write(path, "".join(lines))
 
 
 def corpus_from_texts(texts, palo="X", prefix="d"):

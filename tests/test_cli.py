@@ -949,6 +949,19 @@ def test_exit_code_malformed_jsonl(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_lone_surrogate_escape_exits_four_before_any_report(tmp_path, capsys):
+    """Half of an escaped surrogate pair, which no report could encode."""
+    records = sample_records()
+    records[2]["text"] = "x\ud800y"
+    corpus = tmp_path / "corpus.jsonl"
+    # ensure_ascii writes the lone surrogate as the escape \ud800
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+    out = tmp_path / "reports"
+    assert cli.main(["train", *base_args(corpus, out), "--runs", "2"]) == 4
+    assert "line 3: 'id', 'palo' or 'text' holds a lone surrogate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "format, content, line",
     [

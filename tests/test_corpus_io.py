@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -127,12 +128,47 @@ def test_load_jsonl_reports_missing_keys(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["id", "palo", "text"])
-def test_load_jsonl_rejects_blank_required_field(tmp_path, field):
-    row = {"id": "a", "palo": "p", "text": "t"}
-    row[field] = "  "
-    path = write_jsonl(tmp_path / "c.jsonl", [row])
-    with pytest.raises(FormatError, match=field):
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_load_rejects_blank_required_field(tmp_path, format, field):
+    rows = [{"id": "a", "palo": "p", "text": "t"}, {"id": "b", "palo": "p", "text": "t"}]
+    rows[1][field] = "  "
+    path = tmp_path / f"c.{format}"
+    if format == "jsonl":
+        write_jsonl(path, rows)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["id", "palo", "text"])
+            writer.writeheader()
+            writer.writerows(rows)
+    line = {"jsonl": 2, "csv": 3}[format]
+    with pytest.raises(FormatError, match=f"line {line}: '{field}' must be a non-empty string"):
+        load_corpus(path, format=format)
+
+
+def test_load_csv_row_missing_a_cell_cites_its_line(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("id,palo,text\na,p,uno\nb,p\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="line 3: 'text' must be a non-empty string"):
+        load_corpus(path, format="csv")
+
+
+@pytest.mark.parametrize("field", ["id", "palo", "text"])
+def test_load_jsonl_rejects_a_lone_surrogate_escape(tmp_path, field):
+    rows = [{"id": "a", "palo": "p", "text": "t"}, {"id": "b", "palo": "p", "text": "ü"}]
+    rows[1][field] = "x\ud800y"
+    path = tmp_path / "c.jsonl"
+    # ensure_ascii writes the lone surrogate as the escape \ud800
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="ascii")
+    with pytest.raises(FormatError, match="line 2: .* lone surrogate"):
         load_corpus(path)
+
+
+def test_load_jsonl_joins_an_escaped_surrogate_pair(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"id": "a", "palo": "p", "text": "ol\\u00e9 \\ud83d\\ude00"}\n', encoding="ascii"
+    )
+    assert load_corpus(path).records[0].text == "olé \U0001f600"
 
 
 def test_load_jsonl_duplicate_id_cites_both_lines(tmp_path):
@@ -235,25 +271,23 @@ def test_save_to_unwritable_path_raises(tmp_path):
         save_corpus(c, tmp_path / "missing_dir" / "out.jsonl")
 
 
-def test_failed_atomic_write_keeps_the_target_and_leaves_no_temp_file(tmp_path):
+def test_failed_atomic_write_keeps_the_target_and_leaves_no_temp_file(
+    tmp_path, monkeypatch
+):
     path = tmp_path / "out.txt"
     path.write_text("before\n", encoding="utf-8")
 
-    def write_then_fail(fh):
-        fh.write("partial")
-        raise RuntimeError("interrupted")
-
-    with pytest.raises(RuntimeError, match="interrupted"):
-        atomic_write(path, write_then_fail)
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(path, "partial \ud800 text")
     assert path.read_text(encoding="utf-8") == "before\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
-    def fail_with_os_error(fh):
-        fh.write("partial")
+    def fail_to_replace(src, dst):
         raise OSError("disk full")
 
+    monkeypatch.setattr(os, "replace", fail_to_replace)
     with pytest.raises(CorpusIoError, match="disk full"):
-        atomic_write(path, fail_with_os_error)
+        atomic_write(path, "after\n")
     assert path.read_text(encoding="utf-8") == "before\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 

@@ -433,10 +433,19 @@ def test_load_concat_map_parses_tab_pairs(tmp_path):
     )
 
 
-def test_load_concat_map_rejects_untabbed_lines(tmp_path):
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("Santa Ana SantaAna", "line must be 'phrase<TAB>replacement'"),
+        ("Santa\tSantaAna", "phrase 'Santa' is not multiword"),
+        ("Santa Ana\tSanta Ana", "replacement 'Santa Ana' must be a single token"),
+    ],
+    ids=["untabbed", "one-word-phrase", "multi-token-replacement"],
+)
+def test_load_concat_map_rejects_untabbed_lines(tmp_path, entry, message):
     path = tmp_path / "map.tsv"
-    path.write_text("Santa Ana SantaAna\n", encoding="utf-8")
-    with pytest.raises(FormatError):
+    path.write_text(f"# names\n{entry}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"line 2: concat-map {re.escape(message)}"):
         load_concat_map(path)
 
 
