@@ -53,7 +53,12 @@ class Corpus:
     file loaders additionally reject empty text).
     """
 
-    def __init__(self, records):
+    def __init__(self, records, ids=None):
+        """``ids``, when given, are the ``(ids, offsets, words)`` that
+        :func:`word_ids` gives for the records' texts, which
+        :func:`token_ids` then returns; they are not checked against the
+        texts. The words, none of which holds whitespace, are held as one
+        text, not one string each."""
         records = tuple(records)
         if not records:
             raise EmptyCorpusError("corpus has no records")
@@ -75,6 +80,11 @@ class Corpus:
         self.palo_index: dict[str, tuple[int, ...]] = {
             p: tuple(ix) for p, ix in palo_index.items()
         }
+        self._ids = None
+        if ids is not None:
+            ids, offsets, words = ids
+            ids.flags.writeable = offsets.flags.writeable = False
+            self._ids = ids, offsets, " ".join(words)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -89,14 +99,6 @@ class Corpus:
     def palos(self) -> tuple[str, ...]:
         """Palo labels in order of first appearance."""
         return tuple(self.palo_index)
-
-    def tokens(self, palos):
-        """The whitespace tokens of these palos' records, palo by palo, each
-        palo's in corpus order, streamed one record at a time."""
-        records = self.records
-        return chain.from_iterable(
-            records[i].text.split() for p in palos for i in self.palo_index[p]
-        )
 
 
 @dataclass(frozen=True)
@@ -118,20 +120,31 @@ class _FirstSeenIds(dict):
         return len(self) - 1
 
 
-def token_ids(corpus: Corpus) -> TokenIds:
-    """Tokenize every record once, into word ids (4 bytes a token); no token
-    list is held."""
-    offsets = np.zeros(len(corpus.records) + 1, dtype=np.int64)
+def word_ids(texts) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The whitespace tokens of a sequence of texts as int32 word ids, words
+    numbered in order of first occurrence: ``(ids, offsets, words)``, text
+    i's ids ``ids[offsets[i]:offsets[i + 1]]`` (4 bytes a token; no token
+    list is held)."""
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
 
     def tokens():
-        for i, rec in enumerate(corpus.records, start=1):
-            doc = rec.text.split()
+        for i, text in enumerate(texts, start=1):
+            doc = text.split()
             offsets[i] = len(doc)
             yield doc
 
     ids = _FirstSeenIds()
     seen = np.fromiter(map(ids.__getitem__, chain.from_iterable(tokens())), np.int32)
-    return TokenIds(corpus, seen, np.cumsum(offsets), tuple(ids))
+    return seen, np.cumsum(offsets), tuple(ids)
+
+
+def token_ids(corpus: Corpus) -> TokenIds:
+    """The corpus's tokens as word ids: those it carries (a preprocessed
+    corpus does), or else its texts tokenized once, by :func:`word_ids`."""
+    if corpus._ids is not None:
+        ids, offsets, words = corpus._ids
+        return TokenIds(corpus, ids, offsets, tuple(words.split()))
+    return TokenIds(corpus, *word_ids([rec.text for rec in corpus.records]))
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ from __future__ import annotations
 import logging
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources as importlib_resources
-from itertools import chain, filterfalse
 
-from .corpus_io import Corpus, LyricRecord, read_text
+import numpy as np
+
+from .corpus_io import Corpus, LyricRecord, read_text, word_ids
 from .errors import FormatError, ModelFormatError
 
 logger = logging.getLogger(__name__)
@@ -60,8 +60,8 @@ class PreprocessConfig:
             if fault := _pair_fault(phrase, joined):
                 raise ValueError(fault)
         for word in self.stopwords:
-            if not word or word.split() != [word]:
-                raise ValueError(f"stop word {word!r} contains whitespace")
+            if fault := _stopword_fault(word):
+                raise ValueError(fault)
 
 
 def _pair_fault(phrase: str, joined: str) -> str | None:
@@ -73,6 +73,14 @@ def _pair_fault(phrase: str, joined: str) -> str | None:
     return None
 
 
+def _stopword_fault(word: str, what: str = "stop word") -> str | None:
+    """Why a stop word, called ``what``, is not a single token, or None when
+    it is one."""
+    if not word or word.split() != [word]:
+        return f"{what} {word!r} contains whitespace"
+    return None
+
+
 def load_stopwords(path) -> frozenset[str]:
     """Read a stop-word file: one token per line, '#' comments, blanks ignored."""
     lines = read_text(path, "stop-word file").split("\n")
@@ -81,8 +89,8 @@ def load_stopwords(path) -> frozenset[str]:
         entry = raw.strip()
         if not entry or entry.startswith("#"):
             continue
-        if len(entry.split()) != 1:
-            raise FormatError(f"stop-word entry {entry!r} contains whitespace", ln)
+        if fault := _stopword_fault(entry, "stop-word entry"):
+            raise FormatError(fault, ln)
         words.append(entry)
     return frozenset(words)
 
@@ -186,14 +194,13 @@ def _punct_table(punctuation: frozenset[str]):
 
 
 def _lowered_words(
-    counts: Counter[str], words: dict[str, str], gamma: float
+    words: list[str], counts: list[int], gamma: float
 ) -> frozenset[str]:
     """The lowercase keys of the words to lower everywhere: capitalization of
-    each raw token's word tallied, weighed by its count."""
+    each raw token's word tallied, weighed by the raw token's count."""
     lower: dict[str, int] = {}
     upper: dict[str, int] = {}
-    for raw, n in counts.items():
-        word = words[raw]
+    for word, n in zip(words, counts):
         if not word:
             continue
         tally = upper if word[0].isupper() else lower
@@ -239,13 +246,15 @@ def _strip_accents(text: str) -> str:
 
 def _filter_word(
     raw: str, word: str, config: PreprocessConfig, lowered_words: frozenset[str]
-) -> tuple[str, ...]:
+) -> str:
     """Stages 2-5 for one whitespace token whose punctuation-free form is
-    ``word``: the tokens it contributes."""
+    ``word``: the token it contributes, or "" when it contributes none.
+    Neither lowering nor accent stripping turns a character other than
+    whitespace into text that holds whitespace, so a token never splits."""
     if word and word.lower() in lowered_words:
         word = raw.lower().translate(_punct_table(config.punctuation))
     stripped = _strip_accents(word)
-    return tuple(filterfalse(config.stopwords.__contains__, stripped.split()))
+    return "" if stripped in config.stopwords else stripped
 
 
 # Entries the shared table of one pipeline holds before it empties itself:
@@ -256,8 +265,8 @@ _TABLE_CAP = 1 << 15
 
 
 class _TokenTable(dict):
-    """Raw token -> the tokens stages 2-5 of one pipeline make of it, mapped
-    on first lookup; the table empties itself when it reaches _TABLE_CAP."""
+    """Raw token -> the token stages 2-5 of one pipeline make of it (or ""),
+    mapped on first lookup; the table empties itself when it reaches _TABLE_CAP."""
 
     def __init__(self, config, lowered_words):
         super().__init__()
@@ -268,8 +277,8 @@ class _TokenTable(dict):
             self.clear()
         config, lowered_words = self._pipeline
         word = raw.translate(_punct_table(config.punctuation))
-        tokens = self[raw] = _filter_word(raw, word, config, lowered_words)
-        return tokens
+        token = self[raw] = _filter_word(raw, word, config, lowered_words)
+        return token
 
 
 @lru_cache(maxsize=4)
@@ -287,7 +296,7 @@ def filter_tokens(
     is filtered once per pipeline, in a table shared by equal pipelines.
     """
     table = _shared_table(config, lowered_words)
-    return list(chain.from_iterable(map(table.__getitem__, text.split())))
+    return list(filter(None, map(table.__getitem__, text.split())))
 
 
 def preprocess_with_decisions(
@@ -297,40 +306,77 @@ def preprocess_with_decisions(
     with its corpus-level lowered words, to filter later text the same way.
 
     The returned corpus has identical record ids/palos/metadata and filtered
-    texts (tokens joined by single spaces). Records left without tokens are
+    texts (tokens joined by single spaces), and carries its tokens' word ids
+    for :func:`corpus_io.token_ids`. Records left without tokens are
     retained with empty text; their count is logged as a warning.
 
+    The phrase-concatenated texts are tokenized once, into raw token ids.
     Stages 2-5 act on each whitespace token alone, so they run once per
-    distinct raw token, and the case tally weighs each by its count.
+    distinct raw token, and the case tally weighs each by its count. Each
+    raw token gives at most one token, so the output's ids are the raw ids
+    less those that give none, renumbered in order of first occurrence.
     """
     texts = [rec.text for rec in corpus.records]
     if config.concat_map:
         phrases = _concat_pattern(config.concat_map)
         texts = [_concat(text, *phrases) for text in texts]
-    # each raw token's occurrences, and its word: the token without the
-    # configured punctuation
-    counts = Counter(chain.from_iterable(text.split() for text in texts))
+    ids, raw_offsets, raws = word_ids(texts)
+    del texts
+    counts = np.zeros(len(raws), dtype=np.int64)
+    np.add.at(counts, ids, 1)  # np.bincount would copy the ids to int64
+    # each raw token's word: the token without the configured punctuation
     table = _punct_table(config.punctuation)
-    words = {raw: raw.translate(table) for raw in counts}
-    lowered = _lowered_words(counts, words, config.gamma)
-    joined = {
-        raw: " ".join(_filter_word(raw, word, config, lowered))
-        for raw, word in words.items()
-    }
+    words = [raw.translate(table) for raw in raws]
+    lowered = _lowered_words(words, counts.tolist(), config.gamma)
+    tokens = [
+        _filter_word(raw, word, config, lowered) for raw, word in zip(raws, words)
+    ]
+    del words
+    # a token first occurs where the first raw token that gives it does
+    first_seen: dict[str, int] = {}
+    renumber = np.array(
+        [first_seen.setdefault(t, len(first_seen)) if t else -1 for t in tokens],
+        dtype=np.int32,
+    )
     out = []
-    n_empty = 0
-    for rec, text in zip(corpus.records, texts):
-        text = " ".join(filter(None, map(joined.__getitem__, text.split())))
-        if not text:
-            n_empty += 1
-        out.append(
-            LyricRecord(id=rec.id, text=text, palo=rec.palo, metadata=rec.metadata)
-        )
+    offsets = np.zeros(len(corpus.records) + 1, dtype=np.int64)
+    bounds = raw_offsets.tolist()
+    for i, rec in enumerate(corpus.records):
+        raw_ids = ids[bounds[i]:bounds[i + 1]].tolist()
+        kept = list(filter(None, map(tokens.__getitem__, raw_ids)))
+        offsets[i + 1] = len(kept)
+        out.append(LyricRecord(
+            id=rec.id, text=" ".join(kept), palo=rec.palo, metadata=rec.metadata
+        ))
+    n_empty = np.count_nonzero(offsets[1:] == 0)
     if n_empty:
         logger.warning(
             "preprocessing left %d record(s) with no tokens", n_empty
         )
-    return Corpus(out), FrozenPipeline(config, lowered)
+    ids = _renumbered(ids, renumber)
+    return (
+        Corpus(out, ids=(ids, np.cumsum(offsets), tuple(first_seen))),
+        FrozenPipeline(config, lowered),
+    )
+
+
+# Raw ids renumbered at a time: the block's copies are all that is held
+# beside the ids.
+_BLOCK = 1 << 14
+
+
+def _renumbered(ids: np.ndarray, renumber: np.ndarray) -> np.ndarray:
+    """``renumber[ids]`` less its -1 entries, written over ``ids`` block by
+    block (no entry is written before it is read), which then shrinks in
+    place, so that no second array as long as ``ids`` is allocated."""
+    n = 0
+    for start in range(0, len(ids), _BLOCK):
+        block = renumber[ids[start:start + _BLOCK]]
+        block = block[block >= 0]
+        ids[n:n + len(block)] = block
+        n += len(block)
+    ids.resize(n, refcheck=False)
+    return ids
 
 
 def preprocess_corpus(corpus: Corpus, config: PreprocessConfig) -> Corpus:

@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus_io import Corpus
+from .corpus_io import Corpus, token_ids
 from .errors import EmptyDocumentError, VocabularyMismatchError
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -173,15 +173,27 @@ def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
 def genre_vectors(corpus: Corpus) -> dict[str, sp.csr_matrix]:
     """Each palo's 1 x |V| TF-IDF row, its songs taken as one document, over
     the vocabulary of those documents; palos in sorted order. Each palo is
-    held as its word counts, so no document's token list is built. Raises
-    EmptyDocumentError when a palo counts no token."""
-    counts = {
-        palo: Counter(corpus.tokens([palo]))
-        for palo in sorted(corpus.palos)
-    }
-    for palo, c in counts.items():
-        if not c:
+    held as its word counts in order of first occurrence, taken from the
+    corpus's word ids. Raises EmptyDocumentError when a palo counts no
+    token."""
+    tok = token_ids(corpus)
+    offsets = tok.offsets.tolist()
+    counts = {}
+    for palo in sorted(corpus.palos):
+        ids = np.concatenate(
+            [tok.ids[offsets[i]:offsets[i + 1]] for i in corpus.palo_index[palo]]
+        )
+        if not len(ids):
             raise EmptyDocumentError(f"palo {palo!r} has no tokens after preprocessing")
+        # np.unique with first indices would hold 30 bytes a token
+        n = np.zeros(len(tok.words), dtype=np.int64)
+        np.add.at(n, ids, 1)
+        first = np.full(len(tok.words), len(ids))
+        np.minimum.at(first, ids, np.arange(len(ids)))
+        used = np.flatnonzero(n)
+        used = used[np.argsort(first[used])]
+        words = map(tok.words.__getitem__, used.tolist())
+        counts[palo] = dict(zip(words, n[used].tolist()))
     df = Counter(chain.from_iterable(counts.values()))
     vocab = _vocabulary(df, len(counts))
     matrix = _csr_rows(

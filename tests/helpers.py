@@ -26,6 +26,15 @@ def corpus(*items):
     return Corpus(record(*item) for item in items)
 
 
+def palo_tokens(corpus: Corpus, palos) -> list[str]:
+    """The whitespace tokens of these palos' records, palo by palo, each
+    palo's in corpus order."""
+    return [
+        token for palo in palos for i in corpus.palo_index[palo]
+        for token in corpus.records[i].text.split()
+    ]
+
+
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus atomically as JSON Lines (the schema load_corpus reads)."""
     lines = []

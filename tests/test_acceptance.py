@@ -501,6 +501,30 @@ def test_streamed_passes_hold_no_token_list():
         assert peak < 2_000_000, (name, peak)
 
 
+def test_preprocessing_holds_at_most_two_id_arrays_beyond_its_output():
+    # the corpus of test_streamed_passes_hold_no_token_list. Before
+    # preprocessing numbered its tokens, it peaked at 873,464 bytes here,
+    # about the output texts. The bound adds 8 bytes a token, what two
+    # int32 arrays of the 200k raw ids hold: the ids the output corpus
+    # carries and one more array
+    rng = random.Random(42)
+    words = [f"w{i}" for i in range(50)]
+    c = Corpus(
+        record(f"s{i}", " ".join(rng.choices(words, k=1000)), f"palo{i % 4}")
+        for i in range(200)
+    )
+    config = default_config()
+    preprocess_with_decisions(c, config)  # packaged resources loaded, caches filled
+    tracemalloc.start()
+    try:
+        processed, _ = preprocess_with_decisions(c, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(token_ids(processed).ids) == 200_000
+    assert peak < 873_464 + 8 * 200_000, peak
+
+
 # ---------------------------------------------------------------------------
 # byte-identical CLI outputs across executions and thread settings
 

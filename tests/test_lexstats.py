@@ -26,6 +26,7 @@ from helpers import (
     corpus_from_texts,
     generated_corpus,
     labeled_corpus,
+    palo_tokens,
     random_labeled_corpus,
     record,
 )
@@ -177,12 +178,12 @@ def test_sttr_of_previous_occurrences_equals_sttr():
         c = random_labeled_corpus(rng)
         _, sttr_rows = profile_and_sttr_rows(token_ids(c), 9, seed=trial)
         prevs = [
-            (palo, np.array(oracles.previous_occurrences(c.tokens([palo]))))
+            (palo, np.array(oracles.previous_occurrences(palo_tokens(c, [palo]))))
             for palo in sorted(c.palos)
         ]
         window = min(len(prev) for _, prev in prevs)
         prevs.append(
-            ("__corpus__", np.array(oracles.previous_occurrences(c.tokens(c.palos))))
+            ("__corpus__", np.array(oracles.previous_occurrences(palo_tokens(c, c.palos))))
         )
         assert len(sttr_rows) == len(prevs)
         for row, (label, prev) in zip(sttr_rows, prevs):

@@ -9,11 +9,13 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import replace
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexpalo.corpus_io import Corpus
+from lexpalo.corpus_io import Corpus, filter_top_palos, token_ids
 from lexpalo.errors import CorpusIoError, FormatError, ModelFormatError
 from lexpalo import mnb, preprocess
 from lexpalo.preprocess import (
@@ -417,6 +419,19 @@ def test_load_stopwords_rejects_multiword_entries(tmp_path):
         load_stopwords(path)
 
 
+@pytest.mark.parametrize("word", ["a b", "a\u00a0b"], ids=["space", "nbsp"])
+def test_both_stopword_reporters_apply_one_rule(tmp_path, word):
+    path = tmp_path / "stop.txt"
+    path.write_text(f"# words\n{word}\n", encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load_stopwords(path)
+    assert str(info.value) == f"line 2: stop-word entry {word!r} contains whitespace"
+    assert info.value.line == 2 and info.value.exit_code == 4
+    with pytest.raises(ValueError) as info:
+        PreprocessConfig(stopwords=frozenset({word}))
+    assert str(info.value) == f"stop word {word!r} contains whitespace"
+
+
 def test_load_stopwords_missing_file(tmp_path):
     with pytest.raises(CorpusIoError):
         load_stopwords(tmp_path / "nope.txt")
@@ -598,10 +613,11 @@ def test_frozen_pipeline_from_dict_reports_invalid_config_as_model_format():
 def per_token_rule(text, config, lowered):
     """Stages 2-5 token by token, without the shared table."""
     punct = preprocess._punct_table(config.punctuation)
-    return [
-        t for raw in text.split()
-        for t in preprocess._filter_word(raw, raw.translate(punct), config, lowered)
-    ]
+    tokens = (
+        preprocess._filter_word(raw, raw.translate(punct), config, lowered)
+        for raw in text.split()
+    )
+    return [t for t in tokens if t]
 
 
 TABLE_TEXTS = (
@@ -810,6 +826,7 @@ def test_pipeline_matches_per_occurrence_oracle(texts, gamma):
     )
     assert [r.text for r in processed.records] == expected_texts
     assert pipeline.lowered_words == expected_lowered
+    assert_carried_ids_equal_a_fresh_tokenization(processed)
     lowered = pipeline.lowered_words
     mapped = [apply_concat_map(text, config) for text in texts]
     preprocess._shared_table.cache_clear()
@@ -822,3 +839,106 @@ def test_pipeline_matches_per_occurrence_oracle(texts, gamma):
             t for raw in text.split() for t in filter_tokens(raw, config, lowered)
         ]
         assert filter_tokens(text, config, lowered) == per_token
+
+
+# ---------------------------------------------------------------------------
+# the word ids a preprocessed corpus carries
+
+
+def carries_ids(c):
+    """Whether ``token_ids`` returns ids the corpus holds (the same arrays
+    each call) rather than tokenizing its texts again."""
+    return token_ids(c).ids is token_ids(c).ids
+
+
+def assert_carried_ids_equal_a_fresh_tokenization(processed):
+    assert carries_ids(processed)
+    carried = token_ids(processed)
+    rebuilt = Corpus(processed.records)
+    assert not carries_ids(rebuilt)
+    fresh = token_ids(rebuilt)
+    assert carried.corpus is processed and fresh.corpus is rebuilt
+    for got, expected in ((carried.ids, fresh.ids), (carried.offsets, fresh.offsets)):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    assert carried.words == fresh.words
+    assert not carried.ids.flags.writeable and not carried.offsets.flags.writeable
+
+
+CARRIED_IDS_CASES = {
+    # each case lowers a word and empties a song
+    "default config, emptied songs, lowered words and stop words": (
+        default_config(),
+        [
+            "Que pena, que pena de la noche que",
+            "¡Ay! de la",
+            "que viva Cádiz, viva la Niña; pena, pena",
+            "Niña de los Peines, la Pena que pena",
+            "de ¡la! y que",
+            "Vergüenza y Noche, ¿noche? ay",
+        ],
+    ),
+    "concat-map phrases equal but for case": (
+        PreprocessConfig(
+            gamma=0.5,
+            concat_map=(("Santa Ana", "SantaAna"), ("santa ana", "santaana"),
+                        ("SANTA ANA", "SANTAANA"), ("Muralla Real", "MurallaReal")),
+        ),
+        [
+            "Santa Ana y santa ana, SANTA ANA",
+            "la Muralla Real de santa Ana",
+            "murallas reales, santa Muralla",
+            "sAnTa AnA muralla muralla",
+            "¡!",
+        ],
+    ),
+    "tokens outside Latin-1": (
+        replace(default_config(), gamma=0.5, stopwords=frozenset({"ſi", "ανα"})),
+        [
+            "ſeñor ſí, Ἀθῆναι ἀνά ſi",
+            "man\u0303ana An\u0303o ma\u0303s ñu",
+            "Ωμέγα ωμέγα, ωμεγα Ἀθῆναι ωμέγα",
+            "ſí ἀνά",
+        ],
+    ),
+    "newline and no-break space as punctuation": (
+        PreprocessConfig(
+            gamma=0.5,
+            punctuation=frozenset({",", "\n", "\u00a0"}),
+            stopwords=frozenset({"la"}),
+        ),
+        [
+            "la\u00a0pena\nnoche, la\u00a0NOCHE",
+            "pena,\u00a0,\n,",
+            ",\u00a0\n",
+            "noche\u00a0noche\nla",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CARRIED_IDS_CASES)
+def test_preprocessed_corpus_carries_the_ids_of_its_texts(case):
+    config, texts = CARRIED_IDS_CASES[case]
+    c = labeled_corpus({"A": texts, "B": texts[::-1]})
+    processed, pipeline = preprocess_with_decisions(c, config)
+    assert any(not r.text for r in processed.records) and pipeline.lowered_words
+    assert_carried_ids_equal_a_fresh_tokenization(processed)
+    assert not carries_ids(c)
+    assert not carries_ids(filter_top_palos(processed, 1))
+    assert not carries_ids(Corpus(processed.records))
+
+
+def test_lowering_and_accent_stripping_never_make_whitespace():
+    # So a whitespace token gives at most one token, and preprocessing can
+    # number the processed tokens by their raw ones.
+    for code in chain(range(0xD800), range(0xE000, 0x110000)):
+        ch = chr(code)
+        if ch.isspace():
+            continue
+        lowered = ch.lower()
+        # "\u0101" sends a Latin-1 character down the NFD route too
+        out = (lowered + preprocess._strip_accents(ch)
+               + preprocess._strip_accents(lowered)
+               + preprocess._strip_accents(ch + "\u0101"))
+        assert out.split() == [out], hex(code)
