@@ -298,7 +298,7 @@ def _train(config: RunConfig, raw, processed, pipeline):
     }
 
     # One model over the whole corpus for later classification.
-    full = Corpus(r for r in processed.records if r.text.split())
+    full = Corpus(r for r in processed.records if r.text)
     vocab = build_vocabulary(full)
     matrix = tfidf(full, vocab)
     model = mnb.fit(matrix, [r.palo for r in full.records], config.alpha)

@@ -57,8 +57,7 @@ class Corpus:
         """``ids``, when given, are the ``(ids, offsets, words)`` that
         :func:`word_ids` gives for the records' texts, which
         :func:`token_ids` then returns; they are not checked against the
-        texts. The words, none of which holds whitespace, are held as one
-        text, not one string each."""
+        texts."""
         records = tuple(records)
         if not records:
             raise EmptyCorpusError("corpus has no records")
@@ -80,11 +79,7 @@ class Corpus:
         self.palo_index: dict[str, tuple[int, ...]] = {
             p: tuple(ix) for p, ix in palo_index.items()
         }
-        self._ids = None
-        if ids is not None:
-            ids, offsets, words = ids
-            ids.flags.writeable = offsets.flags.writeable = False
-            self._ids = ids, offsets, " ".join(words)
+        self._ids = None if ids is None else _held(*ids)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -138,13 +133,20 @@ def word_ids(texts) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     return seen, np.cumsum(offsets), tuple(ids)
 
 
+def _held(ids, offsets, words):
+    """Read-only ids, and the words (none holds whitespace) as one text."""
+    ids.flags.writeable = offsets.flags.writeable = False
+    return ids, offsets, " ".join(words)
+
+
 def token_ids(corpus: Corpus) -> TokenIds:
     """The corpus's tokens as word ids: those it carries (a preprocessed
-    corpus does), or else its texts tokenized once, by :func:`word_ids`."""
-    if corpus._ids is not None:
-        ids, offsets, words = corpus._ids
-        return TokenIds(corpus, ids, offsets, tuple(words.split()))
-    return TokenIds(corpus, *word_ids([rec.text for rec in corpus.records]))
+    corpus does), or else its texts tokenized by :func:`word_ids` on the
+    first call, which the corpus then carries: they are made at most once."""
+    if corpus._ids is None:
+        corpus._ids = _held(*word_ids([rec.text for rec in corpus.records]))
+    ids, offsets, words = corpus._ids
+    return TokenIds(corpus, ids, offsets, tuple(words.split()))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ training side only -> naive-Bayes fit (documents that lost all tokens in
 preprocessing are excluded from the training side) -> every validation
 document scored, including empty ones (scored by priors alone).
 
-Each call tokenizes the corpus once, into integer counts and term
+Each call encodes the corpus's word ids once, into integer counts and term
 frequencies (count / document length) over the sorted vocabulary of the
 whole corpus, with each stored entry's word and class cell and each word's
 document count. A run draws only its validation side. Its vocabulary, in
@@ -30,6 +30,7 @@ scores it, so the hits are those of scoring every alpha in float64.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -440,8 +441,8 @@ def _in_worker(task):
 
 def _map_runs(enc: _Encoding, run, jobs, threads: int) -> list:
     """``run(enc, job)`` per job, in order; worker processes, at most one per
-    job, receive the encoding once, at start-up."""
-    workers = min(threads, len(jobs))
+    job and per CPU, receive the encoding once, at start-up."""
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [run(enc, job) for job in jobs]
     with ProcessPoolExecutor(

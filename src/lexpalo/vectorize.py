@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus_io import Corpus, token_ids
+from .corpus_io import Corpus, TokenIds, token_ids
 from .errors import EmptyDocumentError, VocabularyMismatchError
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -58,20 +58,32 @@ class TfIdfMatrix:
 def build_vocabulary(train: Corpus) -> Vocabulary:
     """Collect the training corpus vocabulary, sorted lexicographically,
     with per-word document frequencies and the training document count."""
-    df_counts: Counter[str] = Counter()
-    for rec in train.records:
-        df_counts.update(set(rec.text.split()))
-    return _vocabulary(df_counts, len(train.records))
+    tok = token_ids(train)
+    n = len(train.records)
+    df = Counter(chain.from_iterable(_id_counts(tok, ((i,) for i in range(n)))))
+    return _vocabulary(df, tok.words, n)
 
 
-def _vocabulary(df_counts: Counter[str], n_docs: int) -> Vocabulary:
+def _id_counts(tok: TokenIds, docs):
+    """Per document, a sequence of record positions, its word-id counts in
+    first-occurrence order, counted record by record."""
+    ids, offsets = tok.ids, tok.offsets.tolist()
+    for doc in docs:
+        counts: Counter[int] = Counter()
+        for i in doc:
+            counts.update(ids[offsets[i]:offsets[i + 1]].tolist())
+        yield counts
+
+
+def _vocabulary(df: Counter[int], words: tuple[str, ...], n_docs: int) -> Vocabulary:
     """The vocabulary of ``n_docs`` documents with these document
-    frequencies."""
-    words = tuple(sorted(df_counts))
+    frequencies, keyed by word id into ``words``."""
+    order = sorted(df, key=words.__getitem__)
+    vocab_words = tuple(map(words.__getitem__, order))
     return Vocabulary(
-        words=words,
-        index={w: i for i, w in enumerate(words)},
-        df=tuple(df_counts[w] for w in words),
+        words=vocab_words,
+        index={w: i for i, w in enumerate(vocab_words)},
+        df=tuple(map(df.__getitem__, order)),
         n_docs=n_docs,
     )
 
@@ -82,17 +94,14 @@ def tfidf_row(tokens: list[str], vocab: Vocabulary) -> sp.csr_matrix:
     A document without in-vocabulary tokens yields an all-zero row.
     """
     _check_vocabulary(vocab)
-    counts, length = _row_counts(tokens, vocab.index)
+    counts = Counter(filter(vocab.index.__contains__, tokens))
     shape = (1, len(vocab.words))
     idx_dtype = _index_dtype(shape, len(counts))
-    cols, vals = _unit_row(counts, length, vocab, idx_dtype)
+    cols = np.fromiter(map(vocab.index.__getitem__, counts), idx_dtype, len(counts))
+    vals = np.fromiter(counts.values(), float, len(counts))
+    cols, vals = _unit_row(cols, vals, len(tokens), vocab)
     indptr = np.array([0, len(cols)], dtype=idx_dtype)
     return sp.csr_matrix((vals, cols, indptr), shape=shape)
-
-
-def _row_counts(tokens: list[str], index: dict[str, int]):
-    """(in-vocabulary word counts in first-occurrence order, token count)."""
-    return Counter(filter(index.__contains__, tokens)), len(tokens)
 
 
 def _check_vocabulary(vocab: Vocabulary) -> None:
@@ -106,13 +115,10 @@ def _index_dtype(shape: tuple[int, int], nnz: int):
     return np.int32 if max(*shape, nnz) <= _INT32_MAX else np.int64
 
 
-def _unit_row(counts: Counter[str], length: int, vocab: Vocabulary, idx_dtype):
+def _unit_row(cols: np.ndarray, vals: np.ndarray, length: int, vocab: Vocabulary):
     """The sorted columns and unit-norm TF-IDF values of one row with these
-    word counts and token count. Every counted word must be in ``vocab``."""
-    n = len(counts)
-    cols = np.fromiter(map(vocab.index.__getitem__, counts), idx_dtype, n)
-    vals = np.fromiter(counts.values(), float, n)
-    if n:
+    columns and word counts, in first-occurrence order, and token count."""
+    if len(cols):
         vals /= length
         vals *= vocab.idf[cols]
         # normalised in first-occurrence order, then sorted by column
@@ -122,18 +128,23 @@ def _unit_row(counts: Counter[str], length: int, vocab: Vocabulary, idx_dtype):
     return cols, vals
 
 
-def _csr_rows(rows, n_rows: int, vocab: Vocabulary) -> sp.csr_matrix:
-    """One CSR matrix from ``n_rows`` (word counts, token count) pairs, one
-    row per pair, column indices sorted. Every counted word must be in
-    ``vocab``."""
+def _csr_rows(rows, words: tuple[str, ...], vocab: Vocabulary) -> sp.csr_matrix:
+    """One CSR matrix with a row per word-id counts, ids into ``words``,
+    column indices sorted. Words outside ``vocab`` are dropped but count in
+    the row's token count."""
     _check_vocabulary(vocab)
+    column = np.fromiter((vocab.index.get(w, -1) for w in words), np.int64, len(words))
     data, indices, indptr = [np.empty(0)], [np.empty(0, dtype=np.int64)], [0]
-    for counts, length in rows:
-        cols, vals = _unit_row(counts, length, vocab, np.int64)
+    for counts in rows:
+        n = len(counts)
+        cols = column[np.fromiter(counts, np.int64, n)]
+        vals = np.fromiter(counts.values(), float, n)
+        kept = cols >= 0
+        cols, vals = _unit_row(cols[kept], vals[kept], sum(counts.values()), vocab)
         data.append(vals)
         indices.append(cols)
         indptr.append(indptr[-1] + len(cols))
-    shape = (n_rows, len(vocab.words))
+    shape = (len(indptr) - 1, len(vocab.words))
     idx_dtype = _index_dtype(shape, indptr[-1])
     return sp.csr_matrix(
         (
@@ -161,42 +172,21 @@ def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
 
     Row order follows the corpus; each non-empty row has unit L2 norm.
     """
-    index = vocab.index
-    matrix = _csr_rows(
-        (_row_counts(rec.text.split(), index) for rec in docs.records),
-        len(docs.records),
-        vocab,
-    )
-    return TfIdfMatrix(matrix=matrix, vocab=vocab)
+    tok = token_ids(docs)
+    rows = _id_counts(tok, ((i,) for i in range(len(docs.records))))
+    return TfIdfMatrix(matrix=_csr_rows(rows, tok.words, vocab), vocab=vocab)
 
 
 def genre_vectors(corpus: Corpus) -> dict[str, sp.csr_matrix]:
     """Each palo's 1 x |V| TF-IDF row, its songs taken as one document, over
-    the vocabulary of those documents; palos in sorted order. Each palo is
-    held as its word counts in order of first occurrence, taken from the
-    corpus's word ids. Raises EmptyDocumentError when a palo counts no
-    token."""
+    the vocabulary of those documents; palos in sorted order. Raises
+    EmptyDocumentError when a palo counts no token."""
     tok = token_ids(corpus)
-    offsets = tok.offsets.tolist()
-    counts = {}
-    for palo in sorted(corpus.palos):
-        ids = np.concatenate(
-            [tok.ids[offsets[i]:offsets[i + 1]] for i in corpus.palo_index[palo]]
-        )
-        if not len(ids):
+    palos = sorted(corpus.palos)
+    counts = list(_id_counts(tok, map(corpus.palo_index.__getitem__, palos)))
+    for palo, c in zip(palos, counts):
+        if not c:
             raise EmptyDocumentError(f"palo {palo!r} has no tokens after preprocessing")
-        # np.unique with first indices would hold 30 bytes a token
-        n = np.zeros(len(tok.words), dtype=np.int64)
-        np.add.at(n, ids, 1)
-        first = np.full(len(tok.words), len(ids))
-        np.minimum.at(first, ids, np.arange(len(ids)))
-        used = np.flatnonzero(n)
-        used = used[np.argsort(first[used])]
-        words = map(tok.words.__getitem__, used.tolist())
-        counts[palo] = dict(zip(words, n[used].tolist()))
-    df = Counter(chain.from_iterable(counts.values()))
-    vocab = _vocabulary(df, len(counts))
-    matrix = _csr_rows(
-        ((c, sum(c.values())) for c in counts.values()), len(counts), vocab
-    )
-    return {palo: matrix[i] for i, palo in enumerate(counts)}
+    vocab = _vocabulary(Counter(chain.from_iterable(counts)), tok.words, len(palos))
+    matrix = _csr_rows(counts, tok.words, vocab)
+    return {palo: matrix[i] for i, palo in enumerate(palos)}

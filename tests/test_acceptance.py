@@ -464,7 +464,13 @@ def test_hapax_report_equals_the_string_oracle():
 
 
 def test_genre_vectors_equal_the_joined_text_oracle():
-    for c in streaming_corpora():
+    # preprocessed corpora carry their word ids, emptied records included
+    carrying = [
+        preprocess_with_decisions(generated_corpus(seed), default_config())[0]
+        for seed in (1, 2)
+    ]
+    assert all(any(not r.text for r in c.records) for c in carrying)
+    for c in streaming_corpora() + carrying:
         got = genre_vectors(c)
         expected = oracles.genre_vectors([(r.palo, r.text) for r in c.records])
         assert list(got) == list(expected)
@@ -476,25 +482,28 @@ def test_genre_vectors_equal_the_joined_text_oracle():
 
 def test_streamed_passes_hold_no_token_list():
     # about 200k tokens over 50 types: a token list alone would take
-    # 1.6 MB of pointers, the token strings about 10 MB more
+    # 1.6 MB of pointers, the token strings about 10 MB more. Each pass gets
+    # a corpus of its own to tokenize, since a corpus keeps its ids
     rng = random.Random(42)
     words = [f"w{i}" for i in range(50)]
-    c = Corpus(
+    records = [
         record(f"s{i}", " ".join(rng.choices(words, k=1000)), f"palo{i % 4}")
         for i in range(200)
-    )
-    vocab = build_vocabulary(c)
+    ]
+    vocab = build_vocabulary(Corpus(records))
     passes = {
-        "heaps_curve": lambda: heaps_curve(token_ids(c), seed=1),
-        "ranked_frequencies": lambda: ranked_frequencies(token_ids(c)),
-        "hapax_report": lambda: hapax_report(token_ids(c)),
-        "tfidf": lambda: tfidf(c, vocab),
-        "genre vectors": lambda: genre_vectors(c),
+        "heaps_curve": lambda c: heaps_curve(token_ids(c), seed=1),
+        "ranked_frequencies": lambda c: ranked_frequencies(token_ids(c)),
+        "hapax_report": lambda c: hapax_report(token_ids(c)),
+        "build_vocabulary": build_vocabulary,
+        "tfidf": lambda c: tfidf(c, vocab),
+        "genre vectors": genre_vectors,
     }
     for name, run in passes.items():
+        c = Corpus(records)
         tracemalloc.start()
         try:
-            run()
+            run(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -179,6 +179,7 @@ def test_worker_pool_holds_at_most_one_process_per_run(monkeypatch):
         return pool(min(max_workers, 2), **kwargs)  # never a large pool
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
     corpus = mixed_corpus()
     sequential = experiments.run_trainings(corpus, 0.5, 2, HALF, threads=1)
     for threads, n_runs, pools in ((16, 2, [2]), (2, 1, []), (3, 2, [2])):
@@ -188,6 +189,54 @@ def test_worker_pool_holds_at_most_one_process_per_run(monkeypatch):
         for s, p in zip(sequential, runs):
             assert np.array_equal(s.confusion, p.confusion)
             assert s.global_accuracy == p.global_accuracy
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count asked for
+    and runs every job in this process."""
+
+    def __init__(self, started, max_workers, initializer, initargs):
+        started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return list(map(fn, tasks))
+
+
+@pytest.mark.parametrize(
+    "cpus, threads, n_runs, pools",
+    [
+        (2, 500, 6, [2]),  # LEXPALO_THREADS=500 on two CPUs
+        (4, 3, 6, [3]),
+        (4, 500, 3, [3]),  # fewer runs than CPUs
+        (1, 8, 6, []),
+        (None, 8, 6, []),  # CPU count unknown: one process
+    ],
+)
+def test_worker_processes_are_capped_by_the_cpu_count(
+    monkeypatch, cpus, threads, n_runs, pools
+):
+    started = []
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor",
+        lambda max_workers, **kwargs: SerialPool(started, max_workers, **kwargs),
+    )
+    monkeypatch.setattr(experiments, "_worker_encoding", None)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    corpus = mixed_corpus()
+    sequential = experiments.run_trainings(corpus, 0.5, n_runs, HALF, threads=1)
+    assert started == []
+    runs = experiments.run_trainings(corpus, 0.5, n_runs, HALF, threads=threads)
+    assert started == pools
+    for s, p in zip(sequential, runs, strict=True):
+        assert np.array_equal(s.confusion, p.confusion)
+        assert s.global_accuracy == p.global_accuracy
 
 
 def test_trainings_rejects_nonpositive_run_count():

@@ -10,6 +10,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexpalo.corpus_io import Corpus, filter_top_palos, token_ids
 from lexpalo.errors import CorpusIoError, FormatError, ModelFormatError
-from lexpalo import mnb, preprocess
+from lexpalo import corpus_io, mnb, preprocess
 from lexpalo.preprocess import (
     DEFAULT_PUNCTUATION,
     FrozenPipeline,
@@ -845,24 +846,29 @@ def test_pipeline_matches_per_occurrence_oracle(texts, gamma):
 # the word ids a preprocessed corpus carries
 
 
-def carries_ids(c):
-    """Whether ``token_ids`` returns ids the corpus holds (the same arrays
-    each call) rather than tokenizing its texts again."""
-    return token_ids(c).ids is token_ids(c).ids
+def assert_tokenized_once(c, tokenizations):
+    """``token_ids(c)``, called twice, tokenizes ``c``'s texts ``tokenizations``
+    times (0 or 1) and returns the same read-only arrays each time, equal to
+    those :func:`word_ids` gives for its texts."""
+    with mock.patch.object(corpus_io, "word_ids", wraps=corpus_io.word_ids) as spy:
+        first = token_ids(c)
+        assert spy.call_count == tokenizations
+        second = token_ids(c)
+        assert spy.call_count == tokenizations
+    assert first.corpus is second.corpus is c
+    assert second.ids is first.ids and second.offsets is first.offsets
+    assert second.words == first.words
+    ids, offsets, words = corpus_io.word_ids([r.text for r in c.records])
+    for got, expected in ((first.ids, ids), (first.offsets, offsets)):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert not got.flags.writeable
+    assert first.words == words
 
 
 def assert_carried_ids_equal_a_fresh_tokenization(processed):
-    assert carries_ids(processed)
-    carried = token_ids(processed)
-    rebuilt = Corpus(processed.records)
-    assert not carries_ids(rebuilt)
-    fresh = token_ids(rebuilt)
-    assert carried.corpus is processed and fresh.corpus is rebuilt
-    for got, expected in ((carried.ids, fresh.ids), (carried.offsets, fresh.offsets)):
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
-    assert carried.words == fresh.words
-    assert not carried.ids.flags.writeable and not carried.offsets.flags.writeable
+    assert_tokenized_once(processed, 0)
+    assert_tokenized_once(Corpus(processed.records), 1)
 
 
 CARRIED_IDS_CASES = {
@@ -924,9 +930,8 @@ def test_preprocessed_corpus_carries_the_ids_of_its_texts(case):
     processed, pipeline = preprocess_with_decisions(c, config)
     assert any(not r.text for r in processed.records) and pipeline.lowered_words
     assert_carried_ids_equal_a_fresh_tokenization(processed)
-    assert not carries_ids(c)
-    assert not carries_ids(filter_top_palos(processed, 1))
-    assert not carries_ids(Corpus(processed.records))
+    assert_tokenized_once(c, 1)
+    assert_tokenized_once(filter_top_palos(processed, 1), 1)
 
 
 def test_lowering_and_accent_stripping_never_make_whitespace():

@@ -256,6 +256,28 @@ def test_tfidf_equals_per_document_reference_on_random_corpora():
 
 
 @pytest.mark.parametrize("seed", [1, 2])
+def test_tfidf_equals_per_document_reference_on_carried_ids(seed):
+    # a preprocessed corpus carries its word ids, and this one holds records
+    # that preprocessing emptied
+    processed = preprocess_corpus(generated_corpus(seed), default_config())
+    assert any(not r.text for r in processed.records)
+    token_lists = [r.text.split() for r in processed.records]
+    vocab = build_vocabulary(processed)
+    words, df = oracles.vocabulary(token_lists)
+    assert vocab.words == tuple(words) and vocab.df == tuple(df[w] for w in words)
+    assert vocab.n_docs == len(token_lists)
+    # half the corpus gives another corpus's vocabulary, so the other texts
+    # hold words outside it, which still count in their row's length
+    other = build_vocabulary(Corpus(processed.records[::2]))
+    assert any(w not in other.index for tokens in token_lists for w in tokens)
+    for v in (vocab, other):
+        expected, empty = oracles.tfidf_per_document(token_lists, v)
+        result = tfidf(processed, v)
+        assert_same_csr(result.matrix, expected)
+        assert empty_rows(result.matrix) == tuple(empty)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
 def test_tfidf_row_equals_its_row_of_tfidf(seed):
     processed = preprocess_corpus(generated_corpus(seed), default_config())
     records = processed.records
