@@ -39,11 +39,11 @@ from . import (
     preprocess,
 )
 from .corpus_io import (
-    Corpus,
     SplitSpec,
     atomic_write,
     filter_top_palos,
     load_corpus,
+    nonempty_records,
     read_text,
     token_ids,
 )
@@ -122,11 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed for all randomness")
 
     def training_opts(sp):
-        sp.add_argument("--alpha", type=float,
-                        help="additive smoothing parameter (> 0)")
         sp.add_argument("--train-fraction", type=float)
         sp.add_argument("--runs", type=int,
                         help="number of seeded train/validation rounds")
+
+    def smoothed_training_opts(sp):  # the commands that fit at one alpha
+        training_opts(sp)
+        sp.add_argument("--alpha", type=float,
+                        help="additive smoothing parameter (> 0)")
 
     sp = command("stats", "lexical statistics reports")
     corpus_opts(sp)
@@ -136,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("train", "repeated trainings + saved model")
     corpus_opts(sp)
-    training_opts(sp)
+    smoothed_training_opts(sp)
 
     sp = command("sweep-alpha", "accuracy across the alpha grid")
     corpus_opts(sp)
@@ -145,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("essential", "per-palo essential word lists")
     corpus_opts(sp)
-    training_opts(sp)
+    smoothed_training_opts(sp)
     sp.add_argument("--epsilon", type=float,
                     help="relative tolerance for the smoothing floor")
 
@@ -280,6 +283,8 @@ def _stats(config: RunConfig, raw, processed, pipeline):
 
 
 def _train(config: RunConfig, raw, processed, pipeline):
+    if "__global__" in processed.palo_index:
+        raise FormatError("palo '__global__' is the label of the global accuracy rows")
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
     runs = experiments.run_trainings(
         processed, config.alpha, config.runs, split, threads=config.threads
@@ -298,7 +303,7 @@ def _train(config: RunConfig, raw, processed, pipeline):
     }
 
     # One model over the whole corpus for later classification.
-    full = Corpus(r for r in processed.records if r.text)
+    full = nonempty_records(processed)
     vocab = build_vocabulary(full)
     matrix = tfidf(full, vocab)
     model = mnb.fit(matrix, [r.palo for r in full.records], config.alpha)

@@ -149,6 +149,16 @@ def token_ids(corpus: Corpus) -> TokenIds:
     return TokenIds(corpus, ids, offsets, tuple(words.split()))
 
 
+def nonempty_records(corpus: Corpus) -> Corpus:
+    """The records of ``corpus`` that hold a token, carrying the corpus's
+    word ids (:func:`token_ids`): a record without tokens holds no ids, so
+    only its offset goes."""
+    tok = token_ids(corpus)
+    keep = np.flatnonzero(np.diff(tok.offsets))
+    ids = tok.ids, np.append(tok.offsets[keep], len(tok.ids)), tok.words
+    return Corpus(map(corpus.records.__getitem__, keep.tolist()), ids=ids)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Parameters of one stratified train/validation split."""

@@ -261,8 +261,7 @@ def _scores(fit: _Fit, rows, mass, alpha: float) -> np.ndarray:
     return scores
 
 
-def _training_run(enc: _Encoding, job) -> TrainingResult:
-    alpha, spec = job
+def _training_run(enc: _Encoding, alpha: float, spec: SplitSpec) -> TrainingResult:
     fit = _fit_split(enc, spec)
     truth, rows, mass = _validation_rows(enc, fit)
     predicted = fit.classes[np.argmax(_scores(fit, rows, mass, alpha), axis=1)]
@@ -395,11 +394,10 @@ def _sweep_scores(fit: _Fit, rows, mass, alphas):
         yield span, scores, np.multiply.outer(1 + np.abs(matrix).sum(axis=1), bound)
 
 
-def _sweep_run(enc: _Encoding, job) -> np.ndarray:
+def _sweep_run(enc: _Encoding, grid: tuple[float, ...], spec: SplitSpec) -> np.ndarray:
     """One run's validation accuracy at every alpha of the grid: the class
     leading the interpolated scores (:func:`_sweep_scores`) by more than twice
     the pair's bound, or else, exact ties included, that of :func:`_rescore`."""
-    grid, spec = job
     fit = _fit_split(enc, spec)
     truth, rows, mass = _validation_rows(enc, fit)
     alphas = np.array(grid)
@@ -435,20 +433,20 @@ def _init_worker(enc: _Encoding) -> None:
 
 
 def _in_worker(task):
-    run, job = task
-    return run(_worker_encoding, job)
+    run, param, spec = task
+    return run(_worker_encoding, param, spec)
 
 
-def _map_runs(enc: _Encoding, run, jobs, threads: int) -> list:
-    """``run(enc, job)`` per job, in order; worker processes, at most one per
-    job and per CPU, receive the encoding once, at start-up."""
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+def _map_runs(enc: _Encoding, run, param, specs: list[SplitSpec], threads: int) -> list:
+    """``run(enc, param, spec)`` per spec, in order; worker processes, at
+    most one per spec and per CPU, receive the encoding once, at start-up."""
+    workers = min(threads, len(specs), os.cpu_count() or 1)
     if workers <= 1:
-        return [run(enc, job) for job in jobs]
+        return [run(enc, param, spec) for spec in specs]
     with ProcessPoolExecutor(
         workers, initializer=_init_worker, initargs=(enc,)
     ) as pool:
-        return list(pool.map(_in_worker, [(run, job) for job in jobs]))
+        return list(pool.map(_in_worker, [(run, param, spec) for spec in specs]))
 
 
 def _run_specs(split: SplitSpec, n_runs: int) -> list[SplitSpec]:
@@ -475,8 +473,7 @@ def run_trainings(
     specs = _run_specs(split, n_runs)
     enc = _encode(corpus)
     check_alpha(alpha, len(enc.words))
-    jobs = [(alpha, spec) for spec in specs]
-    return _map_runs(enc, _training_run, jobs, threads)
+    return _map_runs(enc, _training_run, alpha, specs, threads)
 
 
 def aggregate(runs: Sequence[TrainingResult]) -> AggregateReport:
@@ -545,8 +542,7 @@ def alpha_sweep(
     """
     specs = _run_specs(split, n_runs)
     grid = alpha_grid(grid_step)
-    jobs = [(grid, spec) for spec in specs]
-    per_run = _map_runs(_encode(corpus), _sweep_run, jobs, threads)
+    per_run = _map_runs(_encode(corpus), _sweep_run, grid, specs, threads)
     mean_accuracy = np.mean(per_run, axis=0)
     best_alpha = grid[int(np.argmax(mean_accuracy))]
     return AlphaSweepResult(

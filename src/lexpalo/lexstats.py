@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus_io import TokenIds
-from .errors import DegenerateFitError, EmptyDocumentError
+from .errors import DegenerateFitError, EmptyDocumentError, FormatError
 from .seeding import derive_seed
 
 ZIPF_DEFAULT_MIN_RANK = 10
@@ -126,14 +126,16 @@ def profile_and_sttr_rows(tok: TokenIds, n_windows: int, seed: int):
     ``derive_seed(seed, "sttr", label)``. The corpus document is held as its
     ids and previous-occurrence positions, 12 bytes a token, and each palo's
     document is a slice of it. Raises ValueError unless
-    1 <= n_windows <= STTR_MAX_WINDOWS, and EmptyDocumentError when a palo
-    has no tokens.
+    1 <= n_windows <= STTR_MAX_WINDOWS, FormatError when a palo is named
+    ``__corpus__``, and EmptyDocumentError when a palo has no tokens.
     """
     if not 1 <= n_windows <= STTR_MAX_WINDOWS:
         raise ValueError(
             f"n_windows must lie in [1, {STTR_MAX_WINDOWS}], got {n_windows}"
         )
     corpus, offsets = tok.corpus, tok.offsets
+    if "__corpus__" in corpus.palo_index:
+        raise FormatError("palo '__corpus__' is the label of the whole-corpus row")
     # the corpus document holds the palos' documents one after another
     sizes = np.diff(offsets)
     ends = np.cumsum([sizes[list(ix)].sum() for ix in corpus.palo_index.values()])
@@ -203,7 +205,10 @@ def hapax_report(
     )
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _power_law(x, y, fit_range: tuple[int, int]) -> PowerLawFit:
+    """The least-squares line through (ln x, ln y) as a :class:`PowerLawFit`
+    over ``fit_range``."""
+    x, y = np.log(x), np.log(y)
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
     ss_res = float(residuals @ residuals)
@@ -215,7 +220,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         r_squared = 0.0
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r_squared
+    return PowerLawFit(float(slope), float(intercept), r_squared, fit_range)
 
 
 def ranked_frequencies(tok: TokenIds) -> list[tuple[str, int]]:
@@ -253,11 +258,7 @@ def zipf_fit(ranked: Sequence[tuple[str, int]]) -> PowerLawFit:
         raise DegenerateFitError(
             f"all frequencies in rank range ({lo}, {hi}) are equal"
         )
-    ranks = np.arange(lo, hi + 1, dtype=float)
-    slope, intercept, r_squared = _linear_fit(np.log(ranks), np.log(freqs))
-    return PowerLawFit(
-        exponent=slope, intercept=intercept, r_squared=r_squared, fit_range=(lo, hi)
-    )
+    return _power_law(np.arange(lo, hi + 1, dtype=float), freqs, (lo, hi))
 
 
 def heaps_curve(
@@ -299,13 +300,5 @@ def heaps_curve(
         raise DegenerateFitError(
             "vocabulary-growth curve has fewer than 2 points to fit"
         )
-    xs = np.log([l for l, _ in tail])
-    ys = np.log([v for _, v in tail])
-    slope, intercept, r_squared = _linear_fit(xs, ys)
-    fit = PowerLawFit(
-        exponent=slope,
-        intercept=intercept,
-        r_squared=r_squared,
-        fit_range=(tail[0][0], tail[-1][0]),
-    )
-    return points, fit
+    lengths, sizes = zip(*tail)
+    return points, _power_law(lengths, sizes, (lengths[0], lengths[-1]))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexpalo import Corpus, cli, load_corpus, mnb
+from lexpalo import Corpus, cli, corpus_io, experiments, load_corpus, mnb, preprocess
 from lexpalo.errors import (
     CorpusIoError, LabelMismatchError, LexpaloError, ModelFormatError,
 )
@@ -266,6 +266,42 @@ def test_train_is_byte_deterministic_and_thread_invariant(
         assert (out3 / name).read_bytes() == reference
 
 
+def test_train_tokenizes_the_corpus_once(corpus_file, tmp_path, monkeypatch):
+    calls, word_ids = [], corpus_io.word_ids
+
+    def counted(texts):
+        calls.append(len(texts))
+        return word_ids(texts)
+
+    monkeypatch.setattr(corpus_io, "word_ids", counted)
+    monkeypatch.setattr(preprocess, "word_ids", counted)
+    assert cli.main(train_args(corpus_file, tmp_path / "train")) == 0
+    # preprocessing's call: the rounds and the full-corpus model reuse its ids
+    assert calls == [18]
+
+
+@pytest.mark.parametrize(
+    "command, options", [("sweep-alpha", ["--grid-step", "0.25"]), ("essential", [])]
+)
+def test_round_reports_are_thread_invariant(
+    command, options, corpus_file, tmp_path, monkeypatch
+):
+    # two CPUs, so that LEXPALO_THREADS=2 starts a pool on any host
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv(cli.THREADS_ENV_VAR, threads)
+        outs.append(tmp_path / threads)
+        assert cli.main([
+            command, *base_args(corpus_file, outs[-1]),
+            "--runs", "3", "--train-fraction", "0.5", *options,
+        ]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # sweep-alpha / essential
 
@@ -320,6 +356,27 @@ def test_essential_palos_sharing_a_list_file_exit_four(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'a b'" in err and "'a/b'" in err and "essential_a_b.txt" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, palo, options",
+    [("stats", "__corpus__", []), ("train", "__global__", ["--runs", "2"])],
+)
+def test_a_palo_named_as_a_report_row_exits_four(
+    command, palo, options, tmp_path, capsys
+):
+    records = [
+        {"id": f"{name}-{i}", "palo": name, "text": text}
+        for name in ("__corpus__", "tangos", "__global__")
+        for i, text in enumerate(["mar sol arena", "pena noche sombra", "baile sol noche"])
+    ]
+    corpus = write_jsonl(tmp_path / "reserved.jsonl", records)
+    out = tmp_path / "out"
+    code = cli.main([command, *base_args(corpus, out), *options])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(palo) in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1177,6 +1234,9 @@ def test_argparse_rejections_exit_two(corpus_file, tmp_path, capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["mst", *base_args(corpus_file, tmp_path), "--linkage", "single"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # the sweep reads no single alpha
+        cli.main(["sweep-alpha", *base_args(corpus_file, tmp_path), "--alpha", "0.3"])
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -18,6 +18,7 @@ from lexpalo.corpus_io import (
     filter_top_palos,
     load_corpus,
     atomic_write,
+    nonempty_records,
     split_positions,
     token_ids,
 )
@@ -90,6 +91,24 @@ def test_token_ids_round_trip_every_record():
         first = dict.fromkeys(tok.ids.tolist())
         assert list(first) == list(range(len(tok.words)))
         assert len(set(tok.words)) == len(tok.words)
+
+
+def test_nonempty_records_carry_the_corpus_ids():
+    rng = random.Random(23)
+    corpora = [random_spanish_corpus(rng, tokens_per_record=(0, 12)) for _ in range(20)]
+    corpora.append(corpus(("e", ""), ("w", " \t\n "), ("one", "ñ"), ("b", "x y x")))
+    for c in corpora:
+        kept = tuple(r for r in c.records if r.text.split())
+        tok = token_ids(c)
+        carried = token_ids(nonempty_records(c))
+        assert carried.corpus.records == kept
+        assert np.shares_memory(carried.ids, tok.ids)  # no second tokenization
+        fresh = token_ids(Corpus(kept))
+        assert np.array_equal(carried.ids, fresh.ids)
+        assert np.array_equal(carried.offsets, fresh.offsets)
+        assert carried.words == fresh.words
+    with pytest.raises(EmptyCorpusError):
+        nonempty_records(corpus(("e", ""), ("w", " ")))
 
 
 def test_load_jsonl_skips_blank_lines(tmp_path):

@@ -74,7 +74,7 @@ def run_training(corpus, alpha, split):
     of its rounds."""
     enc = experiments._encode(corpus)
     experiments.check_alpha(alpha, len(enc.words))
-    return experiments._training_run(enc, (alpha, split))
+    return experiments._training_run(enc, alpha, split)
 
 
 def test_training_separable_corpus_is_perfect():
@@ -478,7 +478,7 @@ def test_sweep_hits_equal_the_float64_loop(
     grid = experiments.alpha_grid(0.005)
     pairs = counting_rescore(monkeypatch)
     for spec in experiments._run_specs(split, n_runs):
-        assert experiments._sweep_run(enc, (grid, spec)).tolist() == (
+        assert experiments._sweep_run(enc, grid, spec).tolist() == (
             oracle_accuracies(enc, spec, grid)
         )
     if name in ("reference", "wide"):
@@ -497,12 +497,12 @@ def test_sweep_rescores_only_the_splits_with_uncertified_pairs(screen_encodings,
     pairs = counting_rescore(monkeypatch)
     enc = screen_encodings["duplicated-songs"]
     for spec in experiments._run_specs(SplitSpec(0.6, 7), 6):
-        experiments._sweep_run(enc, (grid, spec))
+        experiments._sweep_run(enc, grid, spec)
     assert len(pairs) == 6 and min(pairs) > 0
     pairs.clear()
     enc = screen_encodings["reference"]
     for spec in experiments._run_specs(SplitSpec(0.85, 5), 4):
-        experiments._sweep_run(enc, (grid, spec))
+        experiments._sweep_run(enc, grid, spec)
     assert len(pairs) < 4 and all(pairs)
 
 
@@ -518,7 +518,7 @@ def test_sweep_hits_equal_the_float64_loop_with_a_partial_last_product(
     grid = experiments.alpha_grid(0.007)
     assert len(grid) == 142 and len(grid) % experiments._GEMM_ROWS
     for spec in experiments._run_specs(split, n_runs):
-        assert experiments._sweep_run(enc, (grid, spec)).tolist() == (
+        assert experiments._sweep_run(enc, grid, spec).tolist() == (
             oracle_accuracies(enc, spec, grid)
         )
 
@@ -563,7 +563,7 @@ def test_screen_errors_within_the_bound_leave_the_hits(screen_encodings, monkeyp
     for name, split in (("reference", SplitSpec(0.85, 21)), ("duplicated-songs", HALF)):
         enc = screen_encodings[name]
         for spec in experiments._run_specs(split, 2):
-            assert experiments._sweep_run(enc, (grid, spec)).tolist() == (
+            assert experiments._sweep_run(enc, grid, spec).tolist() == (
                 oracle_accuracies(enc, spec, grid)
             )
     assert sum(flipped) > 0
@@ -673,7 +673,7 @@ def test_sweep_hits_equal_the_float64_loop_on_grids_scored_at_their_alphas(
     nodes, _ = experiments._sweep_nodes(np.log(grid), 0.0)
     assert len(nodes) == len(grid)
     for spec in experiments._run_specs(split, 2):
-        assert experiments._sweep_run(enc, (grid, spec)).tolist() == (
+        assert experiments._sweep_run(enc, grid, spec).tolist() == (
             oracle_accuracies(enc, spec, grid)
         )
 
