@@ -21,10 +21,11 @@ cells sums each class's masses in document order. So its weights and masses
 are those :mod:`vectorize` and :mod:`mnb` compute from text.
 
 The alpha sweep scores each validation document at a few Chebyshev nodes
-in ln alpha, interpolates to every alpha, and keeps the interpolated class
-where it leads by more than twice a bound on the error (:func:`_sweep_scores`).
-Every other pair, exact ties included, is rescored as a training round
-scores it, so the hits are those of scoring every alpha in float64.
+in ln alpha and interpolates to every alpha the margins of its true class
+over each rival. Where the least margin lies beyond twice a bound on the
+error (:func:`_sweep_margins`), its sign decides the hit; every other pair,
+exact ties included, is rescored as a training round scores it, so the hits
+are those of scoring every alpha in float64.
 """
 
 from __future__ import annotations
@@ -279,11 +280,11 @@ def _training_run(enc: _Encoding, alpha: float, spec: SplitSpec) -> TrainingResu
 
 
 # The sweep's largest interpolation error per unit weight (see _sweep_nodes),
-# the size of a block of its interpolated scores, which stays in cache, and
+# the size of a block of its interpolated margins, which stays in cache, and
 # the alphas per matrix product that fills it: OpenBLAS runs a product this
 # small on the calling thread, where one product per block spreads across
 # threads and costs many times more.
-_INTERPOLATION_TOLERANCE = 2.0**-24
+_INTERPOLATION_TOLERANCE = 2.0**-12
 _BLOCK_BYTES = 1_000_000
 _GEMM_ROWS = 4
 
@@ -291,7 +292,7 @@ _GEMM_ROWS = 4
 def _sweep_nodes(s: np.ndarray, max_mass: float):
     """Chebyshev points of [min s, max s] at which to score for the grid
     points ``s`` (s = ln alpha) and the error E per unit weight of
-    :func:`_sweep_scores` at y = pi - 1/64, with n the least degree whose E
+    :func:`_sweep_margins` at y = pi - 1/64, with n the least degree whose E
     times 2 + (2/pi) ln(n + 1) (above 1 + the Lebesgue constant) is within
     the tolerance; or ``s`` itself and 0 if those are no fewer."""
     degrees = np.arange(1, min(len(s) - 1, 200))  # alpha_grid needs 45 at most
@@ -341,11 +342,13 @@ def _rescore(fit: _Fit, rows, mass, docs, alphas) -> np.ndarray:
     return scores
 
 
-def _sweep_scores(fit: _Fit, rows, mass, alphas):
-    """Per block of alphas: its slice of ``alphas``, every validation
-    document's class scores under them, interpolated from :func:`_scores` at
-    the nodes of :func:`_sweep_nodes` (alphas x classes x documents), and a
-    bound on their distance from :func:`_scores` (alphas x documents).
+def _sweep_margins(fit: _Fit, true: np.ndarray, rows, mass, alphas):
+    """Per block of alphas: its slice of ``alphas``, each validation
+    document's least margin under them, its true class's score less its best
+    rival's (``true`` is that class's place in ``fit.classes``), interpolated
+    from :func:`_scores` at the nodes of :func:`_sweep_nodes` (alphas x
+    documents), and a bound on an interpolated score's distance from
+    :func:`_scores` (alphas x documents); a margin's is twice that.
 
     In s = ln alpha a score is a constant plus sum_j w_j (f(m_j) - f(M/|V|)),
     f(m) = ln(e^s + m), over a document's weights w_j (summing to W), word
@@ -369,84 +372,100 @@ def _sweep_scores(fit: _Fit, rows, mass, alphas):
     |ln P|) (Higham, IMA J. Numer. Anal. 24, 2004), in whatever order the
     matrix product sums the d + 1 terms. R = 2**-44 ((n + 6 d + 16) W (lam +
     |L| + |s| + 2) + 8 |ln P|) holds it all many times over.
+
+    Interpolation is linear, so a margin S_t - S_c interpolates to the
+    difference of its two scores' interpolants, within the sum of their
+    bounds, twice the bound. Its one subtraction at each node adds u (|S_t| +
+    |S_c|), at most 2 u (W (lam + |L|) + |ln P|), which the interpolant
+    carries times the Lebesgue constant: inside R's cushion. The least
+    margin over the rivals lies within twice the bound of the least of the
+    float64 margins, as each margin does of its own.
     """
     s = np.log(alphas)
     max_mass = max(mass.max(initial=0.0), fit.totals.max() / fit.size)
     nodes, error = _sweep_nodes(s, max_mass)
-    # classes x documents per node
-    node_scores = np.stack([_scores(fit, rows, mass, alpha).T for alpha in np.exp(nodes)])
+    # nodes x documents x classes, and rivals x documents per node
+    node_scores = np.stack([_scores(fit, rows, mass, alpha) for alpha in np.exp(nodes)])
+    doc = np.arange(len(true))
+    rival = np.arange(len(fit.classes) - 1)[:, None]
+    rival = rival + (rival >= true)
+    margins = node_scores[:, doc, true][:, None] - node_scores[:, doc, rival]
     weight = np.asarray(rows.sum(axis=1)).ravel()
     lam = max(-s.min(), abs(math.log(alphas.max() + max_mass)))
     log_denom = np.abs(_log_denominators(fit, [alphas.min(), alphas.max()])).max()
     rounding = (np.diff(rows.indptr) + 6 * len(nodes) + 16) * weight
     rounding *= lam + log_denom + np.abs(s).max() + 2
     bound = weight * error + 2.0**-44 * (rounding + 8 * np.abs(fit.log_prior).max())
-    block = max(1, _BLOCK_BYTES // node_scores[0].nbytes)
-    node_scores = node_scores.reshape(len(nodes), -1)
+    block = max(1, _BLOCK_BYTES // margins[0].nbytes)
+    margins = margins.reshape(len(nodes), -1)
     for start in range(0, len(alphas), block):
         span = slice(start, start + block)
         matrix = _interpolation_matrix(nodes, s[span])
-        scores = np.empty((len(matrix), node_scores.shape[1]))
+        interpolated = np.empty((len(matrix), margins.shape[1]))
         for row in range(0, len(matrix), _GEMM_ROWS):
             gemm = slice(row, row + _GEMM_ROWS)
-            np.matmul(matrix[gemm], node_scores, out=scores[gemm])
-        scores = scores.reshape(len(matrix), len(fit.classes), rows.shape[0])
-        yield span, scores, np.multiply.outer(1 + np.abs(matrix).sum(axis=1), bound)
+            np.matmul(matrix[gemm], margins, out=interpolated[gemm])
+        least = interpolated.reshape(len(matrix), -1, len(true)).min(axis=1)
+        yield span, least, np.multiply.outer(1 + np.abs(matrix).sum(axis=1), bound)
 
 
 def _sweep_run(enc: _Encoding, grid: tuple[float, ...], spec: SplitSpec) -> np.ndarray:
-    """One run's validation accuracy at every alpha of the grid: the class
-    leading the interpolated scores (:func:`_sweep_scores`) by more than twice
-    the pair's bound, or else, exact ties included, that of :func:`_rescore`."""
+    """One run's validation accuracy at every alpha of the grid. A document
+    of a palo without training documents is a miss, and one of the only
+    fitted palo, when a split fits one, a hit. Otherwise a pair is a hit when
+    its least interpolated margin (:func:`_sweep_margins`) exceeds twice the
+    pair's bound, a miss when it lies below minus that, and else, exact ties
+    included, a hit when :func:`_rescore` puts the true class first."""
     fit = _fit_split(enc, spec)
     truth, rows, mass = _validation_rows(enc, fit)
+    # the documents of fitted palos, and each one's place in fit.classes
+    fitted = np.isin(truth, fit.classes)
+    true = np.searchsorted(fit.classes, truth[fitted])
+    if len(fit.classes) == 1:
+        return np.full(len(grid), len(true) / len(truth))
+    if not fitted.all():
+        rows = rows[fitted]
     alphas = np.array(grid)
-    # per alpha and document: the interpolated class is the truth; the bound
-    # cannot certify it
-    hit = np.empty((len(alphas), len(truth)), dtype=bool)
+    # per alpha and fitted document: a hit; the bound cannot certify it
+    hit = np.empty((len(alphas), len(true)), dtype=bool)
     unsure = np.empty_like(hit)
-    for span, scores, bound in _sweep_scores(fit, rows, mass, alphas):
-        # the leading class (the first on ties), its score and the runner-up's
-        top = np.zeros(bound.shape, dtype=np.intp)
-        best = scores[:, 0].copy()
-        second = np.full_like(best, -np.inf)
-        for c in range(1, scores.shape[1]):
-            plane = scores[:, c]
-            np.maximum(second, np.minimum(best, plane), out=second)
-            np.copyto(top, c, where=plane > best)
-            np.maximum(best, plane, out=best)
-        hit[span] = fit.classes[top] == truth
-        np.less_equal(best - second, 2 * bound, out=unsure[span])
+    for span, least, bound in _sweep_margins(fit, true, rows, mass, alphas):
+        bound *= 2
+        np.greater(least, bound, out=hit[span])
+        np.less_equal(np.abs(least), bound, out=unsure[span])
     k, docs = np.nonzero(unsure)
     if len(k):
         scores = _rescore(fit, rows, mass, docs, alphas[k])
-        hit[k, docs] = fit.classes[np.argmax(scores, axis=1)] == truth[docs]
+        hit[k, docs] = np.argmax(scores, axis=1) == true[docs]
     return np.count_nonzero(hit, axis=1) / len(truth)
 
 
-_worker_encoding: _Encoding | None = None  # set in pool workers by _init_worker
+# set in pool workers by _init_worker
+_worker_encoding: _Encoding | None = None
+_worker_param = None
 
 
-def _init_worker(enc: _Encoding) -> None:
-    global _worker_encoding
-    _worker_encoding = enc
+def _init_worker(enc: _Encoding, param) -> None:
+    global _worker_encoding, _worker_param
+    _worker_encoding, _worker_param = enc, param
 
 
 def _in_worker(task):
-    run, param, spec = task
-    return run(_worker_encoding, param, spec)
+    run, spec = task
+    return run(_worker_encoding, _worker_param, spec)
 
 
 def _map_runs(enc: _Encoding, run, param, specs: list[SplitSpec], threads: int) -> list:
     """``run(enc, param, spec)`` per spec, in order; worker processes, at
-    most one per spec and per CPU, receive the encoding once, at start-up."""
+    most one per spec and per CPU, receive the encoding and ``param`` once,
+    at start-up."""
     workers = min(threads, len(specs), os.cpu_count() or 1)
     if workers <= 1:
         return [run(enc, param, spec) for spec in specs]
     with ProcessPoolExecutor(
-        workers, initializer=_init_worker, initargs=(enc,)
+        workers, initializer=_init_worker, initargs=(enc, param)
     ) as pool:
-        return list(pool.map(_in_worker, [(run, param, spec) for spec in specs]))
+        return list(pool.map(_in_worker, [(run, spec) for spec in specs]))
 
 
 def _run_specs(split: SplitSpec, n_runs: int) -> list[SplitSpec]:

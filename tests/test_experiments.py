@@ -228,6 +228,7 @@ def test_worker_processes_are_capped_by_the_cpu_count(
         lambda max_workers, **kwargs: SerialPool(started, max_workers, **kwargs),
     )
     monkeypatch.setattr(experiments, "_worker_encoding", None)
+    monkeypatch.setattr(experiments, "_worker_param", None)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     corpus = mixed_corpus()
     sequential = experiments.run_trainings(corpus, 0.5, n_runs, HALF, threads=1)
@@ -411,7 +412,7 @@ def test_alpha_grid_rejects_grids_above_the_cap_before_building_one():
 
 
 # ---------------------------------------------------------------------------
-# sweep: the interpolated screen leaves the float64 hits
+# sweep: the interpolated margin screen leaves the float64 hits
 
 
 def preprocessed_benchmark_corpus(seed, shape):
@@ -421,20 +422,31 @@ def preprocessed_benchmark_corpus(seed, shape):
 
 def duplicated_songs_corpus(seed):
     """Palo B repeats every song of palo A, and palo C's songs are all
-    empty: C fits no class, and its validation songs, scored by the equal
-    priors of A and B alone, tie exactly on every split."""
+    empty: C fits no class, so its validation songs are misses."""
     songs = [r.text for r in generated_corpus(seed).records][:12]
     return labeled_corpus({"A": songs, "B": songs, "C": [""] * 4})
+
+
+def tied_songs_corpus(seed):
+    """Palos A and B each repeat one song: every split fits them the same
+    masses and priors, so every validation song ties its rival exactly."""
+    song = generated_corpus(seed).records[0].text
+    return labeled_corpus({"A": [song] * 4, "B": [song] * 4})
 
 
 SCREEN_CORPORA = {
     "reference": lambda: preprocessed_benchmark_corpus(5, "REFERENCE"),
     "wide": lambda: preprocessed_benchmark_corpus(3, "WIDE"),
     "duplicated-songs": lambda: duplicated_songs_corpus(41),
+    "tied-songs": lambda: tied_songs_corpus(41),
     "emptied-records": lambda: with_empty_records(
         generated_corpus(42, counts=(12, 8, 5, 3)), 42
     ),
     "palo-without-training-side": lambda: EMPTY_PALO,
+    # palo B's songs are all empty, so every split fits palo A alone
+    "one-fitted-palo": lambda: labeled_corpus(
+        {"A": [r.text for r in generated_corpus(43).records][:8], "B": [""] * 4}
+    ),
     # no validation song shares a word with the training side
     "unseen-validation-words": lambda: labeled_corpus(
         {"A": ["mar sol", "pena noche"], "B": ["luna arena", "sombra playa"]}
@@ -466,8 +478,10 @@ def counting_rescore(monkeypatch):
         ("reference", SplitSpec(0.85, 5), 2),
         ("wide", SplitSpec(0.85, 3), 1),
         ("duplicated-songs", SplitSpec(0.6, 7), 6),
+        ("tied-songs", SplitSpec(0.6, 7), 6),
         ("emptied-records", SplitSpec(0.6, 8), 6),
         ("palo-without-training-side", EMPTY_PALO_RUNS, 6),
+        ("one-fitted-palo", SplitSpec(0.6, 9), 6),
         ("unseen-validation-words", HALF, 3),
     ],
 )
@@ -483,27 +497,38 @@ def test_sweep_hits_equal_the_float64_loop(
         )
     if name in ("reference", "wide"):
         # the interpolated screen certifies nearly every pair on corpora of
-        # real shape
+        # real shape: it rescored 0.10% (reference) and 0.09% (wide) of them
+        # over 60 and 40 splits
         n_validation = len(oracles.stratified_positions(enc.corpus, spec)[1])
-        assert sum(pairs) <= 0.0003 * n_runs * len(grid) * n_validation
-    if name == "duplicated-songs":
+        assert sum(pairs) <= 0.002 * n_runs * len(grid) * n_validation
+    if name == "tied-songs":
         assert min(pairs) > 0
+    if name == "one-fitted-palo":
+        # no rival: no margin to interpolate, and none to rescore
+        assert not pairs
 
 
 def test_sweep_rescores_only_the_splits_with_uncertified_pairs(screen_encodings, monkeypatch):
-    # duplicated songs tie exactly in every split; on the reference shape a
-    # split rarely leaves a pair its bound cannot certify
+    # tied songs tie exactly in every split, every pair of them; a separable
+    # corpus leaves no pair its bound cannot certify; on the reference shape
+    # a split rescores once at most, and only the pairs it could not certify
     grid = experiments.alpha_grid(0.005)
     pairs = counting_rescore(monkeypatch)
-    enc = screen_encodings["duplicated-songs"]
-    for spec in experiments._run_specs(SplitSpec(0.6, 7), 6):
+    enc = screen_encodings["tied-songs"]
+    specs = experiments._run_specs(SplitSpec(0.6, 7), 6)
+    for spec in specs:
         experiments._sweep_run(enc, grid, spec)
-    assert len(pairs) == 6 and min(pairs) > 0
+    n_validation = len(oracles.stratified_positions(enc.corpus, specs[0])[1])
+    assert pairs == [len(grid) * n_validation] * 6
     pairs.clear()
+    enc = experiments._encode(SEPARABLE)
+    for spec in experiments._run_specs(HALF, 6):
+        experiments._sweep_run(enc, grid, spec)
+    assert pairs == []
     enc = screen_encodings["reference"]
     for spec in experiments._run_specs(SplitSpec(0.85, 5), 4):
         experiments._sweep_run(enc, grid, spec)
-    assert len(pairs) < 4 and all(pairs)
+    assert len(pairs) <= 4 and all(pairs)
 
 
 @pytest.mark.parametrize(
@@ -541,24 +566,32 @@ def oracle_accuracies(enc, spec, grid):
     ]
 
 
+def fitted_validation(enc, spec):
+    """One split's fit and, as _sweep_run passes them to _sweep_margins, its
+    validation documents of fitted palos: each one's place among the fitted
+    classes and their rows; and the masses."""
+    fit = experiments._fit_split(enc, spec)
+    truth, rows, mass = experiments._validation_rows(enc, fit)
+    fitted = [k for k, t in enumerate(truth) if t in fit.classes]
+    true = np.array([fit.classes.tolist().index(t) for t in truth[fitted]])
+    return fit, true, rows[fitted], mass
+
+
 def test_screen_errors_within_the_bound_leave_the_hits(screen_encodings, monkeypatch):
-    # the interpolated leading class pushed down and every other class up by
-    # 0.9 of the bound (the real error stays under 0.01 of it), so every
-    # pair whose margin is below 1.8 bounds changes its leading class
-    sweep_scores = experiments._sweep_scores
+    # every interpolated least margin pushed toward zero, and past it, by 0.9
+    # of its bound, twice the scores' (the real error stays under 0.01 of
+    # it), so every pair whose least margin lies within 1.8 score bounds of
+    # zero changes its sign
+    sweep_margins = experiments._sweep_margins
     flipped = []
 
-    def adversarial(fit, rows, mass, alphas):
-        for span, scores, bound in sweep_scores(fit, rows, mass, alphas):
-            push = 0.9 * bound[:, None]
-            leader = scores.argmax(axis=1)[:, None]
-            led = np.take_along_axis(scores, leader, 1) - push
-            scores += push
-            np.put_along_axis(scores, leader, led, 1)
-            flipped.append(np.count_nonzero(scores.argmax(axis=1)[:, None] != leader))
-            yield span, scores, bound
+    def adversarial(fit, true, rows, mass, alphas):
+        for span, least, bound in sweep_margins(fit, true, rows, mass, alphas):
+            pushed = least - np.sign(least) * 0.9 * 2 * bound
+            flipped.append(np.count_nonzero(pushed * least < 0))
+            yield span, pushed, bound
 
-    monkeypatch.setattr(experiments, "_sweep_scores", adversarial)
+    monkeypatch.setattr(experiments, "_sweep_margins", adversarial)
     grid = experiments.alpha_grid(0.005)
     for name, split in (("reference", SplitSpec(0.85, 21)), ("duplicated-songs", HALF)):
         enc = screen_encodings[name]
@@ -602,16 +635,22 @@ def test_screen_scores_lie_within_their_bounds(name, screen_encodings):
     alphas = np.array(experiments.alpha_grid(0.01))
     worst = 0.0
     for spec in experiments._run_specs(SplitSpec(0.85, 13), 2):
-        fit = experiments._fit_split(enc, spec)
-        _, rows, mass = experiments._validation_rows(enc, fit)
+        fit, true, rows, mass = fitted_validation(enc, spec)
         log_denom = experiments._log_denominators(fit, alphas)
-        for span, scores, bound in experiments._sweep_scores(fit, rows, mass, alphas):
+        doc = np.arange(len(true))
+        for span, least, bound in experiments._sweep_margins(fit, true, rows, mass, alphas):
             for k, alpha in enumerate(alphas[span], start=span.start):
                 log_table = np.log(alpha + mass) - log_denom[k]
                 exact = rows @ log_table + fit.log_prior
-                error = np.abs(scores[k - span.start] - exact.T).max(axis=0)
-                assert (error <= bound[k - span.start]).all()
-                worst = max(worst, (error / bound[k - span.start]).max())
+                # the true class's score less the best rival's
+                rivals = exact.copy()
+                rivals[doc, true] = -np.inf
+                margin = exact[doc, true] - rivals.max(axis=1)
+                # a margin's bound is twice its scores'
+                margin_bound = 2 * bound[k - span.start]
+                error = np.abs(least[k - span.start] - margin)
+                assert (error <= margin_bound).all()
+                worst = max(worst, (error / margin_bound).max())
     # the bound is not vacuous, and the real error stays far inside it
     assert 0 < worst < 0.01
 
@@ -626,8 +665,9 @@ def test_interpolation_bound_holds_against_float64_logs(step):
     alphas = np.array(experiments.alpha_grid(step))
     s = np.log(alphas)
     nodes, error = experiments._sweep_nodes(s, INTERPOLATED_MASSES.max())
-    # grids of 10 alphas or fewer are scored at their own
-    assert (nodes is s) == (step >= 0.1)
+    # grids of 2 alphas or fewer are scored at their own; 10 alphas, at 9
+    # nodes
+    assert (nodes is s) == (step >= 0.5)
     # about 1,000 points of the finest grids, the last included
     points = np.unique(np.r_[0 : len(s) : max(1, len(s) // 1000), len(s) - 1])
     matrix = experiments._interpolation_matrix(nodes, s[points])
@@ -646,13 +686,13 @@ def test_interpolation_bound_holds_against_float64_logs(step):
     if nodes is s:
         assert error == 0 and (lebesgue == 1).all()
     else:
-        assert 0 < error < 2.0**-24 and errors.max() > 2**-40
-        assert len(nodes) <= {0.005: 23, 1e-3: 29, 1e-5: 46}[step]
+        assert 0 < error < experiments._INTERPOLATION_TOLERANCE and errors.max() > 2**-40
+        assert len(nodes) <= {0.1: 9, 0.005: 15, 1e-3: 19, 1e-5: 30}[step]
         # within the Lebesgue constant that chose the node count
         assert lebesgue.max() < 1 + 2 / np.pi * np.log(len(nodes))
 
 
-@pytest.mark.parametrize("step", [1.0, 0.5, 0.1, 1 / 15])
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.2, 1 / 8])
 @pytest.mark.parametrize(
     "name, split",
     [
