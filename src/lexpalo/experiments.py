@@ -10,15 +10,18 @@ training side only -> naive-Bayes fit (documents that lost all tokens in
 preprocessing are excluded from the training side) -> every validation
 document scored, including empty ones (scored by priors alone).
 
-Each call encodes the corpus's word ids once, into integer counts and term
-frequencies (count / document length) over the sorted vocabulary of the
-whole corpus, with each stored entry's word and class cell and each word's
-document count. A run draws only its validation side. Its vocabulary, in
-sorted order, is the words whose document count less the validation
-documents' is positive; its TF-IDF weights are computed for every entry,
-the validation documents' as exactly +0.0, and one bincount over the class
-cells sums each class's masses in document order. So its weights and masses
-are those :mod:`vectorize` and :mod:`mnb` compute from text.
+Each call encodes the corpus once, from the entries of
+:func:`vectorize.encode`, into integer counts and term frequencies (count /
+document length) over the sorted vocabulary of the whole corpus, with each
+stored entry's word and class cell and each word's document count. A run
+draws only its validation side. Its vocabulary, in sorted order, is the
+words whose document count less the validation documents' is positive; its
+TF-IDF weights are computed for every entry, the validation documents' as
+exactly +0.0, and one bincount over the class cells sums each class's
+masses in document order. So its weights and masses are those
+:mod:`vectorize` and :mod:`mnb` compute from text, up to the last bit of a
+row's norm, whose squares a run adds in word order and :mod:`vectorize` in
+the order in which the row's words first occur.
 
 The alpha sweep scores each validation document at a few Chebyshev nodes
 in ln alpha and interpolates to every alpha the margins of its true class
@@ -39,10 +42,11 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus_io import Corpus, SplitSpec, split_positions, token_ids
+from .corpus_io import Corpus, SplitSpec, split_positions
 from .errors import EmptyCorpusError, InconsistentClassesError, NoThresholdError
 from .mnb import check_alpha
 from .seeding import derive_seed
+from .vectorize import encode
 
 DEFAULT_EPSILON = 1e-9
 # A sweep grid holds at most this many alphas, so each is at least 1e-5.
@@ -124,35 +128,18 @@ class _Encoding:
 
 
 def _encode(corpus: Corpus) -> _Encoding:
-    tok = token_ids(corpus)
-    lengths = np.diff(tok.offsets)
-    words = tuple(sorted(tok.words))
-    position = {w: j for j, w in enumerate(words)}
-    n_docs, n_words = len(lengths), len(words)
-    # one (document, word) key per token; sorted, each run of equal keys is
-    # one entry of the count matrix, in row-major order
-    key = np.repeat(np.arange(n_docs) * n_words, lengths)
-    key += np.fromiter(map(position.__getitem__, tok.words), np.int64)[tok.ids]
-    key.sort()
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    entries = key[first]
-    indptr = np.searchsorted(entries, np.arange(n_docs + 1) * n_words)
-    row = np.repeat(np.arange(n_docs), np.diff(indptr))
-    word = entries - row * n_words
-    counts = sp.csr_matrix(
-        (np.diff(first, append=len(key)), word, indptr), shape=(n_docs, n_words)
-    )
+    e = encode(corpus)
+    n_docs, n_words = len(e.lengths), len(e.words)
+    row, word = e.doc.astype(np.intp), e.word.astype(np.intp)
+    indptr = np.searchsorted(row, np.arange(n_docs + 1))
+    counts = sp.csr_matrix((e.count, e.word, indptr), shape=(n_docs, n_words))
     # ``len`` counts every token, as :func:`vectorize.tfidf` does
-    tf = sp.csr_matrix(
-        (counts.data / lengths[row], counts.indices, counts.indptr),
-        shape=counts.shape,
-    )
-    classes = tuple(sorted(corpus.palo_index))
-    class_of = {palo: k for k, palo in enumerate(classes)}
-    labels = np.array([class_of[rec.palo] for rec in corpus.records])
-    cell = labels[row] * n_words + word
+    tf = sp.csr_matrix((e.count / e.lengths[row], counts.indices, counts.indptr),
+                       shape=counts.shape)
+    cell = e.label[row] * n_words + word
     df = np.bincount(word, minlength=n_words)
-    return _Encoding(corpus, counts, tf, lengths, classes, labels, words, word, cell, df)
+    return _Encoding(corpus, counts, tf, e.lengths, e.classes, e.label, e.words, word,
+                     cell, df)
 
 
 def _entries(indptr: np.ndarray, docs: np.ndarray):

@@ -19,6 +19,7 @@ import numpy as np
 from .corpus_io import TokenIds
 from .errors import DegenerateFitError, EmptyDocumentError, FormatError
 from .seeding import derive_seed
+from .vectorize import encode
 
 ZIPF_DEFAULT_MIN_RANK = 10
 
@@ -174,24 +175,22 @@ def hapax_report(
 
     A type is exclusive to a palo when it occurs in that palo's lyrics and in
     no other palo's. A song's ratio is |song types exclusive to its palo| /
-    |song types|; songs without tokens are skipped.
+    |song types|; songs without tokens are skipped. The types of each song
+    are the (song, word) entries of :func:`vectorize.encode`.
     """
-    corpus, ids, offsets = tok.corpus, tok.ids, tok.offsets.tolist()
-    present = np.zeros((len(corpus.palos), len(tok.words)), dtype=bool)
-    for row, positions in zip(present, corpus.palo_index.values()):
-        for i in positions:
-            row[ids[offsets[i] : offsets[i + 1]]] = True
-    exclusive = dict(zip(corpus.palos, present & (present.sum(axis=0) == 1)))
-    unique = {
-        palo: frozenset(tok.words[j] for j in np.flatnonzero(row).tolist())
-        for palo, row in exclusive.items()
-    }
-    per_song = []
-    for i, rec in enumerate(corpus.records):
-        song = np.unique(ids[offsets[i] : offsets[i + 1]])
-        if len(song):
-            ratio = np.count_nonzero(exclusive[rec.palo][song]) / len(song)
-            per_song.append((rec.id, ratio))
+    corpus, e = tok.corpus, encode(tok.corpus)
+    label = e.label[e.doc]
+    present = np.zeros((len(e.classes), len(e.words)), dtype=bool)
+    present[label, e.word] = True
+    exclusive = present & (present.sum(axis=0) == 1)
+    rows = dict(zip(e.classes, exclusive))
+    unique = {palo: frozenset(map(e.words.__getitem__, np.flatnonzero(rows[palo]).tolist()))
+              for palo in corpus.palos}
+    # per song, its types exclusive to its palo and all its types
+    hits = np.bincount(e.doc[exclusive[label, e.word]], minlength=len(corpus.records))
+    types = np.bincount(e.doc, minlength=len(corpus.records)).tolist()
+    per_song = [(rec.id, h / n)
+                for rec, h, n in zip(corpus.records, hits.tolist(), types) if n]
     shared: dict[str, int] = {}
     if essential is not None:
         shared = {

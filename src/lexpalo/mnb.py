@@ -111,21 +111,19 @@ def fit(matrix: TfIdfMatrix, labels, alpha: float) -> MnbModel:
     align with the matrix rows.
     """
     check_alpha(alpha, matrix.matrix.shape[1])
-    labels = list(labels)
+    labels = np.array(list(labels), dtype=object)
     if len(labels) != matrix.matrix.shape[0]:
         raise LabelMismatchError(
             f"{len(labels)} labels for {matrix.matrix.shape[0]} matrix rows"
         )
-    classes = tuple(sorted(set(labels)))
-    label_arr = np.asarray(labels, dtype=object)
-    smoothed = np.empty((len(classes), matrix.matrix.shape[1]))
-    counts = np.empty(len(classes))
-    for k, cls in enumerate(classes):
-        row_ix = np.flatnonzero(label_arr == cls)
-        counts[k] = len(row_ix)
-        smoothed[k] = alpha + np.asarray(matrix.matrix[row_ix].sum(axis=0)).ravel()
+    classes, label, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    rows, n_words = matrix.matrix, matrix.matrix.shape[1]
+    # each class's rows summed in row order, as a sum over its rows alone adds
+    cell = np.repeat(label * n_words, np.diff(rows.indptr)) + rows.indices
+    mass = np.bincount(cell, weights=rows.data, minlength=len(classes) * n_words)
+    smoothed = alpha + mass.reshape(len(classes), n_words)
     return MnbModel(
-        classes=classes,
+        classes=tuple(classes),
         priors={c: float(counts[k] / counts.sum()) for k, c in enumerate(classes)},
         word_logprob=np.log(smoothed) - np.log(smoothed.sum(axis=1))[:, None],
         alpha=alpha,

@@ -11,9 +11,10 @@ one-row-at-a-time construction of ``vectorize``; :func:`genre_vectors`, the
 earlier construction of the genre vectors from newline-joined palo texts;
 :func:`fit_from_counts` with :func:`predict_from_counts`, the earlier
 construction of an experiment round from integer counts; :func:`sttr`, the
-earlier set-per-window construction of the sTTR windows; and
+earlier set-per-window construction of the sTTR windows;
 :func:`heaps_points`, the earlier construction of the Heaps curve from one
-list of every token. :func:`concat_full_pattern` uses ``re``: it is the
+list of every token; and :func:`mnb_fit_by_class_rows`, the earlier
+per-class fit of ``mnb``. :func:`concat_full_pattern` uses ``re``: it is the
 earlier phrase regex of ``preprocess``, run on every text with every phrase.
 :func:`stratified_split` and :func:`concat_by_palo` build the package's
 corpus records; the split itself, :func:`stratified_positions`, is a full
@@ -231,6 +232,23 @@ def mnb_score(model, row):
         if scores[c] > scores[predicted]:
             predicted = c
     return scores, predicted
+
+
+def mnb_fit_by_class_rows(matrix, labels, alpha):
+    """(classes, priors, word_logprob) as ``mnb.fit`` computed them before
+    one bincount summed every class: each class's rows sliced out of the
+    TF-IDF matrix and summed by SciPy, the classes one at a time."""
+    classes = tuple(sorted(set(labels)))
+    label_arr = np.asarray(labels, dtype=object)
+    smoothed = np.empty((len(classes), matrix.shape[1]))
+    counts = np.empty(len(classes))
+    for k, cls in enumerate(classes):
+        row_ix = np.flatnonzero(label_arr == cls)
+        counts[k] = len(row_ix)
+        smoothed[k] = alpha + np.asarray(matrix[row_ix].sum(axis=0)).ravel()
+    priors = {c: float(counts[k] / counts.sum()) for k, c in enumerate(classes)}
+    word_logprob = np.log(smoothed) - np.log(smoothed.sum(axis=1))[:, None]
+    return classes, priors, word_logprob
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from lexpalo.preprocess import (
     preprocess_with_decisions,
 )
 from lexpalo.seeding import derive_seed
-from lexpalo.vectorize import build_vocabulary, genre_vectors, tfidf, tfidf_row
+from lexpalo.vectorize import build_vocabulary, encode, genre_vectors, tfidf, tfidf_row
 
 import oracles
 from helpers import (
@@ -498,6 +498,8 @@ def test_streamed_passes_hold_no_token_list():
         "build_vocabulary": build_vocabulary,
         "tfidf": lambda c: tfidf(c, vocab),
         "genre vectors": genre_vectors,
+        "encode": encode,
+        "experiment encoding": experiments._encode,
     }
     for name, run in passes.items():
         c = Corpus(records)

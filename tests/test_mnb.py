@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from lexpalo import mnb
+from lexpalo.corpus_io import nonempty_records
 from lexpalo.errors import (
     AlphaNonPositiveError,
     CorpusIoError,
@@ -17,11 +18,15 @@ from lexpalo.errors import (
     ModelFormatError,
     VocabularyMismatchError,
 )
-from lexpalo.preprocess import FrozenPipeline, PreprocessConfig
+from lexpalo.preprocess import (
+    FrozenPipeline, PreprocessConfig, default_config, preprocess_corpus,
+)
 from lexpalo.vectorize import Vocabulary, build_vocabulary, tfidf, tfidf_row
 
 import oracles
-from helpers import corpus_from_texts, labeled_corpus, random_labeled_corpus
+from helpers import (
+    corpus_from_texts, generated_corpus, labeled_corpus, random_labeled_corpus,
+)
 
 
 def fitted(texts_by_palo, alpha=0.5):
@@ -97,6 +102,39 @@ def test_fit_scaling_matrix_and_alpha_together_is_invariant():
     same = mnb.fit(scaled, labels, 0.11 * factor)
     assert np.allclose(base.word_logprob, same.word_logprob, atol=1e-12, rtol=0.0)
     assert base.priors == same.priors
+
+
+def fit_corpora():
+    """The corpora of the per-class fit test: preprocessed generated corpora
+    with their emptied records, the same without them, one whose palo Z has
+    a single document, and random corpora with empty documents."""
+    processed = [
+        preprocess_corpus(generated_corpus(seed), default_config()) for seed in (1, 2)
+    ]
+    yield from processed
+    yield from map(nonempty_records, processed)
+    yield labeled_corpus({"X": ["a b", "b c a", "c"], "Y": ["d a", "d"], "Z": ["b d"]})
+    rng = random.Random(41)
+    for _ in range(5):
+        yield random_labeled_corpus(rng, n_palos=4, pool_size=60, doc_len=(0, 40))
+
+
+def test_fit_equals_the_per_class_row_sums():
+    corpora = list(fit_corpora())
+    assert any(any(not r.text for r in c.records) for c in corpora)
+    assert any(min(map(len, c.palo_index.values())) == 1 for c in corpora)
+    for c in corpora:
+        labels = [r.palo for r in c.records]
+        matrix = tfidf(c, build_vocabulary(c))
+        for alpha in (0.11, 1.0):
+            model = mnb.fit(matrix, labels, alpha)
+            classes, priors, word_logprob = oracles.mnb_fit_by_class_rows(
+                matrix.matrix, labels, alpha
+            )
+            assert model.classes == classes
+            assert list(model.priors.items()) == list(priors.items())
+            assert model.word_logprob.dtype == word_logprob.dtype
+            assert np.array_equal(model.word_logprob, word_logprob)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from lexpalo import vectorize
 from lexpalo.corpus_io import Corpus
 from lexpalo.errors import VocabularyMismatchError
 from lexpalo.preprocess import default_config, preprocess_corpus
-from lexpalo.vectorize import Vocabulary, build_vocabulary, tfidf, tfidf_row
+from lexpalo.vectorize import (
+    Vocabulary, build_vocabulary, genre_vectors, tfidf, tfidf_row,
+)
 
 import oracles
 from helpers import (
@@ -205,6 +208,36 @@ def test_tfidf_row_against_fixed_vocab_matches_bruteforce():
 
 
 # ---------------------------------------------------------------------------
+# the corpus encoding
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, vectorize._BLOCK_TOKENS])
+def test_encoding_counts_each_record_in_blocks_of_any_size(monkeypatch, block):
+    # blocks of 1 and 2 tokens end inside runs of empty records and put every
+    # longer record in a block of its own
+    monkeypatch.setattr(vectorize, "_BLOCK_TOKENS", block)
+    rng = random.Random(block)
+    corpora = [
+        random_labeled_corpus(rng, n_palos=3, pool_size=12, doc_len=(0, 9))
+        for _ in range(10)
+    ]
+    corpora.append(preprocess_corpus(generated_corpus(1), default_config()))
+    for c in corpora:
+        e = vectorize.encode(c)
+        token_lists = [r.text.split() for r in c.records]
+        assert e.words == tuple(sorted({t for tokens in token_lists for t in tokens}))
+        assert e.lengths.tolist() == list(map(len, token_lists))
+        expected, offset = [], 0
+        for doc, tokens in enumerate(token_lists):
+            for word in sorted(set(tokens)):
+                expected.append((doc, e.words.index(word), tokens.count(word),
+                                 offset + tokens.index(word)))
+            offset += len(tokens)
+        assert list(zip(e.doc.tolist(), e.word.tolist(), e.count.tolist(),
+                        e.first.tolist())) == expected
+
+
+# ---------------------------------------------------------------------------
 # bit-identity with the one-row-at-a-time construction
 
 
@@ -300,16 +333,29 @@ def test_idf_is_computed_once_per_vocabulary():
         vocab.idf[0] = 0.0
 
 
+@pytest.mark.parametrize("path", ["tfidf_row", "tfidf", "genre_vectors"])
 @pytest.mark.parametrize("n_values", [9_999, 10_000, 10_001, 25_000])
-def test_rows_beyond_ten_thousand_values_are_normalised_without_blas(n_values):
+def test_rows_beyond_ten_thousand_values_are_normalised_without_blas(n_values, path):
     # OpenBLAS threads the dot product of np.linalg.norm beyond 10,000 values
     rng = random.Random(n_values)
     words = [f"w{i}" for i in range(n_values)]
     train = [" ".join(rng.sample(words, n_values // 2)) for _ in range(3)]
-    vocab = build_vocabulary(corpus_from_texts(train + [" ".join(words)]))
     tokens = [w for w in words for _ in range(rng.randint(1, 4))]
     rng.shuffle(tokens)
-    row = tfidf_row(tokens, vocab)
+    if path == "genre_vectors":
+        # palo X's songs split the tokens, so its first occurrences span both
+        cut = len(tokens) // 3
+        texts = [" ".join(tokens[:cut]), train[0], " ".join(tokens[cut:])]
+        row = genre_vectors(Corpus(
+            record(f"s{i}", text, palo) for i, (text, palo) in enumerate(zip(texts, "XYX"))
+        ))["X"]
+        vocab = vocab_of(" ".join(tokens), train[0])  # the palos as documents
+    else:
+        vocab = build_vocabulary(corpus_from_texts(train + [" ".join(words)]))
+        if path == "tfidf":
+            row = tfidf(corpus_from_texts(train[:1] + [" ".join(tokens)]), vocab).matrix[1]
+        else:
+            row = tfidf_row(tokens, vocab)
 
     counts = {}
     for tok in tokens:
