@@ -30,14 +30,8 @@ import sys
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
-from . import (
-    __version__,
-    experiments,
-    genre_graph,
-    lexstats,
-    mnb,
-    preprocess,
-)
+# experiments, which imports SciPy, is imported by the round commands alone
+from . import __version__, genre_graph, lexstats, mnb, preprocess
 from .corpus_io import (
     SplitSpec,
     atomic_write,
@@ -68,7 +62,7 @@ class RunConfig:
     runs: int = 100
     seed: int = 0
     grid_step: float = 0.005
-    epsilon: float = experiments.DEFAULT_EPSILON
+    epsilon: float | None = None  # None: experiments.DEFAULT_EPSILON
     sttr_windows: int = 50
     linkage: str = "average"
     stopwords: Path | None = None
@@ -205,14 +199,17 @@ def _essential_file_names(palos) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # shared pipeline steps
 
-def _check_options(config: RunConfig) -> None:
+def _check_options(command: str, config: RunConfig) -> None:
     """Reject bad option values before the corpus is read."""
     if not 1 <= config.sttr_windows <= lexstats.STTR_MAX_WINDOWS:
         raise ValueError(
             f"--sttr-windows must lie in [1, {lexstats.STTR_MAX_WINDOWS}], "
             f"got {config.sttr_windows}"
         )
-    experiments.alpha_grid(config.grid_step)
+    if command == "sweep-alpha":
+        from . import experiments
+
+        experiments.alpha_grid(config.grid_step)
 
 
 def _preprocess_config(config: RunConfig) -> preprocess.PreprocessConfig:
@@ -283,6 +280,8 @@ def _stats(config: RunConfig, raw, processed, pipeline):
 
 
 def _train(config: RunConfig, raw, processed, pipeline):
+    from . import experiments
+
     if "__global__" in processed.palo_index:
         raise FormatError("palo '__global__' is the label of the global accuracy rows")
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
@@ -316,6 +315,8 @@ def _train(config: RunConfig, raw, processed, pipeline):
 
 
 def _sweep_alpha(config: RunConfig, raw, processed, pipeline):
+    from . import experiments
+
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
     result = experiments.alpha_sweep(
         processed, config.grid_step, config.runs, split, threads=config.threads
@@ -331,10 +332,13 @@ def _sweep_alpha(config: RunConfig, raw, processed, pipeline):
 
 
 def _essential(config: RunConfig, raw, processed, pipeline):
+    from . import experiments
+
     names = _essential_file_names(processed.palos)
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
+    epsilon = experiments.DEFAULT_EPSILON if config.epsilon is None else config.epsilon
     report = experiments.essential_words(
-        processed, config.alpha, config.runs, split, epsilon=config.epsilon
+        processed, config.alpha, config.runs, split, epsilon=epsilon
     )
     palos = sorted(report.per_palo)
     reports = {names[p]: "".join(w + "\n" for w in report.per_palo[p]) for p in palos}
@@ -411,7 +415,7 @@ def run(command: str, config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit code. A command
     builds all its reports before it writes any."""
     try:
-        _check_options(config)
+        _check_options(command, config)
         if command == "classify":
             summary = _classify(config)
         else:

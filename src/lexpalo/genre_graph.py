@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NormError, ZeroDistanceError
 
@@ -59,8 +58,8 @@ class GenreGraph:
     kind: str
 
 
-def distance_matrix(palo_vectors: dict[str, object]) -> DistanceMatrix:
-    """Cosine distances (1 - dot product) between unit-normalized genre
+def distance_matrix(palo_vectors: dict[str, np.ndarray]) -> DistanceMatrix:
+    """Cosine distances (1 - dot product) between unit-normalized dense genre
     vectors; labels are sorted lexicographically.
 
     Raises NormError when some vector is not unit length (tolerance 1e-6).
@@ -70,10 +69,7 @@ def distance_matrix(palo_vectors: dict[str, object]) -> DistanceMatrix:
         raise ValueError("need at least 2 genre vectors")
     dense = []
     for label in labels:
-        vec = palo_vectors[label]
-        if sp.issparse(vec):
-            vec = vec.toarray()
-        vec = np.asarray(vec, dtype=float).ravel()
+        vec = np.asarray(palo_vectors[label], dtype=float).ravel()
         norm = float(np.sqrt(np.sum(vec * vec)))  # np.linalg.norm wakes BLAS threads
         if abs(norm - 1.0) > _NORM_TOLERANCE:
             raise NormError(

@@ -32,7 +32,7 @@ from .errors import (
     ModelFormatError,
     VocabularyMismatchError,
 )
-from .vectorize import TfIdfMatrix, Vocabulary
+from .vectorize import TfIdfMatrix, TfIdfRow, Vocabulary
 
 MODEL_FORMAT_VERSION = "mnb-v1"
 
@@ -51,8 +51,9 @@ class MnbModel:
 
     @cached_property
     def _logprob_by_word(self) -> np.ndarray:
-        # the |V| x n_classes table sparse scoring reads: C-contiguous, so
-        # SciPy's kernel does not copy the whole table for every document
+        # the |V| x n_classes table scoring reads: C-contiguous, so SciPy's
+        # kernel does not copy the whole table for every matrix, and one
+        # text's words gather whole rows of it
         return np.ascontiguousarray(self.word_logprob.T)
 
     @cached_property
@@ -131,33 +132,38 @@ def fit(matrix: TfIdfMatrix, labels, alpha: float) -> MnbModel:
     )
 
 
-def _score_matrix(model: MnbModel, rows) -> np.ndarray:
-    """Score many documents at once: sparse rows (n x |V|) -> (n x classes)."""
-    if rows.shape[1] != len(model.vocab.words):
+def _check_width(model: MnbModel, width: int) -> None:
+    if width != len(model.vocab.words):
         raise VocabularyMismatchError(
-            f"document vector has {rows.shape[1]} columns, model vocabulary "
+            f"document vector has {width} columns, model vocabulary "
             f"has {len(model.vocab.words)}"
         )
-    return rows.dot(model._logprob_by_word) + model._log_priors
 
 
-def score(model: MnbModel, doc_vector) -> ClassScores:
-    """Score one document vector, a 1 x |V| SciPy sparse row.
+def score(model: MnbModel, row: TfIdfRow) -> ClassScores:
+    """Score one document's :func:`vectorize.tfidf_row`.
 
-    An all-zero vector degrades to prior-only scores. Ties go to the first
-    class in the model's sorted class order.
+    Each class adds its products in column order, as SciPy's CSR product
+    adds them, so a text scores as its row of a matrix does in
+    :func:`predict_rows`. An empty row degrades to prior-only scores. Ties
+    go to the first class in the model's sorted class order.
     """
-    scores = _score_matrix(model, doc_vector)[0]
-    predicted = model.classes[int(np.argmax(scores))]
+    _check_width(model, row.width)
+    products = model._logprob_by_word[row.columns] * row.values[:, None]
+    # accumulate adds in order for any class count; a reduction over one
+    # class would sum pairwise
+    total = np.add.accumulate(products)[-1] if len(products) else 0.0
+    scores = total + model._log_priors
     return ClassScores(
         scores=dict(zip(model.classes, scores.tolist())),
-        predicted=predicted,
+        predicted=model.classes[int(np.argmax(scores))],
     )
 
 
 def predict_rows(model: MnbModel, rows) -> list[str]:
-    """Predict a label per row of a sparse document matrix."""
-    scores = _score_matrix(model, rows)
+    """Predict a label per row of a SciPy sparse document matrix (n x |V|)."""
+    _check_width(model, rows.shape[1])
+    scores = rows.dot(model._logprob_by_word) + model._log_priors
     return [model.classes[k] for k in np.argmax(scores, axis=1)]
 
 

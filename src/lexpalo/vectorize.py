@@ -18,6 +18,9 @@ frequencies count the entries of each word; a row's norm is taken over its
 values in the order in which its words first occur, as :func:`tfidf_row`
 takes it over the words of one text. The experiment rounds of
 :mod:`experiments` read the same encoding.
+
+Only :func:`tfidf` builds a SciPy matrix, and only it imports SciPy: one
+text's row is two numpy arrays, and the genre vectors are dense rows.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus_io import Corpus, token_ids
 from .errors import EmptyDocumentError, VocabularyMismatchError
 
-_INT32_MAX = np.iinfo(np.int32).max
 # Longest vector whose dot product OpenBLAS computes in one thread.
 _BLAS_SERIAL_MAX = 10_000
 # Most tokens, and records, whose keys :func:`encode` sorts at once: 128 KiB
@@ -61,8 +63,17 @@ class Vocabulary:
 class TfIdfMatrix:
     """Sparse row-normalized TF-IDF matrix over a fixed vocabulary."""
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix  # SciPy is imported where one is built
     vocab: Vocabulary
+
+
+class TfIdfRow(NamedTuple):
+    """One text's row over a vocabulary of ``width`` words: the columns of
+    its nonzero values, ascending, and those values."""
+
+    columns: np.ndarray
+    values: np.ndarray
+    width: int
 
 
 @dataclass(frozen=True)
@@ -136,16 +147,14 @@ def _vocabulary_of(words: tuple[str, ...], word: np.ndarray, n_docs: int) -> Voc
     )
 
 
-def tfidf_row(tokens: list[str], vocab: Vocabulary) -> sp.csr_matrix:
-    """Vectorize one token list as a 1 x |V| L2-normalized sparse row.
+def tfidf_row(tokens: list[str], vocab: Vocabulary) -> TfIdfRow:
+    """Vectorize one token list as an L2-normalized row over ``vocab``.
 
-    A document without in-vocabulary tokens yields an all-zero row.
+    A document without in-vocabulary tokens yields a row without values.
     """
     _check_vocabulary(vocab)
     counts = Counter(filter(vocab.index.__contains__, tokens))
-    shape = (1, len(vocab.words))
-    idx_dtype = _index_dtype(shape, len(counts))
-    cols = np.fromiter(map(vocab.index.__getitem__, counts), idx_dtype, len(counts))
+    cols = np.fromiter(map(vocab.index.__getitem__, counts), np.intp, len(counts))
     vals = np.fromiter(counts.values(), float, len(counts))
     if len(cols):
         vals /= len(tokens)
@@ -154,40 +163,12 @@ def tfidf_row(tokens: list[str], vocab: Vocabulary) -> sp.csr_matrix:
         vals /= _norm(vals)
         order = np.argsort(cols)
         cols, vals = cols[order], vals[order]
-    indptr = np.array([0, len(cols)], dtype=idx_dtype)
-    return sp.csr_matrix((vals, cols, indptr), shape=shape)
+    return TfIdfRow(cols, vals, len(vocab.words))
 
 
 def _check_vocabulary(vocab: Vocabulary) -> None:
     if not vocab.words:
         raise VocabularyMismatchError("vocabulary is empty")
-
-
-def _index_dtype(shape: tuple[int, int], nnz: int):
-    """The index dtype SciPy would pick, so that its constructor neither
-    scans nor converts the index arrays."""
-    return np.int32 if max(*shape, nnz) <= _INT32_MAX else np.int64
-
-
-def _unit_rows(row, column, count, first, lengths, vocab: Vocabulary) -> sp.csr_matrix:
-    """One CSR matrix with a row per token count of ``lengths``, from entries
-    sorted by row, then column of ``vocab`` (-1 for a word outside it, which
-    is dropped but counts in its row's length), with their counts and first
-    positions. Each row is normalised in the order of its entries' first
-    positions, as :func:`tfidf_row` normalises its row."""
-    _check_vocabulary(vocab)
-    kept = column >= 0
-    row, column = row[kept], column[kept]
-    vals = count[kept] / lengths[row] * vocab.idf[column]
-    indptr = np.searchsorted(row, np.arange(len(lengths) + 1))
-    ordered = vals[np.lexsort((first[kept], row))]
-    norms = list(map(_norm, np.split(ordered, indptr[1:-1])))
-    vals /= np.repeat(norms, np.diff(indptr))
-    shape = (len(lengths), len(vocab.words))
-    idx_dtype = _index_dtype(shape, len(vals))
-    return sp.csr_matrix(
-        (vals, column.astype(idx_dtype), indptr.astype(idx_dtype)), shape=shape
-    )
 
 
 def _norm(vals: np.ndarray) -> float:
@@ -204,29 +185,49 @@ def _norm(vals: np.ndarray) -> float:
 def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
     """Vectorize every record of a corpus against ``vocab``.
 
-    Row order follows the corpus; each non-empty row has unit L2 norm.
+    Row order follows the corpus; each non-empty row has unit L2 norm,
+    taken over its values in the order in which its words first occur, as
+    :func:`tfidf_row` takes it. Words outside ``vocab`` are dropped but
+    count in their row's length.
     """
+    import scipy.sparse as sp  # here, so that commands building no matrix never load it
+
+    _check_vocabulary(vocab)
     e = encode(docs)
     column = np.fromiter((vocab.index.get(w, -1) for w in e.words), np.int64, len(e.words))
-    matrix = _unit_rows(e.doc, column[e.word], e.count, e.first, e.lengths, vocab)
+    column = column[e.word]
+    kept = column >= 0
+    row, column = e.doc[kept], column[kept]
+    vals = e.count[kept] / e.lengths[row] * vocab.idf[column]
+    indptr = np.searchsorted(row, np.arange(len(e.lengths) + 1))
+    ordered = vals[np.lexsort((e.first[kept], row))]
+    norms = list(map(_norm, np.split(ordered, indptr[1:-1])))
+    vals /= np.repeat(norms, np.diff(indptr))
+    matrix = sp.csr_matrix((vals, column, indptr), shape=(len(e.lengths), len(vocab.words)))
     return TfIdfMatrix(matrix=matrix, vocab=vocab)
 
 
-def genre_vectors(corpus: Corpus) -> dict[str, sp.csr_matrix]:
-    """Each palo's 1 x |V| TF-IDF row, its songs taken as one document, over
-    the vocabulary of those documents; palos in sorted order. Raises
-    EmptyDocumentError when a palo counts no token."""
+def genre_vectors(corpus: Corpus) -> dict[str, np.ndarray]:
+    """Each palo's TF-IDF row, dense over the vocabulary of its songs taken
+    as one document; palos in sorted order. Raises EmptyDocumentError when a
+    palo counts no token."""
     e = encode(corpus)
-    lengths = np.bincount(e.label, weights=e.lengths, minlength=len(e.classes))
+    shape = (len(e.classes), len(e.words))
+    lengths = np.bincount(e.label, weights=e.lengths, minlength=shape[0])
     for palo, length in zip(e.classes, lengths):
         if not length:
             raise EmptyDocumentError(f"palo {palo!r} has no tokens after preprocessing")
-    # the records' entries reduced to palo rows: counts summed, and the first
-    # position the least, which is the one of the palo's earliest record
-    cell = e.label[e.doc] * len(e.words) + e.word
-    cells, earliest, entry = np.unique(cell, return_index=True, return_inverse=True)
-    row, word = np.divmod(cells, len(e.words))
-    vocab = _vocabulary_of(e.words, word, len(e.classes))
-    count = np.bincount(entry, weights=e.count)
-    matrix = _unit_rows(row, word, count, e.first[earliest], lengths, vocab)
-    return {palo: matrix[i] for i, palo in enumerate(e.classes)}
+    # the records' entries reduced to (palo, word) cells: counts summed, and
+    # the first position the least, which is the one of the palo's earliest
+    # record
+    cell = e.label[e.doc] * shape[1] + e.word
+    count = np.bincount(cell, weights=e.count, minlength=shape[0] * shape[1]).reshape(shape)
+    first = np.full(shape, np.iinfo(np.int64).max)
+    np.minimum.at(first.reshape(-1), cell, e.first)
+    idf = _vocabulary_of(e.words, np.nonzero(count)[1], shape[0]).idf
+    # each palo's row of counts becomes its unit row in place
+    for row, firsts, length in zip(count, first, lengths):
+        cols = np.flatnonzero(row)
+        vals = row[cols] / length * idf[cols]
+        row[cols] = vals / _norm(vals[np.argsort(firsts[cols])])
+    return dict(zip(e.classes, count))

@@ -13,9 +13,12 @@ earlier construction of the genre vectors from newline-joined palo texts;
 construction of an experiment round from integer counts; :func:`sttr`, the
 earlier set-per-window construction of the sTTR windows;
 :func:`heaps_points`, the earlier construction of the Heaps curve from one
-list of every token; and :func:`mnb_fit_by_class_rows`, the earlier
-per-class fit of ``mnb``. :func:`concat_full_pattern` uses ``re``: it is the
-earlier phrase regex of ``preprocess``, run on every text with every phrase.
+list of every token; :func:`mnb_fit_by_class_rows`, the earlier
+per-class fit of ``mnb``; :func:`csr_tfidf_row` with :func:`csr_score`, the
+earlier one-text row as a SciPy CSR row and its sparse product; and
+:func:`csr_genre_vectors`, the earlier CSR genre rows from ``np.unique``.
+:func:`concat_full_pattern` uses ``re``: it is the earlier phrase regex of
+``preprocess``, run on every text with every phrase.
 :func:`stratified_split` and :func:`concat_by_palo` build the package's
 corpus records; the split itself, :func:`stratified_positions`, is a full
 ``random.shuffle`` of each palo then a cut, with its own seed derivation.
@@ -134,6 +137,76 @@ def genre_vectors(records):
     )
     matrix, _ = tfidf_per_document(docs, vocab)
     return {palo: matrix[i] for i, palo in enumerate(palos)}
+
+
+def _norm(vals):
+    """The L2 norm as ``vectorize`` takes it: ``np.linalg.norm``'s dot
+    product up to 10,000 values, a sum without BLAS beyond."""
+    if len(vals) > 10_000:
+        return np.sqrt(np.sum(vals * vals))
+    return np.sqrt(vals.dot(vals))
+
+
+def _index_dtype(shape, nnz):
+    return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def csr_tfidf_row(tokens, vocab):
+    """The 1 x |V| CSR row ``vectorize.tfidf_row`` built before it returned
+    arrays: values normalised in first-occurrence order, then sorted by
+    column, with the index dtype SciPy would pick."""
+    counts = Counter(t for t in tokens if t in vocab.index)
+    shape = (1, len(vocab.words))
+    idx_dtype = _index_dtype(shape, len(counts))
+    cols = np.array([vocab.index[w] for w in counts], dtype=idx_dtype)
+    vals = np.array(list(counts.values()), dtype=float)
+    if len(cols):
+        vals /= len(tokens)
+        vals *= vocab.idf[cols]
+        vals /= _norm(vals)
+        order = np.argsort(cols)
+        cols, vals = cols[order], vals[order]
+    indptr = np.array([0, len(cols)], dtype=idx_dtype)
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
+
+
+def csr_score(model, row):
+    """A model's class scores of one CSR row, as ``mnb.score`` took them
+    before it read arrays: SciPy's product with the word-major table plus
+    the log priors."""
+    return (row.dot(model._logprob_by_word) + model._log_priors)[0]
+
+
+def csr_genre_vectors(corpus):
+    """{palo: 1 x |V| CSR row} as ``vectorize.genre_vectors`` built them
+    before they were dense: the corpus's ``vectorize.encode`` entries reduced
+    to (palo, word) cells by one ``np.unique``, each row normalised over its
+    values in first-position order."""
+    from lexpalo.vectorize import Vocabulary, encode
+
+    e = encode(corpus)
+    lengths = np.bincount(e.label, weights=e.lengths, minlength=len(e.classes))
+    cell = e.label[e.doc] * len(e.words) + e.word
+    cells, earliest, entry = np.unique(cell, return_index=True, return_inverse=True)
+    row, word = np.divmod(cells, len(e.words))
+    vocab = Vocabulary(
+        words=e.words, index={w: i for i, w in enumerate(e.words)},
+        df=tuple(np.bincount(word, minlength=len(e.words)).tolist()),
+        n_docs=len(e.classes),
+    )
+    count = np.bincount(entry, weights=e.count)
+    first = e.first[earliest]
+    vals = count / lengths[row] * vocab.idf[word]
+    indptr = np.searchsorted(row, np.arange(len(lengths) + 1))
+    ordered = vals[np.lexsort((first, row))]
+    norms = list(map(_norm, np.split(ordered, indptr[1:-1])))
+    vals /= np.repeat(norms, np.diff(indptr))
+    shape = (len(lengths), len(vocab.words))
+    idx_dtype = _index_dtype(shape, len(vals))
+    matrix = sp.csr_matrix(
+        (vals, word.astype(idx_dtype), indptr.astype(idx_dtype)), shape=shape
+    )
+    return {palo: matrix[i] for i, palo in enumerate(e.classes)}
 
 
 # ---------------------------------------------------------------------------

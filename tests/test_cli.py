@@ -436,13 +436,41 @@ def long_genre_records():
     return records
 
 
+SCIPY_PROBE = """
+import sys
+from lexpalo import cli
+code = cli.main(sys.argv[1:])
+print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")[:1])
+"""
+
+
+def test_only_the_commands_that_fit_models_import_scipy(corpus_file, tmp_path):
+    # each command in a fresh interpreter; train loads SciPy, so the probe
+    # can see it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = tmp_path / "out"
+
+    def probe(*argv):
+        done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120,
+                              check=True)
+        return done.stdout.splitlines()[-1]
+
+    assert probe(*train_args(corpus_file, out)) == "0 ['scipy']"
+    for command in ("stats", "distances", "mst"):
+        assert probe(command, *base_args(corpus_file, out)) == "0 []", command
+    assert probe("classify", "--model", out / "model.json", "--text", "mar sol") == "0 []"
+
+
 def test_distances_of_long_genre_vectors_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a dot product of more than 10,000 values, as in
     # np.linalg.norm, across threads
     records = long_genre_records()
     path = write_jsonl(tmp_path / "long.jsonl", records)
     vectors = genre_vectors(load_corpus(path))
-    assert min(row.nnz for row in vectors.values()) > 10_000
+    assert min(np.count_nonzero(row) for row in vectors.values()) > 10_000
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):

@@ -21,7 +21,7 @@ from lexpalo.genre_graph import (
     hierarchical_cluster,
     minimum_spanning_tree,
 )
-from lexpalo.vectorize import build_vocabulary, tfidf
+from lexpalo.vectorize import build_vocabulary, genre_vectors, tfidf
 
 import oracles
 from helpers import distance, labeled_corpus
@@ -111,12 +111,13 @@ def test_distances_requires_two_vectors():
         distance_matrix({"x": unit(1, 2)})
 
 
-def test_distances_accepts_sparse_tfidf_rows():
+def test_distances_accepts_dense_tfidf_rows():
     c = labeled_corpus({"A": ["mar sol arena"], "B": ["pena noche"]})
     vocab = build_vocabulary(c)
-    rows = tfidf(c, vocab)
-    m = distance_matrix({"A": rows.matrix[0], "B": rows.matrix[1]})
+    rows = tfidf(c, vocab).matrix.toarray()
+    m = distance_matrix({"A": rows[0], "B": rows[1]})
     assert distance(m, "A", "B") == 1.0  # disjoint vocabularies
+    assert distance(distance_matrix(genre_vectors(c)), "A", "B") == 1.0
 
 
 def test_distances_negative_dot_clamps_to_one():

@@ -7,7 +7,6 @@ import random
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from lexpalo import mnb
 from lexpalo.corpus_io import nonempty_records
@@ -21,7 +20,7 @@ from lexpalo.errors import (
 from lexpalo.preprocess import (
     FrozenPipeline, PreprocessConfig, default_config, preprocess_corpus,
 )
-from lexpalo.vectorize import Vocabulary, build_vocabulary, tfidf, tfidf_row
+from lexpalo.vectorize import TfIdfRow, Vocabulary, build_vocabulary, tfidf, tfidf_row
 
 import oracles
 from helpers import (
@@ -144,7 +143,8 @@ def test_fit_equals_the_per_class_row_sums():
 def test_score_empty_vector_falls_back_to_priors():
     model, matrix, _ = fitted({"X": ["a", "b"], "Y": ["c"]})
     width = len(matrix.vocab.words)
-    result = mnb.score(model, sp.csr_matrix((1, width)))
+    result = mnb.score(model, TfIdfRow(np.array([], int), np.array([]), width))
+    assert result == mnb.score(model, tfidf_row(["zzz"], matrix.vocab))
     for cls in model.classes:
         assert result.scores[cls] == math.log(model.priors[cls])
     assert result.predicted == "X"  # the max-prior class
@@ -169,7 +169,7 @@ def test_score_hand_model_difference_is_log_odds():
         alpha=0.1,
         vocab=vocab,
     )
-    result = mnb.score(model, sp.csr_matrix([[0.0, 1.0]]))
+    result = mnb.score(model, TfIdfRow(np.array([1]), np.array([1.0]), 2))
     assert result.predicted == "c1"
     diff = result.scores["c1"] - result.scores["c2"]
     assert abs(diff - math.log(0.7 / 0.3)) < 1e-12
@@ -178,7 +178,7 @@ def test_score_hand_model_difference_is_log_odds():
 def test_score_rejects_wrong_width_vector():
     model, _, _ = fitted({"X": ["a b"], "Y": ["c"]})
     with pytest.raises(VocabularyMismatchError):
-        mnb.score(model, sp.csr_matrix([[1.0]]))
+        mnb.score(model, TfIdfRow(np.array([0]), np.array([1.0]), 1))
 
 
 def test_predicted_is_argmax_of_reported_scores():
@@ -194,11 +194,12 @@ def test_predicted_is_argmax_of_reported_scores():
 
 
 def test_predict_rows_matches_row_by_row_scoring():
-    model, matrix, _ = fitted({"X": ["a b", "a"], "Y": ["b c", "c c"]})
+    texts = {"X": ["a b", "a"], "Y": ["b c", "c c"]}
+    model, matrix, _ = fitted(texts)
     batch = mnb.predict_rows(model, matrix.matrix)
     singles = [
-        mnb.score(model, matrix.matrix[i]).predicted
-        for i in range(matrix.matrix.shape[0])
+        mnb.score(model, tfidf_row(r.text.split(), matrix.vocab)).predicted
+        for r in labeled_corpus(texts).records
     ]
     assert batch == singles
 
@@ -256,10 +257,11 @@ def old_way_scores(model, rows):
     return np.asarray(rows.dot(model.word_logprob.T)) + log_priors
 
 
-def assert_scores_bit_identical(model, rows):
+def assert_scores_bit_identical(model, texts):
+    rows = tfidf(corpus_from_texts(texts), model.vocab).matrix
     expected = old_way_scores(model, rows)
-    for i in range(rows.shape[0]):
-        got = mnb.score(model, rows[i])
+    for i, text in enumerate(texts):
+        got = mnb.score(model, tfidf_row(text.split(), model.vocab))
         assert [got.scores[c] for c in model.classes] == list(expected[i])
     assert mnb.predict_rows(model, rows) == [
         model.classes[k] for k in np.argmax(expected, axis=1)
@@ -271,10 +273,7 @@ def test_scores_are_bit_identical_to_the_direct_product(tmp_path):
     c = random_labeled_corpus(rng, n_palos=4, pool_size=60, doc_len=(0, 40))
     vocab = build_vocabulary(c)
     model = mnb.fit(tfidf(c, vocab), [r.palo for r in c.records], 0.11)
-    probes = tfidf(
-        corpus_from_texts([r.text + " zzz" for r in c.records] + ["", "zzz"]),
-        vocab,
-    ).matrix
+    probes = [r.text + " zzz" for r in c.records] + ["", "zzz"]
     assert_scores_bit_identical(model, probes)
 
     _, (loaded, _) = roundtrip(tmp_path, model)
@@ -289,6 +288,25 @@ def test_scores_are_bit_identical_to_the_direct_product(tmp_path):
     )
     assert by_hand.word_logprob.flags.c_contiguous
     assert_scores_bit_identical(by_hand, probes)
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 8])
+def test_scores_equal_the_csr_product_bit_for_bit(n_classes):
+    # one class too, where a reduction would sum its products pairwise
+    rng = random.Random(n_classes)
+    c = random_labeled_corpus(rng, n_palos=n_classes, pool_size=200, doc_len=(0, 150))
+    full = nonempty_records(c)
+    vocab = build_vocabulary(full)
+    model = mnb.fit(tfidf(full, vocab), [r.palo for r in full.records], 0.11)
+    assert len(model.classes) == n_classes
+    probes = [r.text.split() for r in c.records] + [[], ["zzz"], [vocab.words[3]]]
+    probes += [rng.choices(vocab.words, k=rng.randint(1, 400)) for _ in range(50)]
+    assert max(len(set(t)) for t in probes) > 100
+    for tokens in probes:
+        got = mnb.score(model, tfidf_row(tokens, vocab))
+        want = oracles.csr_score(model, oracles.csr_tfidf_row(tokens, vocab))
+        assert np.array([got.scores[k] for k in model.classes]).tobytes() == want.tobytes()
+        assert got.predicted == model.classes[int(np.argmax(want))]
 
 
 # ---------------------------------------------------------------------------

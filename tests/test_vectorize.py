@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from lexpalo import vectorize
+from lexpalo import mnb, vectorize
 from lexpalo.corpus_io import Corpus
 from lexpalo.errors import VocabularyMismatchError
 from lexpalo.preprocess import default_config, preprocess_corpus
@@ -23,6 +23,13 @@ from helpers import (
 
 def vocab_of(*texts):
     return build_vocabulary(corpus_from_texts(texts))
+
+
+def dense(row):
+    """A :func:`tfidf_row` as a dense vector of its width."""
+    out = np.zeros(row.width)
+    out[row.columns] = row.values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +77,7 @@ def test_tfidf_two_doc_hand_example():
 def test_tfidf_word_in_every_doc_gets_idf_factor_one():
     c = corpus_from_texts(["a b", "a c"])
     vocab = build_vocabulary(c)
-    row = tfidf_row(["a"], vocab).toarray().ravel()
+    row = dense(tfidf_row(["a"], vocab))
     # single-word doc: raw weight (1/1)*(1 + ln(2/2)) = 1, normalized to 1
     assert row[vocab.index["a"]] == 1.0
 
@@ -78,7 +85,7 @@ def test_tfidf_word_in_every_doc_gets_idf_factor_one():
 def test_tfidf_single_in_vocab_word_gives_unit_basis_vector():
     c = corpus_from_texts(["a b c", "b c d"])
     vocab = build_vocabulary(c)
-    row = tfidf_row(["d", "d", "d"], vocab).toarray().ravel()
+    row = dense(tfidf_row(["d", "d", "d"], vocab))
     expected = np.zeros(len(vocab.words))
     expected[vocab.index["d"]] = 1.0
     assert np.array_equal(row, expected)
@@ -95,7 +102,7 @@ def test_tfidf_rows_align_with_corpus_order_and_ids():
     assert tuple(rec.id for rec in c.records) == ("d0", "d1", "d2")
     assert result.matrix.shape == (3, 3)
     for rec, row in zip(c.records, result.matrix):
-        assert np.array_equal(row.toarray(), tfidf_row(rec.text.split(), vocab).toarray())
+        assert np.array_equal(row.toarray().ravel(), dense(tfidf_row(rec.text.split(), vocab)))
 
 
 def test_tfidf_empty_and_all_oov_docs_yield_flagged_zero_rows():
@@ -112,8 +119,8 @@ def test_tfidf_empty_and_all_oov_docs_yield_flagged_zero_rows():
 def test_tfidf_oov_tokens_change_nothing_after_normalization():
     train = corpus_from_texts(["a b", "b c", "a c"])
     vocab = build_vocabulary(train)
-    clean = tfidf_row(["a", "b"], vocab).toarray()
-    noisy = tfidf_row(["a", "b", "zzz", "qqq"], vocab).toarray()
+    clean = dense(tfidf_row(["a", "b"], vocab))
+    noisy = dense(tfidf_row(["a", "b", "zzz", "qqq"], vocab))
     assert np.allclose(clean, noisy, atol=1e-15)
 
 
@@ -131,8 +138,8 @@ def test_tfidf_requires_a_vocabulary():
 def test_tfidf_more_occurrences_shift_weight_toward_the_word():
     train = corpus_from_texts(["a b", "a a b"])
     vocab = build_vocabulary(train)
-    once = tfidf_row(["a", "b"], vocab).toarray().ravel()
-    twice = tfidf_row(["a", "a", "b"], vocab).toarray().ravel()
+    once = dense(tfidf_row(["a", "b"], vocab))
+    twice = dense(tfidf_row(["a", "a", "b"], vocab))
     ia, ib = vocab.index["a"], vocab.index["b"]
     assert twice[ia] / twice[ib] > once[ia] / once[ib]
 
@@ -200,7 +207,7 @@ def test_tfidf_row_against_fixed_vocab_matches_bruteforce():
         vocab = build_vocabulary(c)
         _, words, df = oracles.tfidf_rows(train_tokens)
         probe = [rng.choice(pool + ["zzz"]) for _ in range(rng.randint(0, 6))]
-        got = tfidf_row(probe, vocab).toarray().ravel()
+        got = dense(tfidf_row(probe, vocab))
         expected = oracles.tfidf_row(probe, words, df, len(train_tokens))
         assert np.allclose(got, expected, atol=1e-12, rtol=0.0)
         norm = math.sqrt(float(got @ got))
@@ -252,6 +259,16 @@ def assert_same_csr(got, expected):
     assert got.has_sorted_indices == expected.has_sorted_indices
 
 
+def assert_row_equals_csr(got, expected):
+    """A ``tfidf_row`` holds a 1 x |V| CSR row's columns and values, bit
+    for bit, its columns ascending."""
+    assert expected.shape == (1, got.width)
+    assert got.values.dtype == expected.data.dtype
+    assert got.columns.tolist() == expected.indices.tolist()
+    assert got.values.tobytes() == expected.data.tobytes()
+    assert np.all(np.diff(got.columns) > 0)
+
+
 @pytest.mark.parametrize(
     "train, docs",
     [
@@ -272,7 +289,7 @@ def test_tfidf_equals_per_document_reference(train, docs):
     assert empty_rows(result.matrix) == tuple(empty)
     for i, tokens in enumerate(token_lists):
         row, _ = oracles.tfidf_per_document([tokens], vocab)
-        assert_same_csr(tfidf_row(tokens, vocab), row)
+        assert_row_equals_csr(tfidf_row(tokens, vocab), row)
 
 
 def test_tfidf_equals_per_document_reference_on_random_corpora():
@@ -320,7 +337,7 @@ def test_tfidf_row_equals_its_row_of_tfidf(seed):
     matrix = tfidf(docs, vocab).matrix
     assert matrix.has_sorted_indices
     for i, rec in enumerate(docs.records):
-        assert_same_csr(tfidf_row(rec.text.split(), vocab), matrix[i])
+        assert_row_equals_csr(tfidf_row(rec.text.split(), vocab), matrix[i])
     assert matrix[len(records)].nnz == matrix[len(records) + 1].nnz == 0
 
 
@@ -346,16 +363,29 @@ def test_rows_beyond_ten_thousand_values_are_normalised_without_blas(n_values, p
         # palo X's songs split the tokens, so its first occurrences span both
         cut = len(tokens) // 3
         texts = [" ".join(tokens[:cut]), train[0], " ".join(tokens[cut:])]
-        row = genre_vectors(Corpus(
+        c = Corpus(
             record(f"s{i}", text, palo) for i, (text, palo) in enumerate(zip(texts, "XYX"))
-        ))["X"]
+        )
+        row = genre_vectors(c)["X"]
+        assert_genre_rows_equal_the_csr_rows(c)
         vocab = vocab_of(" ".join(tokens), train[0])  # the palos as documents
+        assert row.shape == (len(vocab.words),)
+        columns, values = np.flatnonzero(row), row[np.flatnonzero(row)]
     else:
-        vocab = build_vocabulary(corpus_from_texts(train + [" ".join(words)]))
+        docs = corpus_from_texts(train + [" ".join(words)])
+        vocab = build_vocabulary(docs)
         if path == "tfidf":
             row = tfidf(corpus_from_texts(train[:1] + [" ".join(tokens)]), vocab).matrix[1]
+            columns, values = row.indices, row.data
         else:
             row = tfidf_row(tokens, vocab)
+            expected = oracles.csr_tfidf_row(tokens, vocab)
+            assert_row_equals_csr(row, expected)
+            model = mnb.fit(tfidf(docs, vocab), ["A", "B", "A", "B"], 0.11)
+            scores = mnb.score(model, row).scores
+            assert np.array([scores["A"], scores["B"]]).tobytes() == \
+                oracles.csr_score(model, expected).tobytes()
+            columns, values, _ = row
 
     counts = {}
     for tok in tokens:
@@ -367,5 +397,51 @@ def test_rows_beyond_ten_thousand_values_are_normalised_without_blas(n_values, p
     else:
         vals /= np.linalg.norm(vals)
     order = np.argsort(cols)
-    assert np.array_equal(row.indices, cols[order])
-    assert np.array_equal(row.data, vals[order])
+    assert np.array_equal(columns, cols[order])
+    assert np.array_equal(values, vals[order])
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the CSR constructions of one text's row and the genre rows
+
+
+def test_tfidf_row_equals_the_csr_row():
+    rng = random.Random(23)
+    processed = preprocess_corpus(generated_corpus(3), default_config())
+    vocab = build_vocabulary(Corpus(processed.records[::2]))
+    probes = [r.text.split() for r in processed.records]
+    probes += [[], ["zzz"], [vocab.words[0]], [vocab.words[-1]] * 3, ["zzz", vocab.words[1]]]
+    probes += [rng.choices(vocab.words + ("zzz",), k=rng.randint(1, 60)) for _ in range(200)]
+    assert any(not t for t in probes)
+    for tokens in probes:
+        expected = oracles.csr_tfidf_row(tokens, vocab)
+        row = tfidf_row(tokens, vocab)
+        assert_row_equals_csr(row, expected)
+        assert np.array_equal(dense(row), expected.toarray().ravel())
+    # one-entry rows are unit basis vectors
+    for word in vocab.words[:20]:
+        assert tfidf_row([word, "zzz"], vocab).values.tolist() == [1.0]
+
+
+def assert_genre_rows_equal_the_csr_rows(c):
+    got = genre_vectors(c)
+    expected = oracles.csr_genre_vectors(c)
+    assert list(got) == list(expected)
+    for palo, row in got.items():
+        assert row.dtype == np.float64
+        assert row.shape == (expected[palo].shape[1],)
+        assert row.tobytes() == expected[palo].toarray().ravel().tobytes()
+        assert np.flatnonzero(row).tolist() == expected[palo].indices.tolist()
+
+
+def test_genre_vectors_equal_the_csr_rows():
+    rng = random.Random(29)
+    corpora = [preprocess_corpus(generated_corpus(seed), default_config()) for seed in (1, 2)]
+    corpora += [random_labeled_corpus(rng, n_palos=4, pool_size=30, doc_len=(0, 25))
+                for _ in range(20)]
+    # a palo of one one-word song, beside empty songs
+    corpora.append(Corpus([record("a", "w1", "A"), record("b", "", "B"),
+                           record("c", "w2 w1 w2", "B"), record("d", "", "A")]))
+    for c in corpora:
+        assert_genre_rows_equal_the_csr_rows(c)
+    assert genre_vectors(corpora[-1])["A"].tolist() == [1.0, 0.0]
