@@ -1,16 +1,20 @@
 """Module boundaries: no module of the package uses another's private
-names, every package name the benchmark reads exists, and the README's
-library usage block runs."""
+names, every package name the benchmark reads exists, every identity check
+runs every command, and the README's library usage block runs."""
 
+import argparse
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
+import os
 import random
 from pathlib import Path
 
 import lexpalo
 import lexpalo.cli  # noqa: F401  (every module of the package loaded)
+import lexpalo.experiments  # noqa: F401  (cli imports it only where a command fits)
 
 from helpers import random_labeled_corpus, save_corpus
 
@@ -124,6 +128,40 @@ def test_every_package_name_the_benchmark_reads_resolves():
                        name.rpartition(".")[2])
     }
     assert sorted(unresolved - STALE) == []
+
+
+def _identity_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_identity_check_runs_every_command():
+    parser = lexpalo.cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert "classify" in subparsers.choices
+    for check in _identity_tool().CHECKS:
+        assert {command[0] for command in check.commands} == set(subparsers.choices), check.name
+
+
+def test_identity_names_the_first_file_that_differs(tmp_path):
+    first_difference = _identity_tool()._first_difference
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "sub").mkdir(parents=True)
+        (root / "sub" / "y.txt").write_bytes(b"same")
+        (root / "x.txt").write_bytes(b"same")
+    assert first_difference(a, b) is None
+    (b / "z.txt").write_bytes(b"")
+    assert first_difference(a, b) == "z.txt"
+    assert first_difference(b, a) == "z.txt"
+    # same size and modification time, other bytes
+    (b / "sub" / "y.txt").write_bytes(b"diff")
+    os.utime(b / "sub" / "y.txt", ns=(0, 0))
+    os.utime(a / "sub" / "y.txt", ns=(0, 0))
+    assert first_difference(a, b) == os.path.join("sub", "y.txt")
 
 
 def test_readme_library_usage_block_runs(tmp_path):
