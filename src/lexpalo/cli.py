@@ -43,7 +43,7 @@ from .corpus_io import (
 )
 from .errors import CorpusIoError, FormatError, LexpaloError
 from .seeding import derive_seed
-from .vectorize import build_vocabulary, genre_vectors, tfidf, tfidf_row
+from .vectorize import fit_tfidf, genre_vectors, tfidf_row
 
 THREADS_ENV_VAR = "LEXPALO_THREADS"
 
@@ -303,9 +303,7 @@ def _train(config: RunConfig, raw, processed, pipeline):
 
     # One model over the whole corpus for later classification.
     full = nonempty_records(processed)
-    vocab = build_vocabulary(full)
-    matrix = tfidf(full, vocab)
-    model = mnb.fit(matrix, [r.palo for r in full.records], config.alpha)
+    model = mnb.fit(fit_tfidf(full), [r.palo for r in full.records], config.alpha)
     reports["model.json"] = model.to_json(pipeline.to_dict())
     return reports, (
         f"train: {config.runs} runs at alpha={config.alpha}; mean global "

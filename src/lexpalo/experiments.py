@@ -10,18 +10,18 @@ training side only -> naive-Bayes fit (documents that lost all tokens in
 preprocessing are excluded from the training side) -> every validation
 document scored, including empty ones (scored by priors alone).
 
-Each call encodes the corpus once, from the entries of
-:func:`vectorize.encode`, into integer counts and term frequencies (count /
-document length) over the sorted vocabulary of the whole corpus, with each
-stored entry's word and class cell and each word's document count. A run
-draws only its validation side. Its vocabulary, in sorted order, is the
-words whose document count less the validation documents' is positive; its
-TF-IDF weights are computed for every entry, the validation documents' as
-exactly +0.0, and one bincount over the class cells sums each class's
-masses in document order. So its weights and masses are those
-:mod:`vectorize` and :mod:`mnb` compute from text, up to the last bit of a
-row's norm, whose squares a run adds in word order and :mod:`vectorize` in
-the order in which the row's words first occur.
+Each call encodes the corpus once, by :func:`vectorize.encode`: an entry
+per (document, word) pair over the sorted vocabulary of the whole corpus,
+with the tables every run reads (document offsets, each entry's word, term
+frequency (count / document length) and class cell, and each word's
+document count). A run draws only its validation side. Its vocabulary, in
+sorted order, is the words whose document count less the validation
+documents' is positive; its TF-IDF weights are computed for every entry,
+the validation documents' as exactly +0.0, and one bincount over the class
+cells sums each class's masses in document order. So its weights and
+masses are those :mod:`vectorize` and :mod:`mnb` compute from text, up to
+the last bit of a row's norm, whose squares a run adds in word order and
+:mod:`vectorize` in the order in which the row's words first occur.
 
 The alpha sweep scores each validation document at a few Chebyshev nodes
 in ln alpha and interpolates to every alpha the margins of its true class
@@ -46,7 +46,7 @@ from .corpus_io import Corpus, SplitSpec, split_positions
 from .errors import EmptyCorpusError, InconsistentClassesError, NoThresholdError
 from .mnb import check_alpha
 from .seeding import derive_seed
-from .vectorize import encode
+from .vectorize import Entries, encode
 
 DEFAULT_EPSILON = 1e-9
 # A sweep grid holds at most this many alphas, so each is at least 1e-5.
@@ -110,38 +110,6 @@ class EssentialWordReport:
     n_runs: int
 
 
-@dataclass(frozen=True)
-class _Encoding:
-    """A corpus as integer token counts and term frequencies over its sorted
-    vocabulary, with per-entry tables that every run indexes."""
-
-    corpus: Corpus
-    counts: sp.csr_matrix  # documents x words
-    tf: sp.csr_matrix  # counts / lengths, with the structure of ``counts``
-    lengths: np.ndarray  # tokens per document
-    classes: tuple[str, ...]  # sorted palos
-    labels: np.ndarray  # position in ``classes`` per document
-    words: tuple[str, ...]
-    word: np.ndarray  # per entry of ``tf``, its word (``tf.indices`` as intp)
-    cell: np.ndarray  # per entry, label * len(words) + word
-    df: np.ndarray  # per word, the documents that use it
-
-
-def _encode(corpus: Corpus) -> _Encoding:
-    e = encode(corpus)
-    n_docs, n_words = len(e.lengths), len(e.words)
-    row, word = e.doc.astype(np.intp), e.word.astype(np.intp)
-    indptr = np.searchsorted(row, np.arange(n_docs + 1))
-    counts = sp.csr_matrix((e.count, e.word, indptr), shape=(n_docs, n_words))
-    # ``len`` counts every token, as :func:`vectorize.tfidf` does
-    tf = sp.csr_matrix((e.count / e.lengths[row], counts.indices, counts.indptr),
-                       shape=counts.shape)
-    cell = e.label[row] * n_words + word
-    df = np.bincount(word, minlength=n_words)
-    return _Encoding(corpus, counts, tf, e.lengths, e.classes, e.label, e.words, word,
-                     cell, df)
-
-
 def _entries(indptr: np.ndarray, docs: np.ndarray):
     """The stored entries of rows ``docs`` of a CSR matrix with ``indptr``,
     in order, and the indptr of those rows as a matrix of their own."""
@@ -166,9 +134,12 @@ class _Fit:
     log_prior: np.ndarray
     validation: np.ndarray  # validation document positions
     norms: np.ndarray  # per validation document, its TF-IDF row's L2 norm
+    # the validation documents' entries, in order, and their indptr
+    entries: np.ndarray
+    indptr: np.ndarray
 
 
-def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
+def _fit_split(enc: Entries, spec: SplitSpec) -> _Fit:
     """Split, vocabulary, TF-IDF and class masses of one run."""
     validation = split_positions(enc.corpus, spec)
     train = enc.lengths > 0
@@ -176,8 +147,8 @@ def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
     n_train = np.count_nonzero(train)
     if not n_train:
         raise EmptyCorpusError(f"no training document of seed {spec.seed} has tokens")
-    entries, _ = _entries(enc.tf.indptr, validation)
-    df = enc.df - np.bincount(enc.word[entries], minlength=len(enc.words))
+    entries, indptr = _entries(enc.indptr, validation)
+    df = enc.df - np.bincount(enc.column[entries], minlength=len(enc.words))
     in_vocabulary = df > 0
     idf = np.zeros(len(enc.words))
     idf[in_vocabulary] = 1.0 + np.log(n_train / df[in_vocabulary])
@@ -186,18 +157,19 @@ def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
     # weights into +0.0, which leave each class cell's sum over the training
     # entries as it is. The product with ones adds each row's squares in
     # order from 0.0, as a bincount over the rows does, and faster.
-    weight = idf[enc.word]
-    weight *= enc.tf.data
-    squares = sp.csr_matrix((weight * weight, enc.tf.indices, enc.tf.indptr), enc.tf.shape)
+    weight = idf[enc.column]
+    weight *= enc.tf
+    squares = sp.csr_matrix((weight * weight, enc.word, enc.indptr),
+                            (len(enc.lengths), len(idf)))
     norms = np.sqrt(squares @ np.ones(len(idf)))
     validation_norms = norms[validation]
     norms[validation] = np.inf
-    weight /= np.repeat(norms, np.diff(enc.tf.indptr))
+    weight /= np.repeat(norms, np.diff(enc.indptr))
     n_classes = len(enc.classes)
     mass = np.bincount(enc.cell, weights=weight, minlength=n_classes * len(idf))
     mass = mass.reshape(n_classes, len(idf))
     # A palo without training documents gets no class, so no -inf prior.
-    doc_counts = np.bincount(enc.labels[train], minlength=n_classes)
+    doc_counts = np.bincount(enc.label[train], minlength=n_classes)
     classes = np.flatnonzero(doc_counts)
     # rows kept C-contiguous (``mass[:, in_vocabulary]`` is not), so each
     # sums as the masses over the vocabulary alone do
@@ -205,22 +177,21 @@ def _fit_split(enc: _Encoding, spec: SplitSpec) -> _Fit:
     totals, least = vocabulary_mass.sum(axis=1), vocabulary_mass.min(axis=1)
     log_prior = np.log(doc_counts[classes] / n_train)
     return _Fit(in_vocabulary, vocabulary_mass.shape[1], idf, classes, mass, totals, least,
-                log_prior, validation, validation_norms)
+                log_prior, validation, validation_norms, entries, indptr)
 
 
-def _validation_rows(enc: _Encoding, fit: _Fit):
+def _validation_rows(enc: Entries, fit: _Fit):
     """The validation documents' classes, their TF-IDF rows over the
     run-vocabulary words they use, and those words' class masses (used words
     x classes, the layout ``rows @`` multiplies without a copy)."""
-    docs = fit.validation
-    entries, indptr = _entries(enc.tf.indptr, docs)
-    word = enc.word[entries]
+    docs, entries = fit.validation, fit.entries
+    word = enc.column[entries]
     # validation rows may use words outside the run's vocabulary
     keep = fit.in_vocabulary[word]
-    indptr = np.r_[0, np.cumsum(keep)][indptr]
+    indptr = np.r_[0, np.cumsum(keep)][fit.indptr]
     entries, word = entries[keep], word[keep]
     weight = fit.idf[word]
-    weight *= enc.tf.data[entries]
+    weight *= enc.tf[entries]
     weight /= np.repeat(fit.norms, np.diff(indptr))
     # the words the documents use, in order, and each entry's place among them
     used = np.zeros(len(enc.words), dtype=bool)
@@ -229,7 +200,7 @@ def _validation_rows(enc: _Encoding, fit: _Fit):
     used = np.flatnonzero(used)
     rows = sp.csr_matrix((weight, col, indptr), shape=(len(docs), len(used)))
     mass = np.ascontiguousarray(fit.mass[np.ix_(fit.classes, used)].T)
-    return enc.labels[docs], rows, mass
+    return enc.label[docs], rows, mass
 
 
 def _log_denominators(fit: _Fit, alphas) -> np.ndarray:
@@ -249,7 +220,7 @@ def _scores(fit: _Fit, rows, mass, alpha: float) -> np.ndarray:
     return scores
 
 
-def _training_run(enc: _Encoding, alpha: float, spec: SplitSpec) -> TrainingResult:
+def _training_run(enc: Entries, alpha: float, spec: SplitSpec) -> TrainingResult:
     fit = _fit_split(enc, spec)
     truth, rows, mass = _validation_rows(enc, fit)
     predicted = fit.classes[np.argmax(_scores(fit, rows, mass, alpha), axis=1)]
@@ -384,7 +355,9 @@ def _sweep_margins(fit: _Fit, true: np.ndarray, rows, mass, alphas):
     rounding *= lam + log_denom + np.abs(s).max() + 2
     bound = weight * error + 2.0**-44 * (rounding + 8 * np.abs(fit.log_prior).max())
     block = max(1, _BLOCK_BYTES // margins[0].nbytes)
-    margins = margins.reshape(len(nodes), -1)
+    # C-ordered: the fancy indexing above leaves the nodes innermost in
+    # memory, and each product below reads the margins a node at a time
+    margins = np.ascontiguousarray(margins.reshape(len(nodes), -1))
     for start in range(0, len(alphas), block):
         span = slice(start, start + block)
         matrix = _interpolation_matrix(nodes, s[span])
@@ -396,7 +369,7 @@ def _sweep_margins(fit: _Fit, true: np.ndarray, rows, mass, alphas):
         yield span, least, np.multiply.outer(1 + np.abs(matrix).sum(axis=1), bound)
 
 
-def _sweep_run(enc: _Encoding, grid: tuple[float, ...], spec: SplitSpec) -> np.ndarray:
+def _sweep_run(enc: Entries, grid: tuple[float, ...], spec: SplitSpec) -> np.ndarray:
     """One run's validation accuracy at every alpha of the grid. A document
     of a palo without training documents is a miss, and one of the only
     fitted palo, when a split fits one, a hit. Otherwise a pair is a hit when
@@ -428,11 +401,11 @@ def _sweep_run(enc: _Encoding, grid: tuple[float, ...], spec: SplitSpec) -> np.n
 
 
 # set in pool workers by _init_worker
-_worker_encoding: _Encoding | None = None
+_worker_encoding: Entries | None = None
 _worker_param = None
 
 
-def _init_worker(enc: _Encoding, param) -> None:
+def _init_worker(enc: Entries, param) -> None:
     global _worker_encoding, _worker_param
     _worker_encoding, _worker_param = enc, param
 
@@ -442,10 +415,17 @@ def _in_worker(task):
     return run(_worker_encoding, _worker_param, spec)
 
 
-def _map_runs(enc: _Encoding, run, param, specs: list[SplitSpec], threads: int) -> list:
+def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) -> list:
     """``run(enc, param, spec)`` per spec, in order; worker processes, at
-    most one per spec and per CPU, receive the encoding and ``param`` once,
-    at start-up."""
+    most one per spec and per CPU, receive the encoding, with the tables the
+    runs read, and ``param`` once, at start-up. The encoding loses its first
+    positions, which no run reads."""
+    _ = enc.indptr, enc.column, enc.tf, enc.cell, enc.df  # made once, before any fork
+    # Deleted after the tables are made, the first positions leave the
+    # memory that forked workers' runs reuse; kept, a worker could grow and
+    # trim its heap at every run, and pooled training rounds took twice as
+    # long.
+    object.__delattr__(enc, "first")
     workers = min(threads, len(specs), os.cpu_count() or 1)
     if workers <= 1:
         return [run(enc, param, spec) for spec in specs]
@@ -477,7 +457,7 @@ def run_trainings(
     identical to the sequential order either way.
     """
     specs = _run_specs(split, n_runs)
-    enc = _encode(corpus)
+    enc = encode(corpus)
     check_alpha(alpha, len(enc.words))
     return _map_runs(enc, _training_run, alpha, specs, threads)
 
@@ -548,7 +528,7 @@ def alpha_sweep(
     """
     specs = _run_specs(split, n_runs)
     grid = alpha_grid(grid_step)
-    per_run = _map_runs(_encode(corpus), _sweep_run, grid, specs, threads)
+    per_run = _map_runs(encode(corpus), _sweep_run, grid, specs, threads)
     mean_accuracy = np.mean(per_run, axis=0)
     best_alpha = grid[int(np.argmax(mean_accuracy))]
     return AlphaSweepResult(
@@ -580,7 +560,7 @@ def essential_words(
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    enc = _encode(corpus)
+    enc = encode(corpus)
     check_alpha(alpha, len(enc.words))
     n_classes, n_words = len(enc.classes), len(enc.words)
     # palos x every word: a run's full-width masses are 0.0 outside its

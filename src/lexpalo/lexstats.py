@@ -179,16 +179,15 @@ def hapax_report(
     are the (song, word) entries of :func:`vectorize.encode`.
     """
     corpus, e = tok.corpus, encode(tok.corpus)
-    label = e.label[e.doc]
-    present = np.zeros((len(e.classes), len(e.words)), dtype=bool)
-    present[label, e.word] = True
+    shape = (len(e.classes), len(e.words))
+    present = np.bincount(e.cell, minlength=shape[0] * shape[1]).reshape(shape) > 0
     exclusive = present & (present.sum(axis=0) == 1)
     rows = dict(zip(e.classes, exclusive))
     unique = {palo: frozenset(map(e.words.__getitem__, np.flatnonzero(rows[palo]).tolist()))
               for palo in corpus.palos}
     # per song, its types exclusive to its palo and all its types
-    hits = np.bincount(e.doc[exclusive[label, e.word]], minlength=len(corpus.records))
-    types = np.bincount(e.doc, minlength=len(corpus.records)).tolist()
+    hits = np.bincount(e.doc[exclusive.reshape(-1)[e.cell]], minlength=len(corpus.records))
+    types = np.diff(e.indptr).tolist()
     per_song = [(rec.id, h / n)
                 for rec, h, n in zip(corpus.records, hits.tolist(), types) if n]
     shared: dict[str, int] = {}

@@ -13,11 +13,13 @@ the tf denominator, which cancels under normalization).
 
 Every corpus-level call reads one encoding of the corpus's word ids,
 :func:`encode`: an entry per (record, word) pair, with the word's count in
-the record and the place of its first token. The vocabulary's document
-frequencies count the entries of each word; a row's norm is taken over its
-values in the order in which its words first occur, as :func:`tfidf_row`
-takes it over the words of one text. The experiment rounds of
-:mod:`experiments` read the same encoding.
+the record and the place of its first token, and the tables made from them
+on first read (record offsets, term frequencies, (palo, word) cells,
+document frequencies). The vocabulary's document frequencies count the
+entries of each word; a row's norm is taken over its values in the order in
+which its words first occur, as :func:`tfidf_row` takes it over the words of
+one text. The experiment rounds of :mod:`experiments` read the same
+encoding and its tables.
 
 Only :func:`tfidf` builds a SciPy matrix, and only it imports SciPy: one
 text's row is two numpy arrays, and the genre vectors are dense rows.
@@ -54,9 +56,12 @@ class Vocabulary:
     @cached_property
     def idf(self) -> np.ndarray:
         """``1 + ln(n_docs / df)`` per word, computed once per vocabulary."""
-        idf = 1.0 + np.log(self.n_docs / np.asarray(self.df, dtype=float))
-        idf.flags.writeable = False
-        return idf
+        return _read_only(1.0 + np.log(self.n_docs / np.asarray(self.df, dtype=float)))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,10 @@ class TfIdfRow(NamedTuple):
 @dataclass(frozen=True)
 class Entries:
     """A corpus's tokens as one entry per (record, word) pair it holds,
-    ordered by record, then word, and each record's palo."""
+    ordered by record, then word, and each record's palo. The tables its
+    readers share are read-only properties, made on first read."""
 
+    corpus: Corpus  # the corpus encoded
     words: tuple[str, ...]  # the corpus's words, sorted
     classes: tuple[str, ...]  # the corpus's palos, sorted
     label: np.ndarray  # per record, its palo's place in ``classes``
@@ -89,6 +96,31 @@ class Entries:
     word: np.ndarray  # per entry (int32), its place in ``words``
     count: np.ndarray  # per entry (int32), its record's tokens of that word
     first: np.ndarray  # per entry, its first token's place in the corpus's ids
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        """Per record, the place of its first entry; the entry count last."""
+        return _read_only(np.searchsorted(self.doc, np.arange(len(self.lengths) + 1)))
+
+    @cached_property
+    def column(self) -> np.ndarray:
+        """Per entry, ``word`` as an intp index."""
+        return _read_only(self.word.astype(np.intp))
+
+    @cached_property
+    def tf(self) -> np.ndarray:
+        """Per entry, its count over its record's tokens (every token counts)."""
+        return _read_only(self.count / self.lengths[self.doc])
+
+    @cached_property
+    def cell(self) -> np.ndarray:
+        """Per entry, its (palo, word) cell: label * len(words) + word."""
+        return _read_only(self.label[self.doc] * len(self.words) + self.word)
+
+    @cached_property
+    def df(self) -> np.ndarray:
+        """Per word, the records that hold it."""
+        return _read_only(np.bincount(self.word, minlength=len(self.words)))
 
 
 def encode(corpus: Corpus) -> Entries:
@@ -123,26 +155,29 @@ def encode(corpus: Corpus) -> Entries:
         blocks.append((*small, t0 + (head & ((1 << shift) - 1))))
         r0 = r1
     doc, word, count, first = map(np.concatenate, zip(*blocks))
-    return Entries(tuple(map(tok.words.__getitem__, order)), classes, label, lengths,
-                   doc, word, count, first)
+    return Entries(corpus, tuple(map(tok.words.__getitem__, order)), classes, label,
+                   lengths, doc, word, count, first)
 
 
 def build_vocabulary(train: Corpus) -> Vocabulary:
     """Collect the training corpus vocabulary, sorted lexicographically,
     with per-word document frequencies and the training document count."""
-    entries = encode(train)
-    return _vocabulary_of(entries.words, entries.word, len(train.records))
+    return _vocabulary(encode(train))
 
 
-def _vocabulary_of(words: tuple[str, ...], word: np.ndarray, n_docs: int) -> Vocabulary:
-    """The vocabulary of ``n_docs`` documents over the sorted ``words``,
-    whose (document, word) entries hold the words at places ``word``. Each
-    word has an entry, since :func:`corpus_io.word_ids` numbers only the
-    words it meets."""
+def _vocabulary(e: Entries) -> Vocabulary:
+    """The vocabulary of the encoded records. Each word has an entry, since
+    :func:`corpus_io.word_ids` numbers only the words it meets."""
+    return _vocabulary_of(e.words, e.df, len(e.lengths))
+
+
+def _vocabulary_of(words: tuple[str, ...], df: np.ndarray, n_docs: int) -> Vocabulary:
+    """The vocabulary of ``n_docs`` documents over the sorted ``words``, of
+    which ``df`` documents use each."""
     return Vocabulary(
         words=words,
         index={w: i for i, w in enumerate(words)},
-        df=tuple(np.bincount(word, minlength=len(words)).tolist()),
+        df=tuple(df.tolist()),
         n_docs=n_docs,
     )
 
@@ -190,15 +225,26 @@ def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
     :func:`tfidf_row` takes it. Words outside ``vocab`` are dropped but
     count in their row's length.
     """
+    return _tfidf(encode(docs), vocab)
+
+
+def fit_tfidf(corpus: Corpus) -> TfIdfMatrix:
+    """:func:`tfidf` of a corpus against its own :func:`build_vocabulary`,
+    from one encoding."""
+    e = encode(corpus)
+    return _tfidf(e, _vocabulary(e))
+
+
+def _tfidf(e: Entries, vocab: Vocabulary) -> TfIdfMatrix:
+    """:func:`tfidf` of the encoded records."""
     import scipy.sparse as sp  # here, so that commands building no matrix never load it
 
     _check_vocabulary(vocab)
-    e = encode(docs)
     column = np.fromiter((vocab.index.get(w, -1) for w in e.words), np.int64, len(e.words))
     column = column[e.word]
     kept = column >= 0
     row, column = e.doc[kept], column[kept]
-    vals = e.count[kept] / e.lengths[row] * vocab.idf[column]
+    vals = e.tf[kept] * vocab.idf[column]
     indptr = np.searchsorted(row, np.arange(len(e.lengths) + 1))
     ordered = vals[np.lexsort((e.first[kept], row))]
     norms = list(map(_norm, np.split(ordered, indptr[1:-1])))
@@ -220,11 +266,10 @@ def genre_vectors(corpus: Corpus) -> dict[str, np.ndarray]:
     # the records' entries reduced to (palo, word) cells: counts summed, and
     # the first position the least, which is the one of the palo's earliest
     # record
-    cell = e.label[e.doc] * shape[1] + e.word
-    count = np.bincount(cell, weights=e.count, minlength=shape[0] * shape[1]).reshape(shape)
+    count = np.bincount(e.cell, weights=e.count, minlength=shape[0] * shape[1]).reshape(shape)
     first = np.full(shape, np.iinfo(np.int64).max)
-    np.minimum.at(first.reshape(-1), cell, e.first)
-    idf = _vocabulary_of(e.words, np.nonzero(count)[1], shape[0]).idf
+    np.minimum.at(first.reshape(-1), e.cell, e.first)
+    idf = _vocabulary_of(e.words, np.count_nonzero(count, axis=0), shape[0]).idf
     # each palo's row of counts becomes its unit row in place
     for row, firsts, length in zip(count, first, lengths):
         cols = np.flatnonzero(row)

@@ -480,6 +480,12 @@ def test_genre_vectors_equal_the_joined_text_oracle():
             assert np.array_equal(row[row != 0], expected[palo].data)
 
 
+def encoding_with_round_tables(c):
+    """The corpus's encoding with the tables the experiment rounds read."""
+    e = encode(c)
+    return e, e.indptr, e.column, e.tf, e.cell, e.df
+
+
 def test_streamed_passes_hold_no_token_list():
     # about 200k tokens over 50 types: a token list alone would take
     # 1.6 MB of pointers, the token strings about 10 MB more. Each pass gets
@@ -499,7 +505,7 @@ def test_streamed_passes_hold_no_token_list():
         "tfidf": lambda c: tfidf(c, vocab),
         "genre vectors": genre_vectors,
         "encode": encode,
-        "experiment encoding": experiments._encode,
+        "experiment encoding": encoding_with_round_tables,
     }
     for name, run in passes.items():
         c = Corpus(records)

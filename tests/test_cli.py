@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexpalo import Corpus, cli, corpus_io, experiments, load_corpus, mnb, preprocess
+from lexpalo import Corpus, cli, corpus_io, experiments, load_corpus, mnb, preprocess, vectorize
 from lexpalo.errors import (
     CorpusIoError, LabelMismatchError, LexpaloError, ModelFormatError,
 )
@@ -278,6 +278,23 @@ def test_train_tokenizes_the_corpus_once(corpus_file, tmp_path, monkeypatch):
     assert cli.main(train_args(corpus_file, tmp_path / "train")) == 0
     # preprocessing's call: the rounds and the full-corpus model reuse its ids
     assert calls == [18]
+
+
+def test_train_encodes_the_corpus_twice(corpus_file, tmp_path, monkeypatch):
+    calls, encode = [], vectorize.encode
+
+    def counted(corpus):
+        calls.append(len(corpus.records))
+        return encode(corpus)
+
+    # every lexpalo module that holds the function, under any name
+    for module in [m for name, m in sys.modules.items() if name.startswith("lexpalo")]:
+        for name, value in list(vars(module).items()):
+            if value is encode:
+                monkeypatch.setattr(module, name, counted)
+    assert cli.main(train_args(corpus_file, tmp_path / "train")) == 0
+    # the rounds' encoding, then the model's, of the records that hold tokens
+    assert calls == [18, 18]
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,14 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lexpalo import experiments
 from lexpalo.corpus_io import Corpus, SplitSpec, filter_top_palos
 from lexpalo.errors import AlphaNonPositiveError, InconsistentClassesError
 from lexpalo.preprocess import default_config, preprocess_corpus
 from lexpalo.seeding import derive_seed
+from lexpalo.vectorize import encode
 
 import oracles
 from helpers import (
@@ -72,7 +74,7 @@ EMPTY_PALO_RUNS = SplitSpec(train_fraction=0.5, seed=29)
 def run_training(corpus, alpha, split):
     """One seeded split + fit + validation round, as run_trainings runs each
     of its rounds."""
-    enc = experiments._encode(corpus)
+    enc = encode(corpus)
     experiments.check_alpha(alpha, len(enc.words))
     return experiments._training_run(enc, alpha, split)
 
@@ -456,7 +458,7 @@ SCREEN_CORPORA = {
 
 @pytest.fixture(scope="module")
 def screen_encodings():
-    return {name: experiments._encode(make()) for name, make in SCREEN_CORPORA.items()}
+    return {name: encode(make()) for name, make in SCREEN_CORPORA.items()}
 
 
 def counting_rescore(monkeypatch):
@@ -521,7 +523,7 @@ def test_sweep_rescores_only_the_splits_with_uncertified_pairs(screen_encodings,
     n_validation = len(oracles.stratified_positions(enc.corpus, specs[0])[1])
     assert pairs == [len(grid) * n_validation] * 6
     pairs.clear()
-    enc = experiments._encode(SEPARABLE)
+    enc = encode(SEPARABLE)
     for spec in experiments._run_specs(HALF, 6):
         experiments._sweep_run(enc, grid, spec)
     assert pairs == []
@@ -548,17 +550,40 @@ def test_sweep_hits_equal_the_float64_loop_with_a_partial_last_product(
         )
 
 
+def count_matrix(enc):
+    """The integer token counts of an encoding's entries, documents x words."""
+    indptr = np.searchsorted(enc.doc, np.arange(len(enc.lengths) + 1))
+    return sp.csr_matrix((enc.count, enc.word, indptr), shape=(len(enc.lengths), len(enc.words)))
+
+
+def test_sweep_products_read_c_ordered_operands(screen_encodings, monkeypatch):
+    # with Fortran-ordered node margins, a reference-shape split took about
+    # 1.5 times as long
+    operands, matmul = [], np.matmul
+
+    def spy(*args, **kwargs):
+        operands.extend(args[:2])
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    spec = experiments._run_specs(SplitSpec(0.85, 5), 1)[0]
+    experiments._sweep_run(screen_encodings["reference"], experiments.alpha_grid(0.005), spec)
+    assert operands
+    assert all(a.flags.c_contiguous for a in operands)
+
+
 def oracle_accuracies(enc, spec, grid):
     """The float64 loop's validation accuracy of one split at every alpha."""
     train, validation = map(np.asarray, oracles.stratified_positions(enc.corpus, spec))
     train = train[enc.lengths[train] > 0]
+    counts = count_matrix(enc)
     reference = oracles.fit_from_counts(
-        enc.counts, enc.lengths, enc.labels, len(enc.classes), train
+        counts, enc.lengths, enc.label, len(enc.classes), train
     )
-    truth = enc.labels[validation]
+    truth = enc.label[validation]
     return [
         np.count_nonzero(
-            oracles.predict_from_counts(enc.counts, enc.lengths, validation, reference, alpha)
+            oracles.predict_from_counts(counts, enc.lengths, validation, reference, alpha)
             == truth
         )
         / len(truth)
@@ -791,7 +816,7 @@ def test_essential_rejects_epsilons_outside_the_domain_before_any_round(
     def no_encoding(*args):
         raise AssertionError("corpus encoded")
 
-    monkeypatch.setattr(experiments, "_encode", no_encoding)
+    monkeypatch.setattr(experiments, "encode", no_encoding)
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
         experiments.essential_words(SEPARABLE, 0.5, 3, HALF, epsilon=epsilon)
 
@@ -1042,17 +1067,19 @@ def sorted_vocabulary_encoding(corpus):
 def test_encoding_matches_a_sorted_vocabulary_encoding(seed):
     corpus = with_empty_records(mixed_corpus(seed), seed)
     assert any(not rec.text for rec in corpus.records)
-    encoding = experiments._encode(corpus)
+    encoding = encode(corpus)
+    counts = count_matrix(encoding)
     words, indptr, indices, data, lengths = sorted_vocabulary_encoding(corpus)
     assert encoding.words == words
-    assert encoding.counts.indptr.tolist() == indptr
-    assert encoding.counts.indices.tolist() == indices
-    assert encoding.counts.data.tolist() == data
+    assert counts.indptr.tolist() == indptr
+    assert counts.indices.tolist() == indices
+    assert counts.data.tolist() == data
     assert encoding.lengths.tolist() == lengths
-    assert encoding.tf.indptr.tolist() == indptr
-    assert encoding.tf.indices.tolist() == indices
+    # the tables the rounds read in place of a term-frequency matrix
+    assert encoding.indptr.tolist() == indptr
+    assert encoding.column.tolist() == indices
     rows = np.repeat(np.arange(len(lengths)), np.diff(indptr))
-    assert encoding.tf.data.tolist() == [
+    assert encoding.tf.tolist() == [
         count / lengths[r] for count, r in zip(data, rows)
     ]
 
@@ -1086,14 +1113,15 @@ def test_rounds_equal_the_from_counts_construction(seed):
         # palo C's training side holds only emptied songs
         (EMPTY_PALO, EMPTY_PALO_RUNS),
     ):
-        enc = experiments._encode(corpus)
+        enc = encode(corpus)
+        counts = count_matrix(enc)
         assert not all(enc.lengths)
         for spec in experiments._run_specs(split, 3 if corpus is EMPTY_PALO else 10):
             fit = experiments._fit_split(enc, spec)
             train, validation = map(np.asarray, oracles.stratified_positions(corpus, spec))
             train = train[enc.lengths[train] > 0]
             reference = oracles.fit_from_counts(
-                enc.counts, enc.lengths, enc.labels, len(enc.classes), train
+                counts, enc.lengths, enc.label, len(enc.classes), train
             )
             position, idf, classes, mass, log_prior = reference
             assert same_bits(fit.in_vocabulary, position >= 0)
@@ -1112,13 +1140,13 @@ def test_rounds_equal_the_from_counts_construction(seed):
             assert same_bits(fit.validation, validation)
             subsets += len(fit.classes) < len(enc.classes)
             truth, rows, mass = experiments._validation_rows(enc, fit)
-            assert same_bits(truth, enc.labels[validation])
+            assert same_bits(truth, enc.label[validation])
             for alpha in (1e-6, 0.11, 0.5, 1.0, 7.0):
                 scores = experiments._scores(fit, rows, mass, alpha)
                 assert same_bits(
                     fit.classes[np.argmax(scores, axis=1)],
                     oracles.predict_from_counts(
-                        enc.counts, enc.lengths, validation, reference, alpha
+                        counts, enc.lengths, validation, reference, alpha
                     ),
                 )
     assert subsets == 3  # every EMPTY_PALO run fits two of three classes

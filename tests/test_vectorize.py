@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -244,6 +245,47 @@ def test_encoding_counts_each_record_in_blocks_of_any_size(monkeypatch, block):
                         e.first.tolist())) == expected
 
 
+def test_encoding_tables_equal_their_direct_recomputation():
+    # every fourth record emptied, and others drawn empty, so palos hold no
+    # tokens in some of their records; the last corpus has a palo without any
+    rng = random.Random(17)
+    corpora = [
+        Corpus(replace(r, text="") if i % 4 == 0 else r for i, r in enumerate(c.records))
+        for c in (random_labeled_corpus(rng, n_palos=3, pool_size=12, doc_len=(0, 9))
+                  for _ in range(10))
+    ]
+    corpora.append(Corpus([
+        record("a", "", "P"), record("b", "x y x", "Q"), record("c", "", "Q"),
+        record("d", "y", "P"), record("e", "", "R"), record("f", "z y", "Q"),
+    ]))
+    assert all(any(not r.text for r in c.records) for c in corpora)
+    for c in corpora:
+        e = vectorize.encode(c)
+        assert e.corpus is c
+        token_lists = [r.text.split() for r in c.records]
+        classes = sorted({r.palo for r in c.records})
+        pairs = [(doc, e.words.index(word)) for doc, tokens in enumerate(token_lists)
+                 for word in sorted(set(tokens))]
+        indptr = [0]
+        for tokens in token_lists:
+            indptr.append(indptr[-1] + len(set(tokens)))
+        assert e.indptr.tolist() == indptr
+        assert e.column.dtype == np.intp
+        assert e.column.tolist() == [word for _, word in pairs]
+        assert e.tf.tolist() == [
+            token_lists[doc].count(e.words[word]) / len(token_lists[doc])
+            for doc, word in pairs
+        ]
+        assert e.cell.tolist() == [
+            classes.index(c.records[doc].palo) * len(e.words) + word for doc, word in pairs
+        ]
+        assert e.df.tolist() == [
+            sum(word in tokens for tokens in token_lists) for word in e.words
+        ]
+        for table in (e.indptr, e.column, e.tf, e.cell, e.df):
+            assert not table.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # bit-identity with the one-row-at-a-time construction
 
@@ -325,6 +367,10 @@ def test_tfidf_equals_per_document_reference_on_carried_ids(seed):
         result = tfidf(processed, v)
         assert_same_csr(result.matrix, expected)
         assert empty_rows(result.matrix) == tuple(empty)
+    # the saved model's matrix: the vocabulary and rows of one encoding
+    fitted = vectorize.fit_tfidf(processed)
+    assert fitted.vocab == vocab
+    assert_same_csr(fitted.matrix, tfidf(processed, vocab).matrix)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
