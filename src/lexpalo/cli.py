@@ -15,8 +15,9 @@ Subcommands cover the full pipeline over a labeled lyric corpus:
 All randomness flows from ``--seed``; reports are written atomically
 (temp file + rename) with deterministic ordering, so identical inputs give
 byte-identical outputs. ``LEXPALO_THREADS`` caps worker processes for
-``train`` and ``sweep-alpha`` (results do not depend on it); ``essential``
-always runs its rounds in one process.
+``train`` and ``sweep-alpha``, as does the number of CPUs in the process's
+affinity mask (results depend on neither); ``essential`` always runs its
+rounds in one process.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ are those of scoring every alpha in float64.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -405,9 +406,16 @@ _worker_encoding: Entries | None = None
 _worker_param = None
 
 
-def _init_worker(enc: Entries, param) -> None:
+def _init_worker(started, cpus: list[int], enc: Entries, param) -> None:
     global _worker_encoding, _worker_param
     _worker_encoding, _worker_param = enc, param
+    with started.get_lock():
+        k, started.value = started.value, started.value + 1
+    # Forked workers can start on the parent's CPU, and a short pool can end
+    # before the kernel spreads them: worker k moves to CPU k now, and the
+    # full mask leaves the kernel free to move it later.
+    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+    os.sched_setaffinity(0, cpus)
 
 
 def _in_worker(task):
@@ -416,21 +424,26 @@ def _in_worker(task):
 
 
 def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) -> list:
-    """``run(enc, param, spec)`` per spec, in order; worker processes, at
-    most one per spec and per CPU, receive the encoding, with the tables the
-    runs read, and ``param`` once, at start-up. The encoding loses its first
-    positions, which no run reads."""
+    """``run(enc, param, spec)`` per spec, in order. Worker processes, at
+    most one per spec and per CPU this process may run on (its affinity
+    mask), are forked; worker *k* starts on the *k*-th of those CPUs and
+    receives the encoding, with the tables the runs read, and ``param``
+    once, at start-up. The encoding loses its first positions, which no run
+    reads."""
     _ = enc.indptr, enc.column, enc.tf, enc.cell, enc.df  # made once, before any fork
     # Deleted after the tables are made, the first positions leave the
     # memory that forked workers' runs reuse; kept, a worker could grow and
     # trim its heap at every run, and pooled training rounds took twice as
     # long.
     object.__delattr__(enc, "first")
-    workers = min(threads, len(specs), os.cpu_count() or 1)
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = min(threads, len(specs), len(cpus))
     if workers <= 1:
         return [run(enc, param, spec) for spec in specs]
+    fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
-        workers, initializer=_init_worker, initargs=(enc, param)
+        workers, mp_context=fork, initializer=_init_worker,
+        initargs=(fork.Value("i", 0), cpus, enc, param),
     ) as pool:
         return list(pool.map(_in_worker, [(run, spec) for spec in specs]))
 

@@ -303,8 +303,11 @@ def test_train_encodes_the_corpus_twice(corpus_file, tmp_path, monkeypatch):
 def test_round_reports_are_thread_invariant(
     command, options, corpus_file, tmp_path, monkeypatch
 ):
-    # two CPUs, so that LEXPALO_THREADS=2 starts a pool on any host
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    # two CPUs, so that LEXPALO_THREADS=2 starts a pool on any host; the
+    # forked workers inherit the no-op placement, so a one-CPU host is not
+    # asked for a second CPU
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiments.os, "sched_setaffinity", lambda pid, mask: None)
     outs = []
     for threads in ("1", "2"):
         monkeypatch.setenv(cli.THREADS_ENV_VAR, threads)

@@ -181,7 +181,9 @@ def test_worker_pool_holds_at_most_one_process_per_run(monkeypatch):
         return pool(min(max_workers, 2), **kwargs)  # never a large pool
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(16)))
+    # the forked workers inherit this: they may not ask for CPUs the host lacks
+    monkeypatch.setattr(experiments.os, "sched_setaffinity", lambda pid, mask: None)
     corpus = mixed_corpus()
     sequential = experiments.run_trainings(corpus, 0.5, 2, HALF, threads=1)
     for threads, n_runs, pools in ((16, 2, [2]), (2, 1, []), (3, 2, [2])):
@@ -194,12 +196,15 @@ def test_worker_pool_holds_at_most_one_process_per_run(monkeypatch):
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: records the worker count asked for
-    and runs every job in this process."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    start method asked for, runs the initializer once per worker and every
+    job in this process."""
 
-    def __init__(self, started, max_workers, initializer, initargs):
+    def __init__(self, started, max_workers, initializer, initargs, mp_context=None):
         started.append(max_workers)
-        initializer(*initargs)
+        self.start_method = mp_context and mp_context.get_start_method()
+        for _ in range(max_workers):
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -211,27 +216,43 @@ class SerialPool:
         return list(map(fn, tasks))
 
 
+def serial_pools(monkeypatch, cpu_count, mask):
+    """Pools become SerialPools on a host whose ``os.cpu_count()`` is
+    ``cpu_count`` and whose affinity mask is ``mask``; returns the worker
+    counts asked for, the pools made and the affinity masks set."""
+    started, pools, placed = [], [], []
+
+    def serial_pool(max_workers, **kwargs):
+        pools.append(SerialPool(started, max_workers, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", serial_pool)
+    monkeypatch.setattr(experiments, "_worker_encoding", None)
+    monkeypatch.setattr(experiments, "_worker_param", None)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(
+        experiments.os, "sched_setaffinity", lambda pid, cpus: placed.append((pid, set(cpus)))
+    )
+    return started, pools, placed
+
+
 @pytest.mark.parametrize(
-    "cpus, threads, n_runs, pools",
+    "cpu_count, mask, threads, n_runs, pools",
     [
-        (2, 500, 6, [2]),  # LEXPALO_THREADS=500 on two CPUs
-        (4, 3, 6, [3]),
-        (4, 500, 3, [3]),  # fewer runs than CPUs
-        (1, 8, 6, []),
-        (None, 8, 6, []),  # CPU count unknown: one process
+        (2, {0, 1}, 500, 6, [2]),  # LEXPALO_THREADS=500 on two CPUs
+        (4, {0, 1, 2, 3}, 3, 6, [3]),
+        (4, {0, 1, 2, 3}, 500, 3, [3]),  # fewer runs than CPUs
+        (1, {0}, 8, 6, []),
+        (None, {3}, 8, 6, []),  # CPU count unknown, one CPU allowed: one process
+        (2, {1}, 8, 6, []),  # two CPUs, of which the mask allows one
     ],
 )
 def test_worker_processes_are_capped_by_the_cpu_count(
-    monkeypatch, cpus, threads, n_runs, pools
+    monkeypatch, cpu_count, mask, threads, n_runs, pools
 ):
-    started = []
-    monkeypatch.setattr(
-        experiments, "ProcessPoolExecutor",
-        lambda max_workers, **kwargs: SerialPool(started, max_workers, **kwargs),
-    )
-    monkeypatch.setattr(experiments, "_worker_encoding", None)
-    monkeypatch.setattr(experiments, "_worker_param", None)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    # the CPUs that count are those of the affinity mask, not os.cpu_count()
+    started, _, _ = serial_pools(monkeypatch, cpu_count, mask)
     corpus = mixed_corpus()
     sequential = experiments.run_trainings(corpus, 0.5, n_runs, HALF, threads=1)
     assert started == []
@@ -240,6 +261,24 @@ def test_worker_processes_are_capped_by_the_cpu_count(
     for s, p in zip(sequential, runs, strict=True):
         assert np.array_equal(s.confusion, p.confusion)
         assert s.global_accuracy == p.global_accuracy
+
+
+@pytest.mark.parametrize("run", ["trainings", "sweep"])
+def test_each_worker_starts_on_its_own_cpu(monkeypatch, run):
+    mask = {9, 3, 12, 5}
+    started, pools, placed = serial_pools(monkeypatch, 16, mask)
+    corpus = mixed_corpus()
+    if run == "trainings":
+        experiments.run_trainings(corpus, 0.5, 6, HALF, threads=3)
+    else:
+        experiments.alpha_sweep(corpus, 0.25, 6, HALF, threads=3)
+    assert started == [3]
+    # worker k moves to the k-th CPU of the mask, then may run on any of them
+    assert placed == [
+        (0, {3}), (0, mask), (0, {5}), (0, mask), (0, {9}), (0, mask),
+    ]
+    # forked, not sent through a forkserver or a spawned interpreter
+    assert [pool.start_method for pool in pools] == ["fork"]
 
 
 def test_trainings_rejects_nonpositive_run_count():
