@@ -406,15 +406,17 @@ _worker_encoding: Entries | None = None
 _worker_param = None
 
 
-def _init_worker(started, cpus: list[int], enc: Entries, param) -> None:
+def _init_worker(started, cpus: list[int] | None, enc: Entries, param) -> None:
     global _worker_encoding, _worker_param
     _worker_encoding, _worker_param = enc, param
+    if cpus is None:  # no affinity API on this platform: no placement
+        return
     with started.get_lock():
         k, started.value = started.value, started.value + 1
     # Forked workers can start on the parent's CPU, and a short pool can end
     # before the kernel spreads them: worker k moves to CPU k now, and the
     # full mask leaves the kernel free to move it later.
-    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+    os.sched_setaffinity(0, {cpus[k]})
     os.sched_setaffinity(0, cpus)
 
 
@@ -424,9 +426,11 @@ def _in_worker(task):
 
 
 def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) -> list:
-    """``run(enc, param, spec)`` per spec, in order. Worker processes, at
-    most one per spec and per CPU this process may run on (its affinity
-    mask), are forked; worker *k* starts on the *k*-th of those CPUs and
+    """``run(enc, param, spec)`` per spec, in order. With one spec or one
+    thread the runs stay in this process. Otherwise worker processes start,
+    at most one per spec and per CPU this process may run on (its affinity
+    mask, or ``os.cpu_count()`` where the platform has none). On Linux they
+    are forked and worker *k* starts on the *k*-th of those CPUs. Each
     receives the encoding, with the tables the runs read, and ``param``
     once, at start-up. The encoding loses its first positions, which no run
     reads."""
@@ -436,14 +440,19 @@ def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) ->
     # trim its heap at every run, and pooled training rounds took twice as
     # long.
     object.__delattr__(enc, "first")
-    cpus = sorted(os.sched_getaffinity(0))
-    workers = min(threads, len(specs), len(cpus))
+    workers, cpus = min(threads, len(specs)), None
+    if workers > 1:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = sorted(os.sched_getaffinity(0))
+        workers = min(workers, len(cpus) if cpus else os.cpu_count() or 1)
     if workers <= 1:
         return [run(enc, param, spec) for spec in specs]
-    fork = multiprocessing.get_context("fork")
+    # Without the affinity API (macOS, Windows) the platform's own start
+    # method is kept and nothing is placed.
+    context = multiprocessing.get_context("fork" if cpus else None)
     with ProcessPoolExecutor(
-        workers, mp_context=fork, initializer=_init_worker,
-        initargs=(fork.Value("i", 0), cpus, enc, param),
+        workers, mp_context=context, initializer=_init_worker,
+        initargs=(context.Value("i", 0), cpus, enc, param),
     ) as pool:
         return list(pool.map(_in_worker, [(run, spec) for spec in specs]))
 

@@ -1,6 +1,7 @@
 """Repeated trainings, aggregation, smoothing sweeps, essential words."""
 
 import math
+import multiprocessing
 import random
 import warnings
 from dataclasses import replace as dc_replace
@@ -218,7 +219,8 @@ class SerialPool:
 
 def serial_pools(monkeypatch, cpu_count, mask):
     """Pools become SerialPools on a host whose ``os.cpu_count()`` is
-    ``cpu_count`` and whose affinity mask is ``mask``; returns the worker
+    ``cpu_count`` and whose affinity mask is ``mask`` (``None``: a platform
+    without the affinity API, such as macOS or Windows); returns the worker
     counts asked for, the pools made and the affinity masks set."""
     started, pools, placed = [], [], []
 
@@ -230,6 +232,10 @@ def serial_pools(monkeypatch, cpu_count, mask):
     monkeypatch.setattr(experiments, "_worker_encoding", None)
     monkeypatch.setattr(experiments, "_worker_param", None)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpu_count)
+    if mask is None:
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(experiments.os, "sched_setaffinity", raising=False)
+        return started, pools, placed
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(mask))
     monkeypatch.setattr(
         experiments.os, "sched_setaffinity", lambda pid, cpus: placed.append((pid, set(cpus)))
@@ -246,18 +252,26 @@ def serial_pools(monkeypatch, cpu_count, mask):
         (1, {0}, 8, 6, []),
         (None, {3}, 8, 6, []),  # CPU count unknown, one CPU allowed: one process
         (2, {1}, 8, 6, []),  # two CPUs, of which the mask allows one
+        # no affinity API: the serial path still runs, os.cpu_count() caps
+        (2, None, 500, 6, [2]),
+        (None, None, 8, 6, []),
     ],
 )
 def test_worker_processes_are_capped_by_the_cpu_count(
     monkeypatch, cpu_count, mask, threads, n_runs, pools
 ):
     # the CPUs that count are those of the affinity mask, not os.cpu_count()
-    started, _, _ = serial_pools(monkeypatch, cpu_count, mask)
+    started, made, placed = serial_pools(monkeypatch, cpu_count, mask)
     corpus = mixed_corpus()
     sequential = experiments.run_trainings(corpus, 0.5, n_runs, HALF, threads=1)
     assert started == []
     runs = experiments.run_trainings(corpus, 0.5, n_runs, HALF, threads=threads)
     assert started == pools
+    # without the affinity API nothing is placed and the platform's own
+    # start method is kept
+    assert len(placed) == (0 if mask is None else 2 * sum(pools))
+    start_method = "fork" if mask else multiprocessing.get_start_method()
+    assert [pool.start_method for pool in made] == [start_method] * len(pools)
     for s, p in zip(sequential, runs, strict=True):
         assert np.array_equal(s.confusion, p.confusion)
         assert s.global_accuracy == p.global_accuracy
