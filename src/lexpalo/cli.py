@@ -15,9 +15,10 @@ Subcommands cover the full pipeline over a labeled lyric corpus:
 All randomness flows from ``--seed``; reports are written atomically
 (temp file + rename) with deterministic ordering, so identical inputs give
 byte-identical outputs. ``LEXPALO_THREADS`` caps worker processes for
-``train`` and ``sweep-alpha``, as does the number of CPUs in the process's
-affinity mask (results depend on neither); ``essential`` always runs its
-rounds in one process.
+``train`` and ``sweep-alpha``, as does the number of CPUs the process may
+run on (its affinity mask, or ``os.cpu_count()`` where the platform has
+none; results depend on neither); ``essential`` always runs its rounds in
+one process.
 """
 
 from __future__ import annotations
