@@ -15,6 +15,15 @@ Stages, applied in this order over a whole corpus:
 
 Records whose text filters down to nothing are retained with empty text and
 counted in a warning, so corpus alignment never silently changes.
+
+Stages 2-5 act on each whitespace token alone. A corpus runs them once over
+its distinct raw tokens, each stage as one pass over those tokens joined by
+"\\n": one ``str.lower``, and, on Latin-1 text (as Spanish lyrics almost
+always are), one ``bytes.translate`` that deletes the punctuation and one
+that strips the accents. Only tokens outside Latin-1 take ``str.translate``
+and Unicode decomposition, one at a time. Stage 1 runs its regex only on
+texts whose casefold holds a phrase's, and there only between the first and
+the last such casefold.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import itemgetter
 from importlib import resources as importlib_resources
 
 import numpy as np
@@ -170,6 +181,7 @@ def _concat(text: str, full, by_fold) -> str:
     # regex of the one casefold that occurs is then the full regex without
     # alternatives that match nowhere.
     pattern, replacements = full
+    start, end = 0, len(text)
     if by_fold is not None and not any(c in text for c in _DOTTED_I):
         folded_text = text.casefold()
         present = [fold for fold in by_fold if fold in folded_text]
@@ -177,7 +189,14 @@ def _concat(text: str, full, by_fold) -> str:
             return text
         if len(present) == 1:
             pattern, replacements = by_fold[present[0]]
-    return pattern.sub(lambda m: replacements[m.lastindex], text)
+        if len(folded_text) == len(text):
+            # each character folds to one, at its own place: every match
+            # lies between the first and the last casefold hit, and its \b
+            # reads one more character on either side
+            start = max(min(map(folded_text.find, present)) - 1, 0)
+            end = max(folded_text.rfind(fold) + len(fold) for fold in present) + 1
+    window = pattern.sub(lambda m: replacements[m.lastindex], text[start:end])
+    return text[:start] + window + text[end:]
 
 
 def apply_concat_map(text: str, config: PreprocessConfig) -> str:
@@ -188,52 +207,29 @@ def apply_concat_map(text: str, config: PreprocessConfig) -> str:
     return _concat(text, *_concat_pattern(config.concat_map))
 
 
-@lru_cache(maxsize=16)
-def _punct_table(punctuation: frozenset[str]):
-    return {ord(c): None for c in punctuation}
-
-
-def _lowered_words(
-    words: list[str], counts: list[int], gamma: float
-) -> frozenset[str]:
-    """The lowercase keys of the words to lower everywhere: capitalization of
-    each raw token's word tallied, weighed by the raw token's count."""
-    lower: dict[str, int] = {}
-    upper: dict[str, int] = {}
-    for word, n in zip(words, counts):
-        if not word:
-            continue
-        tally = upper if word[0].isupper() else lower
-        key = word.lower()
-        tally[key] = tally.get(key, 0) + n
-    return frozenset(
-        key for key, n_upper in upper.items()
-        if n_upper < gamma * (lower.get(key, 0) + n_upper)
-    )
-
-
-def _latin1_table() -> dict[int, str]:
-    """Each Latin-1 letter that decomposes into an ASCII base and combining
-    marks -> its base, n-with-tilde aside. Latin-1 holds no combining mark
-    and every Latin-1 text is in NFC, so on such text the table does what
-    decomposing, dropping marks and recomposing does."""
-    table = {}
+def _latin1_table() -> bytes:
+    """Each Latin-1 byte -> the byte of its character with accents stripped:
+    a letter that decomposes into an ASCII base and combining marks -> its
+    base, n-with-tilde aside. Latin-1 holds no combining mark and every
+    Latin-1 text is in NFC, so on such text the table does what
+    :func:`_strip_accents` does."""
+    table = bytearray(range(256))
     for code in range(0x80, 0x100):
         base, *marks = unicodedata.normalize("NFD", chr(code))
         if (marks and base.isascii() and base not in "nN"
                 and all(map(unicodedata.combining, marks))):
-            table[code] = base
-    return table
+            table[code] = ord(base)
+    return bytes(table)
 
 
 _LATIN1_TABLE = _latin1_table()
+_WIDE = re.compile("[^\x00-\xff]")
+_FIRST = itemgetter(slice(None, 1))  # a word's first character, "" for ""
 
 
 def _strip_accents(text: str) -> str:
-    if text.isascii():  # nothing to decompose
-        return text
-    if max(text) <= "\xff":
-        return text.translate(_LATIN1_TABLE)
+    """Stage 3's accent stripping of a token outside Latin-1: decomposed,
+    its combining marks dropped but for a tilde after n or N, recomposed."""
     kept: list[str] = []
     for ch in unicodedata.normalize("NFD", text):
         if unicodedata.combining(ch):
@@ -244,17 +240,89 @@ def _strip_accents(text: str) -> str:
     return unicodedata.normalize("NFC", "".join(kept))
 
 
-def _filter_word(
-    raw: str, word: str, config: PreprocessConfig, lowered_words: frozenset[str]
-) -> str:
-    """Stages 2-5 for one whitespace token whose punctuation-free form is
-    ``word``: the token it contributes, or "" when it contributes none.
-    Neither lowering nor accent stripping turns a character other than
-    whitespace into text that holds whitespace, so a token never splits."""
-    if word and word.lower() in lowered_words:
-        word = raw.lower().translate(_punct_table(config.punctuation))
-    stripped = _strip_accents(word)
-    return "" if stripped in config.stopwords else stripped
+@lru_cache(maxsize=16)
+def _punct_tables(punctuation: frozenset[str]) -> tuple[bytes, dict[int, None]]:
+    """The punctuation as the bytes to delete from Latin-1 text, its
+    whitespace aside (no token holds any; "\\n" separates the tokens of a
+    pass), and as a ``str.translate`` table for other text."""
+    latin1 = "".join(c for c in punctuation if c <= "\xff" and not c.isspace())
+    return latin1.encode("latin-1"), {ord(c): None for c in punctuation}
+
+
+def _translated(text: str, table: bytes | None, delete: bytes, other) -> str:
+    """The "\\n"-separated tokens of ``text``: each run of Latin-1 tokens
+    through one ``bytes.translate(table, delete)``, each other token through
+    ``other``."""
+    try:
+        return text.encode("latin-1").translate(table, delete).decode("latin-1")
+    except UnicodeEncodeError:
+        pass
+    parts, done = [], 0
+    for hit in _WIDE.finditer(text):
+        if hit.start() < done:  # in the token just passed to other
+            continue
+        start = text.rfind("\n", 0, hit.start()) + 1
+        end = text.find("\n", hit.end())
+        end = len(text) if end < 0 else end
+        parts += [_translated(text[done:start], table, delete, other),
+                  other(text[start:end])]
+        done = end
+    parts.append(_translated(text[done:], table, delete, other))
+    return "".join(parts)
+
+
+def _lowered_words(
+    words: str, keys: list[str], counts: np.ndarray, gamma: float
+) -> frozenset[str]:
+    """The lowercase keys of the words to lower everywhere: the
+    capitalization of each raw token's word (a line of ``words``, lowered in
+    ``keys``) tallied by key, weighed by the raw token's count."""
+    upper = list(map(str.isupper, map(_FIRST, words.split("\n"))))
+    # only the key of a capitalized word can be lowered
+    number = dict.fromkeys(compress(keys, upper))
+    number = dict(zip(number, range(len(number))))
+    key_ids = np.fromiter(map(number.get, keys, repeat(len(number))), np.intp, len(keys))
+    n_upper = np.bincount(key_ids, counts * np.array(upper), len(number) + 1)
+    n_all = np.bincount(key_ids, counts, len(number) + 1)
+    return frozenset(compress(number, n_upper < gamma * n_all))
+
+
+def _tokens(
+    raws: tuple[str, ...], config: PreprocessConfig,
+    lowered_words: frozenset[str] | None = None, counts: np.ndarray | None = None,
+) -> tuple[list[str], frozenset[str]]:
+    """Stages 2-5 on whitespace tokens: the token each raw token gives ("" when
+    it gives none), and ``lowered_words``, or, when that is None, the words
+    that the case tally of ``raws`` weighed by ``counts`` lowers.
+
+    Each stage runs once over the tokens joined by "\\n". No raw token holds
+    whitespace, and "\\n" is neither cased nor case-ignorable, so it also
+    ends each token's Final_Sigma context: lowering the joined text lowers
+    each token as on its own. Latin-1 tokens lose their punctuation and
+    accents through ``bytes.translate``; only others take ``str.translate``
+    and :func:`_strip_accents`. Neither lowering nor accent stripping turns
+    a character other than whitespace into text that holds whitespace, so a
+    token never splits.
+    """
+    if not raws:  # "".split("\n") is [""]
+        return [], lowered_words or frozenset()
+    delete, punct = _punct_tables(config.punctuation)
+    words = _translated("\n".join(raws), None, delete, lambda raw: raw.translate(punct))
+    keys = words.lower().split("\n")
+    if lowered_words is None:
+        lowered_words = _lowered_words(words, keys, counts, config.gamma)
+    # a lowered token is lowered whole, before its punctuation goes
+    again = [i for i, key in enumerate(keys) if key and key in lowered_words]
+    del keys
+    tokens = _translated(words, _LATIN1_TABLE, b"", _strip_accents).split("\n")
+    del words
+    lowered = "\n".join(map(raws.__getitem__, again)).lower()
+    lowered = _translated(lowered, _LATIN1_TABLE, delete,
+                          lambda raw: _strip_accents(raw.translate(punct)))
+    for i, token in zip(again, lowered.split("\n")):  # none when again is []
+        tokens[i] = token
+    stopwords = config.stopwords
+    return ["" if t in stopwords else t for t in tokens], lowered_words
 
 
 # Entries the shared table of one pipeline holds before it empties itself:
@@ -275,9 +343,7 @@ class _TokenTable(dict):
     def __missing__(self, raw):
         if len(self) >= _TABLE_CAP:
             self.clear()
-        config, lowered_words = self._pipeline
-        word = raw.translate(_punct_table(config.punctuation))
-        token = self[raw] = _filter_word(raw, word, config, lowered_words)
+        token = self[raw] = _tokens((raw,), *self._pipeline)[0][0]
         return token
 
 
@@ -311,10 +377,12 @@ def preprocess_with_decisions(
     retained with empty text; their count is logged as a warning.
 
     The phrase-concatenated texts are tokenized once, into raw token ids.
-    Stages 2-5 act on each whitespace token alone, so they run once per
-    distinct raw token, and the case tally weighs each by its count. Each
-    raw token gives at most one token, so the output's ids are the raw ids
-    less those that give none, renumbered in order of first occurrence.
+    Stages 2-5 act on each whitespace token alone, so they run once over the
+    distinct raw tokens, as whole-string passes over those tokens joined by
+    "\\n" (Latin-1 ones through ``bytes.translate``, the others one at a
+    time), and the case tally weighs each by its count. Each raw token gives
+    at most one token, so the output's ids are the raw ids less those that
+    give none, renumbered in order of first occurrence.
     """
     texts = [rec.text for rec in corpus.records]
     if config.concat_map:
@@ -324,20 +392,13 @@ def preprocess_with_decisions(
     del texts
     counts = np.zeros(len(raws), dtype=np.int64)
     np.add.at(counts, ids, 1)  # np.bincount would copy the ids to int64
-    # each raw token's word: the token without the configured punctuation
-    table = _punct_table(config.punctuation)
-    words = [raw.translate(table) for raw in raws]
-    lowered = _lowered_words(words, counts.tolist(), config.gamma)
-    tokens = [
-        _filter_word(raw, word, config, lowered) for raw, word in zip(raws, words)
-    ]
-    del words
+    tokens, lowered = _tokens(raws, config, counts=counts)
+    del raws
     # a token first occurs where the first raw token that gives it does
-    first_seen: dict[str, int] = {}
-    renumber = np.array(
-        [first_seen.setdefault(t, len(first_seen)) if t else -1 for t in tokens],
-        dtype=np.int32,
-    )
+    first_seen = dict.fromkeys(tokens)
+    first_seen.pop("", None)
+    first_seen = dict(zip(first_seen, range(len(first_seen))))
+    renumber = np.fromiter(map(first_seen.get, tokens, repeat(-1)), np.int32, len(tokens))
     out = []
     offsets = np.zeros(len(corpus.records) + 1, dtype=np.int64)
     bounds = raw_offsets.tolist()

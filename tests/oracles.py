@@ -564,18 +564,22 @@ def preprocess(texts, gamma, concat_map, stopwords, punctuation):
         word for word, up in n_upper.items()
         if up < gamma * (n_lower.get(word, 0) + up)
     }
-    filtered = []
-    for text in joined:
-        tokens = []
-        for token in text.split():
-            word = "".join(c for c in token if c not in punctuation)
-            if word and word.lower() in lowered:
-                token = token.lower()
-            for piece in _strip_token(token, punctuation).split():
-                if piece not in stopwords:
-                    tokens.append(piece)
-        filtered.append(" ".join(tokens))
+    filtered = [
+        " ".join(piece for token in text.split()
+                 for piece in filter_token(token, lowered, stopwords, punctuation))
+        for text in joined
+    ]
     return filtered, lowered
+
+
+def filter_token(token, lowered, stopwords, punctuation):
+    """Stages 2-5 on one whitespace token, given the lowered words: the
+    pieces it gives."""
+    word = "".join(c for c in token if c not in punctuation)
+    if word and word.lower() in lowered:
+        token = token.lower()
+    return [piece for piece in _strip_token(token, punctuation).split()
+            if piece not in stopwords]
 
 
 # ---------------------------------------------------------------------------

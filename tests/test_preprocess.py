@@ -174,16 +174,70 @@ def test_concat_map_skip_agrees_with_the_regex_on_random_texts():
         ("mi vida", "MiVida"), ("σοφία μου", "Sofia"),
     ))
     full_pattern = oracles.concat_full_pattern(config.concat_map)
+    # "ß", "ŉ" and "ﬁ" casefold to two characters, so that a text holding
+    # one is scanned whole
     pieces = (
         "santa", "SANTA", "ſanta", "ana", "Ana", "ANA", "mi", "Mİ", "mı",
         "vida", "VİDA", "vıda", "σοφία", "ΣΟΦΊΑ", "μου", "ΜΟΥ", "san",
         "fernando", "de", "la", "Jerez", "frontera", "María", "MARÍA",
         "muralla", "real", "K", "\u212a", " ", "  ", "\n", ",", "x",
+        "ß", "ŉ", "ﬁ", "santa ana", "muralla real", "mi vida",
     )
     rng = random.Random(8)
     for _ in range(3000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
         assert apply_concat_map(text, config) == full_pattern(text), text
+    for text in (
+        "santa ana", "santa ana y más", "y más santa ana", "Santa Ana",  # at the ends
+        "xsanta ana", "santa anax", "xsanta anax", "santa ana_", "3santa ana",  # glued
+        "santa ana muralla real", "santa ana,muralla real", "mi vidasanta ana",
+        "santa anamuralla real", "muralla real santa ana mi vida",  # adjacent
+        "ß santa ana", "santa ana ß", "ŉsanta ana", "santa ana ﬁ", "ﬁ santa ana ﬁ",
+        "STRAßE muralla real mi vida", "muralla realß", "ßmuralla real",
+    ):
+        assert apply_concat_map(text, config) == full_pattern(text), text
+
+
+class _ScanSpy:
+    """A compiled regex that records the texts its ``sub`` scans."""
+
+    def __init__(self, pattern, scanned):
+        self.pattern, self.scanned = pattern, scanned
+
+    def sub(self, repl, text):
+        self.scanned.append(text)
+        return self.pattern.sub(repl, text)
+
+
+def test_concat_map_scans_only_between_the_phrase_casefolds():
+    # one character either side of the first and the last casefold hit,
+    # unless the text's casefold is longer than the text
+    config = PreprocessConfig(
+        concat_map=(("Santa Ana", "SantaAna"), ("Muralla Real", "MurallaReal"))
+    )
+    full, by_fold = preprocess._concat_pattern(config.concat_map)
+    scanned = []
+    spied = {
+        fold: (_ScanSpy(pattern, scanned), replacements)
+        for fold, (pattern, replacements) in by_fold.items()
+    }
+    pad = "pena " * 200
+    cases = {
+        pad + "SANTA ANA " + pad: (" SANTA ANA ", pad + "SantaAna " + pad),
+        "Santa Ana y muralla real": (
+            "Santa Ana y muralla real", "SantaAna y MurallaReal"
+        ),
+        pad + "xsanta ana, muralla realx": (
+            "xsanta ana, muralla realx", pad + "xsanta ana, muralla realx"
+        ),
+        "santa ana STRAßE" + pad: ("santa ana STRAßE" + pad, "SantaAna STRAßE" + pad),
+    }
+    spies = ((_ScanSpy(full[0], scanned), full[1]), spied)
+    with mock.patch.object(preprocess, "_concat_pattern", return_value=spies):
+        for text, (window, joined) in cases.items():
+            del scanned[:]
+            assert apply_concat_map(text, config) == joined
+            assert scanned == [window]
 
 
 # case twins, and a phrase that holds another
@@ -336,16 +390,21 @@ def test_strip_respects_custom_punctuation_set():
 LATIN1 = "".join(map(chr, range(256)))
 
 
+def strip_latin1(text):
+    """Accent stripping of Latin-1 text, through the byte table."""
+    return preprocess._translated(text, preprocess._LATIN1_TABLE, b"", None)
+
+
 def test_strip_accents_matches_decomposition_on_every_latin1_character():
     for ch in LATIN1:
-        assert preprocess._strip_accents(ch) == oracles._strip_token(ch, ""), ch
+        assert strip_latin1(ch) == oracles._strip_token(ch, ""), ch
 
 
 def test_strip_accents_matches_decomposition_on_random_latin1_strings():
     rng = random.Random(256)
     for _ in range(2000):
         text = "".join(rng.choice(LATIN1) for _ in range(rng.randint(1, 12)))
-        assert preprocess._strip_accents(text) == oracles._strip_token(text, "")
+        assert strip_latin1(text) == oracles._strip_token(text, "")
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +671,12 @@ def test_frozen_pipeline_from_dict_reports_invalid_config_as_model_format():
 
 
 def per_token_rule(text, config, lowered):
-    """Stages 2-5 token by token, without the shared table."""
-    punct = preprocess._punct_table(config.punctuation)
-    tokens = (
-        preprocess._filter_word(raw, raw.translate(punct), config, lowered)
-        for raw in text.split()
-    )
-    return [t for t in tokens if t]
+    """Stages 2-5 token by token by the oracle's rule, without the shared
+    table."""
+    return [
+        piece for raw in text.split() for piece in oracles.filter_token(
+            raw, lowered, config.stopwords, config.punctuation)
+    ]
 
 
 TABLE_TEXTS = (
@@ -842,6 +900,78 @@ def test_pipeline_matches_per_occurrence_oracle(texts, gamma):
         assert filter_tokens(text, config, lowered) == per_token
 
 
+# Pieces of tokens that a pass over all the distinct raw tokens at once could
+# filter otherwise than one token at a time: sigma beside punctuation inside
+# a token (a raw token is lowered with its punctuation, and "Α,Σ" lowers to
+# "α,σ" where "ΑΣ" lowers to "ας"), letters whose case maps change length or
+# leave Latin-1 (İ, ß, ſ, ÿ, the Kelvin sign), combining tildes, curly
+# quotes, and Latin-1 letters, marks and stop words
+EDGE_PIECES = (
+    "Α,Σ", "ΑΣ,", "ΑΣ", "Σ", "ας", "α", "σ", "ς", ",", ".", "İ", "ı", "ß", "ẞ", "ſ", "ÿ", "Ÿ",
+    "\u212a", "n\u0303", "N\u0303", "a\u0303", "“", "”", "’", "Cádiz", "cádiz",
+    "Ñu", "ñu", "¡", "!", "A", "a", "µ", "de", "pena", "Pena",
+)
+# punctuation sets holding whitespace, a cased letter or characters outside
+# Latin-1
+EDGE_PUNCTUATION = (
+    DEFAULT_PUNCTUATION, frozenset(",\n \u00a0!"), frozenset(",Aa"),
+    frozenset("Σ,’"), frozenset("“”İ."), frozenset("σ\u0303Ÿ"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(
+            st.lists(st.sampled_from(EDGE_PIECES), min_size=1, max_size=3).map("".join),
+            max_size=8,
+        ).map(" ".join),
+        min_size=1, max_size=5,
+    ),
+    punctuation=st.sampled_from(EDGE_PUNCTUATION),
+    gamma=st.sampled_from((0.0, 0.5, 1.0)),
+)
+def test_pipeline_matches_the_oracle_on_edge_tokens(texts, punctuation, gamma):
+    config = PreprocessConfig(
+        gamma=gamma, punctuation=punctuation, stopwords=frozenset({"de", "ς", "ss"})
+    )
+    processed, pipeline = preprocess_with_decisions(corpus_from_texts(texts), config)
+    expected_texts, expected_lowered = oracles.preprocess(
+        texts, gamma, (), config.stopwords, punctuation
+    )
+    assert [r.text for r in processed.records] == expected_texts
+    assert pipeline.lowered_words == expected_lowered
+    assert_carried_ids_equal_a_fresh_tokenization(processed)
+    preprocess._shared_table.cache_clear()
+    for text, expected in zip(texts, expected_texts):
+        assert filter_tokens(text, config, pipeline.lowered_words) == expected.split()
+
+
+@pytest.mark.parametrize("texts", [["", " ", "\n\u00a0"], ["", "¡!", ", . ;"]],
+                         ids=["no tokens", "punctuation only"])
+def test_pipeline_on_a_corpus_that_gives_no_token(texts):
+    processed, pipeline = preprocess_with_decisions(corpus_from_texts(texts), BARE)
+    assert [r.text for r in processed.records] == ["", "", ""]
+    assert pipeline.lowered_words == frozenset()
+    assert_carried_ids_equal_a_fresh_tokenization(processed)
+    assert token_ids(processed).words == ()
+
+
+def test_only_tokens_outside_latin1_are_decomposed():
+    # a whole pass through unicodedata's NFD took twice as long as the
+    # per-token calls, on the benchmark's wide corpus
+    texts = ["la pena “Soleá” de Cádiz", "“soleá”, niña; corazón y vergüenza",
+             "¡Soleá! pena, PENA"] * 20
+    with mock.patch.object(
+        preprocess.unicodedata, "normalize", wraps=unicodedata.normalize
+    ) as spy:
+        processed, _ = preprocess_with_decisions(corpus_from_texts(texts), BARE)
+    assert processed.records[0].text == "la pena “Solea” de Cadiz"
+    decomposed = [call.args[1] for call in spy.call_args_list if call.args[0] == "NFD"]
+    assert sorted(decomposed) == ["“Soleá”", "“soleá”"]
+    assert max(len(call.args[1]) for call in spy.call_args_list) == len("“Soleá”")
+
+
 # ---------------------------------------------------------------------------
 # the word ids a preprocessed corpus carries
 
@@ -942,8 +1072,8 @@ def test_lowering_and_accent_stripping_never_make_whitespace():
         if ch.isspace():
             continue
         lowered = ch.lower()
-        # "\u0101" sends a Latin-1 character down the NFD route too
         out = (lowered + preprocess._strip_accents(ch)
-               + preprocess._strip_accents(lowered)
-               + preprocess._strip_accents(ch + "\u0101"))
+               + preprocess._strip_accents(lowered))
+        if code < 0x100:
+            out += strip_latin1(ch) + strip_latin1(lowered)
         assert out.split() == [out], hex(code)
