@@ -18,10 +18,12 @@ document count). A run draws only its validation side. Its vocabulary, in
 sorted order, is the words whose document count less the validation
 documents' is positive; its TF-IDF weights are computed for every entry,
 the validation documents' as exactly +0.0, and one bincount over the class
-cells sums each class's masses in document order. So its weights and
-masses are those :mod:`vectorize` and :mod:`mnb` compute from text, up to
-the last bit of a row's norm, whose squares a run adds in word order and
-:mod:`vectorize` in the order in which the row's words first occur.
+cells sums each class's masses in document order. A row's norm adds its
+squares in word (column) order from 0.0, as :mod:`vectorize` defines it. So
+its weights and masses are those :mod:`vectorize` and :mod:`mnb` compute
+from the text of its training documents, bit for bit. The per-entry weights
+and squares go into ``Entries.buffers``, which each process makes once and
+every run refills.
 
 The alpha sweep scores each validation document at a few Chebyshev nodes
 in ln alpha and interpolates to every alpha the margins of its true class
@@ -153,19 +155,22 @@ def _fit_split(enc: Entries, spec: SplitSpec) -> _Fit:
     in_vocabulary = df > 0
     idf = np.zeros(len(enc.words))
     idf[in_vocabulary] = 1.0 + np.log(n_train / df[in_vocabulary])
-    # tf * idf, L2-normalized per row. A validation row's norm, over its
-    # vocabulary words, is kept for _validation_rows; then +inf turns its
-    # weights into +0.0, which leave each class cell's sum over the training
-    # entries as it is. The product with ones adds each row's squares in
-    # order from 0.0, as a bincount over the rows does, and faster.
-    weight = idf[enc.column]
+    # tf * idf, L2-normalized per row, in this process's two buffers. A
+    # validation row's norm, over its vocabulary words, is kept for
+    # _validation_rows; then +inf turns its weights into +0.0, which leave
+    # each class cell's sum over the training entries as it is. The product
+    # with ones adds each row's squares in column order from 0.0, as
+    # vectorize._norms does, and faster. The gathers clip, since a raising
+    # take with out= writes to a copy first.
+    weight, squares = enc.buffers
+    np.take(idf, enc.column, out=weight, mode="clip")
     weight *= enc.tf
-    squares = sp.csr_matrix((weight * weight, enc.word, enc.indptr),
-                            (len(enc.lengths), len(idf)))
-    norms = np.sqrt(squares @ np.ones(len(idf)))
+    np.multiply(weight, weight, out=squares)
+    norms = sp.csr_matrix((squares, enc.word, enc.indptr), (len(enc.lengths), len(idf)))
+    norms = np.sqrt(norms @ np.ones(len(idf)))
     validation_norms = norms[validation]
     norms[validation] = np.inf
-    weight /= np.repeat(norms, np.diff(enc.indptr))
+    weight /= np.take(norms, enc.doc, out=squares, mode="clip")
     n_classes = len(enc.classes)
     mass = np.bincount(enc.cell, weights=weight, minlength=n_classes * len(idf))
     mass = mass.reshape(n_classes, len(idf))
@@ -432,14 +437,10 @@ def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) ->
     mask, or ``os.cpu_count()`` where the platform has none). On Linux they
     are forked and worker *k* starts on the *k*-th of those CPUs. Each
     receives the encoding, with the tables the runs read, and ``param``
-    once, at start-up. The encoding loses its first positions, which no run
-    reads."""
+    once, at start-up. Every process's runs refill ``enc.buffers``, made at
+    their first use; a worker forked after they were made writes its own
+    copy of them."""
     _ = enc.indptr, enc.column, enc.tf, enc.cell, enc.df  # made once, before any fork
-    # Deleted after the tables are made, the first positions leave the
-    # memory that forked workers' runs reuse; kept, a worker could grow and
-    # trim its heap at every run, and pooled training rounds took twice as
-    # long.
-    object.__delattr__(enc, "first")
     workers, cpus = min(threads, len(specs)), None
     if workers > 1:
         if hasattr(os, "sched_getaffinity"):

@@ -205,20 +205,24 @@ def hapax_report(
 
 def _power_law(x, y, fit_range: tuple[int, int]) -> PowerLawFit:
     """The least-squares line through (ln x, ln y) as a :class:`PowerLawFit`
-    over ``fit_range``."""
+    over ``fit_range``, in closed form over the centred values. Every sum
+    is exactly rounded by ``math.fsum``, so no BLAS or LAPACK kernel, and
+    no summation order, sets its bits."""
     x, y = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(x, y, 1)
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx, dy = x - x_mean, y - y_mean
+    slope = math.fsum(dx * dy) / math.fsum(dx * dx)
+    intercept = y_mean - slope * x_mean
     residuals = y - (slope * x + intercept)
-    ss_res = float(residuals @ residuals)
-    centered = y - y.mean()
-    ss_tot = float(centered @ centered)
+    ss_res = math.fsum(residuals * residuals)
+    ss_tot = math.fsum(dy * dy)
     if ss_res < 1e-300:
         r_squared = 1.0  # perfect fit, including the constant-y case
     elif ss_tot == 0.0:
         r_squared = 0.0
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    return PowerLawFit(float(slope), float(intercept), r_squared, fit_range)
+    return PowerLawFit(slope, intercept, r_squared, fit_range)
 
 
 def ranked_frequencies(tok: TokenIds) -> list[tuple[str, int]]:

@@ -11,15 +11,18 @@ from the vocabulary's training corpus, never from the documents being
 vectorized; tokens outside the vocabulary are dropped (their only trace is in
 the tf denominator, which cancels under normalization).
 
+A row's L2 norm is defined once, by :func:`_norms`: the square root of
+its values' squares added in column (sorted-word) order from 0.0. The
+corpus matrix, one text's row, the genre vectors and the experiment rounds
+of :mod:`experiments` all take it, so their bits do not depend on the
+order of a text's tokens, on BLAS kernels or on thread counts.
+
 Every corpus-level call reads one encoding of the corpus's word ids,
 :func:`encode`: an entry per (record, word) pair, with the word's count in
-the record and the place of its first token, and the tables made from them
-on first read (record offsets, term frequencies, (palo, word) cells,
-document frequencies). The vocabulary's document frequencies count the
-entries of each word; a row's norm is taken over its values in the order in
-which its words first occur, as :func:`tfidf_row` takes it over the words of
-one text. The experiment rounds of :mod:`experiments` read the same
-encoding and its tables.
+the record, and the tables made from them on first read (record offsets,
+term frequencies, (palo, word) cells, document frequencies). The
+vocabulary's document frequencies count the entries of each word. The
+experiment rounds read the same encoding and its tables.
 
 Only :func:`tfidf` builds a SciPy matrix, and only it imports SciPy: one
 text's row is two numpy arrays, and the genre vectors are dense rows.
@@ -37,8 +40,6 @@ import numpy as np
 from .corpus_io import Corpus, token_ids
 from .errors import EmptyDocumentError, VocabularyMismatchError
 
-# Longest vector whose dot product OpenBLAS computes in one thread.
-_BLAS_SERIAL_MAX = 10_000
 # Most tokens, and records, whose keys :func:`encode` sorts at once: 128 KiB
 # of int64 keys. A longer record is a block of its own.
 _BLOCK_TOKENS = 16_384
@@ -92,10 +93,9 @@ class Entries:
     classes: tuple[str, ...]  # the corpus's palos, sorted
     label: np.ndarray  # per record, its palo's place in ``classes``
     lengths: np.ndarray  # tokens per record
-    doc: np.ndarray  # per entry (int32), its record
+    doc: np.ndarray  # per entry (intp), its record
     word: np.ndarray  # per entry (int32), its place in ``words``
     count: np.ndarray  # per entry (int32), its record's tokens of that word
-    first: np.ndarray  # per entry, its first token's place in the corpus's ids
 
     @cached_property
     def indptr(self) -> np.ndarray:
@@ -122,6 +122,13 @@ class Entries:
         """Per word, the records that hold it."""
         return _read_only(np.bincount(self.word, minlength=len(self.words)))
 
+    @cached_property
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two writable float arrays of a value per entry, which the
+        experiment rounds of each process refill instead of allocating
+        their per-entry arrays afresh."""
+        return np.empty(len(self.word)), np.empty(len(self.word))
+
 
 def encode(corpus: Corpus) -> Entries:
     """The entries of the corpus's word ids (:func:`corpus_io.token_ids`).
@@ -139,24 +146,17 @@ def encode(corpus: Corpus) -> Entries:
         r1 = int(np.searchsorted(offsets, offsets[r0] + _BLOCK_TOKENS, "right")) - 1
         r1 = min(max(r1, r0 + 1), r0 + _BLOCK_TOKENS)
         t0, n = offsets[r0], offsets[r1] - offsets[r0]
-        # a key per token: (record in the block, word, token in the block),
-        # so the first key of each (record, word) run is its first
-        # occurrence. Below 2**63 while a record has fewer than 2**32 tokens
-        shift = int(n).bit_length()
+        # a key per token: record in the block x |V| + word
         key = np.repeat(np.arange(r1 - r0) * n_words, lengths[r0:r1])
         key += place[tok.ids[t0:t0 + n]]
-        key <<= shift
-        key += np.arange(n)
         key.sort()
-        start = np.flatnonzero(np.diff(key >> shift, prepend=-1))
-        head = key[start]
-        doc, word = np.divmod(head >> shift, n_words)
-        small = np.array([doc + r0, word, np.diff(start, append=n)], dtype=np.int32)
-        blocks.append((*small, t0 + (head & ((1 << shift) - 1))))
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        doc, word = np.divmod(key[start], n_words)
+        blocks.append((doc + r0, *np.array([word, np.diff(start, append=n)], dtype=np.int32)))
         r0 = r1
-    doc, word, count, first = map(np.concatenate, zip(*blocks))
+    doc, word, count = map(np.concatenate, zip(*blocks))
     return Entries(corpus, tuple(map(tok.words.__getitem__, order)), classes, label,
-                   lengths, doc, word, count, first)
+                   lengths, doc, word, count)
 
 
 def build_vocabulary(train: Corpus) -> Vocabulary:
@@ -192,12 +192,11 @@ def tfidf_row(tokens: list[str], vocab: Vocabulary) -> TfIdfRow:
     cols = np.fromiter(map(vocab.index.__getitem__, counts), np.intp, len(counts))
     vals = np.fromiter(counts.values(), float, len(counts))
     if len(cols):
-        vals /= len(tokens)
-        vals *= vocab.idf[cols]
-        # normalised in first-occurrence order, then sorted by column
-        vals /= _norm(vals)
         order = np.argsort(cols)
         cols, vals = cols[order], vals[order]
+        vals /= len(tokens)
+        vals *= vocab.idf[cols]
+        vals /= _norms(np.zeros(len(vals), np.intp), vals, 1)
     return TfIdfRow(cols, vals, len(vocab.words))
 
 
@@ -206,24 +205,19 @@ def _check_vocabulary(vocab: Vocabulary) -> None:
         raise VocabularyMismatchError("vocabulary is empty")
 
 
-def _norm(vals: np.ndarray) -> float:
-    """L2 norm, the same for any OpenBLAS thread count. OpenBLAS splits a
-    dot product of more than 10,000 values across threads, which changes
-    its last bits, so longer vectors are summed without BLAS. Shorter ones
-    get what ``np.linalg.norm`` computes for a 1-D float vector, without
-    its Python dispatch."""
-    if len(vals) > _BLAS_SERIAL_MAX:
-        return np.sqrt(np.sum(vals * vals))
-    return np.sqrt(vals.dot(vals))
+def _norms(rows: np.ndarray, vals: np.ndarray, n_rows: int) -> np.ndarray:
+    """The L2 norm of each of ``n_rows`` rows, given each value's row: the
+    square root of the row's squares added in the order given, from 0.0.
+    Every caller gives each row's values in column order."""
+    return np.sqrt(np.bincount(rows, weights=vals * vals, minlength=n_rows))
 
 
 def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
     """Vectorize every record of a corpus against ``vocab``.
 
-    Row order follows the corpus; each non-empty row has unit L2 norm,
-    taken over its values in the order in which its words first occur, as
-    :func:`tfidf_row` takes it. Words outside ``vocab`` are dropped but
-    count in their row's length.
+    Row order follows the corpus; each non-empty row has unit L2 norm
+    (:func:`_norms`). Words outside ``vocab`` are dropped but count in their
+    row's length.
     """
     return _tfidf(encode(docs), vocab)
 
@@ -246,9 +240,8 @@ def _tfidf(e: Entries, vocab: Vocabulary) -> TfIdfMatrix:
     row, column = e.doc[kept], column[kept]
     vals = e.tf[kept] * vocab.idf[column]
     indptr = np.searchsorted(row, np.arange(len(e.lengths) + 1))
-    ordered = vals[np.lexsort((e.first[kept], row))]
-    norms = list(map(_norm, np.split(ordered, indptr[1:-1])))
-    vals /= np.repeat(norms, np.diff(indptr))
+    # a record's entries, in word order, are in column order
+    vals /= _norms(row, vals, len(e.lengths))[row]
     matrix = sp.csr_matrix((vals, column, indptr), shape=(len(e.lengths), len(vocab.words)))
     return TfIdfMatrix(matrix=matrix, vocab=vocab)
 
@@ -263,16 +256,12 @@ def genre_vectors(corpus: Corpus) -> dict[str, np.ndarray]:
     for palo, length in zip(e.classes, lengths):
         if not length:
             raise EmptyDocumentError(f"palo {palo!r} has no tokens after preprocessing")
-    # the records' entries reduced to (palo, word) cells: counts summed, and
-    # the first position the least, which is the one of the palo's earliest
-    # record
+    # the records' entries reduced to (palo, word) cells, counts summed
     count = np.bincount(e.cell, weights=e.count, minlength=shape[0] * shape[1]).reshape(shape)
-    first = np.full(shape, np.iinfo(np.int64).max)
-    np.minimum.at(first.reshape(-1), e.cell, e.first)
     idf = _vocabulary_of(e.words, np.count_nonzero(count, axis=0), shape[0]).idf
-    # each palo's row of counts becomes its unit row in place
-    for row, firsts, length in zip(count, first, lengths):
-        cols = np.flatnonzero(row)
-        vals = row[cols] / length * idf[cols]
-        row[cols] = vals / _norm(vals[np.argsort(firsts[cols])])
+    # each palo's row of counts becomes its unit row in place; nonzero lists
+    # each palo's values in column order
+    palo, word = np.nonzero(count)
+    vals = count[palo, word] / lengths[palo] * idf[word]
+    count[palo, word] = vals / _norms(palo, vals, shape[0])[palo]
     return dict(zip(e.classes, count))

@@ -93,7 +93,9 @@ def tfidf_rows(docs):
 def tfidf_per_document(token_lists, vocab):
     """The CSR matrix ``vectorize`` builds, made the earlier way: idf
     recomputed from ``vocab.df``, one 1-row matrix per document through the
-    COO constructor, then ``sp.vstack``. Returns (matrix, empty_rows)."""
+    COO constructor, then ``sp.vstack``; each row normalised by
+    :func:`_norm` of its values in column order. Returns (matrix,
+    empty_rows)."""
     idf = 1.0 + np.log(vocab.n_docs / np.asarray(vocab.df, dtype=float))
     rows = []
     for tokens in token_lists:
@@ -106,7 +108,7 @@ def tfidf_per_document(token_lists, vocab):
         vals = np.array(
             [counts[w] / length for w in counts], dtype=float
         ) * idf[cols]
-        vals /= np.linalg.norm(vals)
+        vals /= _norm(vals[np.argsort(cols)])
         rows.append(
             sp.csr_matrix(
                 (vals, (np.zeros_like(cols), cols)), shape=(1, len(vocab.words))
@@ -121,8 +123,7 @@ def tfidf_per_document(token_lists, vocab):
 def genre_vectors(records):
     """{palo: 1 x |V| CSR row} for (palo, text) pairs in corpus order: each
     palo's texts newline-joined into one document, a vocabulary over those
-    documents and :func:`tfidf_per_document` rows, as ``np.linalg.norm``
-    normalises them (rows of at most 10,000 values)."""
+    documents and :func:`tfidf_per_document` rows."""
     texts = {}
     for palo, text in records:
         texts.setdefault(palo, []).append(text)
@@ -140,11 +141,13 @@ def genre_vectors(records):
 
 
 def _norm(vals):
-    """The L2 norm as ``vectorize`` takes it: ``np.linalg.norm``'s dot
-    product up to 10,000 values, a sum without BLAS beyond."""
-    if len(vals) > 10_000:
-        return np.sqrt(np.sum(vals * vals))
-    return np.sqrt(vals.dot(vals))
+    """The L2 norm as ``vectorize`` takes it: the square root of the
+    squares added one at a time, in the order given, from 0.0 (a plain
+    loop: ``sum`` compensates its float additions from Python 3.12 on)."""
+    total = 0.0
+    for v in vals.tolist():
+        total += v * v
+    return math.sqrt(total)
 
 
 def _index_dtype(shape, nnz):
@@ -153,8 +156,8 @@ def _index_dtype(shape, nnz):
 
 def csr_tfidf_row(tokens, vocab):
     """The 1 x |V| CSR row ``vectorize.tfidf_row`` built before it returned
-    arrays: values normalised in first-occurrence order, then sorted by
-    column, with the index dtype SciPy would pick."""
+    arrays: values sorted by column, then normalised by :func:`_norm` in
+    that order, with the index dtype SciPy would pick."""
     counts = Counter(t for t in tokens if t in vocab.index)
     shape = (1, len(vocab.words))
     idx_dtype = _index_dtype(shape, len(counts))
@@ -163,9 +166,9 @@ def csr_tfidf_row(tokens, vocab):
     if len(cols):
         vals /= len(tokens)
         vals *= vocab.idf[cols]
-        vals /= _norm(vals)
         order = np.argsort(cols)
         cols, vals = cols[order], vals[order]
+        vals /= _norm(vals)
     indptr = np.array([0, len(cols)], dtype=idx_dtype)
     return sp.csr_matrix((vals, cols, indptr), shape=shape)
 
@@ -180,14 +183,14 @@ def csr_score(model, row):
 def csr_genre_vectors(corpus):
     """{palo: 1 x |V| CSR row} as ``vectorize.genre_vectors`` built them
     before they were dense: the corpus's ``vectorize.encode`` entries reduced
-    to (palo, word) cells by one ``np.unique``, each row normalised over its
-    values in first-position order."""
+    to (palo, word) cells by one ``np.unique``, each row normalised by
+    :func:`_norm` over its values in column order."""
     from lexpalo.vectorize import Vocabulary, encode
 
     e = encode(corpus)
     lengths = np.bincount(e.label, weights=e.lengths, minlength=len(e.classes))
     cell = e.label[e.doc] * len(e.words) + e.word
-    cells, earliest, entry = np.unique(cell, return_index=True, return_inverse=True)
+    cells, entry = np.unique(cell, return_inverse=True)
     row, word = np.divmod(cells, len(e.words))
     vocab = Vocabulary(
         words=e.words, index={w: i for i, w in enumerate(e.words)},
@@ -195,11 +198,9 @@ def csr_genre_vectors(corpus):
         n_docs=len(e.classes),
     )
     count = np.bincount(entry, weights=e.count)
-    first = e.first[earliest]
     vals = count / lengths[row] * vocab.idf[word]
     indptr = np.searchsorted(row, np.arange(len(lengths) + 1))
-    ordered = vals[np.lexsort((first, row))]
-    norms = list(map(_norm, np.split(ordered, indptr[1:-1])))
+    norms = list(map(_norm, np.split(vals, indptr[1:-1])))
     vals /= np.repeat(norms, np.diff(indptr))
     shape = (len(lengths), len(vocab.words))
     idx_dtype = _index_dtype(shape, len(vals))

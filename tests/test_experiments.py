@@ -2,9 +2,13 @@
 
 import math
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from lexpalo.corpus_io import Corpus, SplitSpec, filter_top_palos
 from lexpalo.errors import AlphaNonPositiveError, InconsistentClassesError
 from lexpalo.preprocess import default_config, preprocess_corpus
 from lexpalo.seeding import derive_seed
-from lexpalo.vectorize import encode
+from lexpalo.vectorize import build_vocabulary, encode, tfidf
 
 import oracles
 from helpers import (
@@ -1203,6 +1207,81 @@ def test_rounds_equal_the_from_counts_construction(seed):
                     ),
                 )
     assert subsets == 3  # every EMPTY_PALO run fits two of three classes
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_round_masses_equal_the_masses_of_their_tfidf_rows(seed):
+    # a round norms each row as vectorize.tfidf does, so its class masses are
+    # those of the TF-IDF matrix of its training records, bit for bit
+    corpus = preprocess_corpus(generated_corpus(seed, counts=(60, 40, 25, 10)),
+                               default_config())
+    enc = encode(corpus)
+    assert not all(enc.lengths)
+    for spec in experiments._run_specs(SplitSpec(0.85, seed), 5):
+        fit = experiments._fit_split(enc, spec)
+        train = enc.lengths > 0
+        train[fit.validation] = False
+        positions = np.flatnonzero(train)
+        records = Corpus(corpus.records[i] for i in positions)
+        vocab = build_vocabulary(records)
+        assert vocab.words == tuple(w for w, kept in zip(enc.words, fit.in_vocabulary) if kept)
+        matrix = tfidf(records, vocab).matrix
+        label = np.searchsorted(fit.classes, enc.label[positions])
+        cell = np.repeat(label * len(vocab.words), np.diff(matrix.indptr)) + matrix.indices
+        mass = np.bincount(cell, weights=matrix.data, minlength=len(fit.classes) * fit.size)
+        mass = mass.reshape(len(fit.classes), fit.size)
+        assert same_bits(fit.mass[np.ix_(fit.classes, fit.in_vocabulary)], mass)
+        assert same_bits(fit.totals, mass.sum(axis=1))
+
+
+FAULTS_SCRIPT = """
+import os, random, resource, sys
+from lexpalo import experiments
+from lexpalo.corpus_io import Corpus, LyricRecord, SplitSpec
+
+def faulting_round(enc, alpha, spec):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    experiments._training_run(enc, alpha, spec)
+    return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+n_songs, n_words = map(int, sys.argv[1:])
+rng = random.Random(3)
+words = [f"w{i}" for i in range(n_words)]
+corpus = Corpus(LyricRecord(f"s{i}", " ".join(rng.choices(words, k=62)), f"p{i % 8}")
+                for i in range(n_songs))
+enc = experiments.encode(corpus)
+specs = experiments._run_specs(SplitSpec(0.85, 1), 16)
+for threads in (1, 2):
+    seen, later = set(), []
+    for pid, faults in experiments._map_runs(enc, faulting_round, 0.5, specs, threads):
+        if pid in seen:
+            later.append(faults)
+        seen.add(pid)
+    print(len(seen), *later)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs fork and affinity")
+def test_rounds_reuse_their_memory_serially_and_in_workers():
+    # Rounds that allocated their per-entry arrays afresh made glibc grow and
+    # trim the heap at every round, in a fresh process as in a forked worker:
+    # about 700 minor page faults a round here, and training rounds at half
+    # speed. The reference shape's 136k entries in 8 palos, over 5,000 words,
+    # so that the per-entry arrays outweigh the class masses. Each process's
+    # first round makes its buffers; the others should fault almost never
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT, "2200", "5000"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    serial, pooled = (list(map(int, line.split())) for line in done.stdout.splitlines())
+    assert serial[0] == 1 and len(serial) == 16
+    if len(os.sched_getaffinity(0)) > 1:
+        assert pooled[0] == 2 and len(pooled) == 15
+    for processes, *faults in (serial, pooled):
+        # a round may fault while a heap settles; the typical round does not
+        assert sorted(faults)[len(faults) // 2] < 100, (processes, faults)
+        assert np.mean(np.array(faults) < 100) >= 0.75, (processes, faults)
 
 
 # ---------------------------------------------------------------------------

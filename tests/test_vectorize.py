@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lexpalo import mnb, vectorize
 from lexpalo.corpus_io import Corpus
@@ -235,14 +236,10 @@ def test_encoding_counts_each_record_in_blocks_of_any_size(monkeypatch, block):
         token_lists = [r.text.split() for r in c.records]
         assert e.words == tuple(sorted({t for tokens in token_lists for t in tokens}))
         assert e.lengths.tolist() == list(map(len, token_lists))
-        expected, offset = [], 0
-        for doc, tokens in enumerate(token_lists):
-            for word in sorted(set(tokens)):
-                expected.append((doc, e.words.index(word), tokens.count(word),
-                                 offset + tokens.index(word)))
-            offset += len(tokens)
-        assert list(zip(e.doc.tolist(), e.word.tolist(), e.count.tolist(),
-                        e.first.tolist())) == expected
+        expected = [(doc, e.words.index(word), tokens.count(word))
+                    for doc, tokens in enumerate(token_lists)
+                    for word in sorted(set(tokens))]
+        assert list(zip(e.doc.tolist(), e.word.tolist(), e.count.tolist())) == expected
 
 
 def test_encoding_tables_equal_their_direct_recomputation():
@@ -399,14 +396,16 @@ def test_idf_is_computed_once_per_vocabulary():
 @pytest.mark.parametrize("path", ["tfidf_row", "tfidf", "genre_vectors"])
 @pytest.mark.parametrize("n_values", [9_999, 10_000, 10_001, 25_000])
 def test_rows_beyond_ten_thousand_values_are_normalised_without_blas(n_values, path):
-    # OpenBLAS threads the dot product of np.linalg.norm beyond 10,000 values
+    # OpenBLAS threads the dot product of np.linalg.norm beyond 10,000 values,
+    # and its kernels add in their own order: every row, short or long, adds
+    # its squares one at a time in column order
     rng = random.Random(n_values)
     words = [f"w{i}" for i in range(n_values)]
     train = [" ".join(rng.sample(words, n_values // 2)) for _ in range(3)]
     tokens = [w for w in words for _ in range(rng.randint(1, 4))]
     rng.shuffle(tokens)
     if path == "genre_vectors":
-        # palo X's songs split the tokens, so its first occurrences span both
+        # palo X's songs split the tokens, so its cells sum over both
         cut = len(tokens) // 3
         texts = [" ".join(tokens[:cut]), train[0], " ".join(tokens[cut:])]
         c = Corpus(
@@ -438,13 +437,46 @@ def test_rows_beyond_ten_thousand_values_are_normalised_without_blas(n_values, p
         counts[tok] = counts.get(tok, 0) + 1
     cols = np.array([vocab.index[w] for w in counts])
     vals = np.array([n / len(tokens) for n in counts.values()]) * vocab.idf[cols]
-    if n_values > 10_000:
-        vals /= np.sqrt(np.sum(vals * vals))
-    else:
-        vals /= np.linalg.norm(vals)
     order = np.argsort(cols)
-    assert np.array_equal(columns, cols[order])
-    assert np.array_equal(values, vals[order])
+    cols, vals = cols[order], vals[order]
+    # accumulate adds in order, where np.sum and a dot product do not
+    vals /= np.sqrt(np.add.accumulate(vals * vals)[-1])
+    assert np.array_equal(columns, cols)
+    assert np.array_equal(values, vals)
+
+
+# ---------------------------------------------------------------------------
+# the norm does not see the order of a text's tokens
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_permuting_the_tokens_of_each_text_changes_no_bit(data):
+    # every row adds its squares in column order, whatever order its words
+    # come in; long-tailed word draws give rows of many values
+    pool = [f"w{i}" for i in range(80)]
+    words = st.integers(0, 79).map(lambda i: pool[int(i * i / 80)])
+    texts = data.draw(st.lists(st.lists(words, max_size=60), min_size=2, max_size=8))
+    palos = data.draw(st.lists(st.sampled_from("AB"), min_size=len(texts),
+                               max_size=len(texts)))
+    assume(any(texts))
+    permuted = [data.draw(st.permutations(tokens)) for tokens in texts]
+    corpora = [Corpus(record(f"s{i}", " ".join(tokens), palo)
+                      for i, (tokens, palo) in enumerate(zip(token_lists, palos)))
+               for token_lists in (texts, permuted)]
+    vocab = build_vocabulary(corpora[0])
+    assert build_vocabulary(corpora[1]) == vocab
+    matrices = [tfidf(c, vocab).matrix for c in corpora]
+    assert_same_csr(matrices[1], matrices[0])
+    for tokens, shuffled in zip(texts, permuted):
+        row, other = tfidf_row(tokens, vocab), tfidf_row(list(shuffled), vocab)
+        assert other.columns.tolist() == row.columns.tolist()
+        assert other.values.tobytes() == row.values.tobytes()
+    if all(any(t for t, p in zip(texts, palos) if p == palo) for palo in set(palos)):
+        vectors = [genre_vectors(c) for c in corpora]
+        assert list(vectors[1]) == list(vectors[0])
+        for palo, row in vectors[0].items():
+            assert vectors[1][palo].tobytes() == row.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,11 @@ DEFAULTS = (("stats",), ("train",), ("sweep-alpha",), ("essential",), ("distance
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR AVX512F AVX512_SKX"
 CPU_FEATURES = ("from numpy._core._multiarray_umath import __cpu_features__ as f; "
                 "print(*sorted(k for k, on in f.items() if on and 'AVX512' in k))")
+# Longest vector whose dot product OpenBLAS computes in one thread
+BLAS_SERIAL_MAX = 10_000
+# a dot product of 9,999 values whose bits differ between OpenBLAS's Nehalem
+# kernel and its Haswell and SkylakeX ones
+KERNEL_DOT = "import numpy as np; v = 1 / np.arange(1.0, 10_000.0); print(v.dot(v).hex())"
 
 
 def _hash_seed_records() -> list[dict]:
@@ -93,8 +98,20 @@ def _blas_split_reached(envs: list[dict], corpora: list[Path]) -> str | None:
         vectors = vectorize.genre_vectors(cli._prepare(cli.RunConfig(corpus=corpus))[1])
         sizes.append(max(int(np.count_nonzero(row)) for row in vectors.values()))
     print(f"identity: largest genre vector of each corpus: {sizes} values")
-    if max(sizes) <= vectorize._BLAS_SERIAL_MAX:
-        return f"no genre vector holds more than {vectorize._BLAS_SERIAL_MAX} values"
+    if max(sizes) <= BLAS_SERIAL_MAX:
+        return f"no genre vector holds more than {BLAS_SERIAL_MAX} values"
+
+
+def _blas_kernels_differ(envs: list[dict], corpora: list[Path]) -> str | None:
+    """Why the check tested nothing: one fixed dot product has the same bits
+    under both sides' OpenBLAS kernels."""
+    dots = [subprocess.run([sys.executable, "-c", KERNEL_DOT], env=env, check=True,
+                           capture_output=True, text=True).stdout.strip() for env in envs]
+    for env, dot in zip(envs, dots):
+        print(f"identity: OPENBLAS_CORETYPE={env.get('OPENBLAS_CORETYPE', '')!r}: "
+              f"fixed dot product {dot}")
+    if dots[0] == dots[1]:
+        return "both sides' OpenBLAS kernels gave the fixed dot product the same bits"
 
 
 def _avx512_disabled(envs: list[dict], corpora: list[Path]) -> str | None:
@@ -128,9 +145,9 @@ CHECKS = (
     # words outside Latin-1, which preprocessing filters apart from the rest
     Check("tree, hash-seed corpus", ("hash-seed",), FEW_RUNS_SMALL,
           ((BASE, {}), (WORKING, {}))),
-    # OpenBLAS splits a dot product of more than 10,000 values across threads:
-    # genre distances and norms, TF-IDF row norms, stats' np.polyfit and the
-    # sweep's GEMM interpolation; the 4 side runs the rounds on two workers
+    # OpenBLAS splits a dot product of more than 10,000 values across
+    # threads, and the sweep's GEMM interpolation runs on them; the 4 side
+    # runs the rounds on two workers
     Check("workers and BLAS", ("wide-3", "wide-3-4x"), FEW_RUNS,
           ((WORKING, {**STRICT, "OPENBLAS_NUM_THREADS": "1", "LEXPALO_THREADS": "1"}),
            (WORKING, {**STRICT, "OPENBLAS_NUM_THREADS": "4", "LEXPALO_THREADS": "2"})),
@@ -142,6 +159,11 @@ CHECKS = (
           ((WORKING, {**STRICT, "NPY_DISABLE_CPU_FEATURES": ""}),
            (WORKING, {**STRICT, "NPY_DISABLE_CPU_FEATURES": NO_AVX512})),
           _avx512_disabled),
+    # the kernels OpenBLAS picks for an older CPU, which add a dot product's
+    # terms in another order: no report may take its bits from BLAS
+    Check("OpenBLAS kernels", ("reference-5", "wide-3"), FEW_RUNS,
+          ((WORKING, STRICT), (WORKING, {**STRICT, "OPENBLAS_CORETYPE": "Nehalem"})),
+          _blas_kernels_differ),
     # tier-1 runs under one hash seed: no report may follow a set's order
     Check("hash seed", ("hash-seed",), FEW_RUNS_SMALL,
           ((WORKING, {**STRICT, "PYTHONHASHSEED": "0"}),
