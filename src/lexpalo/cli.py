@@ -208,9 +208,15 @@ def _check_options(command: str, config: RunConfig) -> None:
             f"--sttr-windows must lie in [1, {lexstats.STTR_MAX_WINDOWS}], "
             f"got {config.sttr_windows}"
         )
-    if command == "sweep-alpha":
+    if command in ("train", "sweep-alpha", "essential"):
         from . import experiments
 
+        least = 2 if command == "essential" else 1
+        if not least <= config.runs <= experiments.MAX_RUNS:
+            raise ValueError(
+                f"--runs must lie in [{least}, {experiments.MAX_RUNS}], got {config.runs}"
+            )
+    if command == "sweep-alpha":
         experiments.alpha_grid(config.grid_step)
 
 

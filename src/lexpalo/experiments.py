@@ -54,6 +54,8 @@ from .vectorize import Entries, encode
 DEFAULT_EPSILON = 1e-9
 # A sweep grid holds at most this many alphas, so each is at least 1e-5.
 MAX_GRID_ALPHAS = 100_000
+# The most rounds one call runs: 200 times the paper's 500.
+MAX_RUNS = 100_000
 
 
 @dataclass(frozen=True)
@@ -459,8 +461,8 @@ def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) ->
 
 
 def _run_specs(split: SplitSpec, n_runs: int) -> list[SplitSpec]:
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if not 1 <= n_runs <= MAX_RUNS:
+        raise ValueError(f"n_runs must lie in [1, {MAX_RUNS}], got {n_runs}")
     return [
         SplitSpec(split.train_fraction, derive_seed(split.seed, "run", i))
         for i in range(n_runs)
@@ -579,8 +581,8 @@ def essential_words(
     strictly above the best-ranked flagged word. Mean ties rank
     lexicographically.
     """
-    if n_runs < 2:
-        raise ValueError(f"n_runs must be >= 2, got {n_runs}")
+    if not 2 <= n_runs <= MAX_RUNS:
+        raise ValueError(f"n_runs must lie in [2, {MAX_RUNS}], got {n_runs}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     enc = encode(corpus)

@@ -254,7 +254,6 @@ def load_model(path) -> tuple[MnbModel, dict | None]:
     try:
         vocab = Vocabulary(
             words=words,
-            index={w: i for i, w in enumerate(words)},
             df=tuple(payload["vocab"]["df"]),
             n_docs=payload["vocab"]["n_docs"],
         )

@@ -142,53 +142,34 @@ _DOTTED_I = ("\u0130", "\u0131")
 
 @lru_cache(maxsize=16)
 def _concat_pattern(pairs: tuple[tuple[str, str], ...]):
-    """The regex of all phrases with the replacement of each of its groups,
-    and the same for the phrases of each distinct phrase casefold (None when
-    a phrase holds a letter of _DOTTED_I, so that every text is matched with
-    the full regex)."""
+    """The regex of all phrases, the replacement of each of its groups, and
+    the distinct phrase casefolds in phrase order (None when a phrase holds
+    a letter of _DOTTED_I, so that every text is scanned whole)."""
     # Longest phrase first so overlapping phrases resolve deterministically.
     ordered = sorted(pairs, key=lambda kv: (-len(kv[0]), kv[0]))
     # Phrases equal but for case share the replacement of the last of them
     # in this order.
     by_lower = {p.lower(): joined for p, joined in ordered}
-    full = _phrase_regex(ordered, by_lower)
-    if any(c in p for p, _ in ordered for c in _DOTTED_I):
-        return full, None
-    by_fold: dict[str, list[tuple[str, str]]] = {}
-    for pair in ordered:
-        by_fold.setdefault(pair[0].casefold(), []).append(pair)
-    # built here, not through a cache of its own, so that a large map cannot
-    # evict the full regex of another
-    return full, {
-        fold: _phrase_regex(group, by_lower) for fold, group in by_fold.items()
-    }
-
-
-def _phrase_regex(ordered, by_lower: dict[str, str]):
-    """The regex with one group per phrase, in this order, and the
-    replacement of each group."""
     pattern = re.compile(
         r"\b(?:" + "|".join(f"({re.escape(p)})" for p, _ in ordered) + r")\b",
         re.IGNORECASE,
     )
-    return pattern, (None, *(by_lower[p.lower()] for p, _ in ordered))
+    replacements = (None, *(by_lower[p.lower()] for p, _ in ordered))
+    if any(c in p for p, _ in ordered for c in _DOTTED_I):
+        return pattern, replacements, None
+    return pattern, replacements, tuple(dict.fromkeys(p.casefold() for p, _ in ordered))
 
 
-def _concat(text: str, full, by_fold) -> str:
+def _concat(text: str, pattern, replacements, folds) -> str:
     # Outside _DOTTED_I, characters re.IGNORECASE matches have equal
     # casefolds, and casefold maps each character on its own, so a phrase
-    # can match only where its casefold occurs in the text's casefold. The
-    # regex of the one casefold that occurs is then the full regex without
-    # alternatives that match nowhere.
-    pattern, replacements = full
+    # can match only where its casefold occurs in the text's casefold.
     start, end = 0, len(text)
-    if by_fold is not None and not any(c in text for c in _DOTTED_I):
+    if folds is not None and not any(c in text for c in _DOTTED_I):
         folded_text = text.casefold()
-        present = [fold for fold in by_fold if fold in folded_text]
+        present = [fold for fold in folds if fold in folded_text]
         if not present:
             return text
-        if len(present) == 1:
-            pattern, replacements = by_fold[present[0]]
         if len(folded_text) == len(text):
             # each character folds to one, at its own place: every match
             # lies between the first and the last casefold hit, and its \b
@@ -384,10 +365,7 @@ def preprocess_with_decisions(
     at most one token, so the output's ids are the raw ids less those that
     give none, renumbered in order of first occurrence.
     """
-    texts = [rec.text for rec in corpus.records]
-    if config.concat_map:
-        phrases = _concat_pattern(config.concat_map)
-        texts = [_concat(text, *phrases) for text in texts]
+    texts = [apply_concat_map(rec.text, config) for rec in corpus.records]
     ids, raw_offsets, raws = word_ids(texts)
     del texts
     counts = np.zeros(len(raws), dtype=np.int64)

@@ -50,9 +50,13 @@ class Vocabulary:
     """Sorted word list of a training corpus with document frequencies."""
 
     words: tuple[str, ...]
-    index: dict[str, int]
     df: tuple[int, ...]
     n_docs: int
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Word -> its column, built at first use."""
+        return {w: i for i, w in enumerate(self.words)}
 
     @cached_property
     def idf(self) -> np.ndarray:
@@ -168,18 +172,7 @@ def build_vocabulary(train: Corpus) -> Vocabulary:
 def _vocabulary(e: Entries) -> Vocabulary:
     """The vocabulary of the encoded records. Each word has an entry, since
     :func:`corpus_io.word_ids` numbers only the words it meets."""
-    return _vocabulary_of(e.words, e.df, len(e.lengths))
-
-
-def _vocabulary_of(words: tuple[str, ...], df: np.ndarray, n_docs: int) -> Vocabulary:
-    """The vocabulary of ``n_docs`` documents over the sorted ``words``, of
-    which ``df`` documents use each."""
-    return Vocabulary(
-        words=words,
-        index={w: i for i, w in enumerate(words)},
-        df=tuple(df.tolist()),
-        n_docs=n_docs,
-    )
+    return Vocabulary(e.words, tuple(e.df.tolist()), len(e.lengths))
 
 
 def tfidf_row(tokens: list[str], vocab: Vocabulary) -> TfIdfRow:
@@ -258,7 +251,7 @@ def genre_vectors(corpus: Corpus) -> dict[str, np.ndarray]:
             raise EmptyDocumentError(f"palo {palo!r} has no tokens after preprocessing")
     # the records' entries reduced to (palo, word) cells, counts summed
     count = np.bincount(e.cell, weights=e.count, minlength=shape[0] * shape[1]).reshape(shape)
-    idf = _vocabulary_of(e.words, np.count_nonzero(count, axis=0), shape[0]).idf
+    idf = Vocabulary(e.words, tuple(np.count_nonzero(count, axis=0).tolist()), shape[0]).idf
     # each palo's row of counts becomes its unit row in place; nonzero lists
     # each palo's values in column order
     palo, word = np.nonzero(count)

@@ -193,7 +193,7 @@ def csr_genre_vectors(corpus):
     cells, entry = np.unique(cell, return_inverse=True)
     row, word = np.divmod(cells, len(e.words))
     vocab = Vocabulary(
-        words=e.words, index={w: i for i, w in enumerate(e.words)},
+        words=e.words,
         df=tuple(np.bincount(word, minlength=len(e.words)).tolist()),
         n_docs=len(e.classes),
     )

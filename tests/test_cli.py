@@ -1251,6 +1251,33 @@ def test_grid_steps_beyond_the_cap_exit_two_before_preprocessing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, runs, least",
+    [
+        ("train", "10000000000", 1), ("train", "0", 1), ("train", "100001", 1),
+        ("sweep-alpha", "10000000000", 1), ("sweep-alpha", "-3", 1),
+        ("essential", "10000000000", 2), ("essential", "1", 2),
+    ],
+)
+def test_run_counts_beyond_the_cap_exit_two_before_the_corpus_is_read(
+    corpus_file, tmp_path, capsys, monkeypatch, command, runs, least
+):
+    def no_loading(*args):
+        raise AssertionError("corpus read")
+
+    monkeypatch.setattr(cli, "load_corpus", no_loading)
+    out = tmp_path / "out"
+    code = cli.main([command, *base_args(corpus_file, out), "--runs", runs])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"lexpalo {command}: error: --runs must lie in "
+        f"[{least}, {experiments.MAX_RUNS}], got {runs}\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_usage_errors_return_two(corpus_file, tmp_path, capsys):
     bad_fraction = cli.main([
         "train", *base_args(corpus_file, tmp_path),

@@ -304,6 +304,21 @@ def test_trainings_rejects_nonpositive_run_count():
         experiments.run_trainings(SEPARABLE, 0.5, 0, HALF)
 
 
+def test_run_counts_above_the_cap_are_rejected_before_any_spec_is_made(monkeypatch):
+    def no_specs(*args):
+        raise AssertionError("spec made")
+
+    monkeypatch.setattr(experiments, "SplitSpec", no_specs)
+    too_many = experiments.MAX_RUNS + 1
+    for run in (
+        lambda: experiments.run_trainings(SEPARABLE, 0.5, too_many, HALF),
+        lambda: experiments.alpha_sweep(SEPARABLE, 0.5, 10**10, HALF),
+        lambda: experiments.essential_words(SEPARABLE, 0.5, too_many, HALF),
+    ):
+        with pytest.raises(ValueError, match=f"n_runs must lie in \\[[12], {too_many - 1}\\]"):
+            run()
+
+
 # ---------------------------------------------------------------------------
 # aggregate
 

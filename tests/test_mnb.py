@@ -159,9 +159,7 @@ def test_score_tie_goes_to_first_sorted_class():
 
 
 def test_score_hand_model_difference_is_log_odds():
-    vocab = Vocabulary(
-        words=("u", "w"), index={"u": 0, "w": 1}, df=(1, 1), n_docs=2
-    )
+    vocab = Vocabulary(words=("u", "w"), df=(1, 1), n_docs=2)
     model = mnb.MnbModel(
         classes=("c1", "c2"),
         priors={"c1": 0.5, "c2": 0.5},

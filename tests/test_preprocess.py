@@ -137,8 +137,8 @@ def test_concat_map_on_letters_whose_case_pairs_are_not_plain(text, expected):
 @pytest.mark.parametrize("phrase", ["İzmir limanı", "İzmir limani", "izmir lımani"])
 def test_concat_map_phrase_with_dotted_letters_always_runs_the_regex(phrase):
     config = PreprocessConfig(concat_map=((phrase, "Izmir"),))
-    _, by_fold = preprocess._concat_pattern(config.concat_map)
-    assert by_fold is None
+    *_, folds = preprocess._concat_pattern(config.concat_map)
+    assert folds is None
     full_pattern = oracles.concat_full_pattern(config.concat_map)
     for text in ("izmir limani", "IZMIR LIMANI", "İZMİR LİMANI", "ızmır lımanı"):
         assert apply_concat_map(text, config) == full_pattern(text)
@@ -215,12 +215,8 @@ def test_concat_map_scans_only_between_the_phrase_casefolds():
     config = PreprocessConfig(
         concat_map=(("Santa Ana", "SantaAna"), ("Muralla Real", "MurallaReal"))
     )
-    full, by_fold = preprocess._concat_pattern(config.concat_map)
+    pattern, replacements, folds = preprocess._concat_pattern(config.concat_map)
     scanned = []
-    spied = {
-        fold: (_ScanSpy(pattern, scanned), replacements)
-        for fold, (pattern, replacements) in by_fold.items()
-    }
     pad = "pena " * 200
     cases = {
         pad + "SANTA ANA " + pad: (" SANTA ANA ", pad + "SantaAna " + pad),
@@ -232,12 +228,33 @@ def test_concat_map_scans_only_between_the_phrase_casefolds():
         ),
         "santa ana STRAßE" + pad: ("santa ana STRAßE" + pad, "SantaAna STRAßE" + pad),
     }
-    spies = ((_ScanSpy(full[0], scanned), full[1]), spied)
+    spies = (_ScanSpy(pattern, scanned), replacements, folds)
     with mock.patch.object(preprocess, "_concat_pattern", return_value=spies):
         for text, (window, joined) in cases.items():
             del scanned[:]
             assert apply_concat_map(text, config) == joined
             assert scanned == [window]
+
+
+def test_concat_map_compiles_one_regex(monkeypatch):
+    compiled, real_compile = [], re.compile
+
+    def compile_(*args):
+        compiled.append(args[0])
+        return real_compile(*args)
+
+    concat_map = (
+        ("Puerta de Tierra", "PuertaDeTierra"), ("Vega Alta", "VegaAlta"),
+        ("Barrio de la Viña", "BarrioDeLaVina"),
+    )
+    monkeypatch.setattr(preprocess.re, "compile", compile_)
+    built = preprocess._concat_pattern(concat_map)
+    monkeypatch.undo()
+    assert len(compiled) == 1
+    pattern, replacements, folds = built
+    assert compiled == [pattern.pattern]
+    assert replacements == (None, "BarrioDeLaVina", "PuertaDeTierra", "VegaAlta")
+    assert folds == ("barrio de la viña", "puerta de tierra", "vega alta")
 
 
 # case twins, and a phrase that holds another

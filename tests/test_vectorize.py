@@ -128,7 +128,7 @@ def test_tfidf_oov_tokens_change_nothing_after_normalization():
 
 def test_tfidf_requires_a_vocabulary():
     docs = corpus_from_texts(["a"])
-    empty = Vocabulary(words=(), index={}, df=(), n_docs=1)
+    empty = Vocabulary(words=(), df=(), n_docs=1)
     with pytest.raises(VocabularyMismatchError):
         tfidf(docs, empty)
     with pytest.raises(VocabularyMismatchError):
