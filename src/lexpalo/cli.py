@@ -216,8 +216,11 @@ def _check_options(command: str, config: RunConfig) -> None:
             raise ValueError(
                 f"--runs must lie in [{least}, {experiments.MAX_RUNS}], got {config.runs}"
             )
+        SplitSpec(train_fraction=config.train_fraction)
     if command == "sweep-alpha":
         experiments.alpha_grid(config.grid_step)
+    if command == "essential" and config.epsilon is not None:
+        experiments.check_epsilon(config.epsilon)
 
 
 def _preprocess_config(config: RunConfig) -> preprocess.PreprocessConfig:

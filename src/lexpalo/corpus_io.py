@@ -20,6 +20,7 @@ import random
 import secrets
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +36,55 @@ from .seeding import derive_seed
 REQUIRED_KEYS = ("id", "palo", "text")
 
 
+class _Text:
+    """:class:`LyricRecord`'s ``text`` field, stored under ``_text``: a str,
+    or an :class:`_Unread` mark, which the first read replaces by its text."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:  # the field has no default
+            raise AttributeError("text")
+        text = rec._text
+        if type(text) is _Unread:
+            text = text.texts.join(text.i)
+            object.__setattr__(rec, "_text", text)
+        return text
+
+    def __set__(self, rec, text):
+        object.__setattr__(rec, "_text", text)
+
+
 @dataclass(frozen=True)
 class LyricRecord:
-    """One song: identifier, text, genre label, and optional metadata."""
+    """One song: identifier, text, genre label, and optional metadata.
+
+    The records of a corpus made by :func:`texts_from_ids`, as a
+    preprocessed one is, hold no text until it is first read: it is then
+    joined from the corpus's word ids and kept, so equality, ``repr``,
+    ``dataclasses.replace`` and pickling see the same text. The commands
+    read the word ids, never such a text."""
 
     id: str
-    text: str
+    text: str = _Text()
     palo: str
     metadata: dict[str, str] = field(default_factory=dict)
+
+
+class _Texts:
+    """Texts as word ids, as a :class:`Corpus` carries them: text i is the
+    words of ``ids[offsets[i]:offsets[i + 1]]`` joined by single spaces."""
+
+    def join(self, i: int) -> str:
+        if isinstance(self.words, str):  # split once, on the first join
+            self.words = self.words.split()
+        ids = self.ids[self.offsets[i]:self.offsets[i + 1]].tolist()
+        return " ".join(map(self.words.__getitem__, ids))
+
+
+class _Unread(NamedTuple):
+    """Text ``i`` of ``texts``, not yet read."""
+
+    texts: _Texts
+    i: int
 
 
 class Corpus:
@@ -147,6 +189,21 @@ def token_ids(corpus: Corpus) -> TokenIds:
         corpus._ids = _held(*word_ids([rec.text for rec in corpus.records]))
     ids, offsets, words = corpus._ids
     return TokenIds(corpus, ids, offsets, tuple(words.split()))
+
+
+def texts_from_ids(records, ids) -> Corpus:
+    """A corpus of ``records``' ids, palos and metadata that carries ``ids``
+    (as :class:`Corpus` takes them) and whose texts are their tokens joined
+    by single spaces, each made when first read. The records' own texts are
+    not read."""
+    texts = _Texts()
+    corpus = Corpus(
+        (LyricRecord(rec.id, _Unread(texts, i), rec.palo, rec.metadata)
+         for i, rec in enumerate(records)),
+        ids=ids,
+    )
+    texts.ids, texts.offsets, texts.words = corpus._ids
+    return corpus
 
 
 def nonempty_records(corpus: Corpus) -> Corpus:

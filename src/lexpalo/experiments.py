@@ -564,6 +564,13 @@ def alpha_sweep(
     )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless ``epsilon``, the floor tolerance of
+    :func:`essential_words`, is finite and >= 0."""
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
 def essential_words(
     corpus: Corpus,
     alpha: float,
@@ -583,8 +590,7 @@ def essential_words(
     """
     if not 2 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must lie in [2, {MAX_RUNS}], got {n_runs}")
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_epsilon(epsilon)
     enc = encode(corpus)
     check_alpha(alpha, len(enc.words))
     n_classes, n_words = len(enc.classes), len(enc.words)

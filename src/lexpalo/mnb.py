@@ -77,7 +77,7 @@ class MnbModel:
                 "df": list(self.vocab.df),
                 "n_docs": self.vocab.n_docs,
             },
-            "word_logprob": [list(map(float, row)) for row in self.word_logprob],
+            "word_logprob": self.word_logprob.tolist(),
         }
         if preprocess_state is not None:
             payload["preprocess"] = preprocess_state

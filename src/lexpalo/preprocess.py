@@ -39,7 +39,7 @@ from importlib import resources as importlib_resources
 
 import numpy as np
 
-from .corpus_io import Corpus, LyricRecord, read_text, word_ids
+from .corpus_io import Corpus, read_text, texts_from_ids, word_ids
 from .errors import FormatError, ModelFormatError
 
 logger = logging.getLogger(__name__)
@@ -354,8 +354,10 @@ def preprocess_with_decisions(
 
     The returned corpus has identical record ids/palos/metadata and filtered
     texts (tokens joined by single spaces), and carries its tokens' word ids
-    for :func:`corpus_io.token_ids`. Records left without tokens are
-    retained with empty text; their count is logged as a warning.
+    for :func:`corpus_io.token_ids`. A text is joined from those ids when it
+    is first read (:func:`corpus_io.texts_from_ids`); no command reads one.
+    Records left without tokens are retained with empty text; their count is
+    logged as a warning.
 
     The phrase-concatenated texts are tokenized once, into raw token ids.
     Stages 2-5 act on each whitespace token alone, so they run once over the
@@ -363,7 +365,8 @@ def preprocess_with_decisions(
     "\\n" (Latin-1 ones through ``bytes.translate``, the others one at a
     time), and the case tally weighs each by its count. Each raw token gives
     at most one token, so the output's ids are the raw ids less those that
-    give none, renumbered in order of first occurrence.
+    give none, renumbered in order of first occurrence, and each record's
+    kept tokens are counted one block of ids at a time.
     """
     texts = [apply_concat_map(rec.text, config) for rec in corpus.records]
     ids, raw_offsets, raws = word_ids(texts)
@@ -377,24 +380,14 @@ def preprocess_with_decisions(
     first_seen.pop("", None)
     first_seen = dict(zip(first_seen, range(len(first_seen))))
     renumber = np.fromiter(map(first_seen.get, tokens, repeat(-1)), np.int32, len(tokens))
-    out = []
-    offsets = np.zeros(len(corpus.records) + 1, dtype=np.int64)
-    bounds = raw_offsets.tolist()
-    for i, rec in enumerate(corpus.records):
-        raw_ids = ids[bounds[i]:bounds[i + 1]].tolist()
-        kept = list(filter(None, map(tokens.__getitem__, raw_ids)))
-        offsets[i + 1] = len(kept)
-        out.append(LyricRecord(
-            id=rec.id, text=" ".join(kept), palo=rec.palo, metadata=rec.metadata
-        ))
-    n_empty = np.count_nonzero(offsets[1:] == 0)
+    ids, offsets = _renumbered(ids, renumber, raw_offsets)
+    n_empty = np.count_nonzero(offsets[1:] == offsets[:-1])
     if n_empty:
         logger.warning(
             "preprocessing left %d record(s) with no tokens", n_empty
         )
-    ids = _renumbered(ids, renumber)
     return (
-        Corpus(out, ids=(ids, np.cumsum(offsets), tuple(first_seen))),
+        texts_from_ids(corpus.records, (ids, offsets, tuple(first_seen))),
         FrozenPipeline(config, lowered),
     )
 
@@ -404,18 +397,26 @@ def preprocess_with_decisions(
 _BLOCK = 1 << 14
 
 
-def _renumbered(ids: np.ndarray, renumber: np.ndarray) -> np.ndarray:
+def _renumbered(
+    ids: np.ndarray, renumber: np.ndarray, raw_offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """``renumber[ids]`` less its -1 entries, written over ``ids`` block by
     block (no entry is written before it is read), which then shrinks in
-    place, so that no second array as long as ``ids`` is allocated."""
+    place, so that no second array as long as ``ids`` is allocated; and the
+    records' offsets (``raw_offsets`` into ``ids``) into the entries kept."""
+    offsets = np.zeros_like(raw_offsets)
     n = 0
     for start in range(0, len(ids), _BLOCK):
         block = renumber[ids[start:start + _BLOCK]]
-        block = block[block >= 0]
+        kept = block >= 0
+        # the records that end in this block: the entries kept before their end
+        ends = slice(*np.searchsorted(raw_offsets, (start, start + len(block)), "right"))
+        offsets[ends] = n + np.cumsum(kept)[raw_offsets[ends] - start - 1]
+        block = block[kept]
         ids[n:n + len(block)] = block
         n += len(block)
     ids.resize(n, refcheck=False)
-    return ids
+    return ids, offsets
 
 
 def preprocess_corpus(corpus: Corpus, config: PreprocessConfig) -> Corpus:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lexpalo import corpus_io
 from lexpalo.corpus_io import REQUIRED_KEYS, Corpus, LyricRecord, atomic_write
 
 
@@ -19,6 +20,20 @@ def record(rec_id, text, palo="X", **metadata):
         id=str(rec_id), text=text, palo=palo,
         metadata={k: str(v) for k, v in metadata.items()},
     )
+
+
+def spy_on_joins(monkeypatch) -> list[int]:
+    """The places of the records whose texts are joined from word ids from
+    now on, in the order they are joined (in this process)."""
+    seen = []
+    join = corpus_io._Texts.join
+
+    def spy(texts, i):
+        seen.append(i)
+        return join(texts, i)
+
+    monkeypatch.setattr(corpus_io._Texts, "join", spy)
+    return seen
 
 
 def corpus(*items):

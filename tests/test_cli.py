@@ -25,6 +25,7 @@ from lexpalo.vectorize import genre_vectors
 
 from helpers import (
     generated_corpus, random_labeled_corpus, random_spanish_corpus, save_corpus,
+    spy_on_joins,
 )
 
 # the documented exit codes of data and model errors
@@ -1197,8 +1198,36 @@ def test_a_command_that_fails_after_its_first_report_writes_nothing(
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_the_corpus_commands_never_join_a_processed_text(
+    corpus_file, tmp_path, monkeypatch
+):
+    # every command reads the processed corpus's word ids, not its texts
+    joined = spy_on_joins(monkeypatch)
+    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)  # one process: the spy sees all
+    fit = ["--runs", "2", "--train-fraction", "0.5"]
+    for command, options in (
+        ("stats", []), ("train", fit), ("sweep-alpha", [*fit, "--grid-step", "0.25"]),
+        ("essential", fit), ("distances", []), ("mst", []),
+    ):
+        out = tmp_path / command
+        assert cli.main([command, *base_args(corpus_file, out), *options]) == 0
+        assert any(out.iterdir())
+    assert joined == []
+    processed = preprocess.preprocess_corpus(
+        load_corpus(corpus_file), preprocess.default_config()
+    )
+    assert processed.records[1].text and joined == [1]
+
+
+def no_loading(*args):
+    raise AssertionError("corpus read")
+
+
 @pytest.mark.parametrize("epsilon", ["inf", "nan", "-1"])
-def test_epsilons_outside_the_domain_exit_two(corpus_file, tmp_path, capsys, epsilon):
+def test_epsilons_outside_the_domain_exit_two(
+    corpus_file, tmp_path, capsys, monkeypatch, epsilon
+):
+    monkeypatch.setattr(cli, "load_corpus", no_loading)
     out = tmp_path / "out"
     code = cli.main([
         "essential", *base_args(corpus_file, out), "--runs", "2",
@@ -1262,9 +1291,6 @@ def test_grid_steps_beyond_the_cap_exit_two_before_preprocessing(
 def test_run_counts_beyond_the_cap_exit_two_before_the_corpus_is_read(
     corpus_file, tmp_path, capsys, monkeypatch, command, runs, least
 ):
-    def no_loading(*args):
-        raise AssertionError("corpus read")
-
     monkeypatch.setattr(cli, "load_corpus", no_loading)
     out = tmp_path / "out"
     code = cli.main([command, *base_args(corpus_file, out), "--runs", runs])
@@ -1273,6 +1299,27 @@ def test_run_counts_beyond_the_cap_exit_two_before_the_corpus_is_read(
     assert captured.err == (
         f"lexpalo {command}: error: --runs must lie in "
         f"[{least}, {experiments.MAX_RUNS}], got {runs}\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-alpha", "essential"])
+@pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.25", "nan"])
+def test_train_fractions_outside_zero_to_one_exit_two_before_the_corpus_is_read(
+    corpus_file, tmp_path, capsys, monkeypatch, command, fraction
+):
+    monkeypatch.setattr(cli, "load_corpus", no_loading)
+    out = tmp_path / "out"
+    code = cli.main([
+        command, *base_args(corpus_file, out), "--runs", "2",
+        "--train-fraction", fraction,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"lexpalo {command}: error: train_fraction must lie strictly "
+        f"between 0 and 1, got {float(fraction)}\n"
     )
     assert captured.out == ""
     assert not out.exists()

@@ -2,12 +2,15 @@
 
 import json
 import logging
+import multiprocessing
+import pickle
 import random
 import re
 import string
 import sys
 import unicodedata
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import chain
 from unittest import mock
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexpalo.corpus_io import Corpus, filter_top_palos, token_ids
+from lexpalo.corpus_io import Corpus, LyricRecord, filter_top_palos, token_ids
 from lexpalo.errors import CorpusIoError, FormatError, ModelFormatError
 from lexpalo import corpus_io, mnb, preprocess
 from lexpalo.preprocess import (
@@ -34,7 +37,10 @@ from lexpalo.preprocess import (
 from lexpalo.vectorize import build_vocabulary, tfidf
 
 import oracles
-from helpers import corpus, corpus_from_texts, labeled_corpus, random_spanish_corpus
+from helpers import (
+    corpus, corpus_from_texts, generated_corpus, labeled_corpus, random_spanish_corpus,
+    spy_on_joins,
+)
 
 
 BARE = PreprocessConfig()  # default gamma, no stopwords, no concat map
@@ -1079,6 +1085,99 @@ def test_preprocessed_corpus_carries_the_ids_of_its_texts(case):
     assert_carried_ids_equal_a_fresh_tokenization(processed)
     assert_tokenized_once(c, 1)
     assert_tokenized_once(filter_top_palos(processed, 1), 1)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, preprocess._BLOCK])
+def test_record_offsets_are_counted_across_id_blocks(monkeypatch, block):
+    # records and emptied records start and end inside blocks and on their
+    # edges
+    monkeypatch.setattr(preprocess, "_BLOCK", block)
+    for config, texts in CARRIED_IDS_CASES.values():
+        c = labeled_corpus({"A": texts, "B": texts[::-1]})
+        processed, pipeline = preprocess_with_decisions(c, config)
+        assert [r.text for r in processed.records] == [
+            " ".join(pipeline.apply(r.text)) for r in c.records
+        ]
+        assert_carried_ids_equal_a_fresh_tokenization(processed)
+
+
+# ---------------------------------------------------------------------------
+# processed texts, joined when first read
+
+
+@pytest.fixture
+def joins(monkeypatch):
+    return spy_on_joins(monkeypatch)
+
+
+def unread(seed=4):
+    """A preprocessed corpus none of whose texts has been read (two of its
+    songs are emptied), and each song's text joined from the tokens its
+    frozen pipeline gives."""
+    raw = generated_corpus(seed)
+    processed, pipeline = preprocess_with_decisions(raw, default_config())
+    eager = [" ".join(pipeline.apply(r.text)) for r in raw.records]
+    assert eager.count("") == 2
+    return processed, eager
+
+
+def texts_of(c):
+    return [r.text for r in c.records]
+
+
+def test_processed_texts_are_joined_once_when_first_read(joins):
+    processed, eager = unread()
+    assert joins == []
+    first = texts_of(processed)
+    assert first == eager
+    assert joins == list(range(len(eager)))
+    assert all(a is b for a, b in zip(texts_of(processed), first))
+    assert joins == list(range(len(eager)))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_processed_corpus_pickled_before_any_read_keeps_its_texts(joins, protocol):
+    processed, eager = unread()
+    copy = pickle.loads(pickle.dumps(processed, protocol))
+    assert joins == []
+    assert texts_of(copy) == eager
+    assert joins == list(range(len(eager)))
+    assert texts_of(processed) == eager
+    assert token_ids(copy).words == token_ids(processed).words
+
+
+def test_a_spawned_process_joins_the_texts_of_a_processed_corpus(joins):
+    # the start method _map_runs keeps where the platform has no affinity
+    # API: the encoding it sends holds the corpus
+    processed, eager = unread()
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        assert pool.submit(texts_of, processed).result() == eager
+    assert joins == []
+    assert texts_of(processed) == eager
+
+
+def test_unread_and_eager_records_compare_and_print_alike(joins):
+    (a, eager), (b, _), (c, _), (d, _) = (unread() for _ in range(4))
+    for lazy, other, shown, replaced, text in zip(
+        a.records, b.records, c.records, d.records, eager
+    ):
+        record = LyricRecord(lazy.id, text, lazy.palo, lazy.metadata)
+        assert lazy == record
+        assert record == other
+        assert repr(shown) == repr(record)
+        assert replace(replaced, palo="Z") == replace(record, palo="Z")
+        assert replace(replaced, text="otra") == replace(record, text="otra")
+        assert lazy != replace(record, text=text + " otra")
+    assert len(joins) == 4 * len(eager)
+
+
+@pytest.mark.parametrize("text", [None, 7, ["pena"], b"pena", object()],
+                         ids=["None", "int", "list", "bytes", "object"])
+def test_a_text_of_another_type_is_returned_as_given(text):
+    rec = LyricRecord("1", text, "A")
+    assert rec.text is text
+    assert replace(rec, palo="B").text is text
 
 
 def test_lowering_and_accent_stripping_never_make_whitespace():
