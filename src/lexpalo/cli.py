@@ -39,13 +39,12 @@ from .corpus_io import (
     atomic_write,
     filter_top_palos,
     load_corpus,
-    nonempty_records,
     read_text,
     token_ids,
 )
 from .errors import CorpusIoError, FormatError, LexpaloError
 from .seeding import derive_seed
-from .vectorize import fit_tfidf, genre_vectors, tfidf_row
+from .vectorize import genre_vectors, tfidf_row
 
 THREADS_ENV_VAR = "LEXPALO_THREADS"
 
@@ -203,6 +202,8 @@ def _essential_file_names(palos) -> dict[str, str]:
 
 def _check_options(command: str, config: RunConfig) -> None:
     """Reject bad option values before the corpus is read."""
+    if config.min_lyrics < 1:
+        raise ValueError(f"--min-lyrics must be >= 1, got {config.min_lyrics}")
     if not 1 <= config.sttr_windows <= lexstats.STTR_MAX_WINDOWS:
         raise ValueError(
             f"--sttr-windows must lie in [1, {lexstats.STTR_MAX_WINDOWS}], "
@@ -296,7 +297,8 @@ def _train(config: RunConfig, raw, processed, pipeline):
     if "__global__" in processed.palo_index:
         raise FormatError("palo '__global__' is the label of the global accuracy rows")
     split = SplitSpec(train_fraction=config.train_fraction, seed=config.seed)
-    runs = experiments.run_trainings(
+    # the rounds, and one model over the whole corpus for later classification
+    runs, model = experiments.train_and_fit(
         processed, config.alpha, config.runs, split, threads=config.threads
     )
     report = experiments.aggregate(runs)
@@ -310,12 +312,8 @@ def _train(config: RunConfig, raw, processed, pipeline):
         "accuracy.csv": _csv(["run", "seed", "palo", "accuracy"], accuracy_rows),
         "confusion_mean.csv": _matrix_csv("true", report.classes, report.mean_confusion),
         "confusion_only.csv": _matrix_csv("true", report.classes, report.confusion_only),
+        "model.json": model.to_json(pipeline.to_dict()),
     }
-
-    # One model over the whole corpus for later classification.
-    full = nonempty_records(processed)
-    model = mnb.fit(fit_tfidf(full), [r.palo for r in full.records], config.alpha)
-    reports["model.json"] = model.to_json(pipeline.to_dict())
     return reports, (
         f"train: {config.runs} runs at alpha={config.alpha}; mean global "
         f"accuracy {report.mean_global_accuracy:.4f}; model in "

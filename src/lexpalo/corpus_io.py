@@ -95,11 +95,7 @@ class Corpus:
     file loaders additionally reject empty text).
     """
 
-    def __init__(self, records, ids=None):
-        """``ids``, when given, are the ``(ids, offsets, words)`` that
-        :func:`word_ids` gives for the records' texts, which
-        :func:`token_ids` then returns; they are not checked against the
-        texts."""
+    def __init__(self, records):
         records = tuple(records)
         if not records:
             raise EmptyCorpusError("corpus has no records")
@@ -121,7 +117,7 @@ class Corpus:
         self.palo_index: dict[str, tuple[int, ...]] = {
             p: tuple(ix) for p, ix in palo_index.items()
         }
-        self._ids = None if ids is None else _held(*ids)
+        self._ids = None  # the word ids token_ids returns, once made
 
     def __len__(self) -> int:
         return len(self.records)
@@ -192,28 +188,18 @@ def token_ids(corpus: Corpus) -> TokenIds:
 
 
 def texts_from_ids(records, ids) -> Corpus:
-    """A corpus of ``records``' ids, palos and metadata that carries ``ids``
-    (as :class:`Corpus` takes them) and whose texts are their tokens joined
-    by single spaces, each made when first read. The records' own texts are
-    not read."""
+    """A corpus of ``records``' ids, palos and metadata that carries
+    ``ids``, the ``(ids, offsets, words)`` that :func:`word_ids` gives for
+    its texts, which :func:`token_ids` then returns: they are not checked
+    against the texts. Those texts are the tokens joined by single spaces,
+    each made when first read. The records' own texts are not read."""
     texts = _Texts()
     corpus = Corpus(
-        (LyricRecord(rec.id, _Unread(texts, i), rec.palo, rec.metadata)
-         for i, rec in enumerate(records)),
-        ids=ids,
+        LyricRecord(rec.id, _Unread(texts, i), rec.palo, rec.metadata)
+        for i, rec in enumerate(records)
     )
-    texts.ids, texts.offsets, texts.words = corpus._ids
+    corpus._ids = texts.ids, texts.offsets, texts.words = _held(*ids)
     return corpus
-
-
-def nonempty_records(corpus: Corpus) -> Corpus:
-    """The records of ``corpus`` that hold a token, carrying the corpus's
-    word ids (:func:`token_ids`): a record without tokens holds no ids, so
-    only its offset goes."""
-    tok = token_ids(corpus)
-    keep = np.flatnonzero(np.diff(tok.offsets))
-    ids = tok.ids, np.append(tok.offsets[keep], len(tok.ids)), tok.words
-    return Corpus(map(corpus.records.__getitem__, keep.tolist()), ids=ids)
 
 
 @dataclass(frozen=True)
@@ -391,7 +377,8 @@ def split_positions(corpus: Corpus, spec: SplitSpec) -> np.ndarray:
     the tail ``order[n_train:]`` of ``random.Random(seed).shuffle(order)``.
     That shuffle swaps ``order[i]`` with ``order[randbelow(i + 1)]`` for i
     from n-1 down, so the tail is final after its first n - n_train draws;
-    only those are made, with the same ``_randbelow`` calls.
+    only those are made, each as CPython's ``randbelow`` makes it: draws of
+    as many bits as the bound has, until one lies below the bound.
 
     Raises StratumTooSmallError when some palo has fewer than 2 records.
     """
@@ -405,9 +392,10 @@ def split_positions(corpus: Corpus, spec: SplitSpec) -> np.ndarray:
         n_train = math.floor(spec.train_fraction * n + 0.5)  # round half-up
         n_train = min(max(n_train, 1), n - 1)
         order = list(positions)
-        randbelow = random.Random(derive_seed(spec.seed, "stratum", palo))._randbelow
+        getrandbits = random.Random(derive_seed(spec.seed, "stratum", palo)).getrandbits
         for i in range(n - 1, n_train - 1, -1):
-            j = randbelow(i + 1)
+            while (j := getrandbits((i + 1).bit_length())) > i:
+                pass
             order[i], order[j] = order[j], order[i]
         val_ix.extend(order[n_train:])
     return np.array(sorted(val_ix), dtype=np.intp)

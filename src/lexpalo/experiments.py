@@ -23,7 +23,8 @@ squares in word (column) order from 0.0, as :mod:`vectorize` defines it. So
 its weights and masses are those :mod:`vectorize` and :mod:`mnb` compute
 from the text of its training documents, bit for bit. The per-entry weights
 and squares go into ``Entries.buffers``, which each process makes once and
-every run refills.
+every run refills. :func:`train_and_fit` fits ``lexpalo train``'s model
+from the same encoding, as a run that holds out no document.
 
 The alpha sweep scores each validation document at a few Chebyshev nodes
 in ln alpha and interpolates to every alpha the margins of its true class
@@ -47,9 +48,9 @@ import scipy.sparse as sp
 
 from .corpus_io import Corpus, SplitSpec, split_positions
 from .errors import EmptyCorpusError, InconsistentClassesError, NoThresholdError
-from .mnb import check_alpha
+from .mnb import MnbModel, check_alpha, fit_from_masses
 from .seeding import derive_seed
-from .vectorize import Entries, encode
+from .vectorize import Entries, Vocabulary, encode
 
 DEFAULT_EPSILON = 1e-9
 # A sweep grid holds at most this many alphas, so each is at least 1e-5.
@@ -144,14 +145,14 @@ class _Fit:
     indptr: np.ndarray
 
 
-def _fit_split(enc: Entries, spec: SplitSpec) -> _Fit:
-    """Split, vocabulary, TF-IDF and class masses of one run."""
-    validation = split_positions(enc.corpus, spec)
+def _fit_split(enc: Entries, validation: np.ndarray) -> _Fit:
+    """Vocabulary, TF-IDF and class masses of one run, which holds out the
+    records at the sorted positions ``validation`` (maybe none)."""
     train = enc.lengths > 0
     train[validation] = False
     n_train = np.count_nonzero(train)
     if not n_train:
-        raise EmptyCorpusError(f"no training document of seed {spec.seed} has tokens")
+        raise EmptyCorpusError("no training document of a split has tokens")
     entries, indptr = _entries(enc.indptr, validation)
     df = enc.df - np.bincount(enc.column[entries], minlength=len(enc.words))
     in_vocabulary = df > 0
@@ -229,7 +230,7 @@ def _scores(fit: _Fit, rows, mass, alpha: float) -> np.ndarray:
 
 
 def _training_run(enc: Entries, alpha: float, spec: SplitSpec) -> TrainingResult:
-    fit = _fit_split(enc, spec)
+    fit = _fit_split(enc, split_positions(enc.corpus, spec))
     truth, rows, mass = _validation_rows(enc, fit)
     predicted = fit.classes[np.argmax(_scores(fit, rows, mass, alpha), axis=1)]
     k = len(enc.classes)
@@ -384,7 +385,7 @@ def _sweep_run(enc: Entries, grid: tuple[float, ...], spec: SplitSpec) -> np.nda
     its least interpolated margin (:func:`_sweep_margins`) exceeds twice the
     pair's bound, a miss when it lies below minus that, and else, exact ties
     included, a hit when :func:`_rescore` puts the true class first."""
-    fit = _fit_split(enc, spec)
+    fit = _fit_split(enc, split_positions(enc.corpus, spec))
     truth, rows, mass = _validation_rows(enc, fit)
     # the documents of fitted palos, and each one's place in fit.classes
     fitted = np.isin(truth, fit.classes)
@@ -469,6 +470,14 @@ def _run_specs(split: SplitSpec, n_runs: int) -> list[SplitSpec]:
     ]
 
 
+def _trainings(corpus: Corpus, alpha: float, n_runs: int, split: SplitSpec, threads: int):
+    """The encoding of ``corpus`` and the rounds run on it."""
+    specs = _run_specs(split, n_runs)
+    enc = encode(corpus)
+    check_alpha(alpha, len(enc.words))
+    return enc, _map_runs(enc, _training_run, alpha, specs, threads)
+
+
 def run_trainings(
     corpus: Corpus,
     alpha: float,
@@ -481,10 +490,21 @@ def run_trainings(
     With threads > 1 the rounds execute in worker processes; results are
     identical to the sequential order either way.
     """
-    specs = _run_specs(split, n_runs)
-    enc = encode(corpus)
-    check_alpha(alpha, len(enc.words))
-    return _map_runs(enc, _training_run, alpha, specs, threads)
+    return _trainings(corpus, alpha, n_runs, split, threads)[1]
+
+
+def train_and_fit(corpus: Corpus, alpha: float, n_runs: int, split: SplitSpec,
+                  threads: int = 1) -> tuple[list[TrainingResult], MnbModel]:
+    """:func:`run_trainings`, and the classifier of every record that holds
+    a token, from the rounds' encoding: a round's fit with no validation
+    side, whose class masses are those :func:`mnb.fit` sums over
+    :func:`vectorize.tfidf` of those records, bit for bit. A palo none of
+    whose records holds a token is not one of its classes."""
+    enc, runs = _trainings(corpus, alpha, n_runs, split, threads)
+    labels, counts = np.unique(enc.label[enc.lengths > 0], return_counts=True)
+    vocab = Vocabulary(enc.words, tuple(enc.df.tolist()), int(counts.sum()))
+    mass = _fit_split(enc, np.empty(0, np.intp)).mass[labels]
+    return runs, fit_from_masses(vocab, [enc.classes[k] for k in labels], mass, counts, alpha)
 
 
 def aggregate(runs: Sequence[TrainingResult]) -> AggregateReport:
@@ -602,7 +622,7 @@ def essential_words(
     seen = np.zeros(n_words, dtype=bool)
 
     for spec in _run_specs(split, n_runs):
-        fit = _fit_split(enc, spec)
+        fit = _fit_split(enc, split_positions(enc.corpus, spec))
         probs = fit.mass  # turned into P - floor in place
         # a palo without training documents has zero masses
         totals, least = np.zeros(n_classes), np.zeros(n_classes)

@@ -105,13 +105,13 @@ def check_alpha(alpha: float, n_words: int) -> None:
 
 
 def fit(matrix: TfIdfMatrix, labels, alpha: float) -> MnbModel:
-    """Fit the classifier on a TF-IDF matrix and aligned labels.
+    """Fit the classifier on a TF-IDF matrix and aligned labels: each
+    class's rows summed into its masses, then :func:`fit_from_masses`.
 
-    Raises AlphaNonPositiveError unless :func:`check_alpha` accepts alpha
-    over the matrix's vocabulary, and LabelMismatchError when labels do not
-    align with the matrix rows.
+    Raises LabelMismatchError when labels do not align with the matrix rows,
+    and AlphaNonPositiveError unless :func:`check_alpha` accepts alpha over
+    the matrix's vocabulary.
     """
-    check_alpha(alpha, matrix.matrix.shape[1])
     labels = np.array(list(labels), dtype=object)
     if len(labels) != matrix.matrix.shape[0]:
         raise LabelMismatchError(
@@ -122,13 +122,25 @@ def fit(matrix: TfIdfMatrix, labels, alpha: float) -> MnbModel:
     # each class's rows summed in row order, as a sum over its rows alone adds
     cell = np.repeat(label * n_words, np.diff(rows.indptr)) + rows.indices
     mass = np.bincount(cell, weights=rows.data, minlength=len(classes) * n_words)
-    smoothed = alpha + mass.reshape(len(classes), n_words)
+    return fit_from_masses(matrix.vocab, classes, mass.reshape(-1, n_words), counts, alpha)
+
+
+def fit_from_masses(vocab: Vocabulary, classes, mass, counts, alpha: float) -> MnbModel:
+    """The classifier of ``classes``, in sorted order, from their TF-IDF
+    masses (a C-contiguous row per class over ``vocab``'s words, each the
+    sum of the class's training rows) and their training document counts.
+
+    Raises AlphaNonPositiveError unless :func:`check_alpha` accepts alpha
+    over the vocabulary.
+    """
+    check_alpha(alpha, len(vocab.words))
+    smoothed = alpha + mass
     return MnbModel(
         classes=tuple(classes),
         priors={c: float(counts[k] / counts.sum()) for k, c in enumerate(classes)},
         word_logprob=np.log(smoothed) - np.log(smoothed.sum(axis=1))[:, None],
         alpha=alpha,
-        vocab=matrix.vocab,
+        vocab=vocab,
     )
 
 

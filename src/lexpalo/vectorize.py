@@ -165,13 +165,10 @@ def encode(corpus: Corpus) -> Entries:
 
 def build_vocabulary(train: Corpus) -> Vocabulary:
     """Collect the training corpus vocabulary, sorted lexicographically,
-    with per-word document frequencies and the training document count."""
-    return _vocabulary(encode(train))
-
-
-def _vocabulary(e: Entries) -> Vocabulary:
-    """The vocabulary of the encoded records. Each word has an entry, since
-    :func:`corpus_io.word_ids` numbers only the words it meets."""
+    with per-word document frequencies and the training document count.
+    Each word has an entry, since :func:`corpus_io.word_ids` numbers only
+    the words it meets."""
+    e = encode(train)
     return Vocabulary(e.words, tuple(e.df.tolist()), len(e.lengths))
 
 
@@ -212,20 +209,9 @@ def tfidf(docs: Corpus, vocab: Vocabulary) -> TfIdfMatrix:
     (:func:`_norms`). Words outside ``vocab`` are dropped but count in their
     row's length.
     """
-    return _tfidf(encode(docs), vocab)
-
-
-def fit_tfidf(corpus: Corpus) -> TfIdfMatrix:
-    """:func:`tfidf` of a corpus against its own :func:`build_vocabulary`,
-    from one encoding."""
-    e = encode(corpus)
-    return _tfidf(e, _vocabulary(e))
-
-
-def _tfidf(e: Entries, vocab: Vocabulary) -> TfIdfMatrix:
-    """:func:`tfidf` of the encoded records."""
     import scipy.sparse as sp  # here, so that commands building no matrix never load it
 
+    e = encode(docs)
     _check_vocabulary(vocab)
     column = np.fromiter((vocab.index.get(w, -1) for w in e.words), np.int64, len(e.words))
     column = column[e.word]

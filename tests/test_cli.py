@@ -281,21 +281,26 @@ def test_train_tokenizes_the_corpus_once(corpus_file, tmp_path, monkeypatch):
     assert calls == [18]
 
 
-def test_train_encodes_the_corpus_twice(corpus_file, tmp_path, monkeypatch):
-    calls, encode = [], vectorize.encode
+def test_train_encodes_the_corpus_once_and_builds_no_tfidf_matrix(
+    corpus_file, tmp_path, monkeypatch
+):
+    functions = vectorize.encode, vectorize.tfidf
+    calls = {"encode": [], "tfidf": []}
 
-    def counted(corpus):
-        calls.append(len(corpus.records))
-        return encode(corpus)
+    def counted(function):
+        def spy(corpus, *args):
+            calls[function.__name__].append(len(corpus.records))
+            return function(corpus, *args)
+        return spy
 
-    # every lexpalo module that holds the function, under any name
+    # every lexpalo module that holds either function, under any name
     for module in [m for name, m in sys.modules.items() if name.startswith("lexpalo")]:
         for name, value in list(vars(module).items()):
-            if value is encode:
-                monkeypatch.setattr(module, name, counted)
+            if any(value is function for function in functions):
+                monkeypatch.setattr(module, name, counted(value))
     assert cli.main(train_args(corpus_file, tmp_path / "train")) == 0
-    # the rounds' encoding, then the model's, of the records that hold tokens
-    assert calls == [18, 18]
+    # the rounds' encoding, from which the full-corpus model is fitted too
+    assert calls == {"encode": [18], "tfidf": []}
 
 
 @pytest.mark.parametrize(
@@ -1184,12 +1189,12 @@ def test_alphas_outside_the_domain_exit_twelve(
 def test_a_command_that_fails_after_its_first_report_writes_nothing(
     corpus_file, tmp_path, capsys, monkeypatch
 ):
-    # the full-corpus model is fitted after the accuracy and confusion
-    # reports are built
+    # the full-corpus model is fitted after the rounds that the accuracy and
+    # confusion reports hold
     def failing_fit(*args, **kwargs):
         raise LabelMismatchError("fit failed")
 
-    monkeypatch.setattr(mnb, "fit", failing_fit)
+    monkeypatch.setattr(experiments, "fit_from_masses", failing_fit)
     out = tmp_path / "out"
     code = cli.main(["train", *base_args(corpus_file, out), "--runs", "2"])
     assert code == LabelMismatchError.exit_code
@@ -1238,6 +1243,25 @@ def test_epsilons_outside_the_domain_exit_two(
     assert err.startswith("lexpalo essential: error: epsilon must be finite")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["stats", "train", "sweep-alpha", "essential",
+                                     "distances", "mst"])
+@pytest.mark.parametrize("min_lyrics", ["0", "-3"])
+def test_min_lyrics_below_one_exit_two_before_the_corpus_is_read(
+    corpus_file, tmp_path, capsys, monkeypatch, command, min_lyrics
+):
+    monkeypatch.setattr(cli, "load_corpus", no_loading)
+    out = tmp_path / "out"
+    code = cli.main([command, "--corpus", str(corpus_file), "--output-dir", str(out),
+                     "--min-lyrics", min_lyrics])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"lexpalo {command}: error: --min-lyrics must be >= 1, got {min_lyrics}\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("windows", ["100000000000", "0"])

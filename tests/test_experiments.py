@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lexpalo import experiments
-from lexpalo.corpus_io import Corpus, SplitSpec, filter_top_palos
+from lexpalo import experiments, mnb
+from lexpalo.corpus_io import Corpus, LyricRecord, SplitSpec, filter_top_palos, split_positions
 from lexpalo.errors import AlphaNonPositiveError, InconsistentClassesError
 from lexpalo.preprocess import default_config, preprocess_corpus
 from lexpalo.seeding import derive_seed
@@ -667,7 +667,7 @@ def fitted_validation(enc, spec):
     """One split's fit and, as _sweep_run passes them to _sweep_margins, its
     validation documents of fitted palos: each one's place among the fitted
     classes and their rows; and the masses."""
-    fit = experiments._fit_split(enc, spec)
+    fit = experiments._fit_split(enc, split_positions(enc.corpus, spec))
     truth, rows, mass = experiments._validation_rows(enc, fit)
     fitted = [k for k, t in enumerate(truth) if t in fit.classes]
     true = np.array([fit.classes.tolist().index(t) for t in truth[fitted]])
@@ -704,7 +704,7 @@ def test_rescored_scores_equal_the_full_products(name, screen_encodings):
     enc = screen_encodings[name]
     rng = np.random.default_rng(9)
     for spec in experiments._run_specs(SplitSpec(0.6, 12), 2):
-        fit = experiments._fit_split(enc, spec)
+        fit = experiments._fit_split(enc, split_positions(enc.corpus, spec))
         _, rows, mass = experiments._validation_rows(enc, fit)
         alphas = np.array([1e-5, 0.005, 0.11, 0.5, 1.0])
         full = []
@@ -1189,7 +1189,7 @@ def test_rounds_equal_the_from_counts_construction(seed):
         counts = count_matrix(enc)
         assert not all(enc.lengths)
         for spec in experiments._run_specs(split, 3 if corpus is EMPTY_PALO else 10):
-            fit = experiments._fit_split(enc, spec)
+            fit = experiments._fit_split(enc, split_positions(enc.corpus, spec))
             train, validation = map(np.asarray, oracles.stratified_positions(corpus, spec))
             train = train[enc.lengths[train] > 0]
             reference = oracles.fit_from_counts(
@@ -1233,7 +1233,7 @@ def test_round_masses_equal_the_masses_of_their_tfidf_rows(seed):
     enc = encode(corpus)
     assert not all(enc.lengths)
     for spec in experiments._run_specs(SplitSpec(0.85, seed), 5):
-        fit = experiments._fit_split(enc, spec)
+        fit = experiments._fit_split(enc, split_positions(enc.corpus, spec))
         train = enc.lengths > 0
         train[fit.validation] = False
         positions = np.flatnonzero(train)
@@ -1247,6 +1247,34 @@ def test_round_masses_equal_the_masses_of_their_tfidf_rows(seed):
         mass = mass.reshape(len(fit.classes), fit.size)
         assert same_bits(fit.mass[np.ix_(fit.classes, fit.in_vocabulary)], mass)
         assert same_bits(fit.totals, mass.sum(axis=1))
+
+
+@pytest.mark.parametrize("seed, empty_palo", [(1, False), (2, True)])
+def test_the_trained_model_is_the_fit_of_the_tfidf_of_the_records_with_tokens(
+    seed, empty_palo
+):
+    # train's model comes from the rounds' encoding, fitted with nothing held
+    # out; a palo whose every song preprocesses to nothing has no class
+    raw = generated_corpus(seed, counts=(12, 8, 5, 2))
+    if empty_palo:
+        raw = Corpus([*raw.records, *(LyricRecord(f"v{i}", text, "vacío")
+                                      for i, text in enumerate(["de la que", "el y"]))])
+    processed = preprocess_corpus(raw, default_config())
+    full = Corpus(r for r in processed.records if r.text.split())
+    assert len(full) < len(processed)
+    assert ("vacío" in processed.palos) == empty_palo and "vacío" not in full.palos
+    matrix = tfidf(full, build_vocabulary(full))
+    for alpha in (0.11, 1.0):
+        runs, model = experiments.train_and_fit(processed, alpha, 3, HALF)
+        want = mnb.fit(matrix, [r.palo for r in full.records], alpha)
+        assert model.classes == want.classes == tuple(sorted(full.palos))
+        assert list(model.priors.items()) == list(want.priors.items())
+        assert model.vocab == want.vocab
+        assert model.word_logprob.tobytes() == want.word_logprob.tobytes()
+        rounds = experiments.run_trainings(processed, alpha, 3, HALF)
+        assert [(r.seed, r.confusion.tolist()) for r in runs] == [
+            (r.seed, r.confusion.tolist()) for r in rounds
+        ]
 
 
 FAULTS_SCRIPT = """

@@ -8,8 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from lexpalo import mnb
-from lexpalo.corpus_io import nonempty_records
+from lexpalo import Corpus, mnb
 from lexpalo.errors import (
     AlphaNonPositiveError,
     CorpusIoError,
@@ -111,7 +110,7 @@ def fit_corpora():
         preprocess_corpus(generated_corpus(seed), default_config()) for seed in (1, 2)
     ]
     yield from processed
-    yield from map(nonempty_records, processed)
+    yield from (Corpus(r for r in c.records if r.text.split()) for c in processed)
     yield labeled_corpus({"X": ["a b", "b c a", "c"], "Y": ["d a", "d"], "Z": ["b d"]})
     rng = random.Random(41)
     for _ in range(5):
@@ -293,7 +292,7 @@ def test_scores_equal_the_csr_product_bit_for_bit(n_classes):
     # one class too, where a reduction would sum its products pairwise
     rng = random.Random(n_classes)
     c = random_labeled_corpus(rng, n_palos=n_classes, pool_size=200, doc_len=(0, 150))
-    full = nonempty_records(c)
+    full = Corpus(r for r in c.records if r.text.split())
     vocab = build_vocabulary(full)
     model = mnb.fit(tfidf(full, vocab), [r.palo for r in full.records], 0.11)
     assert len(model.classes) == n_classes

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package uses another's private
 names, every package name the benchmark reads exists, every identity check
-runs every command, and the README's library usage block runs."""
+runs every command, tools/loc.py counts code lines alone, and the README's
+library usage block runs."""
 
 import argparse
 import ast
@@ -58,8 +59,8 @@ def test_no_module_uses_another_modules_private_names():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # layer metrics that still name functions the package no longer has
 STALE = {
-    "lexpalo.corpus_io.stratified_split", "lexpalo.mnb.fit_from_masses",
-    "lexpalo.mnb.class_masses", "lexpalo.lexstats.sttr",
+    "lexpalo.corpus_io.stratified_split", "lexpalo.mnb.class_masses",
+    "lexpalo.lexstats.sttr",
 }
 
 
@@ -130,9 +131,9 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert sorted(unresolved - STALE) == []
 
 
-def _identity_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
-    spec = importlib.util.spec_from_file_location("identity_tool", path)
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_tool", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -142,12 +143,12 @@ def test_every_identity_check_runs_every_command():
     parser = lexpalo.cli._build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert "classify" in subparsers.choices
-    for check in _identity_tool().CHECKS:
+    for check in _tool("identity").CHECKS:
         assert {command[0] for command in check.commands} == set(subparsers.choices), check.name
 
 
 def test_identity_names_the_first_file_that_differs(tmp_path):
-    first_difference = _identity_tool()._first_difference
+    first_difference = _tool("identity")._first_difference
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):
         (root / "sub").mkdir(parents=True)
@@ -162,6 +163,37 @@ def test_identity_names_the_first_file_that_differs(tmp_path):
     os.utime(b / "sub" / "y.txt", ns=(0, 0))
     os.utime(a / "sub" / "y.txt", ns=(0, 0))
     assert first_difference(a, b) == os.path.join("sub", "y.txt")
+
+
+LOC_FIXTURE = '''"""A module docstring,
+of two lines."""
+
+import math  # a comment after code
+
+# a comment line
+TEMPLATE = """not a docstring:
+every line counts"""
+
+
+class Shape:
+    """A class docstring."""
+
+    def area(self, r):
+        """A function docstring,
+
+        of three lines."""
+        return math.pi * r * r
+'''
+
+
+def test_loc_counts_code_lines_alone(capsys):
+    loc = _tool("loc")
+    # the import, TEMPLATE's two lines, the class, the def and the return
+    assert loc.code_lines(LOC_FIXTURE) == 6
+    loc.main([])
+    lines = capsys.readouterr().out.splitlines()
+    assert {line.split()[0] for line in lines} == {p.stem for p in PACKAGE.glob("*.py")} | {"total"}
+    assert int(lines[-1].split()[1]) == sum(int(line.split()[1]) for line in lines[:-1])
 
 
 def test_readme_library_usage_block_runs(tmp_path):

@@ -364,10 +364,6 @@ def test_tfidf_equals_per_document_reference_on_carried_ids(seed):
         result = tfidf(processed, v)
         assert_same_csr(result.matrix, expected)
         assert empty_rows(result.matrix) == tuple(empty)
-    # the saved model's matrix: the vocabulary and rows of one encoding
-    fitted = vectorize.fit_tfidf(processed)
-    assert fitted.vocab == vocab
-    assert_same_csr(fitted.matrix, tfidf(processed, vocab).matrix)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
