@@ -42,7 +42,7 @@ from .corpus_io import (
     read_text,
     token_ids,
 )
-from .errors import CorpusIoError, FormatError, LexpaloError
+from .errors import AlphaNonPositiveError, CorpusIoError, FormatError, LexpaloError
 from .seeding import derive_seed
 from .vectorize import genre_vectors, tfidf_row
 
@@ -218,6 +218,9 @@ def _check_options(command: str, config: RunConfig) -> None:
                 f"--runs must lie in [{least}, {experiments.MAX_RUNS}], got {config.runs}"
             )
         SplitSpec(train_fraction=config.train_fraction)
+        # alpha * |V| is checked once the vocabulary is known
+        if command != "sweep-alpha" and not 0 < config.alpha < float("inf"):
+            raise AlphaNonPositiveError(f"alpha must be finite and > 0, got {config.alpha}")
     if command == "sweep-alpha":
         experiments.alpha_grid(config.grid_step)
     if command == "essential" and config.epsilon is not None:

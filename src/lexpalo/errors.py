@@ -77,12 +77,6 @@ class InconsistentClassesError(LexpaloError):
     exit_code = 15
 
 
-class NoThresholdError(LexpaloError):
-    """No word was ever flagged at the smoothing floor, so no essential-word
-    threshold exists."""
-    exit_code = 16
-
-
 class NormError(LexpaloError):
     """A vector expected to be L2-normalized is not."""
     exit_code = 17

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus_io import Corpus, SplitSpec, split_positions
-from .errors import EmptyCorpusError, InconsistentClassesError, NoThresholdError
+from .errors import EmptyCorpusError, InconsistentClassesError
 from .mnb import MnbModel, check_alpha, fit_from_masses
 from .seeding import derive_seed
 from .vectorize import Entries, Vocabulary, encode
@@ -154,7 +154,7 @@ def _fit_split(enc: Entries, validation: np.ndarray) -> _Fit:
     if not n_train:
         raise EmptyCorpusError("no training document of a split has tokens")
     entries, indptr = _entries(enc.indptr, validation)
-    df = enc.df - np.bincount(enc.column[entries], minlength=len(enc.words))
+    df = enc.df - np.bincount(enc.word[entries], minlength=len(enc.words))
     in_vocabulary = df > 0
     idf = np.zeros(len(enc.words))
     idf[in_vocabulary] = 1.0 + np.log(n_train / df[in_vocabulary])
@@ -166,7 +166,7 @@ def _fit_split(enc: Entries, validation: np.ndarray) -> _Fit:
     # vectorize._norms does, and faster. The gathers clip, since a raising
     # take with out= writes to a copy first.
     weight, squares = enc.buffers
-    np.take(idf, enc.column, out=weight, mode="clip")
+    np.take(idf, enc.word, out=weight, mode="clip")
     weight *= enc.tf
     np.multiply(weight, weight, out=squares)
     norms = sp.csr_matrix((squares, enc.word, enc.indptr), (len(enc.lengths), len(idf)))
@@ -194,7 +194,7 @@ def _validation_rows(enc: Entries, fit: _Fit):
     run-vocabulary words they use, and those words' class masses (used words
     x classes, the layout ``rows @`` multiplies without a copy)."""
     docs, entries = fit.validation, fit.entries
-    word = enc.column[entries]
+    word = enc.word[entries]
     # validation rows may use words outside the run's vocabulary
     keep = fit.in_vocabulary[word]
     indptr = np.r_[0, np.cumsum(keep)][fit.indptr]
@@ -440,10 +440,12 @@ def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) ->
     mask, or ``os.cpu_count()`` where the platform has none). On Linux they
     are forked and worker *k* starts on the *k*-th of those CPUs. Each
     receives the encoding, with the tables the runs read, and ``param``
-    once, at start-up. Every process's runs refill ``enc.buffers``, made at
-    their first use; a worker forked after they were made writes its own
-    copy of them."""
-    _ = enc.indptr, enc.column, enc.tf, enc.cell, enc.df  # made once, before any fork
+    once, at start-up. The tables are made here, before any fork, and the
+    runs index with the encoding's int32 ``word`` table itself, so no
+    process keeps an intp copy of it. Every process's runs refill
+    ``enc.buffers``, made at their first use; a worker forked after they
+    were made writes its own copy of them."""
+    _ = enc.indptr, enc.tf, enc.cell, enc.df  # made once, before any fork
     workers, cpus = min(threads, len(specs)), None
     if workers > 1:
         if hasattr(os, "sched_getaffinity"):
@@ -461,9 +463,9 @@ def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) ->
         return list(pool.map(_in_worker, [(run, spec) for spec in specs]))
 
 
-def _run_specs(split: SplitSpec, n_runs: int) -> list[SplitSpec]:
-    if not 1 <= n_runs <= MAX_RUNS:
-        raise ValueError(f"n_runs must lie in [1, {MAX_RUNS}], got {n_runs}")
+def _run_specs(split: SplitSpec, n_runs: int, least: int = 1) -> list[SplitSpec]:
+    if not least <= n_runs <= MAX_RUNS:
+        raise ValueError(f"n_runs must lie in [{least}, {MAX_RUNS}], got {n_runs}")
     return [
         SplitSpec(split.train_fraction, derive_seed(split.seed, "run", i))
         for i in range(n_runs)
@@ -605,11 +607,10 @@ def essential_words(
     floor: the palo never uses it). Words are then ranked by mean P(w|palo)
     across runs — a word absent from a run's vocabulary contributes that
     run's floor alpha/denominator — and the essential words are those ranked
-    strictly above the best-ranked flagged word. Mean ties rank
-    lexicographically.
+    strictly above the best-ranked flagged word, which exists, since every
+    run flags each palo's least-P word. Mean ties rank lexicographically.
     """
-    if not 2 <= n_runs <= MAX_RUNS:
-        raise ValueError(f"n_runs must lie in [2, {MAX_RUNS}], got {n_runs}")
+    specs = _run_specs(split, n_runs, least=2)
     check_epsilon(epsilon)
     enc = encode(corpus)
     check_alpha(alpha, len(enc.words))
@@ -621,7 +622,7 @@ def essential_words(
     flagged = np.zeros((n_classes, n_words), dtype=bool)
     seen = np.zeros(n_words, dtype=bool)
 
-    for spec in _run_specs(split, n_runs):
+    for spec in specs:
         fit = _fit_split(enc, split_positions(enc.corpus, spec))
         probs = fit.mass  # turned into P - floor in place
         # a palo without training documents has zero masses
@@ -633,7 +634,9 @@ def essential_words(
         probs += alpha
         probs /= denom[:, None]
         total_floor += floor
-        # rounding is monotone, so this is the least P over the vocabulary
+        # the least-mass word's P, made by the same two operations, times a
+        # factor >= 1, which rounding cannot take below it: every run flags
+        # that word (every vocabulary word, for a palo with zero masses)
         threshold = (alpha + least) / denom * (1 + epsilon)
         flagged |= (probs <= threshold[:, None]) & fit.in_vocabulary
         probs -= floor[:, None]
@@ -649,12 +652,7 @@ def essential_words(
     per_palo, counts, normalized = {}, {}, {}
     for k, cls in enumerate(enc.classes):
         order = present[np.argsort(-means[k], kind="stable")]
-        flagged_ranks = np.flatnonzero(flagged[k, order])
-        if not len(flagged_ranks):
-            raise NoThresholdError(
-                f"no word was ever flagged at the floor for palo {cls!r}"
-            )
-        threshold = int(flagged_ranks[0])
+        threshold = int(np.argmax(flagged[k, order]))  # some word is flagged
         per_palo[cls] = tuple(enc.words[j] for j in order[:threshold])
         counts[cls] = threshold
         normalized[cls] = threshold / n_types[k] if n_types[k] else 0.0

@@ -107,11 +107,6 @@ class Entries:
         return _read_only(np.searchsorted(self.doc, np.arange(len(self.lengths) + 1)))
 
     @cached_property
-    def column(self) -> np.ndarray:
-        """Per entry, ``word`` as an intp index."""
-        return _read_only(self.word.astype(np.intp))
-
-    @cached_property
     def tf(self) -> np.ndarray:
         """Per entry, its count over its record's tokens (every token counts)."""
         return _read_only(self.count / self.lengths[self.doc])
@@ -167,7 +162,11 @@ def build_vocabulary(train: Corpus) -> Vocabulary:
     """Collect the training corpus vocabulary, sorted lexicographically,
     with per-word document frequencies and the training document count.
     Each word has an entry, since :func:`corpus_io.word_ids` numbers only
-    the words it meets."""
+    the words it meets. ``n_docs`` counts every record, emptied ones too;
+    ``lexpalo train``'s model counts only the records that hold a token
+    (:func:`experiments.train_and_fit`), so it is
+    ``mnb.fit(tfidf(full, build_vocabulary(full)), labels, alpha)`` where
+    ``full`` keeps just those records."""
     e = encode(train)
     return Vocabulary(e.words, tuple(e.df.tolist()), len(e.lengths))
 

@@ -483,7 +483,7 @@ def test_genre_vectors_equal_the_joined_text_oracle():
 def encoding_with_round_tables(c):
     """The corpus's encoding with the tables the experiment rounds read."""
     e = encode(c)
-    return e, e.indptr, e.column, e.tf, e.cell, e.df
+    return e, e.indptr, e.tf, e.cell, e.df
 
 
 def test_streamed_passes_hold_no_token_list():

@@ -1094,6 +1094,28 @@ def test_corpus_values_past_the_parsers_limits_exit_four(format, content, line, 
     assert f"line {line}: invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "format, record_line, line, message",
+    [
+        ("jsonl", "[1, 2]", 2, "record is not a JSON object"),
+        ("jsonl", '"x"', 2, "record is not a JSON object"),
+        ("jsonl", "3", 2, "record is not a JSON object"),
+        ("csv", "b,X,dos,tres", 3, "row has more fields than the header"),
+    ],
+    ids=["array", "string", "number", "csv-extra-field"],
+)
+def test_a_record_of_the_wrong_shape_exits_four_naming_its_line(
+    format, record_line, line, message, tmp_path, capsys
+):
+    first = {"jsonl": '{"id": "a", "palo": "X", "text": "uno"}', "csv": "id,palo,text\na,X,uno"}
+    bad = tmp_path / f"bad.{format}"
+    bad.write_text(f"{first[format]}\n{record_line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["stats", *base_args(bad, out), "--format", format]) == 4
+    assert capsys.readouterr().err == f"lexpalo stats: error: line {line}: {message}\n"
+    assert not out.exists()
+
+
 def test_exit_code_duplicate_ids(tmp_path, capsys):
     dup = write_jsonl(
         tmp_path / "dup.jsonl",
@@ -1182,6 +1204,8 @@ def test_alphas_outside_the_domain_exit_twelve(
     assert code == 12
     err = capsys.readouterr().err
     assert err.startswith(f"lexpalo {command}: error: alpha must be finite")
+    # only alpha * |V| needs the vocabulary, so only 1e308 is checked after the load
+    assert ("for |V| = " in err) == (alpha == "1e308")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
@@ -1243,6 +1267,24 @@ def test_epsilons_outside_the_domain_exit_two(
     assert err.startswith("lexpalo essential: error: epsilon must be finite")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "essential"])
+@pytest.mark.parametrize("alpha", ["0", "-0.5", "nan", "inf", "-inf"])
+def test_alphas_outside_the_open_interval_exit_twelve_before_the_corpus_is_read(
+    corpus_file, tmp_path, capsys, monkeypatch, command, alpha
+):
+    monkeypatch.setattr(cli, "load_corpus", no_loading)
+    out = tmp_path / "out"
+    # "=" keeps argparse from reading "-inf" as an option
+    code = cli.main([command, *base_args(corpus_file, out), "--runs", "2", f"--alpha={alpha}"])
+    assert code == 12
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"lexpalo {command}: error: alpha must be finite and > 0, got {float(alpha)}\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["stats", "train", "sweep-alpha", "essential",

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from lexpalo import experiments, mnb
 from lexpalo.corpus_io import Corpus, LyricRecord, SplitSpec, filter_top_palos, split_positions
-from lexpalo.errors import AlphaNonPositiveError, InconsistentClassesError
+from lexpalo.errors import AlphaNonPositiveError, EmptyCorpusError, InconsistentClassesError
 from lexpalo.preprocess import default_config, preprocess_corpus
 from lexpalo.seeding import derive_seed
 from lexpalo.vectorize import build_vocabulary, encode, tfidf
@@ -893,8 +893,10 @@ def test_essential_rejects_epsilons_outside_the_domain_before_any_round(
         experiments.essential_words(SEPARABLE, 0.5, 3, HALF, epsilon=epsilon)
 
 
-def oracle_essential_report(corpus, alpha, n_runs, split, epsilon):
-    """Recompute the essential-word report with plain dict arithmetic.
+def oracle_essential_ranking(corpus, alpha, n_runs, split, epsilon):
+    """Each palo's words ranked by descending mean P(w|palo), ties in word
+    order, and the words some run flags at its floor, with plain dict
+    arithmetic.
 
     Shares the library's stratified splits (the seeding contract) but builds
     TF-IDF rows, per-class masses, floors, flags, means, and ranks from
@@ -933,11 +935,7 @@ def oracle_essential_report(corpus, alpha, n_runs, split, epsilon):
         run_data.append((set(words), p_by_class, floor_by_class))
 
     union = sorted({w for seen, _, _ in run_data for w in seen})
-    types = {c: set() for c in classes}
-    for rec in corpus.records:
-        types[rec.palo].update(rec.text.split())
-
-    per_palo, counts, normalized, thresholds = {}, {}, {}, {}
+    orders = {}
     for c in classes:
         means = {}
         for w in union:
@@ -945,7 +943,19 @@ def oracle_essential_report(corpus, alpha, n_runs, split, epsilon):
             for seen, p_by_class, floor_by_class in run_data:
                 total += p_by_class[c][w] if w in seen else floor_by_class[c]
             means[w] = total / n_runs
-        order = sorted(union, key=lambda w: (-means[w], w))
+        orders[c] = tuple(sorted(union, key=lambda w: (-means[w], w)))
+    return orders, flagged
+
+
+def oracle_essential_report(corpus, alpha, n_runs, split, epsilon):
+    """Recompute the essential-word report from :func:`oracle_essential_ranking`."""
+    orders, flagged = oracle_essential_ranking(corpus, alpha, n_runs, split, epsilon)
+    types = {c: set() for c in orders}
+    for rec in corpus.records:
+        types[rec.palo].update(rec.text.split())
+
+    per_palo, counts, normalized, thresholds = {}, {}, {}, {}
+    for c, order in orders.items():
         rank = {w: r for r, w in enumerate(order)}
         cut = min(rank[w] for w in flagged[c])
         per_palo[c] = tuple(order[:cut])
@@ -970,6 +980,35 @@ def test_essential_matches_bruteforce_recomputation(seed):
     assert report.counts == counts
     assert report.normalized == normalized
     assert report.counts == thresholds
+
+
+@pytest.mark.parametrize(
+    "corpus, split, n_runs",
+    [
+        (mixed_corpus, HALF, 4),
+        (lambda: preprocess_corpus(generated_corpus(44, counts=(12, 8, 5, 3)),
+                                   default_config()), SplitSpec(0.7, 44), 4),
+        (lambda: with_empty_records(generated_corpus(45, counts=(10, 6, 4)), 45),
+         SplitSpec(0.6, 45), 4),
+        (lambda: EMPTY_PALO, EMPTY_PALO_RUNS, 3),
+    ],
+    ids=["mixed", "generated-preprocessed", "generated-emptied", "palo-without-training-side"],
+)
+def test_essential_lists_at_epsilon_zero_stop_at_a_flagged_word(corpus, split, n_runs):
+    # at epsilon 0 a run flags exactly the words at its least P, so every
+    # palo's list ends where its ranking reaches one of them
+    corpus = corpus()
+    report = experiments.essential_words(corpus, 0.5, n_runs, split, epsilon=0.0)
+    orders, flagged = oracle_essential_ranking(corpus, 0.5, n_runs, split, 0.0)
+    assert list(report.per_palo) == list(orders)
+    for palo, order in orders.items():
+        listed = report.per_palo[palo]
+        assert order[:len(listed)] == listed
+        assert order[len(listed)] in flagged[palo]
+        assert not flagged[palo].intersection(listed)
+    assert any(report.per_palo.values())
+    if corpus is EMPTY_PALO:
+        assert report.per_palo["C"] == ()  # every word of a palo without masses is flagged
 
 
 # ---------------------------------------------------------------------------
@@ -1029,6 +1068,22 @@ def test_sweep_and_essential_without_a_palo_on_the_training_side():
     }
     assert report.counts == {"A": 4, "B": 3, "C": 0}
     assert report.normalized == {"A": 1.0, "B": 0.75, "C": 0.0}
+
+
+def test_a_split_whose_training_side_holds_no_token_exits_six():
+    # run 0 of seed 0 holds out each palo's one record with tokens
+    corpus = labeled_corpus({"A": ["", "mar sol"], "B": ["", "pena"]})
+    split = SplitSpec(train_fraction=0.5, seed=0)
+    train, _ = oracles.stratified_split(corpus, experiments._run_specs(split, 1)[0])
+    assert not any(r.text for r in train.records)
+    for run in (
+        lambda: experiments.run_trainings(corpus, 0.5, 1, split),
+        lambda: experiments.alpha_sweep(corpus, 0.5, 1, split),
+        lambda: experiments.essential_words(corpus, 0.5, 2, split),
+    ):
+        with pytest.raises(EmptyCorpusError, match="no training document of a split") as info:
+            run()
+        assert info.value.exit_code == 6
 
 
 @pytest.mark.parametrize("seed", [51, 52, 53])
@@ -1149,7 +1204,7 @@ def test_encoding_matches_a_sorted_vocabulary_encoding(seed):
     assert encoding.lengths.tolist() == lengths
     # the tables the rounds read in place of a term-frequency matrix
     assert encoding.indptr.tolist() == indptr
-    assert encoding.column.tolist() == indices
+    assert encoding.word.tolist() == indices
     rows = np.repeat(np.arange(len(lengths)), np.diff(indptr))
     assert encoding.tf.tolist() == [
         count / lengths[r] for count, r in zip(data, rows)

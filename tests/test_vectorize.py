@@ -267,8 +267,8 @@ def test_encoding_tables_equal_their_direct_recomputation():
         for tokens in token_lists:
             indptr.append(indptr[-1] + len(set(tokens)))
         assert e.indptr.tolist() == indptr
-        assert e.column.dtype == np.intp
-        assert e.column.tolist() == [word for _, word in pairs]
+        assert e.word.dtype == np.int32
+        assert e.word.tolist() == [word for _, word in pairs]
         assert e.tf.tolist() == [
             token_lists[doc].count(e.words[word]) / len(token_lists[doc])
             for doc, word in pairs
@@ -279,7 +279,7 @@ def test_encoding_tables_equal_their_direct_recomputation():
         assert e.df.tolist() == [
             sum(word in tokens for tokens in token_lists) for word in e.words
         ]
-        for table in (e.indptr, e.column, e.tf, e.cell, e.df):
+        for table in (e.indptr, e.tf, e.cell, e.df):
             assert not table.flags.writeable
 
 
