@@ -212,7 +212,7 @@ def _check_options(command: str, config: RunConfig) -> None:
     if command in ("train", "sweep-alpha", "essential"):
         from . import experiments
 
-        least = 2 if command == "essential" else 1
+        least = experiments.ESSENTIAL_MIN_RUNS if command == "essential" else 1
         if not least <= config.runs <= experiments.MAX_RUNS:
             raise ValueError(
                 f"--runs must lie in [{least}, {experiments.MAX_RUNS}], got {config.runs}"

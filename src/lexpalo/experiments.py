@@ -2,8 +2,12 @@
 
 Every experiment derives its per-run seeds from one master seed through
 ``derive_seed(master, "run", i)``, so a (corpus, parameters, master seed)
-triple fully determines all reports, independent of parallelism. Runs may be
-executed in worker processes; results are always merged in run order.
+triple fully determines all reports, independent of parallelism. Every
+experiment runs through one driver, :func:`_rounds`, which checks the run
+count, encodes the corpus once and hands each run's fitted split to a round
+function (:func:`_map_runs`). Runs may be executed in worker processes;
+results are always merged in run order. Serial runs are made as they are
+read, so :func:`essential_words` holds one run's rows at a time.
 
 A single run: stratified 85/15-style split -> vocabulary and TF-IDF from the
 training side only -> naive-Bayes fit (documents that lost all tokens in
@@ -57,6 +61,8 @@ DEFAULT_EPSILON = 1e-9
 MAX_GRID_ALPHAS = 100_000
 # The most rounds one call runs: 200 times the paper's 500.
 MAX_RUNS = 100_000
+# The fewest rounds essential_words runs.
+ESSENTIAL_MIN_RUNS = 2
 
 
 @dataclass(frozen=True)
@@ -229,8 +235,7 @@ def _scores(fit: _Fit, rows, mass, alpha: float) -> np.ndarray:
     return scores
 
 
-def _training_run(enc: Entries, alpha: float, spec: SplitSpec) -> TrainingResult:
-    fit = _fit_split(enc, split_positions(enc.corpus, spec))
+def _training_run(enc: Entries, fit: _Fit, alpha: float, seed: int) -> TrainingResult:
     truth, rows, mass = _validation_rows(enc, fit)
     predicted = fit.classes[np.argmax(_scores(fit, rows, mass, alpha), axis=1)]
     k = len(enc.classes)
@@ -238,7 +243,7 @@ def _training_run(enc: Entries, alpha: float, spec: SplitSpec) -> TrainingResult
     confusion = confusion.reshape(k, k)
     accuracy = confusion.diagonal() / confusion.sum(axis=1)
     return TrainingResult(
-        seed=spec.seed,
+        seed=seed,
         classes=enc.classes,
         confusion=confusion,
         per_class_accuracy=dict(zip(enc.classes, map(float, accuracy))),
@@ -378,14 +383,13 @@ def _sweep_margins(fit: _Fit, true: np.ndarray, rows, mass, alphas):
         yield span, least, np.multiply.outer(1 + np.abs(matrix).sum(axis=1), bound)
 
 
-def _sweep_run(enc: Entries, grid: tuple[float, ...], spec: SplitSpec) -> np.ndarray:
+def _sweep_run(enc: Entries, fit: _Fit, grid: tuple[float, ...], seed: int) -> np.ndarray:
     """One run's validation accuracy at every alpha of the grid. A document
     of a palo without training documents is a miss, and one of the only
     fitted palo, when a split fits one, a hit. Otherwise a pair is a hit when
     its least interpolated margin (:func:`_sweep_margins`) exceeds twice the
     pair's bound, a miss when it lies below minus that, and else, exact ties
     included, a hit when :func:`_rescore` puts the true class first."""
-    fit = _fit_split(enc, split_positions(enc.corpus, spec))
     truth, rows, mass = _validation_rows(enc, fit)
     # the documents of fitted palos, and each one's place in fit.classes
     fitted = np.isin(truth, fit.classes)
@@ -409,14 +413,13 @@ def _sweep_run(enc: Entries, grid: tuple[float, ...], spec: SplitSpec) -> np.nda
     return np.count_nonzero(hit, axis=1) / len(truth)
 
 
-# set in pool workers by _init_worker
-_worker_encoding: Entries | None = None
-_worker_param = None
+# (encoding, round function, parameter), set in pool workers by _init_worker
+_worker: tuple | None = None
 
 
-def _init_worker(started, cpus: list[int] | None, enc: Entries, param) -> None:
-    global _worker_encoding, _worker_param
-    _worker_encoding, _worker_param = enc, param
+def _init_worker(started, cpus: list[int] | None, *worker) -> None:
+    global _worker
+    _worker = worker
     if cpus is None:  # no affinity API on this platform: no placement
         return
     with started.get_lock():
@@ -428,23 +431,29 @@ def _init_worker(started, cpus: list[int] | None, enc: Entries, param) -> None:
     os.sched_setaffinity(0, cpus)
 
 
-def _in_worker(task):
-    run, spec = task
-    return run(_worker_encoding, _worker_param, spec)
+def _round(enc: Entries, run, param, spec: SplitSpec):
+    return run(enc, _fit_split(enc, split_positions(enc.corpus, spec)), param, spec.seed)
 
 
-def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) -> list:
-    """``run(enc, param, spec)`` per spec, in order. With one spec or one
-    thread the runs stay in this process. Otherwise worker processes start,
-    at most one per spec and per CPU this process may run on (its affinity
-    mask, or ``os.cpu_count()`` where the platform has none). On Linux they
-    are forked and worker *k* starts on the *k*-th of those CPUs. Each
-    receives the encoding, with the tables the runs read, and ``param``
-    once, at start-up. The tables are made here, before any fork, and the
-    runs index with the encoding's int32 ``word`` table itself, so no
-    process keeps an intp copy of it. Every process's runs refill
-    ``enc.buffers``, made at their first use; a worker forked after they
-    were made writes its own copy of them."""
+def _in_worker(spec: SplitSpec):
+    return _round(*_worker, spec)
+
+
+def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int):
+    """``run(enc, fit, param, seed)`` per spec, in order, on the spec's
+    :func:`_fit_split`. With one spec or one thread the runs stay in this
+    process, and are made as they are read: the result is an iterator that
+    holds one run at a time. Otherwise worker processes start, at most one
+    per spec and per CPU this process may run on (its affinity mask, or
+    ``os.cpu_count()`` where the platform has none), and the result is a
+    list, the pool shut down before it returns. On Linux they are forked
+    and worker *k* starts on the *k*-th of those CPUs. Each receives the
+    encoding, with the tables the runs read, ``run`` and ``param`` once, at
+    start-up. The tables are made here, before any fork, and the runs index
+    with the encoding's int32 ``word`` table itself, so no process keeps an
+    intp copy of it. Every process's runs refill ``enc.buffers``, made at
+    their first use; a worker forked after they were made writes its own
+    copy of them."""
     _ = enc.indptr, enc.tf, enc.cell, enc.df  # made once, before any fork
     workers, cpus = min(threads, len(specs)), None
     if workers > 1:
@@ -452,32 +461,30 @@ def _map_runs(enc: Entries, run, param, specs: list[SplitSpec], threads: int) ->
             cpus = sorted(os.sched_getaffinity(0))
         workers = min(workers, len(cpus) if cpus else os.cpu_count() or 1)
     if workers <= 1:
-        return [run(enc, param, spec) for spec in specs]
+        return (_round(enc, run, param, spec) for spec in specs)
     # Without the affinity API (macOS, Windows) the platform's own start
     # method is kept and nothing is placed.
     context = multiprocessing.get_context("fork" if cpus else None)
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_init_worker,
-        initargs=(context.Value("i", 0), cpus, enc, param),
+        initargs=(context.Value("i", 0), cpus, enc, run, param),
     ) as pool:
-        return list(pool.map(_in_worker, [(run, spec) for spec in specs]))
+        return list(pool.map(_in_worker, specs))
 
 
-def _run_specs(split: SplitSpec, n_runs: int, least: int = 1) -> list[SplitSpec]:
+def _rounds(corpus: Corpus, split: SplitSpec, n_runs: int, run, param, alpha: float,
+            threads: int = 1, least: int = 1):
+    """The encoding of ``corpus`` and :func:`_map_runs`' results of ``run``
+    over ``n_runs`` splits, run *i* seeded by ``derive_seed(split.seed,
+    "run", i)``, once ``n_runs`` lies in [least, MAX_RUNS] and
+    :func:`mnb.check_alpha` accepts ``alpha`` over the encoding's words."""
     if not least <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must lie in [{least}, {MAX_RUNS}], got {n_runs}")
-    return [
-        SplitSpec(split.train_fraction, derive_seed(split.seed, "run", i))
-        for i in range(n_runs)
-    ]
-
-
-def _trainings(corpus: Corpus, alpha: float, n_runs: int, split: SplitSpec, threads: int):
-    """The encoding of ``corpus`` and the rounds run on it."""
-    specs = _run_specs(split, n_runs)
     enc = encode(corpus)
     check_alpha(alpha, len(enc.words))
-    return enc, _map_runs(enc, _training_run, alpha, specs, threads)
+    specs = [SplitSpec(split.train_fraction, derive_seed(split.seed, "run", i))
+             for i in range(n_runs)]
+    return enc, _map_runs(enc, run, param, specs, threads)
 
 
 def run_trainings(
@@ -492,7 +499,7 @@ def run_trainings(
     With threads > 1 the rounds execute in worker processes; results are
     identical to the sequential order either way.
     """
-    return _trainings(corpus, alpha, n_runs, split, threads)[1]
+    return list(_rounds(corpus, split, n_runs, _training_run, alpha, alpha, threads)[1])
 
 
 def train_and_fit(corpus: Corpus, alpha: float, n_runs: int, split: SplitSpec,
@@ -502,7 +509,8 @@ def train_and_fit(corpus: Corpus, alpha: float, n_runs: int, split: SplitSpec,
     side, whose class masses are those :func:`mnb.fit` sums over
     :func:`vectorize.tfidf` of those records, bit for bit. A palo none of
     whose records holds a token is not one of its classes."""
-    enc, runs = _trainings(corpus, alpha, n_runs, split, threads)
+    enc, runs = _rounds(corpus, split, n_runs, _training_run, alpha, alpha, threads)
+    runs = list(runs)
     labels, counts = np.unique(enc.label[enc.lengths > 0], return_counts=True)
     vocab = Vocabulary(enc.words, tuple(enc.df.tolist()), int(counts.sum()))
     mass = _fit_split(enc, np.empty(0, np.intp)).mass[labels]
@@ -573,10 +581,9 @@ def alpha_sweep(
     TF-IDF and class masses are computed once per split and re-smoothed per
     alpha), so curves across alphas are comparable run by run.
     """
-    specs = _run_specs(split, n_runs)
     grid = alpha_grid(grid_step)
-    per_run = _map_runs(encode(corpus), _sweep_run, grid, specs, threads)
-    mean_accuracy = np.mean(per_run, axis=0)
+    per_run = _rounds(corpus, split, n_runs, _sweep_run, grid, grid[-1], threads)[1]
+    mean_accuracy = np.mean(list(per_run), axis=0)
     best_alpha = grid[int(np.argmax(mean_accuracy))]
     return AlphaSweepResult(
         grid=grid,
@@ -591,6 +598,31 @@ def check_epsilon(epsilon: float) -> None:
     :func:`essential_words`, is finite and >= 0."""
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+
+
+def _essential_run(enc: Entries, fit: _Fit, param, seed: int):
+    """One run's P(w|palo) less the run's floor alpha/denominator (palos x
+    every word), the floors, the vocabulary words whose P lies within
+    relative epsilon of the palo's least P, and the run's vocabulary, under
+    ``param`` = (alpha, epsilon). A run's full-width masses are 0.0 outside
+    its vocabulary, so such a word gets P = floor and P - floor = 0.0."""
+    alpha, epsilon = param
+    probs = fit.mass  # turned into P - floor in place
+    # a palo without training documents has zero masses
+    totals, least = np.zeros(len(enc.classes)), np.zeros(len(enc.classes))
+    totals[fit.classes] = fit.totals
+    least[fit.classes] = fit.least
+    denom = alpha * fit.size + totals
+    floor = alpha / denom
+    probs += alpha
+    probs /= denom[:, None]
+    # the least-mass word's P, made by the same two operations, times a
+    # factor >= 1, which rounding cannot take below it: every run flags
+    # that word (every vocabulary word, for a palo with zero masses)
+    threshold = (alpha + least) / denom * (1 + epsilon)
+    flagged = (probs <= threshold[:, None]) & fit.in_vocabulary
+    probs -= floor[:, None]
+    return probs, floor, flagged, fit.in_vocabulary
 
 
 def essential_words(
@@ -609,39 +641,21 @@ def essential_words(
     run's floor alpha/denominator — and the essential words are those ranked
     strictly above the best-ranked flagged word, which exists, since every
     run flags each palo's least-P word. Mean ties rank lexicographically.
+    The runs stay in this process, each added in as it is made.
     """
-    specs = _run_specs(split, n_runs, least=2)
     check_epsilon(epsilon)
-    enc = encode(corpus)
-    check_alpha(alpha, len(enc.words))
+    enc, runs = _rounds(corpus, split, n_runs, _essential_run, (alpha, epsilon), alpha,
+                        least=ESSENTIAL_MIN_RUNS)
     n_classes, n_words = len(enc.classes), len(enc.words)
-    # palos x every word: a run's full-width masses are 0.0 outside its
-    # vocabulary, so such a word gets P = floor and adds exactly 0.0 to its sum
     deltas = np.zeros((n_classes, n_words))  # sum of (P - run floor), present runs
     total_floor = np.zeros(n_classes)  # sum of run floors, all runs
     flagged = np.zeros((n_classes, n_words), dtype=bool)
     seen = np.zeros(n_words, dtype=bool)
-
-    for spec in specs:
-        fit = _fit_split(enc, split_positions(enc.corpus, spec))
-        probs = fit.mass  # turned into P - floor in place
-        # a palo without training documents has zero masses
-        totals, least = np.zeros(n_classes), np.zeros(n_classes)
-        totals[fit.classes] = fit.totals
-        least[fit.classes] = fit.least
-        denom = alpha * fit.size + totals
-        floor = alpha / denom
-        probs += alpha
-        probs /= denom[:, None]
+    for probs, floor, flags, vocabulary in runs:
         total_floor += floor
-        # the least-mass word's P, made by the same two operations, times a
-        # factor >= 1, which rounding cannot take below it: every run flags
-        # that word (every vocabulary word, for a palo with zero masses)
-        threshold = (alpha + least) / denom * (1 + epsilon)
-        flagged |= (probs <= threshold[:, None]) & fit.in_vocabulary
-        probs -= floor[:, None]
+        flagged |= flags
         deltas += probs
-        seen |= fit.in_vocabulary
+        seen |= vocabulary
 
     # words ranked by descending mean P(w|palo), ties in word order
     present = np.flatnonzero(seen)

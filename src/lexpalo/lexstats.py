@@ -217,9 +217,7 @@ def _power_law(x, y, fit_range: tuple[int, int]) -> PowerLawFit:
     ss_res = math.fsum(residuals * residuals)
     ss_tot = math.fsum(dy * dy)
     if ss_res < 1e-300:
-        r_squared = 1.0  # perfect fit, including the constant-y case
-    elif ss_tot == 0.0:
-        r_squared = 0.0
+        r_squared = 1.0  # perfect fit, including the constant-y case (ss_tot 0.0)
     else:
         r_squared = 1.0 - ss_res / ss_tot
     return PowerLawFit(slope, intercept, r_squared, fit_range)

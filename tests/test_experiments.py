@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -76,12 +77,26 @@ EMPTY_PALO_RUNS = SplitSpec(train_fraction=0.5, seed=29)
 # one training round
 
 
+def run_specs(split, n_runs):
+    """The splits of runs 0 .. n_runs - 1 under the master split ``split``:
+    run i's seed is derive_seed(split.seed, "run", i)."""
+    return [SplitSpec(split.train_fraction, derive_seed(split.seed, "run", i))
+            for i in range(n_runs)]
+
+
+def one_round(enc, run, param, spec):
+    """``run``'s result on the split ``spec``, as the rounds' driver makes
+    it: on the split's fit, in this process."""
+    (result,) = experiments._map_runs(enc, run, param, [spec], 1)
+    return result
+
+
 def run_training(corpus, alpha, split):
     """One seeded split + fit + validation round, as run_trainings runs each
     of its rounds."""
     enc = encode(corpus)
     experiments.check_alpha(alpha, len(enc.words))
-    return experiments._training_run(enc, alpha, split)
+    return one_round(enc, experiments._training_run, alpha, split)
 
 
 def test_training_separable_corpus_is_perfect():
@@ -233,8 +248,7 @@ def serial_pools(monkeypatch, cpu_count, mask):
         return pools[-1]
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", serial_pool)
-    monkeypatch.setattr(experiments, "_worker_encoding", None)
-    monkeypatch.setattr(experiments, "_worker_param", None)
+    monkeypatch.setattr(experiments, "_worker", None)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpu_count)
     if mask is None:
         monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
@@ -302,6 +316,48 @@ def test_each_worker_starts_on_its_own_cpu(monkeypatch, run):
 def test_trainings_rejects_nonpositive_run_count():
     with pytest.raises(ValueError, match="n_runs"):
         experiments.run_trainings(SEPARABLE, 0.5, 0, HALF)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_experiment_enters_the_rounds_through_one_driver(monkeypatch, threads):
+    # each entry point maps its rounds once, through _rounds; a split is
+    # fitted by the driver's _round, and outside it only train_and_fit fits
+    # once more, holding out no record
+    maps, fits = [], []
+    map_runs, fit_split = experiments._map_runs, experiments._fit_split
+
+    def spy_map(enc, run, param, specs, threads):
+        maps.append((sys._getframe(2).f_code.co_name, sys._getframe(1).f_code.co_name,
+                     run, len(specs)))
+        return map_runs(enc, run, param, specs, threads)
+
+    def spy_fit(enc, validation):
+        fits.append((sys._getframe(1).f_code.co_name, len(validation)))
+        return fit_split(enc, validation)
+
+    monkeypatch.setattr(experiments, "_map_runs", spy_map)
+    monkeypatch.setattr(experiments, "_fit_split", spy_fit)
+    started, _, _ = serial_pools(monkeypatch, 2, {0, 1})  # workers run here
+    corpus = mixed_corpus()
+    calls = {
+        "run_trainings": (experiments._training_run,
+                          lambda: experiments.run_trainings(corpus, 0.5, 3, HALF, threads)),
+        "train_and_fit": (experiments._training_run,
+                          lambda: experiments.train_and_fit(corpus, 0.5, 3, HALF, threads)),
+        "alpha_sweep": (experiments._sweep_run,
+                        lambda: experiments.alpha_sweep(corpus, 0.25, 3, HALF, threads)),
+        "essential_words": (experiments._essential_run,
+                            lambda: experiments.essential_words(corpus, 0.5, 3, HALF)),
+    }
+    for name, (run, call) in calls.items():
+        maps.clear()
+        fits.clear()
+        call()
+        assert maps == [(name, "_rounds", run, 3)]
+        assert [caller for caller, _ in fits[:3]] == ["_round"] * 3
+        assert fits[3:] == ([("train_and_fit", 0)] if name == "train_and_fit" else [])
+    # essential_words runs its rounds in this process
+    assert started == ([2] * 3 if threads == 2 else [])
 
 
 def test_run_counts_above_the_cap_are_rejected_before_any_spec_is_made(monkeypatch):
@@ -565,8 +621,8 @@ def test_sweep_hits_equal_the_float64_loop(
     enc = screen_encodings[name]
     grid = experiments.alpha_grid(0.005)
     pairs = counting_rescore(monkeypatch)
-    for spec in experiments._run_specs(split, n_runs):
-        assert experiments._sweep_run(enc, grid, spec).tolist() == (
+    for spec in run_specs(split, n_runs):
+        assert one_round(enc, experiments._sweep_run, grid, spec).tolist() == (
             oracle_accuracies(enc, spec, grid)
         )
     if name in ("reference", "wide"):
@@ -589,19 +645,19 @@ def test_sweep_rescores_only_the_splits_with_uncertified_pairs(screen_encodings,
     grid = experiments.alpha_grid(0.005)
     pairs = counting_rescore(monkeypatch)
     enc = screen_encodings["tied-songs"]
-    specs = experiments._run_specs(SplitSpec(0.6, 7), 6)
+    specs = run_specs(SplitSpec(0.6, 7), 6)
     for spec in specs:
-        experiments._sweep_run(enc, grid, spec)
+        one_round(enc, experiments._sweep_run, grid, spec)
     n_validation = len(oracles.stratified_positions(enc.corpus, specs[0])[1])
     assert pairs == [len(grid) * n_validation] * 6
     pairs.clear()
     enc = encode(SEPARABLE)
-    for spec in experiments._run_specs(HALF, 6):
-        experiments._sweep_run(enc, grid, spec)
+    for spec in run_specs(HALF, 6):
+        one_round(enc, experiments._sweep_run, grid, spec)
     assert pairs == []
     enc = screen_encodings["reference"]
-    for spec in experiments._run_specs(SplitSpec(0.85, 5), 4):
-        experiments._sweep_run(enc, grid, spec)
+    for spec in run_specs(SplitSpec(0.85, 5), 4):
+        one_round(enc, experiments._sweep_run, grid, spec)
     assert len(pairs) <= 4 and all(pairs)
 
 
@@ -616,8 +672,8 @@ def test_sweep_hits_equal_the_float64_loop_with_a_partial_last_product(
     enc = screen_encodings[name]
     grid = experiments.alpha_grid(0.007)
     assert len(grid) == 142 and len(grid) % experiments._GEMM_ROWS
-    for spec in experiments._run_specs(split, n_runs):
-        assert experiments._sweep_run(enc, grid, spec).tolist() == (
+    for spec in run_specs(split, n_runs):
+        assert one_round(enc, experiments._sweep_run, grid, spec).tolist() == (
             oracle_accuracies(enc, spec, grid)
         )
 
@@ -638,8 +694,9 @@ def test_sweep_products_read_c_ordered_operands(screen_encodings, monkeypatch):
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    spec = experiments._run_specs(SplitSpec(0.85, 5), 1)[0]
-    experiments._sweep_run(screen_encodings["reference"], experiments.alpha_grid(0.005), spec)
+    spec = run_specs(SplitSpec(0.85, 5), 1)[0]
+    grid = experiments.alpha_grid(0.005)
+    one_round(screen_encodings["reference"], experiments._sweep_run, grid, spec)
     assert operands
     assert all(a.flags.c_contiguous for a in operands)
 
@@ -692,8 +749,8 @@ def test_screen_errors_within_the_bound_leave_the_hits(screen_encodings, monkeyp
     grid = experiments.alpha_grid(0.005)
     for name, split in (("reference", SplitSpec(0.85, 21)), ("duplicated-songs", HALF)):
         enc = screen_encodings[name]
-        for spec in experiments._run_specs(split, 2):
-            assert experiments._sweep_run(enc, grid, spec).tolist() == (
+        for spec in run_specs(split, 2):
+            assert one_round(enc, experiments._sweep_run, grid, spec).tolist() == (
                 oracle_accuracies(enc, spec, grid)
             )
     assert sum(flipped) > 0
@@ -703,7 +760,7 @@ def test_screen_errors_within_the_bound_leave_the_hits(screen_encodings, monkeyp
 def test_rescored_scores_equal_the_full_products(name, screen_encodings):
     enc = screen_encodings[name]
     rng = np.random.default_rng(9)
-    for spec in experiments._run_specs(SplitSpec(0.6, 12), 2):
+    for spec in run_specs(SplitSpec(0.6, 12), 2):
         fit = experiments._fit_split(enc, split_positions(enc.corpus, spec))
         _, rows, mass = experiments._validation_rows(enc, fit)
         alphas = np.array([1e-5, 0.005, 0.11, 0.5, 1.0])
@@ -731,7 +788,7 @@ def test_screen_scores_lie_within_their_bounds(name, screen_encodings):
     enc = screen_encodings[name]
     alphas = np.array(experiments.alpha_grid(0.01))
     worst = 0.0
-    for spec in experiments._run_specs(SplitSpec(0.85, 13), 2):
+    for spec in run_specs(SplitSpec(0.85, 13), 2):
         fit, true, rows, mass = fitted_validation(enc, spec)
         log_denom = experiments._log_denominators(fit, alphas)
         doc = np.arange(len(true))
@@ -809,8 +866,8 @@ def test_sweep_hits_equal_the_float64_loop_on_grids_scored_at_their_alphas(
     grid = experiments.alpha_grid(step)
     nodes, _ = experiments._sweep_nodes(np.log(grid), 0.0)
     assert len(nodes) == len(grid)
-    for spec in experiments._run_specs(split, 2):
-        assert experiments._sweep_run(enc, grid, spec).tolist() == (
+    for spec in run_specs(split, 2):
+        assert one_round(enc, experiments._sweep_run, grid, spec).tolist() == (
             oracle_accuracies(enc, spec, grid)
         )
 
@@ -872,6 +929,28 @@ def test_essential_is_deterministic():
     first = experiments.essential_words(corpus, 0.5, 4, HALF)
     second = experiments.essential_words(corpus, 0.5, 4, HALF)
     assert first == second
+
+
+def test_essential_rounds_stream():
+    # every run's P - floor rows (palos x words) are added in as the run is
+    # made, so 40 runs peak where 4 do; a serial map that listed its runs
+    # held every run's rows at once
+    rng = random.Random(48)
+    words = [f"w{i}" for i in range(3000)]
+    corpus = Corpus(LyricRecord(f"s{i}", " ".join(rng.choices(words, k=60)), f"p{i % 4}")
+                    for i in range(400))
+    n_words = len(encode(corpus).words)  # the corpus keeps its ids from here on
+    assert n_words > 2900
+    peaks = []
+    for n_runs in (4, 40):
+        tracemalloc.start()
+        try:
+            experiments.essential_words(corpus, 0.5, n_runs, HALF)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_run = 4 * n_words * np.dtype(float).itemsize
+    assert abs(peaks[1] - peaks[0]) < one_run, (peaks, one_run)
 
 
 def test_essential_rejects_bad_parameters():
@@ -1074,7 +1153,7 @@ def test_a_split_whose_training_side_holds_no_token_exits_six():
     # run 0 of seed 0 holds out each palo's one record with tokens
     corpus = labeled_corpus({"A": ["", "mar sol"], "B": ["", "pena"]})
     split = SplitSpec(train_fraction=0.5, seed=0)
-    train, _ = oracles.stratified_split(corpus, experiments._run_specs(split, 1)[0])
+    train, _ = oracles.stratified_split(corpus, run_specs(split, 1)[0])
     assert not any(r.text for r in train.records)
     for run in (
         lambda: experiments.run_trainings(corpus, 0.5, 1, split),
@@ -1157,7 +1236,7 @@ def test_essential_with_a_palo_using_every_vocabulary_word_matches_bruteforce(se
     corpus = every_word_palo_corpus(seed)
     split = SplitSpec(train_fraction=0.6, seed=seed)
     vocabularies = []
-    for spec in experiments._run_specs(split, 6):
+    for spec in run_specs(split, 6):
         train, _ = oracles.stratified_split(corpus, spec)
         vocabularies.append({w for r in train.records for w in r.text.split()})
     pool = {f"w{j}" for j in range(10)}
@@ -1243,7 +1322,7 @@ def test_rounds_equal_the_from_counts_construction(seed):
         enc = encode(corpus)
         counts = count_matrix(enc)
         assert not all(enc.lengths)
-        for spec in experiments._run_specs(split, 3 if corpus is EMPTY_PALO else 10):
+        for spec in run_specs(split, 3 if corpus is EMPTY_PALO else 10):
             fit = experiments._fit_split(enc, split_positions(enc.corpus, spec))
             train, validation = map(np.asarray, oracles.stratified_positions(corpus, spec))
             train = train[enc.lengths[train] > 0]
@@ -1287,7 +1366,7 @@ def test_round_masses_equal_the_masses_of_their_tfidf_rows(seed):
                                default_config())
     enc = encode(corpus)
     assert not all(enc.lengths)
-    for spec in experiments._run_specs(SplitSpec(0.85, seed), 5):
+    for spec in run_specs(SplitSpec(0.85, seed), 5):
         fit = experiments._fit_split(enc, split_positions(enc.corpus, spec))
         train = enc.lengths > 0
         train[fit.validation] = False
@@ -1336,11 +1415,11 @@ FAULTS_SCRIPT = """
 import os, random, resource, sys
 from lexpalo import experiments
 from lexpalo.corpus_io import Corpus, LyricRecord, SplitSpec
+from lexpalo.seeding import derive_seed
 
-def faulting_round(enc, alpha, spec):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    experiments._training_run(enc, alpha, spec)
-    return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+def faulting_round(enc, fit, alpha, seed):
+    experiments._training_run(enc, fit, alpha, seed)
+    return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 n_songs, n_words = map(int, sys.argv[1:])
 rng = random.Random(3)
@@ -1348,14 +1427,16 @@ words = [f"w{i}" for i in range(n_words)]
 corpus = Corpus(LyricRecord(f"s{i}", " ".join(rng.choices(words, k=62)), f"p{i % 8}")
                 for i in range(n_songs))
 enc = experiments.encode(corpus)
-specs = experiments._run_specs(SplitSpec(0.85, 1), 16)
+specs = [SplitSpec(0.85, derive_seed(1, "run", i)) for i in range(16)]
 for threads in (1, 2):
-    seen, later = set(), []
+    # a round's faults, its fit's and its run's: those since the previous
+    # round of the same process ended
+    last, later = {}, []
     for pid, faults in experiments._map_runs(enc, faulting_round, 0.5, specs, threads):
-        if pid in seen:
-            later.append(faults)
-        seen.add(pid)
-    print(len(seen), *later)
+        if pid in last:
+            later.append(faults - last[pid])
+        last[pid] = faults
+    print(len(last), *later)
 """
 
 

@@ -186,14 +186,32 @@ class Shape:
 '''
 
 
+WRAPPED_CALL = """total = sum(
+    [1, 2],
+    start=0,
+)
+"""
+
+
 def test_loc_counts_code_lines_alone(capsys):
     loc = _tool("loc")
     # the import, TEMPLATE's two lines, the class, the def and the return
     assert loc.code_lines(LOC_FIXTURE) == 6
+    # the same statements: no docstring is one
+    assert loc.statements(LOC_FIXTURE) == 5
+    # a call wrapped over four lines is one statement, as on one line
+    assert loc.code_lines(WRAPPED_CALL) == 4
+    assert loc.statements(WRAPPED_CALL) == loc.statements("total = sum([1, 2], start=0)\n") == 1
     loc.main([])
     lines = capsys.readouterr().out.splitlines()
     assert {line.split()[0] for line in lines} == {p.stem for p in PACKAGE.glob("*.py")} | {"total"}
-    assert int(lines[-1].split()[1]) == sum(int(line.split()[1]) for line in lines[:-1])
+    # each module's code lines, then its statements, and their totals
+    for column in (1, 2):
+        assert int(lines[-1].split()[column]) == sum(
+            int(line.split()[column]) for line in lines[:-1])
+    module = (PACKAGE / "seeding.py").read_text(encoding="utf-8")
+    (seeding,) = (line.split() for line in lines if line.split()[0] == "seeding")
+    assert seeding[1:] == [str(loc.code_lines(module)), str(loc.statements(module))]
 
 
 def test_readme_library_usage_block_runs(tmp_path):
